@@ -28,7 +28,7 @@ import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -45,8 +45,8 @@ from .algebra import (
     make_eb,
     make_u,
 )
-from .berry import MIN_STEPS, SECTION_D_VALUES, berry_closed, berry_wilson_loop, figure_data
-from .errors import BwmBerryError, ConfigError, DegenerateSpectrum, InvalidParam
+from .berry import MIN_STEPS, SECTION_D_VALUES, _wrap_phase, berry_closed, berry_wilson_loop, figure_data
+from .errors import BwmBerryError, ConfigError, InvalidParam
 from .matrices import dagger, hermitian_eigs, inverse, rel_residual
 from .spin import DriveParams, cos_alpha, hamiltonian, ladder_ops
 from .yangbaxter import SpectralParams, velocity_add, ybe_residual, z_of_u
@@ -57,21 +57,7 @@ TRANSPORT_TOL = 1e-12
 #: Tolerance pinned for the closed-form section/form-consistency identities.
 FORM_TOL = 1e-12
 
-#: Grid names accepted by --grid-spec and the config file.
-GRID_NAMES = (
-    "q",
-    "tla_d",
-    "theta",
-    "d",
-    "omega",
-    "phi",
-    "ybe_beta",
-    "ybe_d",
-    "berry_theta",
-    "berry_d",
-    "figure_d",
-)
-
+#: Grids accepted by --grid-spec and the config file, with their defaults.
 DEFAULT_GRIDS: dict[str, tuple[float, ...]] = {
     "q": (0.5, 0.9, 1.3, 2.0),
     "tla_d": (GOLDEN_RATIO, 1.8, 2.0, 3.0, 5.0),
@@ -86,42 +72,88 @@ DEFAULT_GRIDS: dict[str, tuple[float, ...]] = {
     "figure_d": SECTION_D_VALUES,
 }
 
-_CONFIG_KEYS = {
-    "tolerance",
-    "tla_tolerance",
-    "phase_tolerance",
-    "zero_branch_tolerance",
-    "unimodularity_tolerance",
-    "steps",
-    "seed",
-    "jobs",
-    "out",
-    "phase_pairs",
-    "ybe_samples",
-    "figure_theta_points",
-    "figure_d_mesh",
-    "grids",
-}
+GRID_NAMES = tuple(DEFAULT_GRIDS)
+
+
+# --------------------------------------------------------------------------
+# knob validators: each takes (name, value) and returns the normalised value
+# --------------------------------------------------------------------------
+
+def _real(value) -> bool:
+    """A finite number; JSON booleans are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _positive(name: str, value) -> float:
+    if not (_real(value) and value > 0):
+        raise ConfigError(f"{name} must be a positive number, got {value!r}")
+    return float(value)
+
+
+def _count(minimum: int):
+    def check(name: str, value) -> int:
+        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+            raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        return value
+
+    return check
+
+
+def _d_mesh(name: str, value) -> tuple[float, float, int]:
+    if not (isinstance(value, (list, tuple)) and len(value) == 3 and _real(value[0]) and _real(value[1])):
+        raise ConfigError(f"{name} must be [min, max, count] with finite min and max, got {value!r}")
+    if not 1 <= value[0] <= value[1]:
+        raise ConfigError(f"{name} needs 1 <= min <= max, got {value!r}")
+    return (float(value[0]), float(value[1]), _count(2)(f"{name} count", value[2]))
+
+
+def _parse_range(text: str) -> tuple[float, float, int]:
+    """Parse 'start:stop:count', the syntax of --grid-spec ranges and --d-mesh."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"a range needs start:stop:count, got {text!r}")
+    return float(parts[0]), float(parts[1]), int(parts[2])
+
+
+def _knob(default, check, flag=None, help=None, *, parse=None, metavar=None, echo=True, figure=False):
+    """A RunConfig field that is also a config-file key and, given ``flag``, a flag.
+
+    ``check`` validates flag and file values alike; ``parse`` turns flag text
+    into a value (default: the type of ``default``); ``echo`` puts the value
+    in the report's ``config``; ``figure`` offers the flag on ``figure`` only.
+    """
+    if flag and metavar is None:
+        metavar = flag[2:].replace("-", "_").upper()
+    metadata = dict(
+        check=check, flag=flag, help=help, parse=parse or type(default), metavar=metavar, echo=echo, figure=figure
+    )
+    return field(default=default, metadata=metadata)
 
 
 @dataclass
 class RunConfig:
-    """Fully resolved run parameters (defaults < config file < flags)."""
+    """Fully resolved run parameters (defaults < config file < flags).
+
+    Every field declared with ``_knob`` is a configuration knob: its
+    default, validator, flag, help text and echo are declared here only.
+    """
 
     command: str
     out_dir: Path
-    tolerance: float = 1e-10
-    tla_tolerance: float = 1e-12
-    phase_tolerance: float = 1e-4
-    zero_branch_tolerance: float = 1e-6
-    unimodularity_tolerance: float = 1e-13
-    steps: int = 4096
-    seed: int = 20260815
-    jobs: int = 1
-    phase_pairs: int = 5
-    ybe_samples: int = 200
-    figure_theta_points: int = 401
-    figure_d_mesh: tuple[float, float, int] = (1.0, 6.0, 51)
+    tolerance: float = _knob(1e-10, _positive, "--tolerance", "base relation tolerance")
+    tla_tolerance: float = _knob(1e-12, _positive)
+    phase_tolerance: float = _knob(1e-4, _positive, "--phase-tolerance", "loop-phase match tolerance")
+    zero_branch_tolerance: float = _knob(1e-6, _positive)
+    unimodularity_tolerance: float = _knob(1e-13, _positive)
+    steps: int = _knob(4096, _count(MIN_STEPS), "--steps", "loop discretisation points")
+    seed: int = _knob(20260815, _count(0), "--seed", "seed for sampled phases and velocities")
+    jobs: int = _knob(1, _count(1), "--jobs", "worker threads for grid evaluation", echo=False)
+    phase_pairs: int = _knob(5, _count(0), "--phase-pairs", "number of sampled (phi1, phi2) pairs")
+    ybe_samples: int = _knob(200, _count(0), "--ybe-samples", "number of sampled exchange tuples")
+    figure_theta_points: int = _knob(401, _count(2), "--theta-points", "theta samples over [0, 2pi]", figure=True)
+    figure_d_mesh: tuple[float, float, int] = _knob(
+        (1.0, 6.0, 51), _d_mesh, "--d-mesh", "surface d mesh", parse=_parse_range, metavar="MIN:MAX:COUNT", figure=True
+    )
     grids: dict[str, tuple[float, ...]] = field(default_factory=dict)
 
     def grid(self, name: str) -> tuple[float, ...]:
@@ -129,21 +161,15 @@ class RunConfig:
 
     def echo(self) -> dict:
         """Deterministic echo of the mathematically relevant configuration."""
-        used = {name: [float(x) for x in self.grid(name)] for name in GRID_NAMES}
-        return {
-            "tolerance": self.tolerance,
-            "tla_tolerance": self.tla_tolerance,
-            "phase_tolerance": self.phase_tolerance,
-            "zero_branch_tolerance": self.zero_branch_tolerance,
-            "unimodularity_tolerance": self.unimodularity_tolerance,
-            "steps": self.steps,
-            "seed": self.seed,
-            "phase_pairs": self.phase_pairs,
-            "ybe_samples": self.ybe_samples,
-            "figure_theta_points": self.figure_theta_points,
-            "figure_d_mesh": list(self.figure_d_mesh),
-            "grids": used,
-        }
+        out = {f.name: getattr(self, f.name) for f in KNOBS if f.metadata["echo"]}
+        out["grids"] = {name: self.grid(name) for name in GRID_NAMES}
+        return out
+
+
+#: The configuration knobs, in declaration order.
+KNOBS = tuple(f for f in fields(RunConfig) if "check" in f.metadata)
+
+_CONFIG_KEYS = {f.name for f in KNOBS} | {"out", "grids"}
 
 
 @dataclass
@@ -157,62 +183,6 @@ class CheckRecord:
     status: str
     reason: str | None = None
     data: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "params": self.params,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "status": self.status,
-            "reason": self.reason,
-            "data": self.data,
-        }
-
-
-@dataclass
-class SuiteReport:
-    """Everything one command run produced, ready for serialisation."""
-
-    command: str
-    config: dict
-    checks: list[CheckRecord]
-    warnings: list[str]
-    wall_time_s: float
-    timestamp: str
-    out_dir: str
-    jobs: int
-
-    @property
-    def overall_pass(self) -> bool:
-        return not any(c.status == "fail" for c in self.checks)
-
-    def summary(self) -> dict:
-        residuals = [c.residual for c in self.checks if c.residual is not None]
-        return {
-            "checks": len(self.checks),
-            "passed": sum(c.status == "pass" for c in self.checks),
-            "failed": sum(c.status == "fail" for c in self.checks),
-            "skipped": sum(c.status == "skip" for c in self.checks),
-            "worst_residual": max(residuals) if residuals else None,
-            "overall_pass": self.overall_pass,
-        }
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "command": self.command,
-            "config": self.config,
-            "summary": self.summary(),
-            "warnings": list(self.warnings),
-            "checks": [c.to_dict() for c in self.checks],
-            "meta": {
-                "timestamp": self.timestamp,
-                "wall_time_s": self.wall_time_s,
-                "out_dir": self.out_dir,
-                "jobs": self.jobs,
-            },
-        }
 
 
 def _reason_token(exc: BaseException) -> str:
@@ -242,12 +212,26 @@ def _skip(name: str, params: dict, tolerance: float | None, exc: BaseException, 
     )
 
 
-def _map_points(fn, points, jobs: int) -> list:
-    """Apply fn to each point, preserving order; threads when jobs > 1."""
-    if jobs <= 1:
-        return [fn(pt) for pt in points]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, points))
+def _relation_records(prefix: str, params: dict, report, tolerance: float) -> list[CheckRecord]:
+    """One record per identity of an algebra ``RelationReport``."""
+    return [
+        CheckRecord(
+            name=f"{prefix}.{c.name}",
+            params=params,
+            residual=float(c.residual),
+            tolerance=tolerance,
+            status="pass" if c.passed else "fail",
+        )
+        for c in report.checks
+    ]
+
+
+def _map_points(cfg: RunConfig, fn, points) -> list[CheckRecord]:
+    """Concatenate ``fn(cfg, *point)`` over the points in order; threads when jobs > 1."""
+    if cfg.jobs <= 1:
+        return [rec for pt in points for rec in fn(cfg, *pt)]
+    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+        return [rec for chunk in pool.map(lambda pt: fn(cfg, *pt), points) for rec in chunk]
 
 
 # --------------------------------------------------------------------------
@@ -266,16 +250,7 @@ def _bwm_point(cfg: RunConfig, q: float, p1: float, p2: float) -> list[CheckReco
         rep = check_bwm_suite(p, tolerance=cfg.tolerance)
     except BwmBerryError as exc:
         return [_skip("bwm.suite", base, cfg.tolerance, exc)]
-    out = [
-        CheckRecord(
-            name=f"bwm.{c.name}",
-            params=base,
-            residual=float(c.residual),
-            tolerance=cfg.tolerance,
-            status="pass" if c.passed else "fail",
-        )
-        for c in rep.checks
-    ]
+    out = _relation_records("bwm", base, rep, cfg.tolerance)
     u = make_u(p)
     ui = inverse(u)
     transports = (
@@ -295,16 +270,7 @@ def _tla_point(cfg: RunConfig, d: float, p1: float, p2: float) -> list[CheckReco
         rep = check_tla(make_ea(p), make_eb(p), d, tolerance=cfg.tla_tolerance)
     except BwmBerryError as exc:
         return [_skip("tla.suite", base, cfg.tla_tolerance, exc)]
-    return [
-        CheckRecord(
-            name=f"tla.{c.name}",
-            params=base,
-            residual=float(c.residual),
-            tolerance=cfg.tla_tolerance,
-            status="pass" if c.passed else "fail",
-        )
-        for c in rep.checks
-    ]
+    return _relation_records("tla", base, rep, cfg.tla_tolerance)
 
 
 def _ybe_corner_samples() -> list[SpectralParams]:
@@ -335,15 +301,7 @@ def _ybe_seeded_samples(cfg: RunConfig) -> list[SpectralParams]:
 
 
 def _ybe_point(cfg: RunConfig, s: SpectralParams) -> list[CheckRecord]:
-    base = {
-        "u": s.u,
-        "v": s.v,
-        "beta": s.beta,
-        "epsilon": s.epsilon,
-        "d": s.d,
-        "phi1": s.phi1,
-        "phi2": s.phi2,
-    }
+    base = dict(vars(s))
     out = []
     try:
         resid = ybe_residual(s)
@@ -356,25 +314,26 @@ def _ybe_point(cfg: RunConfig, s: SpectralParams) -> list[CheckRecord]:
     return out
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[list[CheckRecord], list[str]]:
+def cmd_verify(cfg: RunConfig) -> list[CheckRecord]:
     pairs = _phase_pairs(cfg)
-    bwm_points = [(q, p1, p2) for q in cfg.grid("q") for (p1, p2) in pairs]
-    tla_points = [(d, p1, p2) for d in cfg.grid("tla_d") for (p1, p2) in pairs]
-    ybe_points = _ybe_corner_samples() + _ybe_seeded_samples(cfg) if cfg.ybe_samples > 0 else []
-
-    records: list[CheckRecord] = []
-    for chunk in _map_points(lambda pt: _bwm_point(cfg, *pt), bwm_points, cfg.jobs):
-        records.extend(chunk)
-    for chunk in _map_points(lambda pt: _tla_point(cfg, *pt), tla_points, cfg.jobs):
-        records.extend(chunk)
-    for chunk in _map_points(lambda s: _ybe_point(cfg, s), ybe_points, cfg.jobs):
-        records.extend(chunk)
-    return records, []
+    ybe_samples = _ybe_corner_samples() + _ybe_seeded_samples(cfg) if cfg.ybe_samples > 0 else []
+    return (
+        _map_points(cfg, _bwm_point, [(q, p1, p2) for q in cfg.grid("q") for (p1, p2) in pairs])
+        + _map_points(cfg, _tla_point, [(d, p1, p2) for d in cfg.grid("tla_d") for (p1, p2) in pairs])
+        + _map_points(cfg, _ybe_point, [(s,) for s in ybe_samples])
+    )
 
 
 # --------------------------------------------------------------------------
 # spectrum
 # --------------------------------------------------------------------------
+
+def _levels_record(name: str, params: dict, observed, predicted, tolerance: float) -> CheckRecord:
+    """Compare observed eigenvalues with the predicted levels."""
+    dev = float(np.max(np.abs(observed - predicted)))
+    observed, predicted = [float(x) for x in observed], [float(x) for x in predicted]
+    return _record(name, params, dev, tolerance, observed=observed, predicted=predicted)
+
 
 def _casimir_point(cfg: RunConfig, theta: float, d: float) -> list[CheckRecord]:
     base = {"theta": float(theta), "d": float(d)}
@@ -383,19 +342,8 @@ def _casimir_point(cfg: RunConfig, theta: float, d: float) -> list[CheckRecord]:
     except BwmBerryError as exc:
         return [_skip("spectrum.casimir", base, cfg.tolerance, exc)]
     casimir = 0.5 * (trip.s_plus @ trip.s_minus + trip.s_minus @ trip.s_plus) + trip.s3 @ trip.s3
-    observed = hermitian_eigs(casimir).values
     predicted = np.array([0.0, 0.75, 0.75])
-    dev = float(np.max(np.abs(observed - predicted)))
-    return [
-        _record(
-            "spectrum.casimir",
-            base,
-            dev,
-            cfg.tolerance,
-            observed=[float(x) for x in observed],
-            predicted=[float(x) for x in predicted],
-        )
-    ]
+    return [_levels_record("spectrum.casimir", base, hermitian_eigs(casimir).values, predicted, cfg.tolerance)]
 
 
 def _spectrum_point(cfg: RunConfig, theta: float, d: float, omega: float, phi: float) -> list[CheckRecord]:
@@ -408,57 +356,28 @@ def _spectrum_point(cfg: RunConfig, theta: float, d: float, omega: float, phi: f
         predicted = np.sort([0.0, level, -level])
     except BwmBerryError as exc:
         return [_skip("spectrum.h_eigenvalues", base, cfg.tolerance, exc)]
-    dev = float(np.max(np.abs(observed - predicted)))
-    return [
-        _record(
-            "spectrum.h_eigenvalues",
-            base,
-            dev,
-            cfg.tolerance,
-            observed=[float(x) for x in observed],
-            predicted=[float(x) for x in predicted],
-        )
-    ]
+    return [_levels_record("spectrum.h_eigenvalues", base, observed, predicted, cfg.tolerance)]
 
 
-def cmd_spectrum(cfg: RunConfig) -> tuple[list[CheckRecord], list[str]]:
+def cmd_spectrum(cfg: RunConfig) -> list[CheckRecord]:
     cas_points = [(t, d) for d in cfg.grid("d") for t in cfg.grid("theta")]
-    h_points = [
-        (t, d, w, f)
-        for d in cfg.grid("d")
-        for t in cfg.grid("theta")
-        for w in cfg.grid("omega")
-        for f in cfg.grid("phi")
-    ]
-    records: list[CheckRecord] = []
-    for chunk in _map_points(lambda pt: _casimir_point(cfg, *pt), cas_points, cfg.jobs):
-        records.extend(chunk)
-    for chunk in _map_points(lambda pt: _spectrum_point(cfg, *pt), h_points, cfg.jobs):
-        records.extend(chunk)
-    return records, []
+    h_points = [(t, d, w, f) for t, d in cas_points for w in cfg.grid("omega") for f in cfg.grid("phi")]
+    return _map_points(cfg, _casimir_point, cas_points) + _map_points(cfg, _spectrum_point, h_points)
 
 
 # --------------------------------------------------------------------------
 # berry
 # --------------------------------------------------------------------------
 
-def _wrap(x: float) -> float:
-    y = math.remainder(x, 2.0 * math.pi)
-    if y <= -math.pi:
-        y += 2.0 * math.pi
-    return y
-
-
 def _berry_point(cfg: RunConfig, theta: float, d: float) -> list[CheckRecord]:
     base = {"theta": float(theta), "d": float(d)}
-    out: list[CheckRecord] = []
     try:
         closed_sin = berry_closed(theta, d, "sin_form")
         closed_cos = berry_closed(theta, d, "cos_form")
     except BwmBerryError as exc:
         return [_skip("berry.closed", base, None, exc)]
     swapped = berry_closed(math.pi / 2.0 - theta, d, "sin_form")
-    out.append(
+    out = [
         _record(
             "berry.form_consistency",
             base,
@@ -467,51 +386,33 @@ def _berry_point(cfg: RunConfig, theta: float, d: float) -> list[CheckRecord]:
             gamma_plus_sin=closed_sin.gamma_plus,
             gamma_plus_cos=closed_cos.gamma_plus,
         )
-    )
+    ]
     if d < GOLDEN_RATIO - 1e-12:
         reason_exc = InvalidParam("the Hamiltonian route needs d at or above the golden ratio")
         out.append(_skip("berry.match_plus", base, cfg.phase_tolerance, reason_exc, reason="closed_form_only"))
         return out
     try:
         loop = berry_wilson_loop(theta, d, omega_drive=1.0, steps=cfg.steps)
-    except DegenerateSpectrum as exc:
-        out.append(_skip("berry.match_plus", base, cfg.phase_tolerance, exc))
-        return out
     except BwmBerryError as exc:
         out.append(_skip("berry.match_plus", base, cfg.phase_tolerance, exc))
         return out
-    out.append(
-        _record(
-            "berry.match_plus",
-            base,
-            abs(_wrap(loop.gamma_plus - closed_sin.gamma_plus)),
-            cfg.phase_tolerance,
-            wilson=loop.gamma_plus,
-            wilson_lifted=loop.gamma_plus_lifted,
-            closed=closed_sin.gamma_plus,
-            pairing=loop.pairing,
+    for branch in ("plus", "minus"):
+        wilson = getattr(loop, f"gamma_{branch}")
+        closed = getattr(closed_sin, f"gamma_{branch}")
+        out.append(
+            _record(
+                f"berry.match_{branch}",
+                base,
+                abs(_wrap_phase(wilson - closed)),
+                cfg.phase_tolerance,
+                wilson=wilson,
+                wilson_lifted=getattr(loop, f"gamma_{branch}_lifted"),
+                closed=closed,
+                pairing=loop.pairing,
+            )
         )
-    )
     out.append(
-        _record(
-            "berry.match_minus",
-            base,
-            abs(_wrap(loop.gamma_minus - closed_sin.gamma_minus)),
-            cfg.phase_tolerance,
-            wilson=loop.gamma_minus,
-            wilson_lifted=loop.gamma_minus_lifted,
-            closed=closed_sin.gamma_minus,
-            pairing=loop.pairing,
-        )
-    )
-    out.append(
-        _record(
-            "berry.zero_branch",
-            base,
-            abs(loop.gamma_zero),
-            cfg.zero_branch_tolerance,
-            wilson=loop.gamma_zero,
-        )
+        _record("berry.zero_branch", base, abs(loop.gamma_zero), cfg.zero_branch_tolerance, wilson=loop.gamma_zero)
     )
     coarse = cfg.steps // 2
     if coarse >= MIN_STEPS:
@@ -520,7 +421,7 @@ def _berry_point(cfg: RunConfig, theta: float, d: float) -> list[CheckRecord]:
             _record(
                 "berry.convergence",
                 base,
-                abs(_wrap(loop.gamma_plus - loop2.gamma_plus)),
+                abs(_wrap_phase(loop.gamma_plus - loop2.gamma_plus)),
                 cfg.phase_tolerance,
                 steps=cfg.steps,
                 coarse_steps=coarse,
@@ -529,21 +430,17 @@ def _berry_point(cfg: RunConfig, theta: float, d: float) -> list[CheckRecord]:
     return out
 
 
-def cmd_berry(cfg: RunConfig) -> tuple[list[CheckRecord], list[str]]:
-    points = [(t, d) for d in cfg.grid("berry_d") for t in cfg.grid("berry_theta")]
-    records: list[CheckRecord] = []
-    for chunk in _map_points(lambda pt: _berry_point(cfg, *pt), points, cfg.jobs):
-        records.extend(chunk)
-    return records, []
+def cmd_berry(cfg: RunConfig) -> list[CheckRecord]:
+    return _map_points(cfg, _berry_point, [(t, d) for d in cfg.grid("berry_d") for t in cfg.grid("berry_theta")])
 
 
 # --------------------------------------------------------------------------
 # figure
 # --------------------------------------------------------------------------
 
-def _write_csv(path: Path, header: tuple[str, ...], rows) -> int:
+def _write_csv(path: Path, rows) -> int:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write("theta,d,gamma_plus\n")
         count = 0
         for row in rows:
             fh.write(",".join(format(float(x), ".17g") for x in row) + "\n")
@@ -551,53 +448,41 @@ def _write_csv(path: Path, header: tuple[str, ...], rows) -> int:
     return count
 
 
-def cmd_figure(cfg: RunConfig) -> tuple[list[CheckRecord], list[str]]:
+def cmd_figure(cfg: RunConfig) -> list[CheckRecord]:
     thetas = np.linspace(0.0, 2.0 * math.pi, cfg.figure_theta_points)
-    lo, hi, count = cfg.figure_d_mesh
-    mesh = np.linspace(lo, hi, int(count))
-
-    sections = figure_data(thetas, cfg.grid("figure_d"))
-    surface = figure_data(thetas, mesh)
-
     records = []
-    for fname, rows in (("figure_sections.csv", sections), ("figure_surface.csv", surface)):
-        n = _write_csv(cfg.out_dir / fname, ("theta", "d", "gamma_plus"), rows)
-        records.append(
-            CheckRecord(
-                name=f"figure.{fname.removesuffix('.csv').removeprefix('figure_')}_csv",
-                params={},
-                residual=None,
-                tolerance=None,
-                status="pass",
-                data={"file": fname, "rows": n},
-            )
-        )
-    return records, []
+    for kind, d_values in (("sections", cfg.grid("figure_d")), ("surface", np.linspace(*cfg.figure_d_mesh))):
+        fname = f"figure_{kind}.csv"
+        n = _write_csv(cfg.out_dir / fname, figure_data(thetas, d_values))
+        records.append(CheckRecord(f"figure.{kind}_csv", {}, None, None, "pass", data={"file": fname, "rows": n}))
+    return records
 
 
 # --------------------------------------------------------------------------
 # configuration and entry point
 # --------------------------------------------------------------------------
 
-def _parse_grid_values(text: str) -> tuple[float, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"range grid must be start:stop:count, got {text!r}")
+def _grid_values(name: str, values) -> tuple[float, ...]:
+    """Validate one grid given as a number list, a comma list or a 'start:stop:count' range."""
+    if name not in DEFAULT_GRIDS:
+        raise ConfigError(f"unknown grid {name!r}; allowed: {list(GRID_NAMES)}")
+    if isinstance(values, str):
+        text = values.strip()
         try:
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+            if ":" in text:
+                start, stop, count = _parse_range(text)
+                if count < 1:
+                    raise ValueError(f"range count must be >= 1, got {count}")
+                values = [float(x) for x in np.linspace(start, stop, count)]
+            else:
+                values = [float(tok) for tok in text.split(",")] if text else []
         except ValueError as exc:
-            raise ConfigError(f"could not parse range grid {text!r}: {exc}") from exc
-        if count < 1:
-            raise ConfigError(f"range grid count must be >= 1, got {count}")
-        return tuple(float(x) for x in np.linspace(start, stop, count))
-    try:
-        return tuple(float(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"could not parse grid values {text!r}: {exc}") from exc
+            raise ConfigError(f"could not parse grid {name!r} from {text!r}: {exc}") from exc
+    lowest = 1.0 if name == "figure_d" else -math.inf
+    if not isinstance(values, list) or not all(_real(x) and x >= lowest for x in values):
+        rule = "finite numbers >= 1" if name == "figure_d" else "finite numbers"
+        raise ConfigError(f"grid {name!r} must be a list of {rule}, got {values!r}")
+    return tuple(float(x) for x in values)
 
 
 def _load_config_file(path: Path) -> dict:
@@ -615,100 +500,39 @@ def _load_config_file(path: Path) -> dict:
     return raw
 
 
-def _validate_grids(grids: dict) -> dict[str, tuple[float, ...]]:
-    out = {}
-    if not isinstance(grids, dict):
-        raise ConfigError("'grids' must be an object mapping grid names to value lists")
-    for name, values in grids.items():
-        if name not in GRID_NAMES:
-            raise ConfigError(f"unknown grid {name!r}; allowed: {list(GRID_NAMES)}")
-        if isinstance(values, str):
-            out[name] = _parse_grid_values(values)
-            continue
-        try:
-            out[name] = tuple(float(x) for x in values)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"grid {name!r} must be a list of numbers: {exc}") from exc
-    return out
-
-
-def _positive(value: float, key: str) -> float:
-    if not (isinstance(value, (int, float)) and math.isfinite(float(value)) and value > 0):
-        raise ConfigError(f"{key} must be a positive number, got {value!r}")
-    return float(value)
-
-
-def _nonneg_int(value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ConfigError(f"{key} must be a non-negative integer, got {value!r}")
-    return value
-
-
 def build_config(args: argparse.Namespace) -> RunConfig:
     file_cfg = _load_config_file(args.config) if args.config else {}
 
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(key, default)
+    knobs = {}
+    for f in KNOBS:
+        check, text = f.metadata["check"], getattr(args, f.name, None)
+        if f.name in file_cfg:
+            knobs[f.name] = check(f.name, file_cfg[f.name])
+        if text is not None:
+            try:
+                value = f.metadata["parse"](text)
+            except ValueError as exc:
+                raise ConfigError(f"cannot parse {f.metadata['flag']} {text!r}: {exc}") from exc
+            knobs[f.name] = check(f.name, value)
 
-    grids = _validate_grids(file_cfg.get("grids", {}))
+    file_grids = file_cfg.get("grids", {})
+    if not isinstance(file_grids, dict):
+        raise ConfigError("'grids' must be an object mapping grid names to value lists")
+    grids = {name: _grid_values(name, values) for name, values in file_grids.items()}
     for spec in args.grid_spec:
-        if "=" not in spec:
+        name, sep, values = spec.partition("=")
+        if not sep:
             raise ConfigError(f"--grid-spec needs NAME=VALUES, got {spec!r}")
-        name, _, values = spec.partition("=")
-        name = name.strip()
-        if name not in GRID_NAMES:
-            raise ConfigError(f"unknown grid {name!r}; allowed: {list(GRID_NAMES)}")
-        grids[name] = _parse_grid_values(values)
+        grids[name.strip()] = _grid_values(name.strip(), values)
 
-    out_flag = args.out if args.out is not None else file_cfg.get("out")
-    if out_flag is None:
-        out_flag = os.environ.get("BWMBERRY_OUT", ".")
-    out_dir = Path(out_flag)
-
-    mesh = file_cfg.get("figure_d_mesh", (1.0, 6.0, 51))
-    mesh_flag = getattr(args, "d_mesh", None)
-    if mesh_flag is not None:
-        parts = mesh_flag.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"--d-mesh needs MIN:MAX:COUNT, got {mesh_flag!r}")
-        mesh = (parts[0], parts[1], parts[2])
-    try:
-        mesh = (float(mesh[0]), float(mesh[1]), int(mesh[2]))
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"figure_d_mesh must be [min, max, count], got {mesh!r}") from exc
-    if mesh[0] < 1.0 or mesh[1] < mesh[0] or mesh[2] < 2:
-        raise ConfigError("figure_d_mesh needs 1 <= min <= max and count >= 2")
-
-    cfg = RunConfig(
-        command=args.command,
-        out_dir=out_dir,
-        tolerance=_positive(pick(args.tolerance, "tolerance", 1e-10), "tolerance"),
-        tla_tolerance=_positive(file_cfg.get("tla_tolerance", 1e-12), "tla_tolerance"),
-        phase_tolerance=_positive(pick(args.phase_tolerance, "phase_tolerance", 1e-4), "phase_tolerance"),
-        zero_branch_tolerance=_positive(file_cfg.get("zero_branch_tolerance", 1e-6), "zero_branch_tolerance"),
-        unimodularity_tolerance=_positive(
-            file_cfg.get("unimodularity_tolerance", 1e-13), "unimodularity_tolerance"
-        ),
-        steps=_nonneg_int(pick(args.steps, "steps", 4096), "steps"),
-        seed=int(pick(args.seed, "seed", 20260815)),
-        jobs=_nonneg_int(pick(args.jobs, "jobs", 1), "jobs"),
-        phase_pairs=_nonneg_int(pick(args.phase_pairs, "phase_pairs", 5), "phase_pairs"),
-        ybe_samples=_nonneg_int(pick(args.ybe_samples, "ybe_samples", 200), "ybe_samples"),
-        figure_theta_points=_nonneg_int(
-            pick(getattr(args, "theta_points", None), "figure_theta_points", 401), "figure_theta_points"
-        ),
-        figure_d_mesh=mesh,
-        grids=grids,
-    )
-    if cfg.steps < MIN_STEPS:
-        raise ConfigError(f"steps must be >= {MIN_STEPS}, got {cfg.steps}")
-    if cfg.jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {cfg.jobs}")
-    if cfg.figure_theta_points < 2:
-        raise ConfigError(f"figure_theta_points must be >= 2, got {cfg.figure_theta_points}")
-    return cfg
+    out = file_cfg.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"out must be a path string, got {out!r}")
+    if args.out is not None:
+        out = args.out
+    elif out is None:
+        out = os.environ.get("BWMBERRY_OUT", ".")
+    return RunConfig(command=args.command, out_dir=Path(out), grids=grids, **knobs)
 
 
 _COMMANDS = {
@@ -719,6 +543,21 @@ _COMMANDS = {
 }
 
 
+def _show(default) -> str:
+    if isinstance(default, tuple):
+        return ":".join(_show(x) for x in default)
+    return f"{default:g}" if isinstance(default, float) else str(default)
+
+
+def _add_knob_flags(parser: argparse.ArgumentParser, figure: bool) -> None:
+    for f in KNOBS:
+        m = f.metadata
+        if m["flag"] and m["figure"] == figure:
+            parser.add_argument(
+                m["flag"], dest=f.name, metavar=m["metavar"], help=f"{m['help']} (default {_show(f.default)})"
+            )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bwmberry",
@@ -726,11 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, help="JSON config file; flags take precedence over it")
-    common.add_argument("--tolerance", type=float, help="base relation tolerance (default 1e-10)")
-    common.add_argument("--phase-tolerance", type=float, help="loop-phase match tolerance (default 1e-4)")
-    common.add_argument("--steps", type=int, help="loop discretisation points (default 4096)")
-    common.add_argument("--seed", type=int, help="seed for sampled phases and velocities")
-    common.add_argument("--jobs", type=int, help="worker threads for grid evaluation (default 1)")
+    _add_knob_flags(common, figure=False)
     common.add_argument("--out", type=Path, help="output directory (default $BWMBERRY_OUT or '.')")
     common.add_argument(
         "--grid-spec",
@@ -740,16 +575,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="override a grid: comma list '0.5,0.9' or range 'start:stop:count'; "
         f"names: {', '.join(GRID_NAMES)}",
     )
-    common.add_argument("--phase-pairs", type=int, help="number of sampled (phi1, phi2) pairs (default 5)")
-    common.add_argument("--ybe-samples", type=int, help="number of sampled exchange tuples (default 200)")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("verify", parents=[common], help="algebra relation suites and exchange sweeps")
     sub.add_parser("spectrum", parents=[common], help="driven-Hamiltonian and Casimir spectra")
     sub.add_parser("berry", parents=[common], help="Wilson-loop phases against closed forms")
     fig = sub.add_parser("figure", parents=[common], help="CSV tables of the closed-form phase")
-    fig.add_argument("--theta-points", type=int, help="theta samples over [0, 2pi] (default 401)")
-    fig.add_argument("--d-mesh", metavar="MIN:MAX:COUNT", help="surface d mesh (default 1:6:51)")
+    _add_knob_flags(fig, figure=True)
     return parser
 
 
@@ -757,14 +589,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = build_config(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    started = time.perf_counter()
-    try:
+        started = time.perf_counter()
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        records, warnings = _COMMANDS[cfg.command](cfg)
+        records = _COMMANDS[cfg.command](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -772,23 +599,34 @@ def main(argv=None) -> int:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 2
 
-    if not records:
-        warnings = list(warnings) + ["no checks were executed (empty grids?)"]
-
-    report = SuiteReport(
-        command=cfg.command,
-        config=cfg.echo(),
-        checks=records,
-        warnings=warnings,
-        wall_time_s=time.perf_counter() - started,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-        out_dir=str(cfg.out_dir),
-        jobs=cfg.jobs,
-    )
+    warnings = [] if records else ["no checks were executed (empty grids?)"]
+    residuals = [c.residual for c in records if c.residual is not None]
+    summary = {
+        "checks": len(records),
+        "passed": sum(c.status == "pass" for c in records),
+        "failed": sum(c.status == "fail" for c in records),
+        "skipped": sum(c.status == "skip" for c in records),
+        "worst_residual": max(residuals) if residuals else None,
+    }
+    summary["overall_pass"] = summary["failed"] == 0
+    report = {
+        "schema": 1,
+        "command": cfg.command,
+        "config": cfg.echo(),
+        "summary": summary,
+        "warnings": warnings,
+        "checks": [vars(c) for c in records],
+        "meta": {
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "wall_time_s": time.perf_counter() - started,
+            "out_dir": str(cfg.out_dir),
+            "jobs": cfg.jobs,
+        },
+    }
     report_path = cfg.out_dir / f"{cfg.command}_report.json"
     try:
         with open(report_path, "w", encoding="utf-8", newline="") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
@@ -796,13 +634,12 @@ def main(argv=None) -> int:
 
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    s = report.summary()
-    worst = "n/a" if s["worst_residual"] is None else f"{s['worst_residual']:.3e}"
+    worst = "n/a" if summary["worst_residual"] is None else f"{summary['worst_residual']:.3e}"
     print(
-        f"[bwmberry {cfg.command}] {s['passed']}/{s['checks']} checks passed, "
-        f"{s['failed']} failed, {s['skipped']} skipped; worst residual {worst}; wrote {report_path}"
+        f"[bwmberry {cfg.command}] {summary['passed']}/{summary['checks']} checks passed, "
+        f"{summary['failed']} failed, {summary['skipped']} skipped; worst residual {worst}; wrote {report_path}"
     )
-    return 0 if report.overall_pass else 1
+    return 0 if summary["failed"] == 0 else 1
 
 
 if __name__ == "__main__":

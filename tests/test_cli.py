@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front end."""
 
+import ast
 import json
 import math
 import subprocess
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from bwmberry.cli import main
+from bwmberry.cli import KNOBS, build_config, build_parser, main
 
 PI_THIRD = repr(math.pi / 3.0)
 PI_HALF = repr(math.pi / 2.0)
@@ -365,6 +366,11 @@ def test_config_file_grid_range_syntax(tmp_path, capsys):
         ["figure", "--d-mesh", "0.5:6:10"],
         ["figure", "--theta-points", "1"],
         ["verify", "--tolerance", "-1"],
+        ["verify", "--seed", "-1"],
+        ["figure", "--d-mesh", "1:nan:3"],
+        ["figure", "--grid-spec", "figure_d=0.5"],
+        ["figure", "--grid-spec", "figure_d=nan"],
+        ["spectrum", "--grid-spec", "theta=nan"],  # one finiteness rule for every grid
     ],
 )
 def test_config_errors_exit_two(argv, tmp_path, capsys):
@@ -379,6 +385,74 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     code, _, err = run(["verify", "--out", str(tmp_path), "--config", str(cfg)], capsys)
     assert code == 2
     assert "unknown config keys" in err
+
+
+@pytest.mark.parametrize(
+    "command, contents",
+    [
+        ("verify", {"seed": "abc"}),
+        ("verify", {"seed": 1.7}),
+        ("verify", {"tolerance": True}),
+        ("verify", {"grids": {"q": [True]}}),
+        ("figure", {"figure_d_mesh": [1, 6, 2.9]}),
+        ("figure", {"out": 123}),
+    ],
+)
+@pytest.mark.parametrize("flags", [[], ["--tolerance", "1e-9", "--seed", "3", "--out", "."]], ids=["file", "flags"])
+def test_invalid_config_values_exit_two(command, contents, flags, tmp_path, capsys, monkeypatch):
+    # A bad file value is an error even where a flag overrides it.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("BWMBERRY_OUT", str(tmp_path))
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(contents))
+    code, _, err = run([command, "--config", str(cfg), *flags], capsys)
+    assert code == 2
+    assert "error:" in err
+
+
+# ---------------------------------------------------------------------------
+# the knob table: one declaration drives flags, file keys, validation and echo
+# ---------------------------------------------------------------------------
+
+
+def _alternative_values(knob):
+    """(file value, value read from it, flag text, value read from it): valid, non-default."""
+    if isinstance(knob.default, tuple):
+        return [1.0, 5.0, 11], (1.0, 5.0, 11), "1:4:7", (1.0, 4.0, 7)
+    return 2 * knob.default, 2 * knob.default, repr(3 * knob.default), 3 * knob.default
+
+
+@pytest.mark.parametrize("knob", KNOBS, ids=lambda k: k.name)
+def test_knob_rejects_json_true(knob, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({knob.name: True}))
+    code, _, err = run(["figure", "--out", str(tmp_path), "--config", str(cfg)], capsys)
+    assert code == 2
+    assert f"error: {knob.name}" in err
+
+
+@pytest.mark.parametrize("knob", KNOBS, ids=lambda k: k.name)
+def test_knob_file_value_read_and_flag_wins(knob, tmp_path):
+    file_value, from_file, flag_text, from_flag = _alternative_values(knob)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({knob.name: file_value}))
+    argv = ["figure" if knob.metadata["figure"] else "verify", "--config", str(cfg)]
+    assert getattr(build_config(build_parser().parse_args(argv)), knob.name) == from_file
+    if knob.metadata["flag"] is not None:
+        argv += [knob.metadata["flag"], flag_text]
+        assert getattr(build_config(build_parser().parse_args(argv)), knob.name) == from_flag
+
+
+def test_config_keys_and_echo_follow_the_knob_table(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"nope": 1}))
+    _, _, err = run(["verify", "--out", str(tmp_path), "--config", str(cfg)], capsys)
+    allowed = ast.literal_eval(err.split("allowed: ", 1)[1].strip())
+    assert set(allowed) == {k.name for k in KNOBS} | {"out", "grids"}
+
+    run(["verify", "--out", str(tmp_path), "--grid-spec", "q=", "--grid-spec", "tla_d=", "--ybe-samples", "0"], capsys)
+    echoed = set(load_report(tmp_path, "verify")["config"])
+    assert echoed == {k.name for k in KNOBS if k.metadata["echo"]} | {"grids"}
 
 
 def test_unreadable_config_exits_two(tmp_path, capsys):

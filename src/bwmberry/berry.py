@@ -30,7 +30,8 @@ from .spin import DriveParams, cos_alpha, hamiltonian_stack
 #: Smallest admissible number of loop discretisation points.
 MIN_STEPS = 16
 
-#: |cos(alpha)| at or below this leaves the outer branches unresolvable.
+#: A level gap |omega cos(alpha)| (hbar = 1) at or below this leaves the
+#: outer branches unresolvable.
 DEGENERACY_GUARD = 1e-6
 
 #: Overlap magnitudes below this mean the discretisation lost a branch.
@@ -162,13 +163,17 @@ def berry_wilson_loop(theta, d, omega_drive=1.0, steps: int = 4096) -> BerryResu
     Pancharatnam product per eigenvalue branch.  The outer branches are
     matched to the closed-form references set-wise (by circular distance),
     and the match actually observed is recorded in ``pairing``.  Requires
-    a resolvable spectrum: |cos(alpha)| > 1e-6, else DegenerateSpectrum.
+    a resolvable spectrum: the level gap |omega cos(alpha)| must exceed
+    1e-6, else DegenerateSpectrum (at omega = 0 H vanishes, whatever alpha).
     """
     ca = cos_alpha(theta, d)
-    if abs(ca) <= DEGENERACY_GUARD:
-        raise DegenerateSpectrum(
-            f"|cos(alpha)| = {abs(ca):.3e} leaves the outer branches unresolvable"
-        )
+    gap = abs(as_real("omega_drive", omega_drive) * ca)
+    if gap <= DEGENERACY_GUARD:
+        if gap == abs(ca):  # |omega| = 1: the gap is |cos(alpha)| itself
+            cause = f"|cos(alpha)| = {gap:.3e}"
+        else:
+            cause = f"the level gap |omega cos(alpha)| = {gap:.3e}"
+        raise DegenerateSpectrum(f"{cause} leaves the outer branches unresolvable")
     _, _, vectors = loop_eigenframes(theta, d, omega_drive=omega_drive, steps=steps)
     branch_phases = [pancharatnam_phase(vectors[:, :, b]) for b in range(3)]
 
@@ -194,6 +199,26 @@ def berry_wilson_loop(theta, d, omega_drive=1.0, steps: int = 4096) -> BerryResu
     )
 
 
+def figure_table(theta_grid, d_values=SECTION_D_VALUES) -> tuple[list[float], list[float], np.ndarray]:
+    """The cos-form gamma_plus over a (theta, d) grid as one array.
+
+    Returns (thetas, ds, gamma): both axes as sorted lists of floats, each
+    value validated once, and gamma[j, i] = gamma_plus(thetas[i], ds[j]).
+    The per-axis factors are computed with ``math`` and only their outer
+    product runs in numpy, in the operation order of ``berry_closed``, so
+    every entry is bit-identical to the scalar closed form.
+    """
+    thetas = sorted(as_real("theta", t) for t in np.asarray(theta_grid, dtype=float).ravel())
+    ds = sorted(as_real("d", dv) for dv in np.asarray(d_values, dtype=float).ravel())
+    if ds and ds[0] < 1.0:
+        raise InvalidParam(f"closed forms need d >= 1, got d = {ds[0]}")
+    two_trig = np.array([2.0 * math.cos(th) for th in thetas])
+    root = np.array([math.sqrt(dv * dv - 1.0) for dv in ds])
+    dsq = np.array([dv ** 2 for dv in ds])
+    gamma = math.pi * (1.0 - two_trig[None, :] * root[:, None] / dsq[:, None])
+    return thetas, ds, gamma
+
+
 def figure_data(theta_grid, d_values=SECTION_D_VALUES) -> list[tuple[float, float, float]]:
     """Tabulate the cos-form gamma_plus over a (theta, d) grid.
 
@@ -202,10 +227,5 @@ def figure_data(theta_grid, d_values=SECTION_D_VALUES) -> list[tuple[float, floa
     d >= 1 is admissible (including values below the golden ratio, where
     the Hamiltonian route does not exist).
     """
-    thetas = [as_real("theta", t) for t in np.asarray(theta_grid, dtype=float).ravel()]
-    ds = [as_real("d", dv) for dv in np.asarray(d_values, dtype=float).ravel()]
-    rows = []
-    for dv in sorted(ds):
-        for th in sorted(thetas):
-            rows.append((th, dv, berry_closed(th, dv, "cos_form").gamma_plus))
-    return rows
+    thetas, ds, gamma = figure_table(theta_grid, d_values)
+    return [(th, dv, g) for dv, row in zip(ds, gamma.tolist()) for th, g in zip(thetas, row)]

@@ -45,7 +45,7 @@ from .algebra import (
     make_eb,
     make_u,
 )
-from .berry import MIN_STEPS, SECTION_D_VALUES, _wrap_phase, berry_closed, berry_wilson_loop, figure_data
+from .berry import MIN_STEPS, SECTION_D_VALUES, _wrap_phase, berry_closed, berry_wilson_loop, figure_table
 from .errors import BwmBerryError, ConfigError, InvalidParam
 from .matrices import dagger, hermitian_eigs, inverse, rel_residual
 from .spin import DriveParams, cos_alpha, hamiltonian, ladder_ops
@@ -438,14 +438,18 @@ def cmd_berry(cfg: RunConfig) -> list[CheckRecord]:
 # figure
 # --------------------------------------------------------------------------
 
-def _write_csv(path: Path, rows) -> int:
+def _write_csv(path: Path, thetas, ds, gamma) -> int:
+    """Write rows (theta, d, gamma[j, i]) sorted by (d, theta), one d row per write.
+
+    Each axis value is formatted once; only gamma is formatted per row.
+    """
+    theta_cells = [format(th, ".17g") for th in thetas]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("theta,d,gamma_plus\n")
-        count = 0
-        for row in rows:
-            fh.write(",".join(format(float(x), ".17g") for x in row) + "\n")
-            count += 1
-    return count
+        for dv, row in zip(ds, gamma):
+            d_cell = format(dv, ".17g")
+            fh.write("".join([f"{t},{d_cell},{g:.17g}\n" for t, g in zip(theta_cells, row.tolist())]))
+    return len(thetas) * len(ds)
 
 
 def cmd_figure(cfg: RunConfig) -> list[CheckRecord]:
@@ -453,7 +457,7 @@ def cmd_figure(cfg: RunConfig) -> list[CheckRecord]:
     records = []
     for kind, d_values in (("sections", cfg.grid("figure_d")), ("surface", np.linspace(*cfg.figure_d_mesh))):
         fname = f"figure_{kind}.csv"
-        n = _write_csv(cfg.out_dir / fname, figure_data(thetas, d_values))
+        n = _write_csv(cfg.out_dir / fname, *figure_table(thetas, d_values))
         records.append(CheckRecord(f"figure.{kind}_csv", {}, None, None, "pass", data={"file": fname, "rows": n}))
     return records
 

@@ -45,8 +45,8 @@ class GellMannBasis:
     structure_constants: np.ndarray
 
 
-def gell_mann_basis() -> GellMannBasis:
-    """Construct the standard Gell-Mann generators and f_abc = -2i tr([I_a, I_b] I_c)."""
+def _gell_mann_generators() -> np.ndarray:
+    """The eight generators I_k = lambda_k / 2 stacked as an (8, 3, 3) array."""
     s3 = math.sqrt(3.0)
     lam = np.array(
         [
@@ -61,10 +61,20 @@ def gell_mann_basis() -> GellMannBasis:
         ],
         dtype=complex,
     )
-    gens = lam / 2.0
+    return lam / 2.0
+
+
+def gell_mann_basis() -> GellMannBasis:
+    """Construct the standard Gell-Mann generators and f_abc = -2i tr([I_a, I_b] I_c)."""
+    gens = _gell_mann_generators()
     comm = np.einsum("aij,bjk->abik", gens, gens) - np.einsum("bij,ajk->abik", gens, gens)
     f = np.einsum("abij,cji->abc", comm, gens) * -2j
     return GellMannBasis(generators=gens, structure_constants=np.real(f))
+
+
+#: The generators ``ladder_ops`` combines, built once and read-only.
+_GENERATORS = _gell_mann_generators()
+_GENERATORS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -104,8 +114,7 @@ def ladder_ops(theta, d) -> SpinTriple:
     rd = math.sqrt(dv)
     zeta = dv * dv / math.sqrt((dv * dv - 1.0) * disc)
 
-    basis = gell_mann_basis()
-    g = basis.generators
+    g = _GENERATORS
     i_plus = g[0] + 1j * g[1]
     i_minus = g[0] - 1j * g[1]
     u_plus = g[5] + 1j * g[6]

@@ -219,6 +219,17 @@ def test_wilson_loop_degenerate_spectrum_guard():
         berry_wilson_loop(0.0, 2.0, steps=64)
 
 
+def test_wilson_loop_guards_the_level_gap_not_cos_alpha():
+    # At omega = 0 H vanishes although cos(alpha) = 0.8; a negative drive
+    # frequency only swaps which energy branch carries gamma_plus.
+    with pytest.raises(DegenerateSpectrum):
+        berry_wilson_loop(0.7, 2.0, omega_drive=0.0, steps=256)
+    closed = berry_closed(0.7, 2.0, "sin_form")
+    loop = berry_wilson_loop(0.7, 2.0, omega_drive=-1.0, steps=2048)
+    assert abs(wrap(loop.gamma_plus - closed.gamma_plus)) < 1e-4
+    assert abs(wrap(loop.gamma_minus - closed.gamma_minus)) < 1e-4
+
+
 def test_wilson_loop_domain_guard_below_golden_ratio():
     # The closed form extends to d >= 1 but the generator construction does
     # not; the loop route must refuse rather than extrapolate.
@@ -280,9 +291,20 @@ def test_figure_large_d_tail_approaches_pi():
     assert abs(rows[0][2] - math.pi) <= 7e-6
 
 
+def test_figure_rows_equal_scalar_closed_form():
+    thetas = np.linspace(0.0, TAU, 401)
+    ds = (5.0, 1.0, 1e6, math.sqrt(2.0), 2.0, 1.0000001, 2.0, 1.0)
+    rows = figure_data(thetas[::-1], ds)
+    assert [(d, t) for t, d, _ in rows] == [(d, t) for d in sorted(ds) for t in sorted(thetas)]
+    for t, d, g in rows:
+        assert g == berry_closed(t, d, "cos_form").gamma_plus
+
+
 def test_figure_rejects_sub_unit_d():
-    with pytest.raises(InvalidParam):
-        figure_data([0.0], (0.5,))
+    # A NaN theta and an infinite d are rejected along with d < 1.
+    for thetas, ds in (([0.0], (0.5,)), ([0.0, math.nan], (2.0,)), ([0.0], (2.0, math.inf))):
+        with pytest.raises(InvalidParam):
+            figure_data(thetas, ds)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from bwmberry import berry_closed
 from bwmberry.cli import KNOBS, build_config, build_parser, main
 
 PI_THIRD = repr(math.pi / 3.0)
@@ -301,6 +303,18 @@ def test_figure_byte_deterministic(tmp_path, capsys):
     rep_a = strip_meta(load_report(tmp_path / "a", "figure"))
     rep_b = strip_meta(load_report(tmp_path / "b", "figure"))
     assert rep_a == rep_b
+
+
+def test_figure_csv_bytes_match_scalar_closed_form(tmp_path, capsys):
+    argv = ["figure", "--out", str(tmp_path), "--theta-points", "37", "--d-mesh", "1:3:5"]
+    code, _, _ = run([*argv, "--grid-spec", f"figure_d=5,1,{SQRT2},1"], capsys)
+    assert code == 0
+    thetas = np.linspace(0.0, 2.0 * math.pi, 37)
+    grids = {"figure_sections.csv": (5.0, 1.0, math.sqrt(2.0), 1.0), "figure_surface.csv": np.linspace(1, 3, 5)}
+    for name, ds in grids.items():
+        rows = [(t, d, berry_closed(t, d, "cos_form").gamma_plus) for d in sorted(ds) for t in thetas]
+        text = "theta,d,gamma_plus\n" + "".join(",".join(format(float(x), ".17g") for x in r) + "\n" for r in rows)
+        assert (tmp_path / name).read_bytes() == text.encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

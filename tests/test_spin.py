@@ -112,6 +112,14 @@ def test_ladder_triple_type():
     assert isinstance(ladder_ops(0.4, 2.0), SpinTriple)
 
 
+def test_ladder_triple_unaffected_by_edits_to_a_returned_basis():
+    before = ladder_ops(0.4, 2.0)
+    gell_mann_basis().generators[:] = 0.0
+    after = ladder_ops(0.4, 2.0)
+    for name in ("s_plus", "s_minus", "s3"):
+        np.testing.assert_array_equal(getattr(before, name), getattr(after, name))
+
+
 @pytest.mark.parametrize("theta", THETA_GRID)
 @pytest.mark.parametrize("d", D_GRID)
 def test_ladder_triple_su2_closure(theta, d):

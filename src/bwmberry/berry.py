@@ -19,6 +19,7 @@ d at or above the golden ratio; the closed forms extend down to d = 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,7 @@ from .spin import DriveParams, cos_alpha, hamiltonian_stack
 #: Smallest admissible number of loop discretisation points.
 MIN_STEPS = 16
 
-#: A level gap |omega cos(alpha)| (hbar = 1) at or below this leaves the
-#: outer branches unresolvable.
+#: A |cos(alpha)| at or below this leaves the outer branches unresolvable.
 DEGENERACY_GUARD = 1e-6
 
 #: Overlap magnitudes below this mean the discretisation lost a branch.
@@ -156,29 +156,26 @@ def pancharatnam_phase(vectors: np.ndarray) -> float:
     return _wrap_phase(-float(np.angle(np.prod(overlaps))))
 
 
-def berry_wilson_loop(theta, d, omega_drive=1.0, steps: int = 4096) -> BerryResult:
-    """Geometric phases from a discretised holonomy around one drive period.
+def _resolvable_cos_alpha(theta, d, omega_drive) -> float:
+    """cos(alpha) of a loop whose outer branches can be told apart.
 
-    Diagonalises H at ``steps`` equally spaced phases and forms the
-    Pancharatnam product per eigenvalue branch.  The outer branches are
-    matched to the closed-form references set-wise (by circular distance),
-    and the match actually observed is recorded in ``pairing``.  Requires
-    a resolvable spectrum: the level gap |omega cos(alpha)| must exceed
-    1e-6, else DegenerateSpectrum (at omega = 0 H vanishes, whatever alpha).
+    The eigenvectors, and so the loop phases, do not depend on the scale of
+    omega, so the guard tests omega and cos(alpha) apart, not their product.
+    A subnormal omega counts as zero: H then underflows to the zero matrix.
     """
     ca = cos_alpha(theta, d)
-    gap = abs(as_real("omega_drive", omega_drive) * ca)
-    if gap <= DEGENERACY_GUARD:
-        if gap == abs(ca):  # |omega| = 1: the gap is |cos(alpha)| itself
-            cause = f"|cos(alpha)| = {gap:.3e}"
-        else:
-            cause = f"the level gap |omega cos(alpha)| = {gap:.3e}"
-        raise DegenerateSpectrum(f"{cause} leaves the outer branches unresolvable")
-    _, _, vectors = loop_eigenframes(theta, d, omega_drive=omega_drive, steps=steps)
-    branch_phases = [pancharatnam_phase(vectors[:, :, b]) for b in range(3)]
+    omega = as_real("omega_drive", omega_drive)
+    if abs(omega) < sys.float_info.min:
+        raise DegenerateSpectrum(f"omega_drive = {omega!r} makes H vanish; the branches are unresolvable")
+    if abs(ca) <= DEGENERACY_GUARD:
+        raise DegenerateSpectrum(f"|cos(alpha)| = {abs(ca):.3e} leaves the outer branches unresolvable")
+    return ca
 
+
+def _loop_result(ca: float, vectors: np.ndarray) -> BerryResult:
+    """Branch phases of the loop through ``vectors``, the outer pair matched to +/- pi (1 - cos(alpha))."""
+    low, zero, high = (pancharatnam_phase(vectors[:, :, b]) for b in range(3))
     ref_plus = _wrap_phase(math.pi * (1.0 - ca))
-    low, zero, high = branch_phases
     if abs(_wrap_phase(low - ref_plus)) <= abs(_wrap_phase(high - ref_plus)):
         gamma_plus, gamma_minus = low, high
         pairing = "gamma_plus=lowest_energy_branch"
@@ -197,6 +194,40 @@ def berry_wilson_loop(theta, d, omega_drive=1.0, steps: int = 4096) -> BerryResu
         gamma_minus_lifted=-((-gamma_minus) % _TAU),
         pairing=pairing,
     )
+
+
+def berry_wilson_loop(theta, d, omega_drive=1.0, steps: int = 4096) -> BerryResult:
+    """Geometric phases from a discretised holonomy around one drive period.
+
+    Diagonalises H at ``steps`` equally spaced phases and forms the
+    Pancharatnam product per eigenvalue branch.  The outer branches are
+    matched to the closed-form references set-wise (by circular distance),
+    and the match actually observed is recorded in ``pairing``.  Raises
+    DegenerateSpectrum where omega is 0 or subnormal (H vanishes) and
+    where |cos(alpha)| <= 1e-6 (the outer levels meet).
+    """
+    ca = _resolvable_cos_alpha(theta, d, omega_drive)
+    _, _, vectors = loop_eigenframes(theta, d, omega_drive=omega_drive, steps=steps)
+    return _loop_result(ca, vectors)
+
+
+def berry_wilson_loop_pair(
+    theta, d, omega_drive=1.0, steps: int = 4096
+) -> tuple[BerryResult, BerryResult | None]:
+    """The ``steps``-point Wilson loop and the loop over its even-indexed frames.
+
+    One eigensolve serves both: the frames 0, 2, 4, ... of the
+    ``steps``-point grid are the grid of ``steps // 2`` points when
+    ``steps`` is even, and give the same result as
+    ``berry_wilson_loop(..., steps=steps // 2)`` bit for bit.  For odd
+    ``steps`` there are (steps + 1) / 2 such frames and the step that
+    closes the loop is a single grid step.  The second result is None
+    when fewer than MIN_STEPS frames are even-indexed.
+    """
+    ca = _resolvable_cos_alpha(theta, d, omega_drive)
+    _, _, vectors = loop_eigenframes(theta, d, omega_drive=omega_drive, steps=steps)
+    coarse = vectors[::2]
+    return _loop_result(ca, vectors), (_loop_result(ca, coarse) if len(coarse) >= MIN_STEPS else None)
 
 
 def figure_table(theta_grid, d_values=SECTION_D_VALUES) -> tuple[list[float], list[float], np.ndarray]:

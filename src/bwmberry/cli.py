@@ -11,7 +11,8 @@ Four subcommands, all batch-style (run, write artifacts, exit):
 Every command writes a schema-versioned JSON report whose check records
 carry (name, params, residual, tolerance, status, reason).  Exit codes:
 0 all executed checks passed, 1 at least one check failed, 2 the
-configuration or an output path was unusable.  Grid points that violate
+configuration or an output path was unusable, or a package error escaped
+every per-point guard.  Grid points that violate
 a domain guard become per-point ``skip`` records with a machine-readable
 reason token instead of aborting the run.  With a fixed seed the reports
 and CSVs are byte-identical across runs (timestamps live in a separate
@@ -45,7 +46,7 @@ from .algebra import (
     make_eb,
     make_u,
 )
-from .berry import MIN_STEPS, SECTION_D_VALUES, _wrap_phase, berry_closed, berry_wilson_loop, figure_table
+from .berry import MIN_STEPS, SECTION_D_VALUES, _wrap_phase, berry_closed, berry_wilson_loop_pair, figure_table
 from .errors import BwmBerryError, ConfigError, InvalidParam
 from .matrices import dagger, hermitian_eigs, inverse, rel_residual
 from .spin import DriveParams, cos_alpha, hamiltonian, ladder_ops
@@ -339,11 +340,11 @@ def _casimir_point(cfg: RunConfig, theta: float, d: float) -> list[CheckRecord]:
     base = {"theta": float(theta), "d": float(d)}
     try:
         trip = ladder_ops(theta, d)
+        casimir = 0.5 * (trip.s_plus @ trip.s_minus + trip.s_minus @ trip.s_plus) + trip.s3 @ trip.s3
+        observed = hermitian_eigs(casimir).values
     except BwmBerryError as exc:
         return [_skip("spectrum.casimir", base, cfg.tolerance, exc)]
-    casimir = 0.5 * (trip.s_plus @ trip.s_minus + trip.s_minus @ trip.s_plus) + trip.s3 @ trip.s3
-    predicted = np.array([0.0, 0.75, 0.75])
-    return [_levels_record("spectrum.casimir", base, hermitian_eigs(casimir).values, predicted, cfg.tolerance)]
+    return [_levels_record("spectrum.casimir", base, observed, np.array([0.0, 0.75, 0.75]), cfg.tolerance)]
 
 
 def _spectrum_point(cfg: RunConfig, theta: float, d: float, omega: float, phi: float) -> list[CheckRecord]:
@@ -392,7 +393,7 @@ def _berry_point(cfg: RunConfig, theta: float, d: float) -> list[CheckRecord]:
         out.append(_skip("berry.match_plus", base, cfg.phase_tolerance, reason_exc, reason="closed_form_only"))
         return out
     try:
-        loop = berry_wilson_loop(theta, d, omega_drive=1.0, steps=cfg.steps)
+        loop, coarse = berry_wilson_loop_pair(theta, d, omega_drive=1.0, steps=cfg.steps)
     except BwmBerryError as exc:
         out.append(_skip("berry.match_plus", base, cfg.phase_tolerance, exc))
         return out
@@ -414,17 +415,15 @@ def _berry_point(cfg: RunConfig, theta: float, d: float) -> list[CheckRecord]:
     out.append(
         _record("berry.zero_branch", base, abs(loop.gamma_zero), cfg.zero_branch_tolerance, wilson=loop.gamma_zero)
     )
-    coarse = cfg.steps // 2
-    if coarse >= MIN_STEPS:
-        loop2 = berry_wilson_loop(theta, d, omega_drive=1.0, steps=coarse)
+    if coarse is not None:
         out.append(
             _record(
                 "berry.convergence",
                 base,
-                abs(_wrap_phase(loop.gamma_plus - loop2.gamma_plus)),
+                abs(_wrap_phase(loop.gamma_plus - coarse.gamma_plus)),
                 cfg.phase_tolerance,
                 steps=cfg.steps,
-                coarse_steps=coarse,
+                coarse_steps=(cfg.steps + 1) // 2,
             )
         )
     return out
@@ -596,7 +595,7 @@ def main(argv=None) -> int:
         started = time.perf_counter()
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         records = _COMMANDS[cfg.command](cfg)
-    except ConfigError as exc:
+    except BwmBerryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

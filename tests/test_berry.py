@@ -20,6 +20,7 @@ from bwmberry import (
     pancharatnam_phase,
     solid_angle,
 )
+from bwmberry.berry import berry_wilson_loop_pair
 
 TAU = 2.0 * math.pi
 
@@ -215,19 +216,54 @@ def test_wilson_loop_convergence_under_refinement():
 
 def test_wilson_loop_degenerate_spectrum_guard():
     # theta = 0 collapses all three levels to zero energy.
-    with pytest.raises(DegenerateSpectrum):
+    with pytest.raises(DegenerateSpectrum) as info:
         berry_wilson_loop(0.0, 2.0, steps=64)
+    assert str(info.value) == "|cos(alpha)| = 0.000e+00 leaves the outer branches unresolvable"
 
 
 def test_wilson_loop_guards_the_level_gap_not_cos_alpha():
-    # At omega = 0 H vanishes although cos(alpha) = 0.8; a negative drive
-    # frequency only swaps which energy branch carries gamma_plus.
-    with pytest.raises(DegenerateSpectrum):
-        berry_wilson_loop(0.7, 2.0, omega_drive=0.0, steps=256)
+    # At omega = 0 H vanishes although cos(alpha) = 0.8, and a subnormal
+    # omega underflows H to zero.  Any other scale of omega leaves the
+    # eigenvectors, and so the phases, unchanged; a negative drive frequency
+    # only swaps which energy branch carries gamma_plus.
+    for omega in (0.0, 5e-324):
+        with pytest.raises(DegenerateSpectrum):
+            berry_wilson_loop(0.7, 2.0, omega_drive=omega, steps=256)
     closed = berry_closed(0.7, 2.0, "sin_form")
-    loop = berry_wilson_loop(0.7, 2.0, omega_drive=-1.0, steps=2048)
-    assert abs(wrap(loop.gamma_plus - closed.gamma_plus)) < 1e-4
-    assert abs(wrap(loop.gamma_minus - closed.gamma_minus)) < 1e-4
+    for omega in (-1.0, 1e-7):
+        loop = berry_wilson_loop(0.7, 2.0, omega_drive=omega, steps=2048)
+        assert abs(wrap(loop.gamma_plus - closed.gamma_plus)) < 1e-4
+        assert abs(wrap(loop.gamma_minus - closed.gamma_minus)) < 1e-4
+
+
+@pytest.mark.parametrize("steps", (64, 1024, 4096))
+@pytest.mark.parametrize(
+    "theta, d, pairing",
+    ((0.7, 2.0, "gamma_plus=lowest_energy_branch"), (4.0, 1.7, "gamma_plus=highest_energy_branch")),
+)
+def test_wilson_loop_pair_coarse_equals_half_step_loop(theta, d, pairing, steps):
+    fine, coarse = berry_wilson_loop_pair(theta, d, steps=steps)
+    assert fine == berry_wilson_loop(theta, d, steps=steps)
+    assert coarse == berry_wilson_loop(theta, d, steps=steps // 2)
+    assert fine.pairing == coarse.pairing == pairing
+
+
+def test_wilson_loop_pair_odd_steps_close_with_one_grid_step():
+    # Every step of a loop shares one overlap 1 - p + p exp(-i delta) with
+    # p = (1 - cos(alpha)) / 2, so the 17 even-indexed frames of a 33-step
+    # loop (16 double steps, then one single step back to phi = 0) have an
+    # exact phase.
+    theta, d, steps = 0.7, 2.0, 33
+    p = (1.0 - cos_alpha(theta, d)) / 2.0
+
+    def step_arg(k):
+        return np.angle(1.0 - p + p * np.exp(-1j * TAU * k / steps))
+
+    fine, coarse = berry_wilson_loop_pair(theta, d, steps=steps)
+    assert fine == berry_wilson_loop(theta, d, steps=steps)
+    assert wrap(coarse.gamma_plus + 16 * step_arg(2) + step_arg(1)) == pytest.approx(0.0, abs=1e-12)
+    assert berry_wilson_loop_pair(theta, d, steps=31)[1] is not None  # 16 even-indexed frames
+    assert berry_wilson_loop_pair(theta, d, steps=30)[1] is None  # 15, below MIN_STEPS
 
 
 def test_wilson_loop_domain_guard_below_golden_ratio():

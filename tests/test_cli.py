@@ -9,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from bwmberry import berry_closed
+from bwmberry import DegenerateSpectrum, NoConvergence, NotHermitian, berry_closed, berry_wilson_loop, cli
+from bwmberry.berry import _wrap_phase
 from bwmberry.cli import KNOBS, build_config, build_parser, main
 
 PI_THIRD = repr(math.pi / 3.0)
@@ -194,6 +195,34 @@ def test_spectrum_domain_violations_become_skips(tmp_path, capsys):
     assert "invalid_param" in by_reason
 
 
+@pytest.mark.parametrize("error, reason", [(NoConvergence, "no_convergence"), (NotHermitian, "not_hermitian")])
+def test_spectrum_solver_errors_become_skips(error, reason, tmp_path, capsys, monkeypatch):
+    def fail(matrix):
+        raise error("injected solver failure")
+
+    monkeypatch.setattr(cli, "hermitian_eigs", fail)
+    grids = ["--grid-spec", "theta=0.4", "--grid-spec", "d=2", "--grid-spec", "omega=1", "--grid-spec", "phi=0"]
+    code, _, err = run(["spectrum", "--out", str(tmp_path), *grids], capsys)
+    assert code == 0
+    assert "Traceback" not in err
+    checks = load_report(tmp_path, "spectrum")["checks"]
+    assert [(c["name"], c["status"], c["reason"]) for c in checks] == [
+        ("spectrum.casimir", "skip", reason),
+        ("spectrum.h_eigenvalues", "skip", reason),
+    ]
+
+
+def test_error_escaping_the_point_guards_exits_two(tmp_path, capsys, monkeypatch):
+    def fail(cfg):
+        raise DegenerateSpectrum("injected outside any point")
+
+    monkeypatch.setitem(cli._COMMANDS, "berry", fail)
+    code, _, err = run(["berry", "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err == "error: injected outside any point\n"
+    assert not (tmp_path / "berry_report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # berry
 # ---------------------------------------------------------------------------
@@ -228,6 +257,41 @@ def test_berry_matches_closed_form_and_skips_below_domain(tmp_path, capsys):
     assert ("berry.form_consistency", 1.0) in checks
     assert checks[("berry.convergence", 2.0)]["status"] == "pass"
     assert checks[("berry.zero_branch", 2.0)]["residual"] < 1e-6
+
+
+def test_berry_convergence_reads_the_half_grid_from_one_solve(tmp_path, capsys):
+    # The coarse loop comes from the even-indexed frames of the 1024-step
+    # solve; its residual must equal the one of two separate solves exactly.
+    grids = ["--grid-spec", "berry_theta=0.7,4.0", "--grid-spec", "berry_d=1.7,3"]
+    code, _, _ = run(["berry", "--out", str(tmp_path), *grids, "--steps", "1024"], capsys)
+    assert code == 0
+    convergence = [c for c in load_report(tmp_path, "berry")["checks"] if c["name"] == "berry.convergence"]
+    assert len(convergence) == 4
+    for c in convergence:
+        theta, d = c["params"]["theta"], c["params"]["d"]
+        fine, coarse = (berry_wilson_loop(theta, d, steps=n).gamma_plus for n in (1024, 512))
+        assert c["residual"] == abs(_wrap_phase(fine - coarse))
+        assert c["data"] == {"steps": 1024, "coarse_steps": 512}
+
+
+def test_berry_odd_steps_coarse_loop_takes_the_even_frames(tmp_path, capsys):
+    # At 33 steps the O(steps^-2) discretisation bias is ~1e-2, hence the
+    # loose phase tolerance.
+    grids = ["--grid-spec", "berry_theta=0.7", "--grid-spec", "berry_d=2"]
+    code, _, _ = run(["berry", "--out", str(tmp_path), *grids, "--steps", "33", "--phase-tolerance", "0.05"], capsys)
+    assert code == 0
+    convergence = next(c for c in load_report(tmp_path, "berry")["checks"] if c["name"] == "berry.convergence")
+    assert convergence["status"] == "pass"
+    assert convergence["data"] == {"steps": 33, "coarse_steps": 17}
+
+
+def test_berry_report_identical_across_jobs(tmp_path, capsys):
+    grids = ["--grid-spec", "berry_theta=0,0.7,4.0", "--grid-spec", "berry_d=1.2,1.7,3"]
+    texts = []
+    for jobs in ("1", "2"):
+        run(["berry", "--out", str(tmp_path / jobs), *grids, "--steps", "256", "--jobs", jobs], capsys)
+        texts.append(json.dumps(strip_meta(load_report(tmp_path / jobs, "berry")), indent=2, sort_keys=True))
+    assert texts[0] == texts[1]
 
 
 def test_berry_degenerate_loop_is_skipped(tmp_path, capsys):

@@ -211,23 +211,26 @@ def berry_wilson_loop(theta, d, omega_drive=1.0, steps: int = 4096) -> BerryResu
     return _loop_result(ca, vectors)
 
 
-def berry_wilson_loop_pair(
-    theta, d, omega_drive=1.0, steps: int = 4096
-) -> tuple[BerryResult, BerryResult | None]:
+def berry_wilson_loop_pair(theta, d, steps: int = 4096) -> tuple[BerryResult, BerryResult | None, int]:
     """The ``steps``-point Wilson loop and the loop over its even-indexed frames.
 
-    One eigensolve serves both: the frames 0, 2, 4, ... of the
-    ``steps``-point grid are the grid of ``steps // 2`` points when
+    One eigensolve (at omega = 1) serves both: the frames 0, 2, 4, ... of
+    the ``steps``-point grid are the grid of ``steps // 2`` points when
     ``steps`` is even, and give the same result as
     ``berry_wilson_loop(..., steps=steps // 2)`` bit for bit.  For odd
     ``steps`` there are (steps + 1) / 2 such frames and the step that
-    closes the loop is a single grid step.  The second result is None
-    when fewer than MIN_STEPS frames are even-indexed.
+    closes the loop is a single grid step.  Returns (loop, coarse loop,
+    number of even-indexed frames); the coarse loop is None when that
+    number is below MIN_STEPS.
     """
-    ca = _resolvable_cos_alpha(theta, d, omega_drive)
-    _, _, vectors = loop_eigenframes(theta, d, omega_drive=omega_drive, steps=steps)
+    ca = _resolvable_cos_alpha(theta, d, 1.0)
+    _, _, vectors = loop_eigenframes(theta, d, steps=steps)
     coarse = vectors[::2]
-    return _loop_result(ca, vectors), (_loop_result(ca, coarse) if len(coarse) >= MIN_STEPS else None)
+    return (
+        _loop_result(ca, vectors),
+        _loop_result(ca, coarse) if len(coarse) >= MIN_STEPS else None,
+        len(coarse),
+    )
 
 
 def figure_table(theta_grid, d_values=SECTION_D_VALUES) -> tuple[list[float], list[float], np.ndarray]:

@@ -393,7 +393,7 @@ def _berry_point(cfg: RunConfig, theta: float, d: float) -> list[CheckRecord]:
         out.append(_skip("berry.match_plus", base, cfg.phase_tolerance, reason_exc, reason="closed_form_only"))
         return out
     try:
-        loop, coarse = berry_wilson_loop_pair(theta, d, omega_drive=1.0, steps=cfg.steps)
+        loop, coarse, coarse_steps = berry_wilson_loop_pair(theta, d, steps=cfg.steps)
     except BwmBerryError as exc:
         out.append(_skip("berry.match_plus", base, cfg.phase_tolerance, exc))
         return out
@@ -423,7 +423,7 @@ def _berry_point(cfg: RunConfig, theta: float, d: float) -> list[CheckRecord]:
                 abs(_wrap_phase(loop.gamma_plus - coarse.gamma_plus)),
                 cfg.phase_tolerance,
                 steps=cfg.steps,
-                coarse_steps=(cfg.steps + 1) // 2,
+                coarse_steps=coarse_steps,
             )
         )
     return out

@@ -242,7 +242,8 @@ def test_wilson_loop_guards_the_level_gap_not_cos_alpha():
     ((0.7, 2.0, "gamma_plus=lowest_energy_branch"), (4.0, 1.7, "gamma_plus=highest_energy_branch")),
 )
 def test_wilson_loop_pair_coarse_equals_half_step_loop(theta, d, pairing, steps):
-    fine, coarse = berry_wilson_loop_pair(theta, d, steps=steps)
+    fine, coarse, coarse_steps = berry_wilson_loop_pair(theta, d, steps=steps)
+    assert coarse_steps == steps // 2
     assert fine == berry_wilson_loop(theta, d, steps=steps)
     assert coarse == berry_wilson_loop(theta, d, steps=steps // 2)
     assert fine.pairing == coarse.pairing == pairing
@@ -259,11 +260,14 @@ def test_wilson_loop_pair_odd_steps_close_with_one_grid_step():
     def step_arg(k):
         return np.angle(1.0 - p + p * np.exp(-1j * TAU * k / steps))
 
-    fine, coarse = berry_wilson_loop_pair(theta, d, steps=steps)
+    fine, coarse, coarse_steps = berry_wilson_loop_pair(theta, d, steps=steps)
+    assert coarse_steps == 17
     assert fine == berry_wilson_loop(theta, d, steps=steps)
     assert wrap(coarse.gamma_plus + 16 * step_arg(2) + step_arg(1)) == pytest.approx(0.0, abs=1e-12)
-    assert berry_wilson_loop_pair(theta, d, steps=31)[1] is not None  # 16 even-indexed frames
-    assert berry_wilson_loop_pair(theta, d, steps=30)[1] is None  # 15, below MIN_STEPS
+    _, coarse, coarse_steps = berry_wilson_loop_pair(theta, d, steps=31)
+    assert coarse is not None and coarse_steps == 16
+    _, coarse, coarse_steps = berry_wilson_loop_pair(theta, d, steps=30)
+    assert coarse is None and coarse_steps == 15  # below MIN_STEPS
 
 
 def test_wilson_loop_domain_guard_below_golden_ratio():

@@ -49,7 +49,7 @@ from .algebra import (
 from .berry import MIN_STEPS, SECTION_D_VALUES, _wrap_phase, berry_closed, berry_wilson_loop_pair, figure_table
 from .errors import BwmBerryError, ConfigError, InvalidParam
 from .matrices import dagger, hermitian_eigs, inverse, rel_residual
-from .spin import DriveParams, cos_alpha, hamiltonian, ladder_ops
+from .spin import DriveParams, cos_alpha, hamiltonian, hamiltonian_stack, ladder_ops
 from .yangbaxter import SpectralParams, velocity_add, ybe_residual, z_of_u
 
 #: Tolerance pinned for conjugation-transport and unitarity checks.
@@ -156,6 +156,8 @@ class RunConfig:
         (1.0, 6.0, 51), _d_mesh, "--d-mesh", "surface d mesh", parse=_parse_range, metavar="MIN:MAX:COUNT", figure=True
     )
     grids: dict[str, tuple[float, ...]] = field(default_factory=dict)
+    #: Stage timings of the run (see ``timed``), written to the report's ``meta``.
+    timings: dict[str, dict] = field(default_factory=dict)
 
     def grid(self, name: str) -> tuple[float, ...]:
         return self.grids.get(name, DEFAULT_GRIDS[name])
@@ -225,6 +227,24 @@ def _relation_records(prefix: str, params: dict, report, tolerance: float) -> li
         )
         for c in report.checks
     ]
+
+
+class timed:
+    """Context manager that adds the seconds spent in its block to ``timings[stage]``.
+
+    ``with timed(timings, stage) as entry`` gives the block the stage's
+    entry, so that it can add its counts to it.
+    """
+
+    def __init__(self, timings: dict, stage: str):
+        self.entry = timings.setdefault(stage, {"seconds": 0.0})
+
+    def __enter__(self) -> dict:
+        self.start = time.perf_counter()
+        return self.entry
+
+    def __exit__(self, *exc_info) -> None:
+        self.entry["seconds"] += time.perf_counter() - self.start
 
 
 def _map_points(cfg: RunConfig, fn, points) -> list[CheckRecord]:
@@ -336,34 +356,98 @@ def _levels_record(name: str, params: dict, observed, predicted, tolerance: floa
     return _record(name, params, dev, tolerance, observed=observed, predicted=predicted)
 
 
+#: Spectrum of the quadratic Casimir of the ladder triple.
+CASIMIR_LEVELS = (0.0, 0.75, 0.75)
+
+
+def _spectrum_params(theta, d, *drive) -> dict:
+    """Report params of a spectrum point: theta and d, plus omega and phi for an H point."""
+    return {k: float(v) for k, v in zip(("theta", "d", "omega_drive", "phi"), (theta, d, *drive))}
+
+
+def _casimir(theta: float, d: float) -> np.ndarray:
+    trip = ladder_ops(theta, d)
+    return 0.5 * (trip.s_plus @ trip.s_minus + trip.s_minus @ trip.s_plus) + trip.s3 @ trip.s3
+
+
+def _h_levels(dp: DriveParams) -> np.ndarray:
+    """The predicted spectrum {0, +-hbar omega cos(alpha)} of H, ascending."""
+    level = dp.hbar * dp.omega_drive * cos_alpha(dp.theta, dp.d)
+    return np.sort([0.0, level, -level])
+
+
 def _casimir_point(cfg: RunConfig, theta: float, d: float) -> list[CheckRecord]:
-    base = {"theta": float(theta), "d": float(d)}
+    base = _spectrum_params(theta, d)
     try:
-        trip = ladder_ops(theta, d)
-        casimir = 0.5 * (trip.s_plus @ trip.s_minus + trip.s_minus @ trip.s_plus) + trip.s3 @ trip.s3
-        observed = hermitian_eigs(casimir).values
+        observed = hermitian_eigs(_casimir(theta, d)).values
     except BwmBerryError as exc:
         return [_skip("spectrum.casimir", base, cfg.tolerance, exc)]
-    return [_levels_record("spectrum.casimir", base, observed, np.array([0.0, 0.75, 0.75]), cfg.tolerance)]
+    return [_levels_record("spectrum.casimir", base, observed, CASIMIR_LEVELS, cfg.tolerance)]
 
 
 def _spectrum_point(cfg: RunConfig, theta: float, d: float, omega: float, phi: float) -> list[CheckRecord]:
-    base = {"theta": float(theta), "d": float(d), "omega_drive": float(omega), "phi": float(phi)}
+    base = _spectrum_params(theta, d, omega, phi)
     try:
         dp = DriveParams(theta=theta, d=d, omega_drive=omega)
-        h = hamiltonian(phi, dp)
-        observed = hermitian_eigs(h).values
-        level = dp.hbar * dp.omega_drive * cos_alpha(theta, d)
-        predicted = np.sort([0.0, level, -level])
+        observed = hermitian_eigs(hamiltonian(phi, dp)).values
+        predicted = _h_levels(dp)
     except BwmBerryError as exc:
         return [_skip("spectrum.h_eigenvalues", base, cfg.tolerance, exc)]
     return [_levels_record("spectrum.h_eigenvalues", base, observed, predicted, cfg.tolerance)]
 
 
+def _levels_row(cfg: RunConfig, name: str, point_fn, points: list) -> list[CheckRecord]:
+    """The records of ``point_fn`` over one row of points, from one batched eigensolve.
+
+    ``points`` holds ``(args, matrix, predicted)`` in report order, with the
+    error in place of the matrix where building it failed.  If the batched
+    solve raises, the row is evaluated point by point with
+    ``point_fn(cfg, *args)``, so a failing matrix skips only its own point.
+    """
+    matrices = [m for _, m, _ in points if not isinstance(m, BwmBerryError)]
+    try:
+        solved = iter(hermitian_eigs(np.stack(matrices)).values if matrices else ())
+    except BwmBerryError:
+        return [rec for args, _, _ in points for rec in point_fn(cfg, *args)]
+    return [
+        _skip(name, _spectrum_params(*args), cfg.tolerance, m)
+        if isinstance(m, BwmBerryError)
+        else _levels_record(name, _spectrum_params(*args), next(solved), predicted, cfg.tolerance)
+        for args, m, predicted in points
+    ]
+
+
+def _casimir_row(cfg: RunConfig, d: float) -> list[CheckRecord]:
+    points = []
+    for theta in cfg.grid("theta"):
+        try:
+            points.append(((theta, d), _casimir(theta, d), CASIMIR_LEVELS))
+        except BwmBerryError as exc:
+            points.append(((theta, d), exc, None))
+    return _levels_row(cfg, "spectrum.casimir", _casimir_point, points)
+
+
+def _spectrum_row(cfg: RunConfig, d: float) -> list[CheckRecord]:
+    """All H points of one d row: one ``hamiltonian_stack`` over phi per (theta, omega)."""
+    phis = cfg.grid("phi")
+    points = []
+    for theta in cfg.grid("theta"):
+        for omega in cfg.grid("omega"):
+            args = [(theta, d, omega, phi) for phi in phis]
+            try:
+                dp = DriveParams(theta=theta, d=d, omega_drive=omega)
+                hs, predicted = hamiltonian_stack(phis, dp), _h_levels(dp)
+            except BwmBerryError as exc:
+                points += [(a, exc, None) for a in args]
+                continue
+            points += [(a, h, predicted) for a, h in zip(args, hs)]
+    return _levels_row(cfg, "spectrum.h_eigenvalues", _spectrum_point, points)
+
+
 def cmd_spectrum(cfg: RunConfig) -> list[CheckRecord]:
-    cas_points = [(t, d) for d in cfg.grid("d") for t in cfg.grid("theta")]
-    h_points = [(t, d, w, f) for t, d in cas_points for w in cfg.grid("omega") for f in cfg.grid("phi")]
-    return _map_points(cfg, _casimir_point, cas_points) + _map_points(cfg, _spectrum_point, h_points)
+    """Casimir records, then H records, both ordered by (d, theta, ...), solved one d row at a time."""
+    rows = [(d,) for d in cfg.grid("d")]
+    return _map_points(cfg, _casimir_row, rows) + _map_points(cfg, _spectrum_row, rows)
 
 
 # --------------------------------------------------------------------------
@@ -456,7 +540,10 @@ def cmd_figure(cfg: RunConfig) -> list[CheckRecord]:
     records = []
     for kind, d_values in (("sections", cfg.grid("figure_d")), ("surface", np.linspace(*cfg.figure_d_mesh))):
         fname = f"figure_{kind}.csv"
-        n = _write_csv(cfg.out_dir / fname, *figure_table(thetas, d_values))
+        table = figure_table(thetas, d_values)
+        with timed(cfg.timings, "write_csv") as entry:
+            n = _write_csv(cfg.out_dir / fname, *table)
+            entry["rows"] = entry.get("rows", 0) + n
         records.append(CheckRecord(f"figure.{kind}_csv", {}, None, None, "pass", data={"file": fname, "rows": n}))
     return records
 
@@ -590,11 +677,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    timings = {}
     try:
-        cfg = build_config(args)
+        with timed(timings, "build_config"):
+            cfg = build_config(args)
+        cfg.timings = timings
         started = time.perf_counter()
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        records = _COMMANDS[cfg.command](cfg)
+        with timed(timings, "evaluate") as entry:
+            records = _COMMANDS[cfg.command](cfg)
+            entry["records"] = len(records)
     except BwmBerryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -624,6 +716,7 @@ def main(argv=None) -> int:
             "wall_time_s": time.perf_counter() - started,
             "out_dir": str(cfg.out_dir),
             "jobs": cfg.jobs,
+            "timings": timings,
         },
     }
     report_path = cfg.out_dir / f"{cfg.command}_report.json"

@@ -44,15 +44,17 @@ def as_real(name: str, value) -> float:
     return x
 
 
-def as_matrix3(m) -> np.ndarray:
+def as_matrix3(m, stack: bool = False) -> np.ndarray:
     """Coerce input to a finite complex (3, 3) ndarray.
 
+    With ``stack`` the input may also be a stack of shape (..., 3, 3).
     Raises InvalidParam for anything of the wrong shape or containing
     non-finite entries.
     """
     a = np.asarray(m, dtype=complex)
-    if a.shape != (3, 3):
-        raise InvalidParam(f"expected a 3x3 matrix, got shape {a.shape}")
+    if a.shape[-2:] != (3, 3) or (a.ndim != 2 and not stack):
+        kind = "a 3x3 matrix or a (..., 3, 3) stack" if stack else "a 3x3 matrix"
+        raise InvalidParam(f"expected {kind}, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidParam("matrix contains non-finite entries")
     return a
@@ -118,7 +120,11 @@ def inverse(m) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigenvalues (ascending) and matching orthonormal column eigenvectors."""
+    """Eigenvalues (ascending) and matching orthonormal column eigenvectors.
+
+    For a stack of matrices, ``values`` has shape (..., 3) and ``vectors``
+    (..., 3, 3), one eigensystem per matrix.
+    """
 
     values: np.ndarray
     vectors: np.ndarray
@@ -129,31 +135,36 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 
     The cutoff keeps the convention stable: components with magnitude below
     PHASE_FIX_CUTOFF are treated as zero when looking for the anchor entry.
+    Works on one (3, 3) set of columns or on a (..., 3, 3) stack of them.
     """
-    out = np.array(vectors, dtype=complex, copy=True)
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        for x in col:
-            if abs(x) > PHASE_FIX_CUTOFF:
-                col *= np.conjugate(x) / abs(x)
-                break
-    return out
+    vectors = np.asarray(vectors, dtype=complex)
+    mags = np.abs(vectors)
+    significant = mags > PHASE_FIX_CUTOFF
+    first = np.argmax(significant, axis=-2)[..., None, :]
+    anchor = np.take_along_axis(vectors, first, axis=-2)
+    found = np.take_along_axis(significant, first, axis=-2)
+    scale = np.where(found, np.take_along_axis(mags, first, axis=-2), 1.0)
+    return np.where(found, vectors * (np.conjugate(anchor) / scale), vectors)
 
 
 def hermitian_eigs(m) -> EigenSystem:
-    """Eigendecomposition of a Hermitian 3x3 matrix.
+    """Eigendecomposition of a Hermitian 3x3 matrix or a (..., 3, 3) stack of them.
 
-    The input must be Hermitian to within HERMITICITY_RTOL (relative
+    Each matrix must be Hermitian to within HERMITICITY_RTOL (relative
     Frobenius, with a floor of 1 on the scale); it is then symmetrised
     before the solve so roundoff in the input cannot leak into complex
     eigenvalues.  Eigenvalues come back ascending; eigenvectors are the
     matching columns with a deterministic phase (first significant
-    component real positive).
+    component real positive).  A stack is solved in one batched call and
+    gives, matrix by matrix, the same bits as solving each matrix alone.
     """
-    a = as_matrix3(m)
-    herm_defect = frobenius(a - dagger(a))
-    if herm_defect > HERMITICITY_RTOL * max(1.0, frobenius(a)):
-        raise NotHermitian(f"matrix is not Hermitian (defect {herm_defect:.3e})")
+    a = as_matrix3(m, stack=True)
+    skew = a - dagger(a)
+    bad = np.linalg.norm(skew, axis=(-2, -1)) > HERMITICITY_RTOL * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
+    if np.any(bad):
+        index = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+        where = f" at stack index {index}" if index else ""
+        raise NotHermitian(f"matrix{where} is not Hermitian (defect {frobenius(skew[index]):.3e})")
     h = (a + dagger(a)) / 2.0
     try:
         values, vectors = np.linalg.eigh(h)

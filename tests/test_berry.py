@@ -270,6 +270,30 @@ def test_wilson_loop_pair_odd_steps_close_with_one_grid_step():
     assert coarse is None and coarse_steps == 15  # below MIN_STEPS
 
 
+@pytest.mark.parametrize("steps", (16, 1024, 4096))
+@pytest.mark.parametrize(
+    "theta, d, pairing",
+    (
+        (0.7, 2.0, "gamma_plus=lowest_energy_branch"),
+        (1.2, 3.0, "gamma_plus=lowest_energy_branch"),
+        (4.0, 1.7, "gamma_plus=highest_energy_branch"),
+    ),
+)
+def test_wilson_loop_equals_exact_discrete_phase(theta, d, pairing, steps):
+    # Only level 2 carries the drive phase, so every step of the dense loop
+    # has the same overlap 1 - p + p exp(-i delta), p = (1 - cos(alpha)) / 2,
+    # and the N-step product is exact, not just close to the N -> oo limit.
+    p = (1.0 - cos_alpha(theta, d)) / 2.0
+
+    def step_arg(k):
+        return np.angle(1.0 - p + p * np.exp(-1j * TAU * k / steps))
+
+    loop = berry_wilson_loop(theta, d, steps=steps)
+    assert loop.pairing == pairing
+    assert wrap(loop.gamma_plus + steps * step_arg(1)) == pytest.approx(0.0, abs=1e-12)
+    assert abs(loop.gamma_zero) <= 1e-12
+
+
 def test_wilson_loop_domain_guard_below_golden_ratio():
     # The closed form extends to d >= 1 but the generator construction does
     # not; the loop route must refuse rather than extrapolate.

@@ -28,6 +28,19 @@ SMALL_VERIFY = [
     "5",
 ]
 
+# Casimir points skip as invalid_param (d = 1.2) and degenerate_zeta (pi/2, sqrt 2);
+# H points skip as invalid_param below the golden ratio.
+SPECTRUM_DOMAIN_GRIDS = [
+    "--grid-spec",
+    f"theta=0.3,{PI_HALF},2.2",
+    "--grid-spec",
+    f"d=1.2,{SQRT2},1.7,2,3",
+    "--grid-spec",
+    "omega=0.5,1",
+    "--grid-spec",
+    "phi=0,1.3",
+]
+
 
 def run(argv, capsys):
     code = main(argv)
@@ -212,6 +225,49 @@ def test_spectrum_solver_errors_become_skips(error, reason, tmp_path, capsys, mo
     ]
 
 
+def test_spectrum_solver_error_skips_only_its_own_point(tmp_path, capsys, monkeypatch):
+    # The row's batched solve fails because one matrix of it is refused; the
+    # row is then solved matrix by matrix, so only that point becomes a skip.
+    chosen = cli.hamiltonian_stack([1.3], cli.DriveParams(theta=2.2, d=2.0, omega_drive=0.5))[0]
+    solve = cli.hermitian_eigs
+
+    def refuse_chosen(m):
+        if any(np.array_equal(h, chosen) for h in np.reshape(m, (-1, 3, 3))):
+            raise NotHermitian("injected for one matrix")
+        return solve(m)
+
+    code, _, _ = run(["spectrum", "--out", str(tmp_path / "plain"), *SPECTRUM_DOMAIN_GRIDS], capsys)
+    assert code == 0
+    monkeypatch.setattr(cli, "hermitian_eigs", refuse_chosen)
+    code, _, err = run(["spectrum", "--out", str(tmp_path / "patched"), *SPECTRUM_DOMAIN_GRIDS], capsys)
+    assert code == 0
+    assert "Traceback" not in err
+    plain = load_report(tmp_path / "plain", "spectrum")["checks"]
+    patched = load_report(tmp_path / "patched", "spectrum")["checks"]
+    assert len(plain) == len(patched)
+    changed = [(a, b) for a, b in zip(plain, patched) if a != b]
+    assert len(changed) == 1
+    before, after = changed[0]
+    assert after["params"] == before["params"] == {"theta": 2.2, "d": 2.0, "omega_drive": 0.5, "phi": 1.3}
+    assert (after["name"], after["status"], after["reason"]) == ("spectrum.h_eigenvalues", "skip", "not_hermitian")
+    assert after["data"] == {"detail": "injected for one matrix"}
+
+
+def test_report_meta_holds_stage_timings(tmp_path, capsys):
+    run(["spectrum", "--out", str(tmp_path), *SPECTRUM_DOMAIN_GRIDS], capsys)
+    report = load_report(tmp_path, "spectrum")
+    timings = report["meta"]["timings"]
+    assert set(timings) == {"build_config", "evaluate"}
+    assert timings["evaluate"]["records"] == report["summary"]["checks"] == 75
+    run(["figure", "--out", str(tmp_path), "--theta-points", "11", "--d-mesh", "1:3:4"], capsys)
+    report = load_report(tmp_path, "figure")
+    timings = report["meta"]["timings"]
+    assert set(timings) == {"build_config", "evaluate", "write_csv"}
+    assert timings["evaluate"]["records"] == 2
+    assert timings["write_csv"]["rows"] == sum(c["data"]["rows"] for c in report["checks"]) == 11 * (5 + 4)
+    assert all(entry["seconds"] >= 0.0 for entry in timings.values())
+
+
 def test_error_escaping_the_point_guards_exits_two(tmp_path, capsys, monkeypatch):
     def fail(cfg):
         raise DegenerateSpectrum("injected outside any point")
@@ -285,12 +341,19 @@ def test_berry_odd_steps_coarse_loop_takes_the_even_frames(tmp_path, capsys):
     assert convergence["data"] == {"steps": 33, "coarse_steps": 17}
 
 
-def test_berry_report_identical_across_jobs(tmp_path, capsys):
-    grids = ["--grid-spec", "berry_theta=0,0.7,4.0", "--grid-spec", "berry_d=1.2,1.7,3"]
+@pytest.mark.parametrize(
+    "command, args",
+    [
+        ("berry", ["--grid-spec", "berry_theta=0,0.7,4.0", "--grid-spec", "berry_d=1.2,1.7,3", "--steps", "256"]),
+        ("spectrum", SPECTRUM_DOMAIN_GRIDS),
+    ],
+    ids=["berry", "spectrum"],
+)
+def test_report_identical_across_jobs(command, args, tmp_path, capsys):
     texts = []
     for jobs in ("1", "2"):
-        run(["berry", "--out", str(tmp_path / jobs), *grids, "--steps", "256", "--jobs", jobs], capsys)
-        texts.append(json.dumps(strip_meta(load_report(tmp_path / jobs, "berry")), indent=2, sort_keys=True))
+        run([command, "--out", str(tmp_path / jobs), *args, "--jobs", jobs], capsys)
+        texts.append(json.dumps(strip_meta(load_report(tmp_path / jobs, command)), indent=2, sort_keys=True))
     assert texts[0] == texts[1]
 
 

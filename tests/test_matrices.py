@@ -23,7 +23,7 @@ from bwmberry import (
     make_u,
     rel_residual,
 )
-from bwmberry.matrices import as_matrix3, as_real, det3, frobenius
+from bwmberry.matrices import PHASE_FIX_CUTOFF, _fix_phases, as_matrix3, as_real, det3, frobenius
 
 RNG = np.random.default_rng(1234)
 
@@ -265,6 +265,56 @@ def test_property_eigh_reconstruction(entries, _seed):
     m = (raw + raw.conj().T) / 2.0
     sys = hermitian_eigs(m)
     assert frobenius(m @ sys.vectors - sys.vectors @ np.diag(sys.values)) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 3), (5, 3, 3), (2, 4, 3, 3)])
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_property_eigh_stack_equals_per_matrix_calls(shape, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    stack = (raw + dagger(raw)) / 2.0
+    sys = hermitian_eigs(stack)
+    assert sys.values.shape == shape[:-1]
+    assert sys.vectors.shape == shape
+    for index in np.ndindex(shape[:-2]):
+        single = hermitian_eigs(stack[index])
+        assert np.array_equal(sys.values[index], single.values)
+        assert np.array_equal(sys.vectors[index], single.vectors)
+
+
+def test_phase_fix_equals_column_by_column_rotation():
+    # The vectorised phase fix must give the bits of rotating each column by
+    # the conjugate phase of its first significant entry, one at a time.
+    def reference(vectors):
+        out = np.array(vectors, dtype=complex, copy=True)
+        for k in range(3):
+            col = out[:, k]
+            anchor = next((x for x in col if abs(x) > PHASE_FIX_CUTOFF), None)
+            if anchor is not None:
+                col *= np.conjugate(anchor) / abs(anchor)
+        return out
+
+    rng = np.random.default_rng(43)
+    cases = [np.linalg.eigh(random_hermitian(rng))[1] for _ in range(200)]
+    cases += [np.linalg.eigh(np.diag([0.0, 2.0, 0.0]))[1], np.diag([1e-13, -1.0, 0.0]).astype(complex)]
+    for vectors in cases:
+        assert np.array_equal(_fix_phases(vectors), reference(vectors))
+    stacked = _fix_phases(np.stack(cases))
+    assert all(np.array_equal(got, reference(v)) for got, v in zip(stacked, cases))
+
+
+def test_hermitian_eigs_stack_rejects_one_non_hermitian_member():
+    stack = np.stack([random_hermitian(RNG) for _ in range(4)])
+    stack[2, 0, 1] += 1e-3
+    with pytest.raises(NotHermitian, match=r"stack index \(2,\)"):
+        hermitian_eigs(stack)
+
+
+@pytest.mark.parametrize("shape", [(3,), (4, 4), (2, 3, 4), (2, 4, 3)])
+def test_hermitian_eigs_rejects_trailing_shape_other_than_3x3(shape):
+    with pytest.raises(InvalidParam):
+        hermitian_eigs(np.zeros(shape))
 
 
 @settings(max_examples=50, deadline=None)

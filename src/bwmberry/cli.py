@@ -49,7 +49,7 @@ from .algebra import (
 from .berry import MIN_STEPS, SECTION_D_VALUES, _wrap_phase, berry_closed, berry_wilson_loop_pair, figure_table
 from .errors import BwmBerryError, ConfigError, InvalidParam
 from .matrices import dagger, hermitian_eigs, inverse, rel_residual
-from .spin import DriveParams, cos_alpha, hamiltonian, hamiltonian_stack, ladder_ops
+from .spin import DriveParams, cos_alpha, hamiltonian_stack, ladder_ops
 from .yangbaxter import SpectralParams, velocity_add, ybe_residual, z_of_u
 
 #: Tolerance pinned for conjugation-transport and unitarity checks.
@@ -376,45 +376,35 @@ def _h_levels(dp: DriveParams) -> np.ndarray:
     return np.sort([0.0, level, -level])
 
 
-def _casimir_point(cfg: RunConfig, theta: float, d: float) -> list[CheckRecord]:
-    base = _spectrum_params(theta, d)
+def _eigvals_or_error(m: np.ndarray):
+    """The eigenvalues of one matrix, or the error its solve raised."""
     try:
-        observed = hermitian_eigs(_casimir(theta, d)).values
+        return hermitian_eigs(m).values
     except BwmBerryError as exc:
-        return [_skip("spectrum.casimir", base, cfg.tolerance, exc)]
-    return [_levels_record("spectrum.casimir", base, observed, CASIMIR_LEVELS, cfg.tolerance)]
+        return exc
 
 
-def _spectrum_point(cfg: RunConfig, theta: float, d: float, omega: float, phi: float) -> list[CheckRecord]:
-    base = _spectrum_params(theta, d, omega, phi)
-    try:
-        dp = DriveParams(theta=theta, d=d, omega_drive=omega)
-        observed = hermitian_eigs(hamiltonian(phi, dp)).values
-        predicted = _h_levels(dp)
-    except BwmBerryError as exc:
-        return [_skip("spectrum.h_eigenvalues", base, cfg.tolerance, exc)]
-    return [_levels_record("spectrum.h_eigenvalues", base, observed, predicted, cfg.tolerance)]
-
-
-def _levels_row(cfg: RunConfig, name: str, point_fn, points: list) -> list[CheckRecord]:
-    """The records of ``point_fn`` over one row of points, from one batched eigensolve.
+def _levels_row(cfg: RunConfig, name: str, points: list) -> list[CheckRecord]:
+    """The records of one row of points, from one batched eigensolve.
 
     ``points`` holds ``(args, matrix, predicted)`` in report order, with the
     error in place of the matrix where building it failed.  If the batched
-    solve raises, the row is evaluated point by point with
-    ``point_fn(cfg, *args)``, so a failing matrix skips only its own point.
+    solve raises, each matrix is solved on its own, so a failing matrix
+    skips only its own point.
     """
     matrices = [m for _, m, _ in points if not isinstance(m, BwmBerryError)]
     try:
         solved = iter(hermitian_eigs(np.stack(matrices)).values if matrices else ())
     except BwmBerryError:
-        return [rec for args, _, _ in points for rec in point_fn(cfg, *args)]
-    return [
-        _skip(name, _spectrum_params(*args), cfg.tolerance, m)
-        if isinstance(m, BwmBerryError)
-        else _levels_record(name, _spectrum_params(*args), next(solved), predicted, cfg.tolerance)
-        for args, m, predicted in points
-    ]
+        solved = iter([_eigvals_or_error(m) for m in matrices])
+    records = []
+    for args, m, predicted in points:
+        observed = m if isinstance(m, BwmBerryError) else next(solved)
+        if isinstance(observed, BwmBerryError):
+            records.append(_skip(name, _spectrum_params(*args), cfg.tolerance, observed))
+        else:
+            records.append(_levels_record(name, _spectrum_params(*args), observed, predicted, cfg.tolerance))
+    return records
 
 
 def _casimir_row(cfg: RunConfig, d: float) -> list[CheckRecord]:
@@ -424,7 +414,7 @@ def _casimir_row(cfg: RunConfig, d: float) -> list[CheckRecord]:
             points.append(((theta, d), _casimir(theta, d), CASIMIR_LEVELS))
         except BwmBerryError as exc:
             points.append(((theta, d), exc, None))
-    return _levels_row(cfg, "spectrum.casimir", _casimir_point, points)
+    return _levels_row(cfg, "spectrum.casimir", points)
 
 
 def _spectrum_row(cfg: RunConfig, d: float) -> list[CheckRecord]:
@@ -441,7 +431,7 @@ def _spectrum_row(cfg: RunConfig, d: float) -> list[CheckRecord]:
                 points += [(a, exc, None) for a in args]
                 continue
             points += [(a, h, predicted) for a, h in zip(args, hs)]
-    return _levels_row(cfg, "spectrum.h_eigenvalues", _spectrum_point, points)
+    return _levels_row(cfg, "spectrum.h_eigenvalues", points)
 
 
 def cmd_spectrum(cfg: RunConfig) -> list[CheckRecord]:

@@ -12,12 +12,17 @@ zero branch acquires none.  Two routes are provided:
   discretised loop, which is manifestly gauge invariant and needs no
   phase smoothing.
 
+Since only level 2 carries the drive phase, every step of that loop has
+the same overlap, so its N-step value also has a closed form
+(``berry_discrete``), against which the command line checks the loop.
+
 The Wilson loop requires the full Hamiltonian construction and therefore
 d at or above the golden ratio; the closed forms extend down to d = 1.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -119,6 +124,13 @@ def berry_closed(theta, d, form: str = "sin_form") -> BerryResult:
     )
 
 
+def _loop_steps(steps) -> int:
+    """The number of loop points as an int; fewer than MIN_STEPS is refused."""
+    if int(steps) != steps or steps < MIN_STEPS:
+        raise InvalidParam(f"steps must be an integer >= {MIN_STEPS}, got {steps!r}")
+    return int(steps)
+
+
 def loop_eigenframes(theta, d, omega_drive=1.0, steps: int = 4096):
     """Eigenframes of H around one drive period.
 
@@ -127,10 +139,9 @@ def loop_eigenframes(theta, d, omega_drive=1.0, steps: int = 4096):
     phis[k] and vectors[k] the matching eigenvector columns.  The closing
     point phi = 2 pi is not duplicated; loop products wrap around.
     """
-    if int(steps) != steps or steps < MIN_STEPS:
-        raise InvalidParam(f"steps must be an integer >= {MIN_STEPS}, got {steps!r}")
+    n = _loop_steps(steps)
     dp = DriveParams(theta=theta, d=d, omega_drive=omega_drive)
-    phis = _TAU * np.arange(int(steps)) / int(steps)
+    phis = _TAU * np.arange(n) / n
     h = hamiltonian_stack(phis, dp)
     values, vectors = np.linalg.eigh(h)
     return phis, values, vectors
@@ -156,12 +167,17 @@ def pancharatnam_phase(vectors: np.ndarray) -> float:
     return _wrap_phase(-float(np.angle(np.prod(overlaps))))
 
 
-def _resolvable_cos_alpha(theta, d, omega_drive) -> float:
-    """cos(alpha) of a loop whose outer branches can be told apart.
+def berry_wilson_loop(theta, d, omega_drive=1.0, steps: int = 4096) -> BerryResult:
+    """Geometric phases from a discretised holonomy around one drive period.
 
-    The eigenvectors, and so the loop phases, do not depend on the scale of
-    omega, so the guard tests omega and cos(alpha) apart, not their product.
-    A subnormal omega counts as zero: H then underflows to the zero matrix.
+    Diagonalises H at ``steps`` equally spaced phases and forms the
+    Pancharatnam product per eigenvalue branch.  The outer branches are
+    matched to the closed-form references set-wise (by circular distance),
+    and the match actually observed is recorded in ``pairing``.  Raises
+    DegenerateSpectrum where omega is 0 or subnormal (H vanishes) and
+    where |cos(alpha)| <= 1e-6 (the outer levels meet).  The eigenvectors,
+    and so the loop phases, do not depend on the scale of omega, so the
+    guard tests omega and cos(alpha) apart, not their product.
     """
     ca = cos_alpha(theta, d)
     omega = as_real("omega_drive", omega_drive)
@@ -169,11 +185,7 @@ def _resolvable_cos_alpha(theta, d, omega_drive) -> float:
         raise DegenerateSpectrum(f"omega_drive = {omega!r} makes H vanish; the branches are unresolvable")
     if abs(ca) <= DEGENERACY_GUARD:
         raise DegenerateSpectrum(f"|cos(alpha)| = {abs(ca):.3e} leaves the outer branches unresolvable")
-    return ca
-
-
-def _loop_result(ca: float, vectors: np.ndarray) -> BerryResult:
-    """Branch phases of the loop through ``vectors``, the outer pair matched to +/- pi (1 - cos(alpha))."""
+    _, _, vectors = loop_eigenframes(theta, d, omega_drive=omega_drive, steps=steps)
     low, zero, high = (pancharatnam_phase(vectors[:, :, b]) for b in range(3))
     ref_plus = _wrap_phase(math.pi * (1.0 - ca))
     if abs(_wrap_phase(low - ref_plus)) <= abs(_wrap_phase(high - ref_plus)):
@@ -196,41 +208,18 @@ def _loop_result(ca: float, vectors: np.ndarray) -> BerryResult:
     )
 
 
-def berry_wilson_loop(theta, d, omega_drive=1.0, steps: int = 4096) -> BerryResult:
-    """Geometric phases from a discretised holonomy around one drive period.
+def berry_discrete(theta, d, steps: int = 4096) -> float:
+    """The exact gamma_plus of the ``steps``-point Wilson loop, in (-pi, pi].
 
-    Diagonalises H at ``steps`` equally spaced phases and forms the
-    Pancharatnam product per eigenvalue branch.  The outer branches are
-    matched to the closed-form references set-wise (by circular distance),
-    and the match actually observed is recorded in ``pairing``.  Raises
-    DegenerateSpectrum where omega is 0 or subnormal (H vanishes) and
-    where |cos(alpha)| <= 1e-6 (the outer levels meet).
+    Only level 2 carries the drive phase, so H(phi) = D(phi) H(0) D(phi)^+
+    and every step of the loop has the same overlap 1 - p + p exp(-i delta),
+    with p = (1 - cos(alpha)) / 2 and delta = 2 pi / steps.  The loop phase
+    is therefore -steps arg(1 - p + p exp(-i delta)); gamma_minus is its
+    negative and gamma_zero is 0.
     """
-    ca = _resolvable_cos_alpha(theta, d, omega_drive)
-    _, _, vectors = loop_eigenframes(theta, d, omega_drive=omega_drive, steps=steps)
-    return _loop_result(ca, vectors)
-
-
-def berry_wilson_loop_pair(theta, d, steps: int = 4096) -> tuple[BerryResult, BerryResult | None, int]:
-    """The ``steps``-point Wilson loop and the loop over its even-indexed frames.
-
-    One eigensolve (at omega = 1) serves both: the frames 0, 2, 4, ... of
-    the ``steps``-point grid are the grid of ``steps // 2`` points when
-    ``steps`` is even, and give the same result as
-    ``berry_wilson_loop(..., steps=steps // 2)`` bit for bit.  For odd
-    ``steps`` there are (steps + 1) / 2 such frames and the step that
-    closes the loop is a single grid step.  Returns (loop, coarse loop,
-    number of even-indexed frames); the coarse loop is None when that
-    number is below MIN_STEPS.
-    """
-    ca = _resolvable_cos_alpha(theta, d, 1.0)
-    _, _, vectors = loop_eigenframes(theta, d, steps=steps)
-    coarse = vectors[::2]
-    return (
-        _loop_result(ca, vectors),
-        _loop_result(ca, coarse) if len(coarse) >= MIN_STEPS else None,
-        len(coarse),
-    )
+    n = _loop_steps(steps)
+    p = (1.0 - cos_alpha(theta, d)) / 2.0
+    return _wrap_phase(-n * cmath.phase(1.0 - p + p * cmath.exp(-1j * _TAU / n)))
 
 
 def figure_table(theta_grid, d_values=SECTION_D_VALUES) -> tuple[list[float], list[float], np.ndarray]:

@@ -46,7 +46,7 @@ from .algebra import (
     make_eb,
     make_u,
 )
-from .berry import MIN_STEPS, SECTION_D_VALUES, _wrap_phase, berry_closed, berry_wilson_loop_pair, figure_table
+from .berry import MIN_STEPS, SECTION_D_VALUES, _wrap_phase, berry_closed, berry_discrete, berry_wilson_loop, figure_table
 from .errors import BwmBerryError, ConfigError, InvalidParam
 from .matrices import dagger, hermitian_eigs, inverse, rel_residual
 from .spin import DriveParams, cos_alpha, hamiltonian_stack, ladder_ops
@@ -57,6 +57,9 @@ TRANSPORT_TOL = 1e-12
 
 #: Tolerance pinned for the closed-form section/form-consistency identities.
 FORM_TOL = 1e-12
+
+#: Tolerance pinned for the Wilson loop against its exact discrete phase.
+DISCRETE_TOL = 1e-12
 
 #: Grids accepted by --grid-spec and the config file, with their defaults.
 DEFAULT_GRIDS: dict[str, tuple[float, ...]] = {
@@ -217,16 +220,7 @@ def _skip(name: str, params: dict, tolerance: float | None, exc: BaseException, 
 
 def _relation_records(prefix: str, params: dict, report, tolerance: float) -> list[CheckRecord]:
     """One record per identity of an algebra ``RelationReport``."""
-    return [
-        CheckRecord(
-            name=f"{prefix}.{c.name}",
-            params=params,
-            residual=float(c.residual),
-            tolerance=tolerance,
-            status="pass" if c.passed else "fail",
-        )
-        for c in report.checks
-    ]
+    return [_record(f"{prefix}.{c.name}", params, c.residual, tolerance) for c in report.checks]
 
 
 class timed:
@@ -467,7 +461,8 @@ def _berry_point(cfg: RunConfig, theta: float, d: float) -> list[CheckRecord]:
         out.append(_skip("berry.match_plus", base, cfg.phase_tolerance, reason_exc, reason="closed_form_only"))
         return out
     try:
-        loop, coarse, coarse_steps = berry_wilson_loop_pair(theta, d, steps=cfg.steps)
+        loop = berry_wilson_loop(theta, d, steps=cfg.steps)
+        gamma_discrete = berry_discrete(theta, d, steps=cfg.steps)
     except BwmBerryError as exc:
         out.append(_skip("berry.match_plus", base, cfg.phase_tolerance, exc))
         return out
@@ -489,17 +484,10 @@ def _berry_point(cfg: RunConfig, theta: float, d: float) -> list[CheckRecord]:
     out.append(
         _record("berry.zero_branch", base, abs(loop.gamma_zero), cfg.zero_branch_tolerance, wilson=loop.gamma_zero)
     )
-    if coarse is not None:
-        out.append(
-            _record(
-                "berry.convergence",
-                base,
-                abs(_wrap_phase(loop.gamma_plus - coarse.gamma_plus)),
-                cfg.phase_tolerance,
-                steps=cfg.steps,
-                coarse_steps=coarse_steps,
-            )
-        )
+    gap = max(abs(_wrap_phase(loop.gamma_plus - gamma_discrete)), abs(_wrap_phase(loop.gamma_minus + gamma_discrete)))
+    out.append(
+        _record("berry.exact_discrete", base, gap, DISCRETE_TOL, steps=cfg.steps, gamma_discrete=gamma_discrete)
+    )
     return out
 
 

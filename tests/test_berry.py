@@ -20,7 +20,7 @@ from bwmberry import (
     pancharatnam_phase,
     solid_angle,
 )
-from bwmberry.berry import berry_wilson_loop_pair
+from bwmberry.berry import berry_discrete
 
 TAU = 2.0 * math.pi
 
@@ -236,41 +236,7 @@ def test_wilson_loop_guards_the_level_gap_not_cos_alpha():
         assert abs(wrap(loop.gamma_minus - closed.gamma_minus)) < 1e-4
 
 
-@pytest.mark.parametrize("steps", (64, 1024, 4096))
-@pytest.mark.parametrize(
-    "theta, d, pairing",
-    ((0.7, 2.0, "gamma_plus=lowest_energy_branch"), (4.0, 1.7, "gamma_plus=highest_energy_branch")),
-)
-def test_wilson_loop_pair_coarse_equals_half_step_loop(theta, d, pairing, steps):
-    fine, coarse, coarse_steps = berry_wilson_loop_pair(theta, d, steps=steps)
-    assert coarse_steps == steps // 2
-    assert fine == berry_wilson_loop(theta, d, steps=steps)
-    assert coarse == berry_wilson_loop(theta, d, steps=steps // 2)
-    assert fine.pairing == coarse.pairing == pairing
-
-
-def test_wilson_loop_pair_odd_steps_close_with_one_grid_step():
-    # Every step of a loop shares one overlap 1 - p + p exp(-i delta) with
-    # p = (1 - cos(alpha)) / 2, so the 17 even-indexed frames of a 33-step
-    # loop (16 double steps, then one single step back to phi = 0) have an
-    # exact phase.
-    theta, d, steps = 0.7, 2.0, 33
-    p = (1.0 - cos_alpha(theta, d)) / 2.0
-
-    def step_arg(k):
-        return np.angle(1.0 - p + p * np.exp(-1j * TAU * k / steps))
-
-    fine, coarse, coarse_steps = berry_wilson_loop_pair(theta, d, steps=steps)
-    assert coarse_steps == 17
-    assert fine == berry_wilson_loop(theta, d, steps=steps)
-    assert wrap(coarse.gamma_plus + 16 * step_arg(2) + step_arg(1)) == pytest.approx(0.0, abs=1e-12)
-    _, coarse, coarse_steps = berry_wilson_loop_pair(theta, d, steps=31)
-    assert coarse is not None and coarse_steps == 16
-    _, coarse, coarse_steps = berry_wilson_loop_pair(theta, d, steps=30)
-    assert coarse is None and coarse_steps == 15  # below MIN_STEPS
-
-
-@pytest.mark.parametrize("steps", (16, 1024, 4096))
+@pytest.mark.parametrize("steps", (16, 17, 33, 1024, 4096))
 @pytest.mark.parametrize(
     "theta, d, pairing",
     (
@@ -281,16 +247,13 @@ def test_wilson_loop_pair_odd_steps_close_with_one_grid_step():
 )
 def test_wilson_loop_equals_exact_discrete_phase(theta, d, pairing, steps):
     # Only level 2 carries the drive phase, so every step of the dense loop
-    # has the same overlap 1 - p + p exp(-i delta), p = (1 - cos(alpha)) / 2,
-    # and the N-step product is exact, not just close to the N -> oo limit.
-    p = (1.0 - cos_alpha(theta, d)) / 2.0
-
-    def step_arg(k):
-        return np.angle(1.0 - p + p * np.exp(-1j * TAU * k / steps))
-
+    # has the same overlap and the N-step product is exact, not just close
+    # to the N -> oo limit: gamma_+ = -gamma_- = berry_discrete, gamma_0 = 0.
+    gamma = berry_discrete(theta, d, steps=steps)
     loop = berry_wilson_loop(theta, d, steps=steps)
     assert loop.pairing == pairing
-    assert wrap(loop.gamma_plus + steps * step_arg(1)) == pytest.approx(0.0, abs=1e-12)
+    assert abs(wrap(loop.gamma_plus - gamma)) <= 1e-12
+    assert abs(wrap(loop.gamma_minus + gamma)) <= 1e-12
     assert abs(loop.gamma_zero) <= 1e-12
 
 
@@ -304,6 +267,8 @@ def test_wilson_loop_domain_guard_below_golden_ratio():
 def test_wilson_loop_steps_floor():
     with pytest.raises(InvalidParam):
         berry_wilson_loop(0.7, 2.0, steps=4)
+    with pytest.raises(InvalidParam):
+        berry_discrete(0.7, 2.0, steps=15)
 
 
 # ---------------------------------------------------------------------------

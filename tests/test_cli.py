@@ -9,8 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from bwmberry import DegenerateSpectrum, NoConvergence, NotHermitian, berry_closed, berry_wilson_loop, cli
-from bwmberry.berry import _wrap_phase
+from bwmberry import DegenerateSpectrum, NoConvergence, NotHermitian, berry, berry_closed, cli
 from bwmberry.cli import KNOBS, build_config, build_parser, main
 
 PI_THIRD = repr(math.pi / 3.0)
@@ -311,34 +310,36 @@ def test_berry_matches_closed_form_and_skips_below_domain(tmp_path, capsys):
     assert closed_only["status"] == "skip"
     assert closed_only["reason"] == "closed_form_only"
     assert ("berry.form_consistency", 1.0) in checks
-    assert checks[("berry.convergence", 2.0)]["status"] == "pass"
+    assert checks[("berry.exact_discrete", 2.0)]["status"] == "pass"
     assert checks[("berry.zero_branch", 2.0)]["residual"] < 1e-6
 
 
-def test_berry_convergence_reads_the_half_grid_from_one_solve(tmp_path, capsys):
-    # The coarse loop comes from the even-indexed frames of the 1024-step
-    # solve; its residual must equal the one of two separate solves exactly.
-    grids = ["--grid-spec", "berry_theta=0.7,4.0", "--grid-spec", "berry_d=1.7,3"]
-    code, _, _ = run(["berry", "--out", str(tmp_path), *grids, "--steps", "1024"], capsys)
+def test_berry_exact_discrete_record_catches_a_misspaced_loop(tmp_path, capsys, monkeypatch):
+    grids = ["--grid-spec", "berry_theta=0.7,4.0", "--grid-spec", "berry_d=1.7,3", "--steps", "1024"]
+    code, _, _ = run(["berry", "--out", str(tmp_path / "exact"), *grids], capsys)
     assert code == 0
-    convergence = [c for c in load_report(tmp_path, "berry")["checks"] if c["name"] == "berry.convergence"]
-    assert len(convergence) == 4
-    for c in convergence:
-        theta, d = c["params"]["theta"], c["params"]["d"]
-        fine, coarse = (berry_wilson_loop(theta, d, steps=n).gamma_plus for n in (1024, 512))
-        assert c["residual"] == abs(_wrap_phase(fine - coarse))
-        assert c["data"] == {"steps": 1024, "coarse_steps": 512}
+    exact = [c for c in load_report(tmp_path / "exact", "berry")["checks"] if c["name"] == "berry.exact_discrete"]
+    assert len(exact) == 4
+    for c in exact:
+        assert c["status"] == "pass" and c["residual"] <= 1e-12 and c["tolerance"] == 1e-12
+        gamma = berry.berry_discrete(c["params"]["theta"], c["params"]["d"], steps=1024)
+        assert c["data"] == {"steps": 1024, "gamma_discrete": gamma}
 
+    # Loop phases spaced 2 pi / (N + 1) instead of 2 pi / N: the loop misses
+    # the closed form by far less than the phase tolerance, so only the
+    # exact discrete check sees it.
+    frames = berry.loop_eigenframes
 
-def test_berry_odd_steps_coarse_loop_takes_the_even_frames(tmp_path, capsys):
-    # At 33 steps the O(steps^-2) discretisation bias is ~1e-2, hence the
-    # loose phase tolerance.
-    grids = ["--grid-spec", "berry_theta=0.7", "--grid-spec", "berry_d=2"]
-    code, _, _ = run(["berry", "--out", str(tmp_path), *grids, "--steps", "33", "--phase-tolerance", "0.05"], capsys)
-    assert code == 0
-    convergence = next(c for c in load_report(tmp_path, "berry")["checks"] if c["name"] == "berry.convergence")
-    assert convergence["status"] == "pass"
-    assert convergence["data"] == {"steps": 33, "coarse_steps": 17}
+    def misspaced(theta, d, omega_drive=1.0, steps=4096):
+        phis, values, vectors = frames(theta, d, omega_drive=omega_drive, steps=steps + 1)
+        return phis[:-1], values[:-1], vectors[:-1]
+
+    monkeypatch.setattr(berry, "loop_eigenframes", misspaced)
+    code, _, _ = run(["berry", "--out", str(tmp_path / "misspaced"), *grids], capsys)
+    assert code == 1
+    checks = load_report(tmp_path / "misspaced", "berry")["checks"]
+    failed = [c["name"] for c in checks if c["status"] == "fail"]
+    assert failed == ["berry.exact_discrete"] * 4
 
 
 @pytest.mark.parametrize(

@@ -257,6 +257,19 @@ def test_wilson_loop_equals_exact_discrete_phase(theta, d, pairing, steps):
     assert abs(loop.gamma_zero) <= 1e-12
 
 
+@pytest.mark.parametrize("theta, d", ((0.7, 2.0), (1.2, 3.0), (4.0, 1.7)))
+def test_discrete_phase_bias_is_second_order(theta, d):
+    # Expanding -N arg(1 - p + p exp(-2 pi i / N)) in 1/N gives
+    # pi(1 - cos(alpha)) - (2 pi)^3 p(1 - p)(1 - 2p) / (6 N^2) + O(N^-4):
+    # the dense loop's bias against the closed form, in sign and size.
+    p = (1.0 - cos_alpha(theta, d)) / 2.0
+    leading = -(TAU ** 3) * p * (1.0 - p) * (1.0 - 2.0 * p) / 6.0
+    closed = berry_closed(theta, d, "sin_form").gamma_plus
+    for steps in (1024, 4096):
+        bias = wrap(berry_discrete(theta, d, steps=steps) - closed)
+        assert steps * steps * bias == pytest.approx(leading, rel=1e-5)
+
+
 def test_wilson_loop_domain_guard_below_golden_ratio():
     # The closed form extends to d >= 1 but the generator construction does
     # not; the loop route must refuse rather than extrapolate.

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParam
-from .matrices import as_matrix3, as_real, inverse, rel_residual
+from .matrices import as_matrix3, as_real, inverse, refuse_overflow, rel_residual
 
 #: Smallest loop value d for which the off-diagonal projector stays real.
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
@@ -118,6 +118,7 @@ class AlgebraParams:
         return self.q - 1.0 / self.q
 
     @property
+    @refuse_overflow
     def sigma(self) -> float:
         """Braid eigenvalue on the projector, 1/q^2 (coupled mode only)."""
         if self.q is None:
@@ -171,6 +172,7 @@ def make_u(p: AlgebraParams) -> np.ndarray:
     )
 
 
+@refuse_overflow
 def make_a(p: AlgebraParams) -> np.ndarray:
     """Diagonal braid generator, diag(q, 1/q^2, -1/q).  Coupled mode only."""
     if p.q is None:
@@ -179,6 +181,7 @@ def make_a(p: AlgebraParams) -> np.ndarray:
     return np.diag([q, q ** -2, -1.0 / q]).astype(complex)
 
 
+@refuse_overflow
 def make_b(p: AlgebraParams) -> np.ndarray:
     """Off-diagonal braid generator, the conjugate of make_a by make_u."""
     if p.q is None:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrum, InvalidParam
-from .matrices import as_real
+from .matrices import as_real, refuse_overflow
 from .spin import DriveParams, cos_alpha, hamiltonian_stack
 
 #: Smallest admissible number of loop discretisation points.
@@ -88,6 +88,7 @@ def solid_angle(cos_alpha_value) -> float:
     return _TAU * (1.0 - min(1.0, max(-1.0, ca)))
 
 
+@refuse_overflow
 def berry_closed(theta, d, form: str = "sin_form") -> BerryResult:
     """Closed-form branch phases gamma_(+,-) = +/- pi (1 - c), gamma_0 = 0.
 
@@ -222,6 +223,7 @@ def berry_discrete(theta, d, steps: int = 4096) -> float:
     return _wrap_phase(-n * cmath.phase(1.0 - p + p * cmath.exp(-1j * _TAU / n)))
 
 
+@refuse_overflow
 def figure_table(theta_grid, d_values=SECTION_D_VALUES) -> tuple[list[float], list[float], np.ndarray]:
     """The cos-form gamma_plus over a (theta, d) grid as one array.
 

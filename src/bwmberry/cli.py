@@ -52,14 +52,13 @@ from .matrices import dagger, hermitian_eigs, inverse, rel_residual
 from .spin import DriveParams, cos_alpha, hamiltonian_stack, ladder_ops
 from .yangbaxter import SpectralParams, velocity_add, ybe_residual, z_of_u
 
-#: Tolerance pinned for conjugation-transport and unitarity checks.
-TRANSPORT_TOL = 1e-12
+#: Tolerance of every check whose identity holds exactly up to rounding:
+#: transport, unitarity, the Temperley-Lieb relations, form consistency, the
+#: zero branch and the Wilson loop against its exact discrete phase.
+EXACT_TOL = 1e-12
 
-#: Tolerance pinned for the closed-form section/form-consistency identities.
-FORM_TOL = 1e-12
-
-#: Tolerance pinned for the Wilson loop against its exact discrete phase.
-DISCRETE_TOL = 1e-12
+#: Tolerance of ``ybe.unimodularity``, the distance of |z(u)| from 1.
+UNIT_CIRCLE_TOL = 1e-13
 
 #: Grids accepted by --grid-spec and the config file, with their defaults.
 DEFAULT_GRIDS: dict[str, tuple[float, ...]] = {
@@ -119,15 +118,14 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     return float(parts[0]), float(parts[1]), int(parts[2])
 
 
-def _knob(default, check, flag=None, help=None, *, parse=None, metavar=None, echo=True, figure=False):
-    """A RunConfig field that is also a config-file key and, given ``flag``, a flag.
+def _knob(default, check, flag, help, *, parse=None, metavar=None, echo=True, figure=False):
+    """A RunConfig field that is both a config-file key and a flag.
 
     ``check`` validates flag and file values alike; ``parse`` turns flag text
     into a value (default: the type of ``default``); ``echo`` puts the value
     in the report's ``config``; ``figure`` offers the flag on ``figure`` only.
     """
-    if flag and metavar is None:
-        metavar = flag[2:].replace("-", "_").upper()
+    metavar = metavar or flag[2:].replace("-", "_").upper()
     metadata = dict(
         check=check, flag=flag, help=help, parse=parse or type(default), metavar=metavar, echo=echo, figure=figure
     )
@@ -145,10 +143,7 @@ class RunConfig:
     command: str
     out_dir: Path
     tolerance: float = _knob(1e-10, _positive, "--tolerance", "base relation tolerance")
-    tla_tolerance: float = _knob(1e-12, _positive)
     phase_tolerance: float = _knob(1e-4, _positive, "--phase-tolerance", "loop-phase match tolerance")
-    zero_branch_tolerance: float = _knob(1e-6, _positive)
-    unimodularity_tolerance: float = _knob(1e-13, _positive)
     steps: int = _knob(4096, _count(MIN_STEPS), "--steps", "loop discretisation points")
     seed: int = _knob(20260815, _count(0), "--seed", "seed for sampled phases and velocities")
     jobs: int = _knob(1, _count(1), "--jobs", "worker threads for grid evaluation", echo=False)
@@ -262,7 +257,7 @@ def _bwm_point(cfg: RunConfig, q: float, p1: float, p2: float) -> list[CheckReco
     base = {"q": float(q), "phi1": float(p1), "phi2": float(p2)}
     try:
         p = AlgebraParams.coupled(q, p1, p2)
-        rep = check_bwm_suite(p, tolerance=cfg.tolerance)
+        rep = check_bwm_suite(p)
     except BwmBerryError as exc:
         return [_skip("bwm.suite", base, cfg.tolerance, exc)]
     out = _relation_records("bwm", base, rep, cfg.tolerance)
@@ -274,7 +269,7 @@ def _bwm_point(cfg: RunConfig, q: float, p1: float, p2: float) -> list[CheckReco
         ("bwm.unitary_u", rel_residual(dagger(u) @ u, np.eye(3, dtype=complex))),
     )
     for name, resid in transports:
-        out.append(_record(name, base, resid, TRANSPORT_TOL))
+        out.append(_record(name, base, resid, EXACT_TOL))
     return out
 
 
@@ -282,10 +277,10 @@ def _tla_point(cfg: RunConfig, d: float, p1: float, p2: float) -> list[CheckReco
     base = {"d": float(d), "phi1": float(p1), "phi2": float(p2)}
     try:
         p = AlgebraParams.tla(d, p1, p2)
-        rep = check_tla(make_ea(p), make_eb(p), d, tolerance=cfg.tla_tolerance)
+        rep = check_tla(make_ea(p), make_eb(p), d)
     except BwmBerryError as exc:
-        return [_skip("tla.suite", base, cfg.tla_tolerance, exc)]
-    return _relation_records("tla", base, rep, cfg.tla_tolerance)
+        return [_skip("tla.suite", base, EXACT_TOL, exc)]
+    return _relation_records("tla", base, rep, EXACT_TOL)
 
 
 def _ybe_corner_samples() -> list[SpectralParams]:
@@ -323,7 +318,7 @@ def _ybe_point(cfg: RunConfig, s: SpectralParams) -> list[CheckRecord]:
         out.append(_record("ybe.exchange", base, resid, cfg.tolerance))
         w = velocity_add(s.u, s.v, s.beta)
         zdev = max(abs(abs(z_of_u(x, s)) - 1.0) for x in (s.u, s.v, w))
-        out.append(_record("ybe.unimodularity", base, zdev, cfg.unimodularity_tolerance))
+        out.append(_record("ybe.unimodularity", base, zdev, UNIT_CIRCLE_TOL))
     except BwmBerryError as exc:
         out.append(_skip("ybe.exchange", base, cfg.tolerance, exc))
     return out
@@ -344,8 +339,11 @@ def cmd_verify(cfg: RunConfig) -> list[CheckRecord]:
 # --------------------------------------------------------------------------
 
 def _levels_record(name: str, params: dict, observed, predicted, tolerance: float) -> CheckRecord:
-    """Compare observed eigenvalues with the predicted levels."""
-    dev = float(np.max(np.abs(observed - predicted)))
+    """Compare observed eigenvalues with the predicted levels.
+
+    The residual is the largest deviation over max(1, largest |level|), like ``rel_residual``.
+    """
+    dev = float(np.max(np.abs(observed - predicted))) / max(1.0, float(np.max(np.abs(predicted))))
     observed, predicted = [float(x) for x in observed], [float(x) for x in predicted]
     return _record(name, params, dev, tolerance, observed=observed, predicted=predicted)
 
@@ -451,7 +449,7 @@ def _berry_point(cfg: RunConfig, theta: float, d: float) -> list[CheckRecord]:
             "berry.form_consistency",
             base,
             abs(closed_cos.gamma_plus - swapped.gamma_plus),
-            FORM_TOL,
+            EXACT_TOL,
             gamma_plus_sin=closed_sin.gamma_plus,
             gamma_plus_cos=closed_cos.gamma_plus,
         )
@@ -481,12 +479,10 @@ def _berry_point(cfg: RunConfig, theta: float, d: float) -> list[CheckRecord]:
                 pairing=loop.pairing,
             )
         )
-    out.append(
-        _record("berry.zero_branch", base, abs(loop.gamma_zero), cfg.zero_branch_tolerance, wilson=loop.gamma_zero)
-    )
+    out.append(_record("berry.zero_branch", base, abs(loop.gamma_zero), EXACT_TOL, wilson=loop.gamma_zero))
     gap = max(abs(_wrap_phase(loop.gamma_plus - gamma_discrete)), abs(_wrap_phase(loop.gamma_minus + gamma_discrete)))
     out.append(
-        _record("berry.exact_discrete", base, gap, DISCRETE_TOL, steps=cfg.steps, gamma_discrete=gamma_discrete)
+        _record("berry.exact_discrete", base, gap, EXACT_TOL, steps=cfg.steps, gamma_discrete=gamma_discrete)
     )
     return out
 
@@ -620,7 +616,7 @@ def _show(default) -> str:
 def _add_knob_flags(parser: argparse.ArgumentParser, figure: bool) -> None:
     for f in KNOBS:
         m = f.metadata
-        if m["flag"] and m["figure"] == figure:
+        if m["figure"] == figure:
             parser.add_argument(
                 m["flag"], dest=f.name, metavar=m["metavar"], help=f"{m['help']} (default {_show(f.default)})"
             )

@@ -9,6 +9,7 @@ residual used by all identity checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +43,24 @@ def as_real(name: str, value) -> float:
     if not math.isfinite(x):
         raise InvalidParam(f"{name} must be finite, got {x!r}")
     return x
+
+
+def refuse_overflow(fn):
+    """Raise InvalidParam where ``fn``'s float arithmetic leaves the double range.
+
+    Python raises OverflowError where ``x ** n`` overflows; the parameters
+    that do so lie outside the domain of the construction, so the decorated
+    function reports them as InvalidParam, like any other domain violation.
+    """
+
+    @functools.wraps(fn)
+    def guarded(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OverflowError as exc:
+            raise InvalidParam(f"{fn.__name__} overflows double precision at these parameters") from exc
+
+    return guarded
 
 
 def as_matrix3(m, stack: bool = False) -> np.ndarray:

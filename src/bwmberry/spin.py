@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import GOLDEN_RATIO, DOMAIN_SLACK, AlgebraParams, make_eb
 from .errors import DegenerateZeta, InvalidParam
-from .matrices import as_real, dagger, rel_residual
+from .matrices import as_real, dagger, refuse_overflow, rel_residual
 
 #: Discriminant d^4 - 4(d^2-1)sin^2(theta) below this is a normalisation pole.
 ZETA_DEGENERACY_TOL = 1e-14
@@ -86,6 +86,7 @@ class SpinTriple:
     s3: np.ndarray
 
 
+@refuse_overflow
 def ladder_ops(theta, d) -> SpinTriple:
     """Ladder triple of an su(2) subalgebra of su(3) adapted to the driven system.
 
@@ -198,6 +199,7 @@ def hamiltonian(phi, dp: DriveParams) -> np.ndarray:
     return hamiltonian_stack([as_real("phi", phi)], dp)[0]
 
 
+@refuse_overflow
 def cos_alpha(theta, d) -> float:
     """Polar cosine of the effective field axis, 2 sin(theta) sqrt(d^2-1) / d^2."""
     th = as_real("theta", theta)

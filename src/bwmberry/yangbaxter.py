@@ -29,7 +29,7 @@ import numpy as np
 
 from .algebra import AlgebraParams, make_ea, make_eb
 from .errors import DomainError, InvalidParam, NonUnimodular, PoleEncountered
-from .matrices import as_real, rel_residual
+from .matrices import as_real, refuse_overflow, rel_residual
 
 #: |1 + beta^2 u v| below this counts as the velocity-addition pole.
 POLE_TOL = 1e-12
@@ -84,6 +84,7 @@ def velocity_add(u, v, beta) -> float:
     return (uv + vv) / den
 
 
+@refuse_overflow
 def z_of_u(u, s: SpectralParams) -> complex:
     """Unimodular phase z(u) = e^{-2i*theta(u)} as a rational function of u.
 

@@ -176,6 +176,18 @@ def test_spectrum_reports_predicted_levels(tmp_path, capsys):
     assert all(c["data"]["predicted"] == [0.0, 0.75, 0.75] for c in casimirs)
 
 
+def test_spectrum_residual_is_relative_to_the_largest_level(tmp_path, capsys):
+    # Levels of size ~1e7 carry rounding errors of ~1e-9, far above the
+    # absolute tolerance but ~1e-16 relative to the levels.
+    grids = ["--grid-spec", "omega=1e7", "--grid-spec", "theta=0.3,1.0,2.2", "--grid-spec", "d=1.7,2,3,5"]
+    code, _, _ = run(["spectrum", "--out", str(tmp_path), *grids, "--grid-spec", "phi=0,1.3"], capsys)
+    assert code == 0
+    for c in load_report(tmp_path, "spectrum")["checks"]:
+        assert c["status"] == "pass"
+        deviation = max(abs(a - b) for a, b in zip(c["data"]["observed"], c["data"]["predicted"]))
+        assert c["residual"] == deviation / max(1.0, *map(abs, c["data"]["predicted"]))
+
+
 def test_spectrum_domain_violations_become_skips(tmp_path, capsys):
     code, _, _ = run(
         [
@@ -278,6 +290,32 @@ def test_error_escaping_the_point_guards_exits_two(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "berry_report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, skipped",
+    [
+        (["spectrum", "--grid-spec", "d=1e100"], "spectrum.casimir"),
+        (["berry", "--grid-spec", "berry_d=1e200"], "berry.closed"),
+        (["figure", "--grid-spec", "figure_d=1e200"], None),
+        (["verify", "--grid-spec", "q=1e200"], "bwm.suite"),
+        (["verify", "--grid-spec", "q=1e-200"], "bwm.suite"),
+        (["verify", "--grid-spec", "ybe_beta=1e200"], "ybe.exchange"),
+    ],
+    ids=["spectrum_d", "berry_d", "figure_d", "verify_q_large", "verify_q_small", "verify_ybe_beta"],
+)
+def test_overflowing_parameters_skip_or_exit_two(argv, skipped, tmp_path, capsys):
+    # Per-point commands skip the point as invalid_param; figure has no points.
+    code, _, err = run([*argv, "--out", str(tmp_path)], capsys)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if skipped is None:
+        assert code == 2
+        assert err.startswith("error: figure_table overflows double precision")
+    else:
+        assert code == 0
+        reasons = {(c["name"], c["reason"]) for c in load_report(tmp_path, argv[0])["checks"] if c["status"] == "skip"}
+        assert reasons == {(skipped, "invalid_param")}
+
+
 # ---------------------------------------------------------------------------
 # berry
 # ---------------------------------------------------------------------------
@@ -311,7 +349,37 @@ def test_berry_matches_closed_form_and_skips_below_domain(tmp_path, capsys):
     assert closed_only["reason"] == "closed_form_only"
     assert ("berry.form_consistency", 1.0) in checks
     assert checks[("berry.exact_discrete", 2.0)]["status"] == "pass"
-    assert checks[("berry.zero_branch", 2.0)]["residual"] < 1e-6
+
+
+# Loose --tolerance and --phase-tolerance show that these checks ignore both.
+@pytest.mark.parametrize(
+    "command, args, prefix, tolerance, removed_key",
+    [
+        ("verify", SMALL_VERIFY, "tla.", 1e-12, "tla_tolerance"),
+        ("verify", SMALL_VERIFY, "ybe.unimodularity", 1e-13, "unimodularity_tolerance"),
+        (
+            "berry",
+            ["--grid-spec", "berry_theta=0.7,4.0", "--steps", "256"],
+            "berry.zero_branch",
+            1e-12,
+            "zero_branch_tolerance",
+        ),
+    ],
+    ids=["tla", "unimodularity", "zero_branch"],
+)
+def test_exact_checks_have_fixed_tolerances(command, args, prefix, tolerance, removed_key, tmp_path, capsys):
+    loose = ["--tolerance", "0.1", "--phase-tolerance", "0.1"]
+    code, _, _ = run([command, "--out", str(tmp_path), *args, *loose], capsys)
+    assert code == 0
+    records = [c for c in load_report(tmp_path, command)["checks"] if c["name"].startswith(prefix)]
+    assert records
+    for c in records:
+        assert (c["status"], c["tolerance"]) == ("pass", tolerance) and c["residual"] < tolerance
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({removed_key: tolerance}))
+    code, _, err = run([command, "--out", str(tmp_path), "--config", str(cfg)], capsys)
+    assert code == 2
+    assert "unknown config keys" in err and removed_key in err
 
 
 # At 33 steps the O(steps^-2) discretisation bias is ~4e-3, hence the loose
@@ -585,9 +653,8 @@ def test_knob_file_value_read_and_flag_wins(knob, tmp_path):
     cfg.write_text(json.dumps({knob.name: file_value}))
     argv = ["figure" if knob.metadata["figure"] else "verify", "--config", str(cfg)]
     assert getattr(build_config(build_parser().parse_args(argv)), knob.name) == from_file
-    if knob.metadata["flag"] is not None:
-        argv += [knob.metadata["flag"], flag_text]
-        assert getattr(build_config(build_parser().parse_args(argv)), knob.name) == from_flag
+    argv += [knob.metadata["flag"], flag_text]
+    assert getattr(build_config(build_parser().parse_args(argv)), knob.name) == from_flag
 
 
 def test_config_keys_and_echo_follow_the_knob_table(tmp_path, capsys):

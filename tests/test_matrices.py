@@ -13,6 +13,9 @@ from bwmberry import (
     InvalidParam,
     NotHermitian,
     SingularMatrix,
+    SpectralParams,
+    berry_closed,
+    cos_alpha,
     dagger,
     hermitian_eigs,
     inverse,
@@ -22,7 +25,9 @@ from bwmberry import (
     make_eb,
     make_u,
     rel_residual,
+    z_of_u,
 )
+from bwmberry.berry import figure_table
 from bwmberry.matrices import PHASE_FIX_CUTOFF, _fix_phases, as_matrix3, as_real, det3, frobenius
 
 RNG = np.random.default_rng(1234)
@@ -51,6 +56,25 @@ def test_as_real_accepts_ints_and_floats():
 def test_as_real_rejects_nonfinite_and_nonreal(bad):
     with pytest.raises(InvalidParam):
         as_real("x", bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: make_a(AlgebraParams.coupled(1e-200)),  # q ** -2
+        lambda: AlgebraParams.coupled(1e-200).sigma,  # q ** -2
+        lambda: make_b(AlgebraParams.coupled(1e200)),  # q ** 4
+        lambda: ladder_ops(0.3, 1e100),  # d ** 4
+        lambda: cos_alpha(0.3, 1e200),  # d ** 2
+        lambda: berry_closed(0.3, 1e200),  # d ** 2
+        lambda: figure_table([0.3], [2.0, 1e200]),  # d ** 2
+        lambda: z_of_u(0.5, SpectralParams(u=0.5, v=0.1, beta=1e200, epsilon=1, d=1.7)),  # beta ** 2
+    ],
+    ids=["make_a", "sigma", "make_b", "ladder_ops", "cos_alpha", "berry_closed", "figure_table", "z_of_u"],
+)
+def test_overflowing_parameters_raise_invalid_param(call):
+    with pytest.raises(InvalidParam, match="overflows double precision"):
+        call()
 
 
 def test_as_matrix3_rejects_wrong_shape():

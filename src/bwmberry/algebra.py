@@ -80,8 +80,6 @@ class AlgebraParams:
         object.__setattr__(self, "phi2", as_real("phi2", self.phi2))
         if self.q is not None:
             qv = as_real("q", self.q)
-            if qv == 0.0:
-                raise InvalidParam("q must be nonzero")
             object.__setattr__(self, "q", qv)
             if abs(self.d - d_of_q(qv)) > DOMAIN_SLACK * max(1.0, abs(self.d)):
                 raise InvalidParam(
@@ -92,6 +90,8 @@ class AlgebraParams:
                 f"d = {self.d} is below the golden ratio (1+sqrt(5))/2; "
                 "the projector root sqrt(d*d - d - 1) would be imaginary"
             )
+        if not math.isfinite(self.d * self.d):
+            raise InvalidParam(f"d = {self.d} overflows double precision: d*d is not finite")
 
     @classmethod
     def coupled(cls, q, phi1=0.0, phi2=0.0) -> "AlgebraParams":
@@ -131,6 +131,17 @@ def _offdiag_root(d: float) -> float:
     return math.sqrt(max(0.0, d * d - d - 1.0))
 
 
+def _projector_weights(p: AlgebraParams) -> tuple:
+    """The entries shared by E_B, U and B: sqrt(d^2-d-1), sqrt(d), e^(i phi1), e^(i phi2), e^(i(phi1+phi2))."""
+    return (
+        _offdiag_root(p.d),
+        math.sqrt(p.d),
+        np.exp(1j * p.phi1),
+        np.exp(1j * p.phi2),
+        np.exp(1j * (p.phi1 + p.phi2)),
+    )
+
+
 def make_ea(p: AlgebraParams) -> np.ndarray:
     """Diagonal Temperley-Lieb projector, diag(0, d, 0)."""
     return np.diag([0.0, p.d, 0.0]).astype(complex)
@@ -139,11 +150,7 @@ def make_ea(p: AlgebraParams) -> np.ndarray:
 def make_eb(p: AlgebraParams) -> np.ndarray:
     """Off-diagonal Temperley-Lieb projector (Hermitian, d times a rank-1 projector)."""
     d = p.d
-    s = _offdiag_root(d)
-    rd = math.sqrt(d)
-    e1 = np.exp(1j * p.phi1)
-    e2 = np.exp(1j * p.phi2)
-    e12 = np.exp(1j * (p.phi1 + p.phi2))
+    s, rd, e1, e2, e12 = _projector_weights(p)
     return np.array(
         [
             [(d * d - d - 1.0) / d, s / d * e1, -s / rd * e12],
@@ -157,11 +164,7 @@ def make_eb(p: AlgebraParams) -> np.ndarray:
 def make_u(p: AlgebraParams) -> np.ndarray:
     """Unitary that conjugates the diagonal pair into the off-diagonal pair."""
     d = p.d
-    s = _offdiag_root(d)
-    rd = math.sqrt(d)
-    e1 = np.exp(1j * p.phi1)
-    e2 = np.exp(1j * p.phi2)
-    e12 = np.exp(1j * (p.phi1 + p.phi2))
+    s, rd, e1, e2, e12 = _projector_weights(p)
     return np.array(
         [
             [1.0 / ((d - 1.0) * d), -s / d * e1, -s / (rd * (d - 1.0)) * e12],
@@ -188,11 +191,7 @@ def make_b(p: AlgebraParams) -> np.ndarray:
         raise InvalidParam("make_b needs coupled mode: the braid pair carries q")
     q = p.q
     d = p.d
-    s = _offdiag_root(d)
-    rd = math.sqrt(d)
-    e1 = np.exp(1j * p.phi1)
-    e2 = np.exp(1j * p.phi2)
-    e12 = np.exp(1j * (p.phi1 + p.phi2))
+    s, rd, e1, e2, e12 = _projector_weights(p)
     return np.array(
         [
             [1.0 / (q ** 4 * (d - 1.0) * d), s / (d * q) * e1, -s / (q * q * (d - 1.0) * rd) * e12],

@@ -36,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import (
+    DOMAIN_SLACK,
     GOLDEN_RATIO,
     AlgebraParams,
     check_bwm_suite,
@@ -454,7 +455,7 @@ def _berry_point(cfg: RunConfig, theta: float, d: float) -> list[CheckRecord]:
             gamma_plus_cos=closed_cos.gamma_plus,
         )
     ]
-    if d < GOLDEN_RATIO - 1e-12:
+    if d < GOLDEN_RATIO - DOMAIN_SLACK:
         reason_exc = InvalidParam("the Hamiltonian route needs d at or above the golden ratio")
         out.append(_skip("berry.match_plus", base, cfg.phase_tolerance, reason_exc, reason="closed_form_only"))
         return out
@@ -656,7 +657,6 @@ def main(argv=None) -> int:
         with timed(timings, "build_config"):
             cfg = build_config(args)
         cfg.timings = timings
-        started = time.perf_counter()
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         with timed(timings, "evaluate") as entry:
             records = _COMMANDS[cfg.command](cfg)
@@ -687,7 +687,6 @@ def main(argv=None) -> int:
         "checks": [vars(c) for c in records],
         "meta": {
             "timestamp": datetime.now(timezone.utc).isoformat(),
-            "wall_time_s": time.perf_counter() - started,
             "out_dir": str(cfg.out_dir),
             "jobs": cfg.jobs,
             "timings": timings,

@@ -43,10 +43,6 @@ class NonUnimodular(BwmBerryError):
     """
 
 
-class DegenerateZeta(BwmBerryError):
-    """The ladder-operator normalisation is singular at these parameters."""
-
-
 class DegenerateSpectrum(BwmBerryError):
     """Eigenvalue branches are too close to follow around the loop."""
 

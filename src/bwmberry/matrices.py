@@ -48,16 +48,18 @@ def as_real(name: str, value) -> float:
 def refuse_overflow(fn):
     """Raise InvalidParam where ``fn``'s float arithmetic leaves the double range.
 
-    Python raises OverflowError where ``x ** n`` overflows; the parameters
-    that do so lie outside the domain of the construction, so the decorated
-    function reports them as InvalidParam, like any other domain violation.
+    Python raises OverflowError where ``x ** n`` overflows, and
+    ZeroDivisionError where a denominator such as ``q ** 4`` underflows to
+    zero; the parameters that do so lie outside the domain of the
+    construction, so the decorated function reports them as InvalidParam,
+    like any other domain violation.
     """
 
     @functools.wraps(fn)
     def guarded(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except OverflowError as exc:
+        except (OverflowError, ZeroDivisionError) as exc:
             raise InvalidParam(f"{fn.__name__} overflows double precision at these parameters") from exc
 
     return guarded
@@ -113,12 +115,14 @@ def det3(m) -> complex:
     )
 
 
+@refuse_overflow
 def inverse(m) -> np.ndarray:
     """Invert a 3x3 matrix via the adjugate / determinant formula.
 
     The closed form has no pivoting noise, so the inverse of an exactly
     representable matrix is reproducible bit-for-bit.  Raises
-    SingularMatrix when |det| <= 1e-12 * max(1, ||m||_F^3).
+    SingularMatrix when |det| <= 1e-12 * max(1, ||m||_F^3), and
+    InvalidParam where ||m||_F^3 overflows.
     """
     a = as_matrix3(m)
     d = det3(a)

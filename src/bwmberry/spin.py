@@ -21,12 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GOLDEN_RATIO, DOMAIN_SLACK, AlgebraParams, make_eb
-from .errors import DegenerateZeta, InvalidParam
+from .algebra import GOLDEN_RATIO, DOMAIN_SLACK, AlgebraParams, _offdiag_root, make_eb
+from .errors import InvalidParam
 from .matrices import as_real, dagger, refuse_overflow, rel_residual
-
-#: Discriminant d^4 - 4(d^2-1)sin^2(theta) below this is a normalisation pole.
-ZETA_DEGENERACY_TOL = 1e-14
 
 #: Occupation numbers generating the drive: only level 2 picks up the phase.
 _OCCUPATION = np.array([0.0, 1.0, 0.0])
@@ -92,27 +89,22 @@ def ladder_ops(theta, d) -> SpinTriple:
 
     The triple closes the su(2) commutation relations with nilpotent
     ladders ((S+)^2 = 0), so the quadratic Casimir has spectrum
-    {3/4, 3/4, 0}: a spin-1/2 doublet plus a singlet.  The normalisation
-    zeta = d^2 / sqrt((d^2-1)(d^4 - 4(d^2-1)sin^2(theta))) requires d > 1
-    and blows up where the discriminant vanishes (DegenerateZeta); the
-    off-diagonal weights need d at or above the golden ratio.
+    {3/4, 3/4, 0}: a spin-1/2 doublet plus a singlet.  The off-diagonal
+    weights need d at or above the golden ratio, the rule ``AlgebraParams``
+    and ``DriveParams`` apply; any other d raises InvalidParam before any
+    arithmetic.  There the normalisation
+    zeta = d^2 / sqrt((d^2-1)(d^4 - 4(d^2-1)sin^2(theta))) is finite: the
+    discriminant is at least (d^2 - 2)^2 >= (phi^2 - 2)^2 ~ 0.38.
     """
     th = as_real("theta", theta)
     dv = as_real("d", d)
-    if dv <= 1.0:
-        raise InvalidParam(f"ladder operators need d > 1, got d = {dv}")
-    disc = dv ** 4 - 4.0 * (dv * dv - 1.0) * math.sin(th) ** 2
-    if disc < ZETA_DEGENERACY_TOL:
-        raise DegenerateZeta(
-            f"normalisation pole: d^4 - 4(d^2-1)sin^2(theta) = {disc:.3e} at theta = {th}, d = {dv}"
-        )
-    root = dv * dv - dv - 1.0
-    if root < -DOMAIN_SLACK * max(1.0, dv * dv):
+    if dv < GOLDEN_RATIO - DOMAIN_SLACK:
         raise InvalidParam(
             f"d = {dv} is below the golden ratio; the off-diagonal weight sqrt(d^2-d-1) is imaginary"
         )
-    s = math.sqrt(max(0.0, root))
+    s = _offdiag_root(dv)
     rd = math.sqrt(dv)
+    disc = dv ** 4 - 4.0 * (dv * dv - 1.0) * math.sin(th) ** 2
     zeta = dv * dv / math.sqrt((dv * dv - 1.0) * disc)
 
     g = _GENERATORS
@@ -215,8 +207,7 @@ def decomposition_residual(phi, dp: DriveParams) -> float:
     The generator equals an effective magnetic field of fixed polar angle
     alpha coupled to (S1, S2, S3), with the azimuth running counter to the
     drive phase (azimuth = -phi).  Returns the relative residual between
-    H(phi) and that expansion; parameters where the ladder normalisation
-    degenerates raise DegenerateZeta.
+    H(phi) and that expansion.
     """
     ph = as_real("phi", phi)
     trip = ladder_ops(dp.theta, dp.d)

@@ -15,7 +15,6 @@ import pytest
 from bwmberry import (
     GOLDEN_RATIO,
     AlgebraParams,
-    DegenerateZeta,
     DriveParams,
     SpectralParams,
     berry_closed,
@@ -216,14 +215,9 @@ def test_criterion_06_embedded_su2_and_casimir(verdict):
     worst_casimir = 0.0
     worst_decomp = 0.0
     checked = 0
-    skipped = 0
     for theta in THETA_GRID:
         for d in D_GRID:
-            try:
-                trip = ladder_ops(theta, d)
-            except DegenerateZeta:
-                skipped += 1
-                continue
+            trip = ladder_ops(theta, d)
             checked += 1
             comm = lambda x, y: x @ y - y @ x
             worst_comm = max(
@@ -259,7 +253,7 @@ def test_criterion_06_embedded_su2_and_casimir(verdict):
     )
     verdict(
         6,
-        f"embedded su(2) triple on {checked} points ({skipped} degenerate skipped): "
+        f"embedded su(2) triple on {checked} points: "
         f"commutators {worst_comm:.3e}, nilpotency {worst_nilpotent:.3e}, "
         f"casimir {worst_casimir:.3e}, decomposition {worst_decomp:.3e}",
         ok,

@@ -9,7 +9,19 @@ import sys
 import numpy as np
 import pytest
 
-from bwmberry import DegenerateSpectrum, NoConvergence, NotHermitian, berry, berry_closed, cli
+from bwmberry import (
+    GOLDEN_RATIO,
+    AlgebraParams,
+    DegenerateSpectrum,
+    DriveParams,
+    InvalidParam,
+    NoConvergence,
+    NotHermitian,
+    berry,
+    berry_closed,
+    cli,
+    ladder_ops,
+)
 from bwmberry.cli import KNOBS, build_config, build_parser, main
 
 PI_THIRD = repr(math.pi / 3.0)
@@ -27,8 +39,8 @@ SMALL_VERIFY = [
     "5",
 ]
 
-# Casimir points skip as invalid_param (d = 1.2) and degenerate_zeta (pi/2, sqrt 2);
-# H points skip as invalid_param below the golden ratio.
+# Casimir and H points skip as invalid_param below the golden ratio (d = 1.2 and
+# sqrt 2, including the ladder normalisation pole at (pi/2, sqrt 2)).
 SPECTRUM_DOMAIN_GRIDS = [
     "--grid-spec",
     f"theta=0.3,{PI_HALF},2.2",
@@ -137,6 +149,13 @@ def test_verify_seed_changes_sampled_points(tmp_path, capsys):
     assert params_a != params_b
 
 
+def test_verify_tla_below_golden_ratio_skips(tmp_path, capsys):
+    code, _, _ = run(["verify", "--out", str(tmp_path), *SMALL_VERIFY, "--grid-spec", "tla_d=1.2"], capsys)
+    assert code == 0
+    tla = [c for c in load_report(tmp_path, "verify")["checks"] if c["name"].startswith("tla.")]
+    assert tla and all((c["name"], c["status"], c["reason"]) == ("tla.suite", "skip", "invalid_param") for c in tla)
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 # ---------------------------------------------------------------------------
@@ -207,16 +226,13 @@ def test_spectrum_domain_violations_become_skips(tmp_path, capsys):
     )
     # Skips are reported per-point, never fatal.
     assert code == 0
-    report = load_report(tmp_path, "spectrum")
-    by_reason = {}
-    for c in report["checks"]:
-        assert c["status"] == "skip"
-        assert c["reason"]
-        by_reason.setdefault(c["reason"], []).append(c["name"])
-    # The ladder normalisation has a genuine pole at (pi/2, sqrt(2)); every
-    # other refusal on this grid is the projector-domain guard.
-    assert "degenerate_zeta" in by_reason
-    assert "invalid_param" in by_reason
+    checks = load_report(tmp_path, "spectrum")["checks"]
+    for c in checks:
+        assert (c["status"], c["reason"]) == ("skip", "invalid_param")
+    # The ladder normalisation pole at (pi/2, sqrt(2)) lies below the golden
+    # ratio, so the projector-domain guard refuses it like every other point.
+    casimir = [c["params"] for c in checks if c["name"] == "spectrum.casimir"]
+    assert {"theta": math.pi / 2.0, "d": math.sqrt(2.0)} in casimir
 
 
 @pytest.mark.parametrize("error, reason", [(NoConvergence, "no_convergence"), (NotHermitian, "not_hermitian")])
@@ -267,6 +283,7 @@ def test_spectrum_solver_error_skips_only_its_own_point(tmp_path, capsys, monkey
 def test_report_meta_holds_stage_timings(tmp_path, capsys):
     run(["spectrum", "--out", str(tmp_path), *SPECTRUM_DOMAIN_GRIDS], capsys)
     report = load_report(tmp_path, "spectrum")
+    assert set(report["meta"]) == {"timestamp", "out_dir", "jobs", "timings"}
     timings = report["meta"]["timings"]
     assert set(timings) == {"build_config", "evaluate"}
     assert timings["evaluate"]["records"] == report["summary"]["checks"] == 75
@@ -293,17 +310,33 @@ def test_error_escaping_the_point_guards_exits_two(tmp_path, capsys, monkeypatch
 @pytest.mark.parametrize(
     "argv, skipped",
     [
-        (["spectrum", "--grid-spec", "d=1e100"], "spectrum.casimir"),
-        (["berry", "--grid-spec", "berry_d=1e200"], "berry.closed"),
+        (["spectrum", "--grid-spec", "d=1e100"], {"spectrum.casimir"}),
+        (["spectrum", "--grid-spec", "d=1e200"], {"spectrum.casimir", "spectrum.h_eigenvalues"}),  # d * d is inf
+        (["berry", "--grid-spec", "berry_d=1e200"], {"berry.closed"}),
         (["figure", "--grid-spec", "figure_d=1e200"], None),
-        (["verify", "--grid-spec", "q=1e200"], "bwm.suite"),
-        (["verify", "--grid-spec", "q=1e-200"], "bwm.suite"),
-        (["verify", "--grid-spec", "ybe_beta=1e200"], "ybe.exchange"),
+        (["verify", "--grid-spec", "q=1e200"], {"bwm.suite"}),
+        (["verify", "--grid-spec", "q=1e-200"], {"bwm.suite"}),
+        (["verify", "--grid-spec", "q=1e-60"], {"bwm.suite"}),  # ||A||_F ** 3 in inverse
+        (["verify", "--grid-spec", "q=1e-100"], {"bwm.suite"}),  # q ** 4 underflows to 0 in make_b
+        (["verify", "--grid-spec", "q=1e-150"], {"bwm.suite"}),
+        (["verify", "--grid-spec", "ybe_beta=1e200"], {"ybe.exchange"}),
     ],
-    ids=["spectrum_d", "berry_d", "figure_d", "verify_q_large", "verify_q_small", "verify_ybe_beta"],
+    ids=[
+        "spectrum_d",
+        "spectrum_d_squared",
+        "berry_d",
+        "figure_d",
+        "verify_q_large",
+        "verify_q_small",
+        "verify_q_inverse",
+        "verify_q_underflow",
+        "verify_q_underflow_150",
+        "verify_ybe_beta",
+    ],
 )
 def test_overflowing_parameters_skip_or_exit_two(argv, skipped, tmp_path, capsys):
     # Per-point commands skip the point as invalid_param; figure has no points.
+    # pytest turns a numpy RuntimeWarning into an error, so none escapes either.
     code, _, err = run([*argv, "--out", str(tmp_path)], capsys)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
@@ -313,7 +346,7 @@ def test_overflowing_parameters_skip_or_exit_two(argv, skipped, tmp_path, capsys
     else:
         assert code == 0
         reasons = {(c["name"], c["reason"]) for c in load_report(tmp_path, argv[0])["checks"] if c["status"] == "skip"}
-        assert reasons == {(skipped, "invalid_param")}
+        assert reasons == {(name, "invalid_param") for name in skipped}
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +382,33 @@ def test_berry_matches_closed_form_and_skips_below_domain(tmp_path, capsys):
     assert closed_only["reason"] == "closed_form_only"
     assert ("berry.form_consistency", 1.0) in checks
     assert checks[("berry.exact_discrete", 2.0)]["status"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "d",
+    [GOLDEN_RATIO, GOLDEN_RATIO - 5e-13, GOLDEN_RATIO - 1.1e-12, GOLDEN_RATIO - 2e-12, math.sqrt(2.0), 1.0, -2.0],
+    ids=["phi", "phi-5e-13", "phi-1.1e-12", "phi-2e-12", "sqrt2", "one", "minus_two"],
+)
+def test_golden_ratio_rule_agrees_everywhere(d, tmp_path, capsys):
+    # Every construction on the projector domain accepts or refuses d together.
+    constructions = {
+        "AlgebraParams.tla": lambda: AlgebraParams.tla(d),
+        "DriveParams": lambda: DriveParams(theta=0.7, d=d),
+        "ladder_ops": lambda: ladder_ops(0.7, d),
+    }
+    refused = set()
+    for name, construct in constructions.items():
+        try:
+            construct()
+        except InvalidParam:
+            refused.add(name)
+    assert refused in (set(), set(constructions))
+    # berry leaves the Hamiltonian route exactly there; below d = 1 the closed form is refused too.
+    grids = ["--grid-spec", "berry_theta=0.7", "--grid-spec", f"berry_d={d!r}"]
+    code, _, _ = run(["berry", "--out", str(tmp_path), *grids], capsys)
+    assert code == 0
+    skips = {c["reason"] for c in load_report(tmp_path, "berry")["checks"] if c["status"] == "skip"}
+    assert skips == (set() if not refused else {"closed_form_only"} if d >= 1.0 else {"invalid_param"})
 
 
 # Loose --tolerance and --phase-tolerance show that these checks ignore both.
@@ -586,12 +646,37 @@ def test_config_file_grid_range_syntax(tmp_path, capsys):
         ["figure", "--grid-spec", "figure_d=0.5"],
         ["figure", "--grid-spec", "figure_d=nan"],
         ["spectrum", "--grid-spec", "theta=nan"],  # one finiteness rule for every grid
+        ["verify", "--steps", "abc"],
+        ["figure", "--d-mesh", "1:6"],
+        ["verify", "--grid-spec", "q"],  # no NAME=VALUES
+        ["verify", "--grid-spec", "theta=0:1:0"],  # empty range
     ],
 )
 def test_config_errors_exit_two(argv, tmp_path, capsys):
     code, _, err = run([*argv, "--out", str(tmp_path)], capsys)
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "content", ["[1]", '{"grids": [1]}', None, "directory"], ids=["list", "grids_list", "missing", "directory"]
+)
+def test_unusable_config_file_exits_two(content, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    if content == "directory":
+        cfg.mkdir()
+    elif content is not None:
+        cfg.write_text(content)
+    code, _, err = run(["verify", "--out", str(tmp_path / "out"), "--config", str(cfg)], capsys)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_unwritable_report_exits_two(tmp_path, capsys):
+    (tmp_path / "verify_report.json").mkdir()
+    code, _, err = run(["verify", "--out", str(tmp_path), *SMALL_VERIFY], capsys)
+    assert code == 2
+    assert err.startswith("error: cannot write report")
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):

@@ -61,16 +61,31 @@ def test_as_real_rejects_nonfinite_and_nonreal(bad):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: make_a(AlgebraParams.coupled(1e-200)),  # q ** -2
-        lambda: AlgebraParams.coupled(1e-200).sigma,  # q ** -2
-        lambda: make_b(AlgebraParams.coupled(1e200)),  # q ** 4
+        lambda: make_a(AlgebraParams.coupled(1e-200)),  # d ~ 1/q: d * d, before q ** -2
+        lambda: AlgebraParams.coupled(1e-200).sigma,  # d ~ 1/q: d * d, before q ** -2
+        lambda: make_b(AlgebraParams.coupled(1e100)),  # q ** 4
+        lambda: make_b(AlgebraParams.coupled(1e-100)),  # q ** 4 underflows to 0 in a denominator
         lambda: ladder_ops(0.3, 1e100),  # d ** 4
         lambda: cos_alpha(0.3, 1e200),  # d ** 2
         lambda: berry_closed(0.3, 1e200),  # d ** 2
         lambda: figure_table([0.3], [2.0, 1e200]),  # d ** 2
         lambda: z_of_u(0.5, SpectralParams(u=0.5, v=0.1, beta=1e200, epsilon=1, d=1.7)),  # beta ** 2
+        lambda: inverse(np.diag([1e-60, 1e120, -1e60])),  # ||m||_F ** 3
+        lambda: AlgebraParams.tla(1e200),  # d * d
     ],
-    ids=["make_a", "sigma", "make_b", "ladder_ops", "cos_alpha", "berry_closed", "figure_table", "z_of_u"],
+    ids=[
+        "make_a",
+        "sigma",
+        "make_b",
+        "make_b_underflow",
+        "ladder_ops",
+        "cos_alpha",
+        "berry_closed",
+        "figure_table",
+        "z_of_u",
+        "inverse",
+        "algebra_params",
+    ],
 )
 def test_overflowing_parameters_raise_invalid_param(call):
     with pytest.raises(InvalidParam, match="overflows double precision"):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from bwmberry import (
     GOLDEN_RATIO,
     AlgebraParams,
-    DegenerateZeta,
     DriveParams,
     InvalidParam,
     SpinTriple,
@@ -102,8 +101,8 @@ def test_ladder_triple_domain_guards():
         ladder_ops(0.3, 1.0)  # sqrt(d^2 - 1) degenerates
     with pytest.raises(InvalidParam):
         ladder_ops(0.3, 0.5)
-    with pytest.raises(DegenerateZeta):
-        ladder_ops(math.pi / 2.0, math.sqrt(2.0))  # normalisation pole
+    with pytest.raises(InvalidParam):
+        ladder_ops(math.pi / 2.0, math.sqrt(2.0))  # the golden-ratio rule runs before the pole
     with pytest.raises(InvalidParam):
         ladder_ops(0.3, math.sqrt(2.0))  # below the projector domain
 

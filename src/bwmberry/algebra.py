@@ -238,11 +238,11 @@ class RelationReport:
 
 
 def _build_report(lines, tolerance: float, notes: tuple[str, ...] = ()) -> RelationReport:
-    checks = []
-    for name, lhs, rhs in lines:
-        r = rel_residual(lhs, rhs)
-        checks.append(RelationCheck(name=name, residual=r, passed=r < tolerance))
-    return RelationReport(checks=tuple(checks), tolerance=float(tolerance), notes=notes)
+    """One check per (name, lhs, rhs) line, all residuals from one stacked ``rel_residual``."""
+    names, lhs, rhs = zip(*lines)
+    residuals = rel_residual(np.stack(lhs), np.stack(rhs)).tolist()
+    checks = tuple(RelationCheck(name=n, residual=r, passed=r < tolerance) for n, r in zip(names, residuals))
+    return RelationReport(checks=checks, tolerance=float(tolerance), notes=notes)
 
 
 def check_tla(ea, eb, d, tolerance: float = 1e-10) -> RelationReport:

@@ -51,7 +51,7 @@ from .berry import MIN_STEPS, SECTION_D_VALUES, _wrap_phase, berry_closed, berry
 from .errors import BwmBerryError, ConfigError, InvalidParam
 from .matrices import dagger, hermitian_eigs, inverse, rel_residual
 from .spin import DriveParams, cos_alpha, hamiltonian_stack, ladder_ops
-from .yangbaxter import SpectralParams, velocity_add, ybe_residual, z_of_u
+from .yangbaxter import SpectralParams, exchange_residuals
 
 #: Tolerance of every check whose identity holds exactly up to rounding:
 #: transport, unitarity, the Temperley-Lieb relations, form consistency, the
@@ -261,17 +261,16 @@ def _bwm_point(cfg: RunConfig, q: float, p1: float, p2: float) -> list[CheckReco
         rep = check_bwm_suite(p)
     except BwmBerryError as exc:
         return [_skip("bwm.suite", base, cfg.tolerance, exc)]
-    out = _relation_records("bwm", base, rep, cfg.tolerance)
     u = make_u(p)
     ui = inverse(u)
-    transports = (
-        ("bwm.transport_b", rel_residual(make_b(p), u @ make_a(p) @ ui)),
-        ("bwm.transport_eb", rel_residual(make_eb(p), u @ make_ea(p) @ ui)),
-        ("bwm.unitary_u", rel_residual(dagger(u) @ u, np.eye(3, dtype=complex))),
+    transports = rel_residual(
+        np.stack([make_b(p), make_eb(p), dagger(u) @ u]),
+        np.stack([u @ make_a(p) @ ui, u @ make_ea(p) @ ui, np.eye(3, dtype=complex)]),
     )
-    for name, resid in transports:
-        out.append(_record(name, base, resid, EXACT_TOL))
-    return out
+    names = ("bwm.transport_b", "bwm.transport_eb", "bwm.unitary_u")
+    return _relation_records("bwm", base, rep, cfg.tolerance) + [
+        _record(name, base, resid, EXACT_TOL) for name, resid in zip(names, transports.tolist())
+    ]
 
 
 def _tla_point(cfg: RunConfig, d: float, p1: float, p2: float) -> list[CheckRecord]:
@@ -311,28 +310,48 @@ def _ybe_seeded_samples(cfg: RunConfig) -> list[SpectralParams]:
     return samples
 
 
-def _ybe_point(cfg: RunConfig, s: SpectralParams) -> list[CheckRecord]:
-    base = dict(vars(s))
+#: Exchange samples per ``_ybe_point`` call.  One stacked evaluation per
+#: chunk removes the per-sample call overhead, and a bounded chunk keeps the
+#: stacks small, so peak memory does not grow with ``--ybe-samples``.
+YBE_CHUNK = 256
+
+
+def _ybe_point(cfg: RunConfig, *samples: SpectralParams) -> list[CheckRecord]:
+    """The records of a chunk of exchange samples, from one stacked evaluation.
+
+    ``bench/spans.py`` traces the ``_<family>_point`` functions by name, so
+    this one keeps its name although it takes a chunk.
+    """
     out = []
-    try:
-        resid = ybe_residual(s)
+    for s, result in zip(samples, exchange_residuals(samples)):
+        base = dict(vars(s))
+        if isinstance(result, BwmBerryError):
+            out.append(_skip("ybe.exchange", base, cfg.tolerance, result))
+            continue
+        resid, zs = result
         out.append(_record("ybe.exchange", base, resid, cfg.tolerance))
-        w = velocity_add(s.u, s.v, s.beta)
-        zdev = max(abs(abs(z_of_u(x, s)) - 1.0) for x in (s.u, s.v, w))
-        out.append(_record("ybe.unimodularity", base, zdev, UNIT_CIRCLE_TOL))
-    except BwmBerryError as exc:
-        out.append(_skip("ybe.exchange", base, cfg.tolerance, exc))
+        out.append(_record("ybe.unimodularity", base, max(abs(abs(z) - 1.0) for z in zs), UNIT_CIRCLE_TOL))
     return out
 
 
 def cmd_verify(cfg: RunConfig) -> list[CheckRecord]:
+    """BWM records, then TLA records, then exchange records; ``meta.timings`` gets each family's time."""
     pairs = _phase_pairs(cfg)
-    ybe_samples = _ybe_corner_samples() + _ybe_seeded_samples(cfg) if cfg.ybe_samples > 0 else []
-    return (
-        _map_points(cfg, _bwm_point, [(q, p1, p2) for q in cfg.grid("q") for (p1, p2) in pairs])
-        + _map_points(cfg, _tla_point, [(d, p1, p2) for d in cfg.grid("tla_d") for (p1, p2) in pairs])
-        + _map_points(cfg, _ybe_point, [(s,) for s in ybe_samples])
-    )
+    records = []
+    with timed(cfg.timings, "verify.bwm") as entry:
+        points = [(q, p1, p2) for q in cfg.grid("q") for (p1, p2) in pairs]
+        records += _map_points(cfg, _bwm_point, points)
+        entry["points"] = len(points)
+    with timed(cfg.timings, "verify.tla") as entry:
+        points = [(d, p1, p2) for d in cfg.grid("tla_d") for (p1, p2) in pairs]
+        records += _map_points(cfg, _tla_point, points)
+        entry["points"] = len(points)
+    with timed(cfg.timings, "verify.ybe") as entry:
+        samples = _ybe_corner_samples() + _ybe_seeded_samples(cfg) if cfg.ybe_samples > 0 else []
+        chunks = [samples[i : i + YBE_CHUNK] for i in range(0, len(samples), YBE_CHUNK)]
+        records += _map_points(cfg, _ybe_point, chunks)
+        entry["points"] = len(samples)
+    return records
 
 
 # --------------------------------------------------------------------------
@@ -344,8 +363,8 @@ def _levels_record(name: str, params: dict, observed, predicted, tolerance: floa
 
     The residual is the largest deviation over max(1, largest |level|), like ``rel_residual``.
     """
-    dev = float(np.max(np.abs(observed - predicted))) / max(1.0, float(np.max(np.abs(predicted))))
-    observed, predicted = [float(x) for x in observed], [float(x) for x in predicted]
+    observed, predicted = observed.tolist(), [float(x) for x in predicted]
+    dev = max(abs(o - p) for o, p in zip(observed, predicted)) / max(1.0, max(abs(p) for p in predicted))
     return _record(name, params, dev, tolerance, observed=observed, predicted=predicted)
 
 

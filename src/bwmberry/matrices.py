@@ -76,7 +76,7 @@ def as_matrix3(m, stack: bool = False) -> np.ndarray:
     if a.shape[-2:] != (3, 3) or (a.ndim != 2 and not stack):
         kind = "a 3x3 matrix or a (..., 3, 3) stack" if stack else "a 3x3 matrix"
         raise InvalidParam(f"expected {kind}, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidParam("matrix contains non-finite entries")
     return a
 
@@ -86,22 +86,71 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conjugate(np.swapaxes(np.asarray(m), -1, -2))
 
 
-def frobenius(m) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(np.asarray(m)))
+def _row_norm(row: np.ndarray) -> float:
+    """Frobenius norm of one flattened matrix, also where its sum of squares overflows.
+
+    Then the entries are scaled by the power of two that brings the largest
+    into [0.5, 1), which is exact, and the norm is scaled back; a norm
+    beyond the double range raises InvalidParam.
+    """
+    re, im = row.real.ravel(), row.imag.ravel()
+    with np.errstate(over="ignore"):
+        sq = re.dot(re) + im.dot(im)
+    if math.isfinite(sq):
+        return math.sqrt(sq)
+    big = float(max(np.max(np.abs(re)), np.max(np.abs(im))))
+    if math.isfinite(big):
+        k = math.frexp(big)[1]
+        re, im = np.ldexp(re, -k), np.ldexp(im, -k)
+        try:
+            return math.ldexp(math.sqrt(re.dot(re) + im.dot(im)), k)
+        except OverflowError:
+            pass
+    raise InvalidParam("the Frobenius norm overflows double precision")
 
 
-def rel_residual(lhs, rhs) -> float:
-    """Scale-aware relative residual between two 3x3 matrices.
+def frobenius(m):
+    """Frobenius norm of a matrix, or of each matrix of a (..., 3, 3) stack.
+
+    Returns a float for one matrix and an array of shape (...) for a stack.
+    Each norm is sqrt(re.re + im.im) over the entries in C order, each dot
+    one BLAS call, as ``np.linalg.norm`` computes the norm of one C-ordered
+    matrix, so the two agree bit for bit (a norm over a stack's last axes
+    does not).  If a sum of squares overflows, ``_row_norm`` redoes them
+    all: such a norm is still right, and one beyond the double range raises
+    InvalidParam.
+    """
+    x = np.asarray(m, dtype=complex)
+    size = x.shape[-2] * x.shape[-1]
+    rows, cols = x.reshape(-1, 1, size), x.reshape(-1, size, 1)
+    try:
+        with np.errstate(over="raise"):
+            norms = np.sqrt((rows.real @ cols.real + rows.imag @ cols.imag).ravel())
+    except FloatingPointError:
+        norms = np.array([_row_norm(row) for row in rows])
+    return float(norms[0]) if x.ndim == 2 else norms.reshape(x.shape[:-2])
+
+
+def rel_residual(lhs, rhs):
+    """Scale-aware relative residual between two 3x3 matrices, or pair by pair between two stacks.
 
     Defined as ||lhs - rhs||_F / max(1, ||lhs||_F, ||rhs||_F).  The floor
     of 1 in the denominator makes the residual behave like an absolute
     error for small operands, so comparisons against zero matrices stay
-    meaningful.
+    meaningful.  Two (..., 3, 3) stacks (or a stack and one matrix) give
+    an array of residuals of shape (...), each bit-equal to the residual
+    of its pair alone.  Raises InvalidParam where a norm, or an entry of
+    the difference, leaves the double range.
     """
-    a = as_matrix3(lhs)
-    b = as_matrix3(rhs)
-    return frobenius(a - b) / max(1.0, frobenius(a), frobenius(b))
+    a = as_matrix3(lhs, stack=True)
+    b = as_matrix3(rhs, stack=True)
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    with np.errstate(over="ignore"):
+        diff = a - b
+    num, na, nb = frobenius(np.concatenate((diff, a, b), axis=None).reshape(-1, 3, 3)).reshape(3, -1)
+    residual = num / np.maximum(1.0, np.maximum(na, nb))
+    return float(residual[0]) if a.ndim == 2 else residual.reshape(a.shape[:-2])
 
 
 def det3(m) -> complex:
@@ -183,7 +232,7 @@ def hermitian_eigs(m) -> EigenSystem:
     """
     a = as_matrix3(m, stack=True)
     skew = a - dagger(a)
-    bad = np.linalg.norm(skew, axis=(-2, -1)) > HERMITICITY_RTOL * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
+    bad = np.asarray(frobenius(skew) > HERMITICITY_RTOL * np.maximum(1.0, frobenius(a)))
     if np.any(bad):
         index = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
         where = f" at stack index {index}" if index else ""

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraParams, make_ea, make_eb
-from .errors import DomainError, InvalidParam, NonUnimodular, PoleEncountered
+from .errors import BwmBerryError, DomainError, InvalidParam, NonUnimodular, PoleEncountered
 from .matrices import as_real, refuse_overflow, rel_residual
 
 #: |1 + beta^2 u v| below this counts as the velocity-addition pole.
@@ -99,6 +99,15 @@ def z_of_u(u, s: SpectralParams) -> complex:
     return complex(num / den)
 
 
+def _checked_z(u, s: SpectralParams) -> complex:
+    """z(u), after the internal unimodularity guard."""
+    z = z_of_u(u, s)
+    defect = abs(abs(z) - 1.0)
+    if defect > UNIMODULARITY_TOL:
+        raise NonUnimodular(f"|z| deviates from 1 by {defect:.3e}")
+    return z
+
+
 def theta_of_u(u, s: SpectralParams) -> float:
     """Angle of the velocity-u member of the family, in (-pi/2, pi/2].
 
@@ -106,11 +115,7 @@ def theta_of_u(u, s: SpectralParams) -> float:
     rational phase drifts off the unit circle (an internal-consistency
     guard, not a user-facing domain check).
     """
-    z = z_of_u(u, s)
-    defect = abs(abs(z) - 1.0)
-    if defect > UNIMODULARITY_TOL:
-        raise NonUnimodular(f"|z| deviates from 1 by {defect:.3e}")
-    return -float(np.angle(z)) / 2.0
+    return -float(np.angle(_checked_z(u, s))) / 2.0
 
 
 @dataclass(frozen=True)
@@ -135,6 +140,17 @@ def make_r_theta(theta, p: AlgebraParams) -> UnitaryRPair:
     )
 
 
+def _r_weights(z: complex, d: float) -> tuple[complex, complex]:
+    """The weights rho = e^{-i*arg(z)/2} and F = (z - 1)/d of R = rho (I + F E)."""
+    return np.exp(-0.5j * np.angle(z)), (z - 1.0) / d
+
+
+def _dress(weights, projectors: np.ndarray) -> np.ndarray:
+    """rho (I + F E) for each (rho, F) of ``weights`` and E of the (n, 3, 3) stack ``projectors``."""
+    rho, f = (np.array(w)[:, None, None] for w in zip(*weights))
+    return rho * (np.eye(3, dtype=complex) + f * projectors)
+
+
 def make_r_u(u, s: SpectralParams) -> UnitaryRPair:
     """Velocity form of the family, built from the rational phase z(u).
 
@@ -142,17 +158,49 @@ def make_r_u(u, s: SpectralParams) -> UnitaryRPair:
     rho = e^{-i*arg(z)/2} instead of sines), so agreement between the two
     constructions is a meaningful cross-check rather than a tautology.
     """
-    th = theta_of_u(u, s)
-    z = z_of_u(u, s)
+    z = _checked_z(u, s)
     p = AlgebraParams.tla(s.d, s.phi1, s.phi2)
-    ident = np.eye(3, dtype=complex)
-    f_weight = (z - 1.0) / s.d
-    rho = np.exp(-0.5j * np.angle(z))
+    weights = [_r_weights(z, s.d)]
     return UnitaryRPair(
-        a=rho * (ident + f_weight * make_ea(p)),
-        b=rho * (ident + f_weight * make_eb(p)),
-        theta=th,
+        a=_dress(weights, make_ea(p)[None])[0],
+        b=_dress(weights, make_eb(p)[None])[0],
+        theta=-float(np.angle(z)) / 2.0,
     )
+
+
+def exchange_residuals(samples) -> list:
+    """Exchange-identity residuals of a sequence of samples, in one stacked evaluation.
+
+    Each entry is ``(residual, (z(u), z(v), z(u*v)))``, or the
+    ``BwmBerryError`` that the sample's scalar set-up raised (velocity
+    pole, phase off the unit circle, parameter out of domain).  The
+    residual compares A(u) B(u*v) A(v) with B(v) A(u*v) B(u); the R
+    matrices of all samples are built as (n, 3, 3) stacks and multiplied
+    and compared with stacked operations, which give each sample the same
+    bits as evaluating it alone.
+    """
+    out, weights, ea, eb = [], [], [], []
+    for s in samples:
+        # The errors come in the order of building R(u), R(v), R(u*v) one by
+        # one: the velocity pole, z(u), the projector domain, z(v), z(u*v).
+        try:
+            w = velocity_add(s.u, s.v, s.beta)
+            zu = _checked_z(s.u, s)
+            p = AlgebraParams.tla(s.d, s.phi1, s.phi2)
+            zs = (zu, _checked_z(s.v, s), _checked_z(w, s))
+        except BwmBerryError as exc:
+            out.append(exc)
+            continue
+        out.append(zs)
+        weights.append([_r_weights(z, s.d) for z in zs])
+        ea.append(make_ea(p))
+        eb.append(make_eb(p))
+    if not weights:
+        return out
+    ea, eb = np.stack(ea), np.stack(eb)
+    (ua, ub), (va, vb), (wa, wb) = ((_dress(w, ea), _dress(w, eb)) for w in zip(*weights))
+    residuals = iter(rel_residual(ua @ wb @ va, vb @ wa @ ub).tolist())
+    return [r if isinstance(r, BwmBerryError) else (next(residuals), r) for r in out]
 
 
 def ybe_residual(s: SpectralParams) -> float:
@@ -161,10 +209,10 @@ def ybe_residual(s: SpectralParams) -> float:
     Compares A(u) B(u*v) A(v) against B(v) A(u*v) B(u), where u*v is the
     relativistic composition of the two velocities.  Machine-zero residual
     is the signature that the family solves the braid-type exchange
-    relation for every admissible parameter choice.
+    relation for every admissible parameter choice.  The one-sample case
+    of ``exchange_residuals``.
     """
-    w = velocity_add(s.u, s.v, s.beta)
-    ru = make_r_u(s.u, s)
-    rv = make_r_u(s.v, s)
-    rw = make_r_u(w, s)
-    return rel_residual(ru.a @ rw.b @ rv.a, rv.b @ rw.a @ ru.b)
+    (result,) = exchange_residuals([s])
+    if isinstance(result, BwmBerryError):
+        raise result
+    return result[0]

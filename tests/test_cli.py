@@ -294,6 +294,13 @@ def test_report_meta_holds_stage_timings(tmp_path, capsys):
     assert timings["evaluate"]["records"] == 2
     assert timings["write_csv"]["rows"] == sum(c["data"]["rows"] for c in report["checks"]) == 11 * (5 + 4)
     assert all(entry["seconds"] >= 0.0 for entry in timings.values())
+    run(["verify", "--out", str(tmp_path), "--phase-pairs", "2", "--ybe-samples", "7", "--grid-spec", "q=0.5,2"], capsys)
+    report = load_report(tmp_path, "verify")
+    timings = report["meta"]["timings"]
+    assert set(timings) == {"build_config", "evaluate", "verify.bwm", "verify.tla", "verify.ybe"}
+    assert [timings[f"verify.{family}"]["points"] for family in ("bwm", "tla", "ybe")] == [2 * 2, 5 * 2, 3 + 7]
+    families = sum(timings[f"verify.{family}"]["seconds"] for family in ("bwm", "tla", "ybe"))
+    assert 0.0 < families <= timings["evaluate"]["seconds"]
 
 
 def test_error_escaping_the_point_guards_exits_two(tmp_path, capsys, monkeypatch):
@@ -320,6 +327,9 @@ def test_error_escaping_the_point_guards_exits_two(tmp_path, capsys, monkeypatch
         (["verify", "--grid-spec", "q=1e-100"], {"bwm.suite"}),  # q ** 4 underflows to 0 in make_b
         (["verify", "--grid-spec", "q=1e-150"], {"bwm.suite"}),
         (["verify", "--grid-spec", "ybe_beta=1e200"], {"ybe.exchange"}),
+        (["verify", "--grid-spec", "q=1e-80"], {"bwm.suite"}),  # ||A||_F = 1e160, its cube in inverse is not finite
+        (["verify", "--grid-spec", "tla_d=1e100"], set()),  # E_B^2 has entries ~1e200: its norm squares to inf
+        (["spectrum", "--grid-spec", "omega=1e300"], set()),  # H's norm squares to inf in the Hermiticity guard
     ],
     ids=[
         "spectrum_d",
@@ -332,10 +342,13 @@ def test_error_escaping_the_point_guards_exits_two(tmp_path, capsys, monkeypatch
         "verify_q_underflow",
         "verify_q_underflow_150",
         "verify_ybe_beta",
+        "verify_q_inverse_cube",
+        "verify_tla_d_norm",
+        "spectrum_omega_norm",
     ],
 )
 def test_overflowing_parameters_skip_or_exit_two(argv, skipped, tmp_path, capsys):
-    # Per-point commands skip the point as invalid_param; figure has no points.
+    # Per-point commands evaluate the point or skip it as invalid_param; figure has no points.
     # pytest turns a numpy RuntimeWarning into an error, so none escapes either.
     code, _, err = run([*argv, "--out", str(tmp_path)], capsys)
     assert code in (0, 1, 2)

@@ -71,7 +71,10 @@ def test_as_real_rejects_nonfinite_and_nonreal(bad):
         lambda: figure_table([0.3], [2.0, 1e200]),  # d ** 2
         lambda: z_of_u(0.5, SpectralParams(u=0.5, v=0.1, beta=1e200, epsilon=1, d=1.7)),  # beta ** 2
         lambda: inverse(np.diag([1e-60, 1e120, -1e60])),  # ||m||_F ** 3
+        lambda: inverse(make_a(AlgebraParams.coupled(1e-80))),  # ||A||_F = 1e160 is finite, its cube is not
         lambda: AlgebraParams.tla(1e200),  # d * d
+        lambda: frobenius(np.full((3, 3), 1e308)),  # the norm itself, 3e308
+        lambda: rel_residual(np.full((3, 3), 1.5e308), np.full((3, 3), -1.5e308)),  # lhs - rhs
     ],
     ids=[
         "make_a",
@@ -84,7 +87,10 @@ def test_as_real_rejects_nonfinite_and_nonreal(bad):
         "figure_table",
         "z_of_u",
         "inverse",
+        "inverse_cube",
         "algebra_params",
+        "frobenius",
+        "rel_residual_difference",
     ],
 )
 def test_overflowing_parameters_raise_invalid_param(call):
@@ -142,6 +148,64 @@ def test_rel_residual_symmetric_and_nonnegative():
         r_ba = rel_residual(b, a)
         assert r_ab == pytest.approx(r_ba, rel=1e-15)
         assert r_ab >= 0.0
+
+
+def reference_rel_residual(a, b) -> float:
+    """The residual as defined before it took stacks: one ``np.linalg.norm`` per matrix."""
+    return float(np.linalg.norm(a - b)) / max(1.0, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
+
+
+# Entries from 1e-150 to 1e150 in magnitude, and zeros: no sum of squares overflows.
+wide_entries = st.builds(
+    lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+    st.floats(-1.0, 1.0, allow_nan=False),
+    st.integers(-150, 149),
+)
+wide_matrices = st.one_of(
+    st.just(np.zeros((3, 3), dtype=complex)),
+    st.lists(wide_entries, min_size=18, max_size=18).map(
+        lambda e: np.array(e[:9]).reshape(3, 3) + 1j * np.array(e[9:]).reshape(3, 3)
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(wide_matrices, wide_matrices, st.booleans()), max_size=6), st.booleans())
+def test_property_stacked_rel_residual_is_bit_equal_to_per_matrix(pairs, single):
+    # ``near`` compares a matrix with a copy perturbed in its last bits.
+    pairs = [(a, np.nextafter(a.real, np.inf) + 1j * a.imag if near else b) for a, b, near in pairs]
+    if single:
+        pairs = pairs[:1] or [(np.zeros((3, 3)), np.eye(3))]
+        got = rel_residual(*pairs[0])
+        assert isinstance(got, float)
+        assert got == reference_rel_residual(*pairs[0])
+        return
+    lhs = np.array([a for a, _ in pairs], dtype=complex).reshape(-1, 3, 3)
+    rhs = np.array([b for _, b in pairs], dtype=complex).reshape(-1, 3, 3)
+    got = rel_residual(lhs, rhs)
+    assert got.shape == (len(pairs),)
+    assert got.tolist() == [reference_rel_residual(a, b) for a, b in pairs]
+    # A stack against one matrix compares each matrix of the stack with it.
+    assert rel_residual(lhs, np.eye(3)).tolist() == [reference_rel_residual(a, np.eye(3)) for a, _ in pairs]
+
+
+def test_norms_that_overflow_when_squared_are_right():
+    # Entries of 1e200 square to inf; the norm of the matrix does not.
+    big = np.full((3, 3), 1e200) * (1.0 + 1j)
+    assert frobenius(big) == pytest.approx(math.sqrt(18.0) * 1e200, rel=1e-15)
+    assert frobenius(np.stack([big, np.eye(3)])) == pytest.approx([math.sqrt(18.0) * 1e200, math.sqrt(3.0)], rel=1e-15)
+    assert rel_residual(big, big * (1.0 + 2.0 ** -20)) == pytest.approx(2.0 ** -20 / (1.0 + 2.0 ** -20), rel=1e-12)
+    # E_B at d = 1e100 squares to entries ~1e200: E_B^2 = d E_B must not read 0 by division by inf.
+    p = AlgebraParams.tla(1e100, 0.3, -0.4)
+    eb = make_eb(p)
+    assert rel_residual(eb @ eb, p.d * eb) < 1e-12
+    assert rel_residual(eb @ eb, 1.001 * p.d * eb) == pytest.approx(0.001 / 1.001, rel=1e-9)
+    # A non-Hermitian matrix whose norm overflows when squared is still refused.
+    m = np.zeros((3, 3))
+    m[0, 1] = 1e200
+    with pytest.raises(NotHermitian, match="defect 1.414e[+]200"):
+        hermitian_eigs(m)
+    np.testing.assert_allclose(hermitian_eigs(m + m.T).values, [-1e200, 0.0, 1e200], rtol=1e-15)
 
 
 def test_rel_residual_braid_sides_agree():

@@ -1,6 +1,7 @@
 """Tests for the velocity family of unitaries and the exchange identity."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,12 +11,15 @@ from hypothesis import strategies as st
 from bwmberry import (
     GOLDEN_RATIO,
     AlgebraParams,
+    BwmBerryError,
     DomainError,
     InvalidParam,
     PoleEncountered,
     SpectralParams,
     dagger,
     inverse,
+    make_ea,
+    make_eb,
     make_r_theta,
     make_r_u,
     make_u,
@@ -25,6 +29,8 @@ from bwmberry import (
     ybe_residual,
     z_of_u,
 )
+from bwmberry.cli import RunConfig, _record, _skip, _ybe_corner_samples, _ybe_seeded_samples, cmd_verify
+from bwmberry.yangbaxter import exchange_residuals
 
 # Frozen from an independent evaluation: with x = beta^2 u^2 + 1 and
 # y = 2 epsilon beta u g, the angle is -atan2(y, x); computed at 40-digit
@@ -236,6 +242,104 @@ def test_exchange_identity_uses_composed_velocity():
     good = rel_residual(a_u @ b_w @ a_v, b_v @ make_r_theta(theta_of_u(w, s), p).a @ b_u)
     bad = rel_residual(a_u @ b_w @ a_v, b_v @ a_bad @ b_u)
     assert good < 1e-12 < bad
+
+
+# The per-sample path as it stood before the exchange identity was stacked:
+# three make_r_u pairs, each from its own z(u), and one np.linalg.norm per
+# matrix.  The stacked evaluation must give the same bits and the same errors.
+
+
+def reference_rel_residual(a, b) -> float:
+    return float(np.linalg.norm(a - b)) / max(1.0, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
+
+
+def reference_r_u(u, s):
+    theta = theta_of_u(u, s)
+    z = z_of_u(u, s)
+    p = AlgebraParams.tla(s.d, s.phi1, s.phi2)
+    ident = np.eye(3, dtype=complex)
+    f_weight = (z - 1.0) / s.d
+    rho = np.exp(-0.5j * np.angle(z))
+    return rho * (ident + f_weight * make_ea(p)), rho * (ident + f_weight * make_eb(p)), theta
+
+
+def reference_exchange(s):
+    """(residual, unimodularity deviation), or the error, as the per-sample path gave them."""
+    try:
+        w = velocity_add(s.u, s.v, s.beta)
+        ua, ub, _ = reference_r_u(s.u, s)
+        va, vb, _ = reference_r_u(s.v, s)
+        wa, wb, _ = reference_r_u(w, s)
+    except BwmBerryError as exc:
+        return exc
+    zdev = max(abs(abs(z_of_u(x, s)) - 1.0) for x in (s.u, s.v, w))
+    return reference_rel_residual(ua @ wb @ va, vb @ wa @ ub), zdev
+
+
+def same_outcome(got, want) -> bool:
+    if isinstance(want, BwmBerryError):
+        return type(got) is type(want) and str(got) == str(want)
+    resid, zs = got
+    return (resid, max(abs(abs(z) - 1.0) for z in zs)) == want
+
+
+EXCHANGE_EDGE_SAMPLES = [
+    sample(u=0.5, v=-0.5, beta=2.0),  # 1 + beta^2 u v = 0: the velocity pole
+    sample(u=0.3, v=0.2, d=1.5),  # below the golden ratio: no projectors
+    sample(u=0.5, v=1e200, d=1.5),  # the projector domain is checked before z(v) overflows
+    sample(u=1e200, v=0.5, d=1.5),  # z(u) overflows before the projector domain is checked
+    sample(u=0.0, v=0.0, beta=0.0),
+]
+
+
+def exchange_samples(n: int) -> list:
+    rng = np.random.default_rng(n)
+    out = EXCHANGE_EDGE_SAMPLES[:n]
+    while len(out) < n:
+        u, v, p1, p2 = rng.uniform(-0.9, 0.9, size=4) * [1, 1, math.pi, math.pi]
+        beta, d = float(rng.choice([0.3, 1.0, 1.4])), float(rng.choice([GOLDEN_RATIO, 1.7, 1.9]))
+        out.append(sample(u=float(u), v=float(v), beta=beta, epsilon=int(rng.choice([-1, 1])), d=d, phi1=p1, phi2=p2))
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 256, 257])
+def test_stacked_exchange_is_bit_equal_to_the_per_sample_path(n):
+    samples = exchange_samples(n)
+    got = exchange_residuals(samples)
+    assert len(got) == n
+    for s, result in zip(samples, got):
+        want = reference_exchange(s)
+        assert same_outcome(result, want), (s, result, want)
+        if isinstance(want, BwmBerryError):
+            with pytest.raises(type(want), match=re.escape(str(want))):
+                ybe_residual(s)
+        else:
+            assert ybe_residual(s) == want[0]
+            ua, ub, theta = reference_r_u(s.u, s)
+            pair = make_r_u(s.u, s)
+            assert (pair.a.tobytes(), pair.b.tobytes(), pair.theta) == (ua.tobytes(), ub.tobytes(), theta)
+
+
+@pytest.mark.parametrize("seeded, jobs", [(0, 1), (253, 1), (254, 1), (254, 2)])
+def test_verify_chunks_give_the_per_sample_records(seeded, jobs, tmp_path):
+    # With the three corner samples, 253 and 254 seeded samples fill one chunk
+    # of 256 exactly or spill one sample into a second; d = 1.5 skips.
+    grids = {"q": (), "tla_d": (), "ybe_d": (1.5, 1.7, 1.9)}
+    cfg = RunConfig(command="verify", out_dir=tmp_path, ybe_samples=seeded, jobs=jobs, grids=grids)
+    samples = _ybe_corner_samples() + _ybe_seeded_samples(cfg) if seeded else []
+    want = []
+    for s in samples:
+        base = dict(vars(s))
+        result = reference_exchange(s)
+        if isinstance(result, BwmBerryError):
+            want.append(_skip("ybe.exchange", base, cfg.tolerance, result))
+        else:
+            want.append(_record("ybe.exchange", base, result[0], cfg.tolerance))
+            want.append(_record("ybe.unimodularity", base, result[1], 1e-13))
+    got = cmd_verify(cfg)
+    assert got == want
+    assert cfg.timings["verify.ybe"]["points"] == len(samples)
+    assert 0 < sum(r.status == "skip" for r in got) < len(samples) or not samples
 
 
 # ---------------------------------------------------------------------------

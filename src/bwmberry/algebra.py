@@ -282,11 +282,12 @@ def check_bwm_suite(p: AlgebraParams, tolerance: float = 1e-10) -> RelationRepor
     """
     if not p.coupled_mode:
         raise InvalidParam("check_bwm_suite needs coupled mode (construct via AlgebraParams.coupled)")
+    return _bwm_suite(p, make_a(p), make_b(p), make_ea(p), make_eb(p), tolerance)
+
+
+def _bwm_suite(p: AlgebraParams, a, b, ea, eb, tolerance: float = 1e-10) -> RelationReport:
+    """The report of ``check_bwm_suite`` on A, B, E_A and E_B of p, built by the caller."""
     ident = np.eye(3, dtype=complex)
-    a = make_a(p)
-    b = make_b(p)
-    ea = make_ea(p)
-    eb = make_eb(p)
     ai = inverse(a)
     bi = inverse(b)
     omega = p.omega_skein

@@ -16,6 +16,18 @@ Since only level 2 carries the drive phase, every step of that loop has
 the same overlap, so its N-step value also has a closed form
 (``berry_discrete``), against which the command line checks the loop.
 
+The loop's eigenframes come from a closed-form 3x3 eigensolver
+(``matrices._closed_form_eigh``): O. K. Smith's trigonometric eigenvalues
+(Commun. ACM 4(4):168, 1961) and eigenvectors from cross products of the
+rows of H - lambda I (J. Kopp, Int. J. Mod. Phys. C 19:523, 2008).  It
+reads only the entries of each H, not the covariance under the drive
+phase nor the predicted levels, so the loop stays independent of
+``berry_discrete``.  A matrix whose relative level gap or best cross
+product is too small is solved by LAPACK ``eigh`` instead; the loop's
+spectrum {0, +/-omega cos(alpha)} keeps every relative gap at 1/sqrt(2), so
+this never happens on it.  ``hermitian_eigs``, and with it the spectrum
+command, keeps LAPACK.
+
 The Wilson loop requires the full Hamiltonian construction and therefore
 d at or above the golden ratio; the closed forms extend down to d = 1.
 """
@@ -30,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrum, InvalidParam
-from .matrices import as_real, refuse_overflow
+from .matrices import _closed_form_eigh, as_real, refuse_overflow
 from .spin import DriveParams, cos_alpha, hamiltonian_stack
 
 #: Smallest admissible number of loop discretisation points.
@@ -139,12 +151,20 @@ def loop_eigenframes(theta, d, omega_drive=1.0, steps: int = 4096):
     phases 2 pi k / steps, values[k] the ascending eigenvalues at phase
     phis[k] and vectors[k] the matching eigenvector columns.  The closing
     point phi = 2 pi is not duplicated; loop products wrap around.
+
+    The frames come from ``matrices._closed_form_eigh``, not LAPACK: Smith's
+    trigonometric eigenvalues (Commun. ACM 4(4):168, 1961) and, per
+    eigenvalue, the largest cross product of two rows of H - lambda I,
+    normalised (Kopp, Int. J. Mod. Phys. C 19:523, 2008).  A matrix whose
+    computed gap is at most CLOSED_FORM_GAP_RTOL ||H||_F, or whose best cross
+    product is at most CLOSED_FORM_CROSS_RTOL ||H||_F^2, falls back to
+    ``np.linalg.eigh``.  Each vector is in its own gauge, which the
+    Pancharatnam product does not see.
     """
     n = _loop_steps(steps)
     dp = DriveParams(theta=theta, d=d, omega_drive=omega_drive)
     phis = _TAU * np.arange(n) / n
-    h = hamiltonian_stack(phis, dp)
-    values, vectors = np.linalg.eigh(h)
+    values, vectors = _closed_form_eigh(hamiltonian_stack(phis, dp))
     return phis, values, vectors
 
 

@@ -39,7 +39,7 @@ from .algebra import (
     DOMAIN_SLACK,
     GOLDEN_RATIO,
     AlgebraParams,
-    check_bwm_suite,
+    _bwm_suite,
     check_tla,
     make_a,
     make_b,
@@ -369,14 +369,15 @@ def _bwm_point(cfg: RunConfig, q: float, p1: float, p2: float) -> list[CheckReco
     base = {"q": float(q), "phi1": float(p1), "phi2": float(p2)}
     try:
         p = AlgebraParams.coupled(q, p1, p2)
-        rep = check_bwm_suite(p)
+        a, b, ea, eb = make_a(p), make_b(p), make_ea(p), make_eb(p)
+        rep = _bwm_suite(p, a, b, ea, eb)
     except BwmBerryError as exc:
         return [_skip("bwm.suite", base, cfg.tolerance, exc)]
     u = make_u(p)
     ui = inverse(u)
     transports = rel_residual(
-        np.stack([make_b(p), make_eb(p), dagger(u) @ u]),
-        np.stack([u @ make_a(p) @ ui, u @ make_ea(p) @ ui, np.eye(3, dtype=complex)]),
+        np.stack([b, eb, dagger(u) @ u]),
+        np.stack([u @ a @ ui, u @ ea @ ui, np.eye(3, dtype=complex)]),
     )
     names = ("bwm.transport_b", "bwm.transport_eb", "bwm.unitary_u")
     return _relation_records("bwm", base, rep, cfg.tolerance) + [

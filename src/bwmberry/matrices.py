@@ -3,8 +3,9 @@
 Everything in this package lives in a fixed three-dimensional complex
 representation, so the helpers here are deliberately specialised to
 3x3 arrays: explicit adjugate inversion, a guarded Hermitian eigensolve
-with a deterministic phase convention, and the scale-aware relative
-residual used by all identity checks.
+with a deterministic phase convention, a closed-form stacked eigensolver
+for the Berry loop, and the scale-aware relative residual used by all
+identity checks.
 """
 
 from __future__ import annotations
@@ -25,6 +26,24 @@ SINGULARITY_RTOL = 1e-12
 
 #: Components smaller than this are ignored when fixing eigenvector phases.
 PHASE_FIX_CUTOFF = 1e-12
+
+#: Smallest eigenvalue gap, relative to ||H||_F, at which ``_closed_form_eigh``
+#: keeps its own result.  With relative gap g, the arccos step errs by about
+#: u/g in the eigenvalues, and the cross product divides that by the gap
+#: again, so the vectors err by about u/g^2 where a backward-stable solver
+#: errs by u/g.  Allowing that extra factor 1/g to reach 8 (three bits) gives
+#: g >= 1/8; the largest g any 3x3 spectrum has is 1/sqrt(2), at equal spacing.
+CLOSED_FORM_GAP_RTOL = 1.0 / 8.0
+
+#: Smallest best cross-product norm, relative to ||H||_F^2, that
+#: ``_closed_form_eigh`` keeps.  The cross products of the rows of H - lambda I
+#: are the rows mu_a mu_b conj(v_k) v^T of its cofactor matrix, so the largest
+#: has norm at least |mu_a mu_b| / sqrt(3) >= g^2 ||H||_F^2 / sqrt(3): the gap
+#: test implies this one in exact arithmetic, and it catches where rounding broke that.
+CLOSED_FORM_CROSS_RTOL = CLOSED_FORM_GAP_RTOL ** 2 / math.sqrt(3.0)
+
+#: Offsets 2 pi k / 3 that put the trigonometric eigenvalues in ascending order.
+_ROOT_OFFSETS = (2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0, 0.0)
 
 
 def as_real(name: str, value) -> float:
@@ -243,3 +262,77 @@ def hermitian_eigs(m) -> EigenSystem:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails on 3x3
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
     return EigenSystem(values=values.astype(float), vectors=_fix_phases(vectors))
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 entrywise, without the square root of ``np.abs``."""
+    return z.real * z.real + z.imag * z.imag
+
+
+def _closed_form_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form ``np.linalg.eigh`` of an (n, 3, 3) stack of Hermitian matrices.
+
+    Returns (values, vectors) as ``eigh`` does: ascending eigenvalues of
+    shape (n, 3) and the matching unit eigenvectors as the columns of an
+    (n, 3, 3) array, each column in its own gauge.  Like ``eigh`` with
+    UPLO='L', it reads only the lower triangle and the real diagonal, so it
+    sees an exactly Hermitian matrix, and each matrix is divided by its
+    largest |entry| first, so the cubic invariants neither overflow nor
+    underflow.  Every step runs on (n,) arrays of single entries.
+
+    The eigenvalues are O. K. Smith's trigonometric roots (Commun. ACM
+    4(4):168, 1961): with m = tr H / 3, p^2 = ||H - m I||_F^2 / 6 and
+    r = det(H - m I) / (2 p^3), they are m + 2 p cos(arccos(r) / 3 + 2 pi k / 3).
+    Each eigenvector is the largest-norm cross product of two rows of
+    H - lambda I, normalised (J. Kopp, Int. J. Mod. Phys. C 19:523, 2008).
+    A matrix whose computed relative gap is at most CLOSED_FORM_GAP_RTOL,
+    or whose best cross product is at most CLOSED_FORM_CROSS_RTOL ||H||_F^2,
+    is solved again by ``np.linalg.eigh`` and gets its output exactly.
+    """
+    n = h.shape[0]
+    values = np.empty((n, 3))
+    vectors = np.empty((n, 3, 3), dtype=complex)
+    diag = [h[:, k, k].real for k in range(3)]
+    lower = [h[:, 1, 0], h[:, 2, 0], h[:, 2, 1]]
+    scale = np.abs(diag[0])
+    for entry in diag[1:] + lower:
+        np.maximum(scale, np.abs(entry), out=scale)
+    scale[scale == 0.0] = 1.0  # a zero matrix has no gap and goes to eigh
+    a0, a1, a2 = (x / scale for x in diag)
+    h10, h20, h21 = (x / scale for x in lower)
+    n10, n20, n21 = _abs2(h10), _abs2(h20), _abs2(h21)
+    # The lambda-independent products in the off-diagonal cofactors.
+    x01, x02, x12 = np.conj(h21) * h20, h10 * h21, h20 * np.conj(h10)
+    off = n10 + n20 + n21
+    fro2 = a0 * a0 + a1 * a1 + a2 * a2 + 2.0 * off
+    m = (a0 + a1 + a2) / 3.0
+    b0, b1, b2 = a0 - m, a1 - m, a2 - m
+    p2 = (b0 * b0 + b1 * b1 + b2 * b2 + 2.0 * off) / 6.0
+    p = np.sqrt(p2)
+    det = b0 * b1 * b2 - b0 * n21 - b1 * n20 - b2 * n10 + 2.0 * (h10.real * x01.real + h10.imag * x01.imag)
+    denom = 2.0 * p2 * p
+    r = np.divide(det, denom, out=np.zeros(n), where=denom > 0.0)
+    angle = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+    lams = [m + 2.0 * p * np.cos(angle + offset) for offset in _ROOT_OFFSETS]
+    accept = np.minimum(lams[1] - lams[0], lams[2] - lams[1]) > CLOSED_FORM_GAP_RTOL * np.sqrt(fro2)
+    for i, lam in enumerate(lams):
+        values[:, i] = lam * scale
+        e0, e1, e2 = a0 - lam, a1 - lam, a2 - lam
+        # Row k of the cofactor matrix of H - lambda I is the cross product of its other two rows.
+        c00, c11, c22 = e1 * e2 - n21, e0 * e2 - n20, e0 * e1 - n10
+        c01, c02, c12 = x01 - e2 * h10, x02 - e1 * h20, x12 - e0 * h21
+        q01, q02, q12 = _abs2(c01), _abs2(c02), _abs2(c12)
+        r0, r1, r2 = c00 * c00 + q01 + q02, q01 + c11 * c11 + q12, q02 + q12 + c22 * c22
+        use0 = (r0 >= r1) & (r0 >= r2)
+        use1 = ~use0 & (r1 >= r2)
+        norm = np.sqrt(np.maximum(np.maximum(r0, r1), r2))
+        accept &= norm > CLOSED_FORM_CROSS_RTOL * fro2
+        norm[norm == 0.0] = 1.0
+        column = vectors[:, :, i]
+        column[:, 0] = np.where(use0, c00, np.where(use1, np.conj(c01), np.conj(c02))) / norm
+        column[:, 1] = np.where(use0, c01, np.where(use1, c11, np.conj(c12))) / norm
+        column[:, 2] = np.where(use0, c02, np.where(use1, c12, c22)) / norm
+    if not accept.all():
+        rejected = ~accept
+        values[rejected], vectors[rejected] = np.linalg.eigh(h[rejected])
+    return values, vectors

@@ -16,6 +16,7 @@ the drive phase.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -159,6 +160,14 @@ def b_of_phi(phi, dp: DriveParams) -> np.ndarray:
     return np.exp(1j * dp.theta) * np.eye(3, dtype=complex) - f * make_eb(p)
 
 
+@functools.lru_cache(maxsize=16)
+def _eb_at_zero_phase(d: float) -> np.ndarray:
+    """E_B at projector phases (0, 0), read-only: the phase-free factor of every H at loop value d."""
+    eb0 = make_eb(AlgebraParams.tla(d, 0.0, 0.0))
+    eb0.flags.writeable = False
+    return eb0
+
+
 def hamiltonian_stack(phis, dp: DriveParams) -> np.ndarray:
     """Evolution generators H(phi) = i hbar (dB/dt) B^dagger for an array of phases.
 
@@ -172,7 +181,7 @@ def hamiltonian_stack(phis, dp: DriveParams) -> np.ndarray:
         raise InvalidParam("phis must be a scalar or a 1-D array of drive phases")
     if not np.all(np.isfinite(ph)):
         raise InvalidParam("drive phases must be finite")
-    eb0 = make_eb(AlgebraParams.tla(dp.d, 0.0, 0.0))
+    eb0 = _eb_at_zero_phase(dp.d)
     delta = np.subtract.outer(_OCCUPATION, _OCCUPATION)
     eb = eb0[None, :, :] * np.exp(-1j * ph[:, None, None] * delta[None, :, :])
     deb = -1j * delta * eb

@@ -1,6 +1,7 @@
 """Tests for the loop phases: closed forms and the Wilson-loop evaluation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from bwmberry import (
     pancharatnam_phase,
     solid_angle,
 )
-from bwmberry.berry import berry_discrete
+from bwmberry.algebra import GOLDEN_RATIO
+from bwmberry.berry import DEGENERACY_GUARD, berry_discrete
+from bwmberry.cli import main
 
 TAU = 2.0 * math.pi
 
@@ -236,6 +239,24 @@ def test_wilson_loop_guards_the_level_gap_not_cos_alpha():
         assert abs(wrap(loop.gamma_minus - closed.gamma_minus)) < 1e-4
 
 
+def theta_for_cos_alpha(c: float, d: float) -> float:
+    """The theta in [0, pi/2] at which cos(alpha) = c for loop value d."""
+    return math.asin(c * d * d / (2.0 * math.sqrt(d * d - 1.0)))
+
+
+# Edges of the loop's domain for its closed-form eigensolver: |cos(alpha)|
+# just above the degeneracy guard, d at the golden-ratio boundary, and theta
+# a hair either side of pi/2, where cos(alpha) is largest.
+EDGE_POINTS = (
+    (theta_for_cos_alpha(2.0 * DEGENERACY_GUARD, 2.0), 2.0, "gamma_plus=lowest_energy_branch"),
+    (-theta_for_cos_alpha(2.0 * DEGENERACY_GUARD, 3.0), 3.0, "gamma_plus=highest_energy_branch"),
+    (0.7, GOLDEN_RATIO, "gamma_plus=lowest_energy_branch"),
+    (math.pi / 2.0 - 1e-9, 2.0, "gamma_plus=lowest_energy_branch"),
+    (math.pi / 2.0 + 1e-9, 2.0, "gamma_plus=lowest_energy_branch"),
+    (math.pi / 2.0 + 1e-9, GOLDEN_RATIO, "gamma_plus=lowest_energy_branch"),
+)
+
+
 @pytest.mark.parametrize("steps", (16, 17, 33, 1024, 4096))
 @pytest.mark.parametrize(
     "theta, d, pairing",
@@ -243,7 +264,8 @@ def test_wilson_loop_guards_the_level_gap_not_cos_alpha():
         (0.7, 2.0, "gamma_plus=lowest_energy_branch"),
         (1.2, 3.0, "gamma_plus=lowest_energy_branch"),
         (4.0, 1.7, "gamma_plus=highest_energy_branch"),
-    ),
+    )
+    + EDGE_POINTS,
 )
 def test_wilson_loop_equals_exact_discrete_phase(theta, d, pairing, steps):
     # Only level 2 carries the drive phase, so every step of the dense loop
@@ -255,6 +277,35 @@ def test_wilson_loop_equals_exact_discrete_phase(theta, d, pairing, steps):
     assert abs(wrap(loop.gamma_plus - gamma)) <= 1e-12
     assert abs(wrap(loop.gamma_minus + gamma)) <= 1e-12
     assert abs(loop.gamma_zero) <= 1e-12
+
+
+@pytest.mark.parametrize("omega", (1e-200, 1e200))
+def test_wilson_loop_at_extreme_drive_scales(omega):
+    # The eigensolver divides each H by its largest entry, so its invariants
+    # neither underflow nor overflow and the phases do not see the scale.
+    reference = berry_wilson_loop(0.7, 2.0, steps=1024)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loop = berry_wilson_loop(0.7, 2.0, omega_drive=omega, steps=1024)
+    for branch in ("gamma_plus", "gamma_minus", "gamma_zero"):
+        assert abs(getattr(loop, branch) - getattr(reference, branch)) <= 1e-12
+
+
+def test_berry_loops_never_fall_back_to_eigh(monkeypatch, tmp_path):
+    # The spectrum {0, +-omega cos(alpha)} keeps every loop matrix's relative
+    # gap at 1/sqrt(2), far above the closed-form solver's fallback threshold.
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    assert main(["berry", "--out", str(tmp_path)]) == 0
+    for theta, d, _ in EDGE_POINTS:
+        berry_wilson_loop(theta, d, steps=4096)
+    assert calls == []
 
 
 @pytest.mark.parametrize("theta, d", ((0.7, 2.0), (1.2, 3.0), (4.0, 1.7)))

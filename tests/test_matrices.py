@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bwmberry import (
     AlgebraParams,
+    DriveParams,
     EigenSystem,
     InvalidParam,
     NotHermitian,
@@ -17,6 +18,7 @@ from bwmberry import (
     berry_closed,
     cos_alpha,
     dagger,
+    hamiltonian_stack,
     hermitian_eigs,
     inverse,
     ladder_ops,
@@ -28,7 +30,16 @@ from bwmberry import (
     z_of_u,
 )
 from bwmberry.berry import figure_table
-from bwmberry.matrices import PHASE_FIX_CUTOFF, _fix_phases, as_matrix3, as_real, det3, frobenius
+from bwmberry.matrices import (
+    CLOSED_FORM_GAP_RTOL,
+    PHASE_FIX_CUTOFF,
+    _closed_form_eigh,
+    _fix_phases,
+    as_matrix3,
+    as_real,
+    det3,
+    frobenius,
+)
 
 RNG = np.random.default_rng(1234)
 
@@ -434,3 +445,92 @@ def test_property_inverse_roundtrip(entries):
 def test_property_basis_change_stays_unitary(phi1, phi2):
     u = make_u(AlgebraParams.tla(2.0, phi1, phi2))
     assert rel_residual(dagger(u) @ u, np.eye(3, dtype=complex)) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# closed-form eigensolver of the Berry loop
+# ---------------------------------------------------------------------------
+
+UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+
+# The closed form errs by about K u ||H||_F / g in its eigenvalues and
+# eigen-residuals and by K u / g^2 in orthonormality, where g is the smallest
+# relative gap (see CLOSED_FORM_GAP_RTOL); every matrix it keeps has
+# g > CLOSED_FORM_GAP_RTOL, and the rest get eigh's output.  K = 16 covers
+# the dozen or so rounded operations behind each quantity.
+VALUE_BOUND = 16.0 / CLOSED_FORM_GAP_RTOL
+ORTHONORMAL_BOUND = 16.0 / CLOSED_FORM_GAP_RTOL ** 2
+
+# Hermitian matrices from random entries (scaled by 10^-150 .. 10^149) and
+# from the wide entries above, which reach over 300 decades in one matrix.
+hermitian_matrices = st.one_of(
+    wide_matrices,
+    st.builds(
+        lambda seed, exponent: random_complex_matrix(np.random.default_rng(seed)) * 10.0 ** exponent,
+        st.integers(0, 2**32 - 1),
+        st.integers(-150, 149),
+    ),
+).map(lambda m: (m + dagger(m)) / 2.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(hermitian_matrices, min_size=1, max_size=6))
+def test_property_closed_form_eigh_is_an_eigensystem(matrices):
+    stack = np.array(matrices, dtype=complex)
+    values, vectors = _closed_form_eigh(stack)
+    scale = UNIT_ROUNDOFF * frobenius(stack)[:, None]
+    assert np.all(np.abs(values - np.linalg.eigvalsh(stack)) <= VALUE_BOUND * scale)
+    residual = np.linalg.norm(stack @ vectors - vectors * values[:, None, :], axis=1)
+    assert np.all(residual <= VALUE_BOUND * scale)
+    gram = dagger(vectors) @ vectors
+    assert np.all(np.abs(gram - np.eye(3)) <= ORTHONORMAL_BOUND * UNIT_ROUNDOFF)
+
+
+def test_closed_form_eigh_sends_degenerate_matrices_to_eigh(monkeypatch):
+    # The rotated diag(0, 0.1, 1) has relative gap 0.1 / ||H||_F ~ 0.0995,
+    # below CLOSED_FORM_GAP_RTOL = 0.125 though its cross products are large;
+    # the rotated diag(0, 0.15, 1) at the end of the stack has ~0.148 and is kept.
+    u = make_u(AlgebraParams.tla(2.0, 0.4, -1.1))
+    spectra = ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1.0, 1.0, 2.0], [0.0, 1e-9, 1.0])
+    degenerate = np.array([np.diag(s) for s in spectra] + [u @ np.diag([0.0, 0.1, 1.0]) @ dagger(u)], dtype=complex)
+    loop_matrix = hamiltonian_stack([0.3], DriveParams(0.7, 2.0))[0]
+    stack = np.array([loop_matrix, *degenerate, u @ np.diag([0.0, 0.15, 1.0]) @ dagger(u)])
+    seen = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    values, vectors = _closed_form_eigh(stack)
+    monkeypatch.undo()
+    assert len(seen) == 1 and np.array_equal(seen[0], degenerate)
+    for k, m in enumerate(degenerate, start=1):
+        want_values, want_vectors = np.linalg.eigh(m)
+        assert np.array_equal(values[k], want_values)
+        assert np.array_equal(vectors[k], want_vectors)
+    all_degenerate = _closed_form_eigh(degenerate)
+    assert all(np.array_equal(got, want) for got, want in zip(all_degenerate, np.linalg.eigh(degenerate)))
+
+
+def test_closed_form_eigh_reads_the_lower_triangle_only():
+    h = hamiltonian_stack(np.linspace(0.0, 6.0, 7), DriveParams(1.2, 3.0))
+    garbled = h.copy()
+    garbled[:, 0, 1] = 7.0 - 2j
+    garbled[:, 1, 2] = -3.0
+    garbled[:, 0, 2] = 1j
+    garbled[:, [0, 1, 2], [0, 1, 2]] += 5j
+    for got, want in zip(_closed_form_eigh(garbled), _closed_form_eigh(h)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("exponent", (-700, 700))
+def test_closed_form_eigh_is_exact_under_power_of_two_scaling(exponent):
+    # Each matrix is divided by its largest |entry| first, so scaling by a
+    # power of two scales the eigenvalues exactly and leaves the vectors' bits.
+    h = hamiltonian_stack(np.linspace(0.0, 6.0, 7), DriveParams(0.7, 2.0))
+    values, vectors = _closed_form_eigh(h)
+    scaled_values, scaled_vectors = _closed_form_eigh(np.ldexp(h.real, exponent) + 1j * np.ldexp(h.imag, exponent))
+    assert np.array_equal(scaled_vectors, vectors)
+    assert np.array_equal(scaled_values, np.ldexp(values, exponent))

@@ -50,7 +50,7 @@ from .algebra import (
 from .berry import MIN_STEPS, SECTION_D_VALUES, _wrap_phase, berry_closed, berry_discrete, berry_wilson_loop, figure_table
 from .errors import BwmBerryError, ConfigError, InvalidParam
 from .matrices import dagger, hermitian_eigs, inverse, rel_residual
-from .spin import DriveParams, cos_alpha, hamiltonian_stack, ladder_ops
+from .spin import _hamiltonian_row, _ladder_stack, cos_alpha
 from .yangbaxter import SpectralParams, exchange_residuals
 
 #: Tolerance of every check whose identity holds exactly up to rounding:
@@ -470,34 +470,8 @@ def cmd_verify(cfg: RunConfig) -> list[CheckRecord]:
 # spectrum
 # --------------------------------------------------------------------------
 
-def _levels_record(name: str, params: dict, observed, predicted, tolerance: float) -> CheckRecord:
-    """Compare observed eigenvalues with the predicted levels.
-
-    The residual is the largest deviation over max(1, largest |level|), like ``rel_residual``.
-    """
-    observed, predicted = observed.tolist(), [float(x) for x in predicted]
-    dev = max(abs(o - p) for o, p in zip(observed, predicted)) / max(1.0, max(abs(p) for p in predicted))
-    return _record(name, params, dev, tolerance, observed=observed, predicted=predicted)
-
-
 #: Spectrum of the quadratic Casimir of the ladder triple.
 CASIMIR_LEVELS = (0.0, 0.75, 0.75)
-
-
-def _spectrum_params(theta, d, *drive) -> dict:
-    """Report params of a spectrum point: theta and d, plus omega and phi for an H point."""
-    return {k: float(v) for k, v in zip(("theta", "d", "omega_drive", "phi"), (theta, d, *drive))}
-
-
-def _casimir(theta: float, d: float) -> np.ndarray:
-    trip = ladder_ops(theta, d)
-    return 0.5 * (trip.s_plus @ trip.s_minus + trip.s_minus @ trip.s_plus) + trip.s3 @ trip.s3
-
-
-def _h_levels(dp: DriveParams) -> np.ndarray:
-    """The predicted spectrum {0, +-hbar omega cos(alpha)} of H, ascending."""
-    level = dp.hbar * dp.omega_drive * cos_alpha(dp.theta, dp.d)
-    return np.sort([0.0, level, -level])
 
 
 def _eigvals_or_error(m: np.ndarray):
@@ -508,60 +482,81 @@ def _eigvals_or_error(m: np.ndarray):
         return exc
 
 
-def _levels_row(cfg: RunConfig, name: str, points: list) -> list[CheckRecord]:
-    """The records of one row of points, from one batched eigensolve.
+def _levels_row(cfg: RunConfig, name: str, params: list, build) -> list[CheckRecord]:
+    """The records of one row of points, from one stacked build and one batched eigensolve.
 
-    ``points`` holds ``(args, matrix, predicted)`` in report order, with the
-    error in place of the matrix where building it failed.  If the batched
+    ``build()`` returns the row's matrices as an (n, 3, 3) stack and their
+    predicted levels as an (n, 3) array, in the order of ``params``; if it
+    raises, every point of the row skips with its error.  If the batched
     solve raises, each matrix is solved on its own, so a failing matrix
-    skips only its own point.
+    skips only its own point.  The residual is the largest deviation over
+    max(1, largest |level|), like ``rel_residual``.
     """
-    matrices = [m for _, m, _ in points if not isinstance(m, BwmBerryError)]
     try:
-        solved = iter(hermitian_eigs(np.stack(matrices)).values if matrices else ())
+        matrices, predicted = build()
+    except BwmBerryError as exc:
+        return [_skip(name, p, cfg.tolerance, exc) for p in params]
+    errors = {}
+    try:
+        observed = hermitian_eigs(matrices).values
     except BwmBerryError:
-        solved = iter([_eigvals_or_error(m) for m in matrices])
-    records = []
-    for args, m, predicted in points:
-        observed = m if isinstance(m, BwmBerryError) else next(solved)
-        if isinstance(observed, BwmBerryError):
-            records.append(_skip(name, _spectrum_params(*args), cfg.tolerance, observed))
-        else:
-            records.append(_levels_record(name, _spectrum_params(*args), observed, predicted, cfg.tolerance))
-    return records
+        solved = [_eigvals_or_error(m) for m in matrices]
+        errors = {i: v for i, v in enumerate(solved) if isinstance(v, BwmBerryError)}
+        observed = np.array([np.zeros(3) if i in errors else v for i, v in enumerate(solved)])
+    with np.errstate(over="ignore"):  # as the float arithmetic of one point at a time: inf, no warning
+        dev = np.max(np.abs(observed - predicted), axis=-1) / np.maximum(1.0, np.max(np.abs(predicted), axis=-1))
+    rows = zip(params, dev.tolist(), observed.tolist(), predicted.tolist())
+    return [
+        _skip(name, p, cfg.tolerance, errors[i])
+        if i in errors
+        else _record(name, p, res, cfg.tolerance, observed=obs, predicted=pred)
+        for i, (p, res, obs, pred) in enumerate(rows)
+    ]
 
 
 def _casimir_row(cfg: RunConfig, d: float) -> list[CheckRecord]:
-    points = []
-    for theta in cfg.grid("theta"):
-        try:
-            points.append(((theta, d), _casimir(theta, d), CASIMIR_LEVELS))
-        except BwmBerryError as exc:
-            points.append(((theta, d), exc, None))
-    return _levels_row(cfg, "spectrum.casimir", points)
+    """All Casimir points of one d row, from one ``_ladder_stack`` over theta."""
+    thetas = cfg.grid("theta")
+
+    def build():
+        casimir = _ladder_stack(thetas, d).casimir()
+        return casimir, np.broadcast_to(CASIMIR_LEVELS, (len(thetas), 3))
+
+    return _levels_row(cfg, "spectrum.casimir", [{"theta": t, "d": d} for t in thetas], build)
 
 
 def _spectrum_row(cfg: RunConfig, d: float) -> list[CheckRecord]:
-    """All H points of one d row: one ``hamiltonian_stack`` over phi per (theta, omega)."""
-    phis = cfg.grid("phi")
-    points = []
-    for theta in cfg.grid("theta"):
-        for omega in cfg.grid("omega"):
-            args = [(theta, d, omega, phi) for phi in phis]
-            try:
-                dp = DriveParams(theta=theta, d=d, omega_drive=omega)
-                hs, predicted = hamiltonian_stack(phis, dp), _h_levels(dp)
-            except BwmBerryError as exc:
-                points += [(a, exc, None) for a in args]
-                continue
-            points += [(a, h, predicted) for a, h in zip(args, hs)]
-    return _levels_row(cfg, "spectrum.h_eigenvalues", points)
+    """All H points of one d row, ordered by (theta, omega, phi), from one ``_hamiltonian_row``."""
+    thetas, omegas, phis = cfg.grid("theta"), cfg.grid("omega"), cfg.grid("phi")
+    params = [
+        {"theta": t, "d": d, "omega_drive": w, "phi": f} for t in thetas for w in omegas for f in phis
+    ]
+
+    def build():
+        hs = _hamiltonian_row(thetas, omegas, phis, d)
+        # Per (theta, omega): the level hbar omega cos(alpha) with hbar = 1, and {0, +-level} ascending.
+        level = np.multiply.outer([cos_alpha(t, d) for t in thetas], omegas)
+        levels = np.sort(np.stack([np.zeros_like(level), level, -level], axis=-1), axis=-1)
+        predicted = np.broadcast_to(levels[:, :, None, :], hs.shape[:3] + (3,))
+        return hs.reshape(-1, 3, 3), predicted.reshape(-1, 3)
+
+    return _levels_row(cfg, "spectrum.h_eigenvalues", params, build)
 
 
 def cmd_spectrum(cfg: RunConfig) -> list[CheckRecord]:
-    """Casimir records, then H records, both ordered by (d, theta, ...), solved one d row at a time."""
+    """Casimir records, then H records, both ordered by (d, theta, ...), built and solved one d row at a time.
+
+    ``meta.timings`` gets the time and point count of each family.
+    """
     rows = [(d,) for d in cfg.grid("d")]
-    return _map_points(cfg, _casimir_row, rows) + _map_points(cfg, _spectrum_row, rows)
+    casimir_points = len(rows) * len(cfg.grid("theta"))
+    with timed(cfg.timings, "spectrum.casimir") as entry:
+        records = _map_points(cfg, _casimir_row, rows)
+        entry["points"] = casimir_points
+    with timed(cfg.timings, "spectrum.h") as entry:
+        records += _map_points(cfg, _spectrum_row, rows)
+        entry["points"] = casimir_points * len(cfg.grid("omega")) * len(cfg.grid("phi"))
+    return records
 
 
 # --------------------------------------------------------------------------

@@ -64,22 +64,24 @@ def as_real(name: str, value) -> float:
     return x
 
 
-def refuse_overflow(fn):
+def refuse_overflow(fn, name: str | None = None):
     """Raise InvalidParam where ``fn``'s float arithmetic leaves the double range.
 
     Python raises OverflowError where ``x ** n`` overflows, and
     ZeroDivisionError where a denominator such as ``q ** 4`` underflows to
     zero; the parameters that do so lie outside the domain of the
     construction, so the decorated function reports them as InvalidParam,
-    like any other domain violation.
+    like any other domain violation.  The message names ``fn``, or ``name``
+    where a private builder does the work of a public function.
     """
+    name = name or fn.__name__
 
     @functools.wraps(fn)
     def guarded(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
         except (OverflowError, ZeroDivisionError) as exc:
-            raise InvalidParam(f"{fn.__name__} overflows double precision at these parameters") from exc
+            raise InvalidParam(f"{name} overflows double precision at these parameters") from exc
 
     return guarded
 
@@ -196,7 +198,10 @@ def inverse(m) -> np.ndarray:
     d = det3(a)
     scale = max(1.0, frobenius(a) ** 3)
     if abs(d) <= SINGULARITY_RTOL * scale:
-        raise SingularMatrix(f"matrix is singular to working precision (|det| = {abs(d):.3e})")
+        raise SingularMatrix(
+            f"determinant too small for the matrix scale: |det| = {abs(d):.3e} <= "
+            f"{SINGULARITY_RTOL:g} * max(1, ||m||_F^3) = {SINGULARITY_RTOL * scale:.3e}"
+        )
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
     adj = np.array(
         [

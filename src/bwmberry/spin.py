@@ -77,14 +77,20 @@ _GENERATORS.flags.writeable = False
 
 @dataclass(frozen=True)
 class SpinTriple:
-    """A spin ladder triple: raising, lowering, and the third component."""
+    """A spin ladder triple: raising, lowering, and the third component.
+
+    ``s_plus`` and ``s_minus`` may also be (n, 3, 3) stacks sharing one ``s3``.
+    """
 
     s_plus: np.ndarray
     s_minus: np.ndarray
     s3: np.ndarray
 
+    def casimir(self) -> np.ndarray:
+        """The quadratic Casimir (S+ S- + S- S+) / 2 + S3^2, one matrix per triple of a stack."""
+        return 0.5 * (self.s_plus @ self.s_minus + self.s_minus @ self.s_plus) + self.s3 @ self.s3
 
-@refuse_overflow
+
 def ladder_ops(theta, d) -> SpinTriple:
     """Ladder triple of an su(2) subalgebra of su(3) adapted to the driven system.
 
@@ -95,9 +101,22 @@ def ladder_ops(theta, d) -> SpinTriple:
     and ``DriveParams`` apply; any other d raises InvalidParam before any
     arithmetic.  There the normalisation
     zeta = d^2 / sqrt((d^2-1)(d^4 - 4(d^2-1)sin^2(theta))) is finite: the
-    discriminant is at least (d^2 - 2)^2 >= (phi^2 - 2)^2 ~ 0.38.
+    discriminant is at least (d^2 - 2)^2 >= (phi^2 - 2)^2 ~ 0.38.  This is
+    the one-theta case of ``_ladder_stack``.
     """
-    th = as_real("theta", theta)
+    trip = _ladder_stack((as_real("theta", theta),), d)
+    return SpinTriple(s_plus=trip.s_plus[0], s_minus=trip.s_minus[0], s3=trip.s3)
+
+
+@functools.partial(refuse_overflow, name="ladder_ops")
+def _ladder_stack(thetas, d) -> SpinTriple:
+    """``ladder_ops`` at every theta of a sequence of finite floats, at one d.
+
+    S+ and S- come back as (len(thetas), 3, 3) stacks, each matrix with
+    the bits ``ladder_ops`` gives at its theta; S3 does not depend on theta
+    and is built once.  Errors are those of ``ladder_ops``, raised for the
+    whole stack.
+    """
     dv = as_real("d", d)
     if dv < GOLDEN_RATIO - DOMAIN_SLACK:
         raise InvalidParam(
@@ -105,8 +124,16 @@ def ladder_ops(theta, d) -> SpinTriple:
         )
     s = _offdiag_root(dv)
     rd = math.sqrt(dv)
-    disc = dv ** 4 - 4.0 * (dv * dv - 1.0) * math.sin(th) ** 2
-    zeta = dv * dv / math.sqrt((dv * dv - 1.0) * disc)
+    d4, d2 = dv ** 4, dv ** 2
+    # Per theta: zeta and the four ladder weights, in ladder_ops' own scalar arithmetic.
+    weights = []
+    for th in thetas:
+        sin = math.sin(th)
+        w = np.exp(-1j * th) + 2j * sin / d2
+        wbar = np.conjugate(w)
+        zeta = dv * dv / math.sqrt((dv * dv - 1.0) * (d4 - 4.0 * (dv * dv - 1.0) * sin ** 2))
+        weights.append((zeta, -1j * s * w, 1j * rd * w, 1j * s * wbar, 1j * rd * wbar))
+    zeta, plus_i, plus_u, minus_i, minus_u = np.array(weights, dtype=complex).reshape(-1, 5).T[:, :, None, None]
 
     g = _GENERATORS
     i_plus = g[0] + 1j * g[1]
@@ -119,10 +146,8 @@ def ladder_ops(theta, d) -> SpinTriple:
     iso3 = g[2]
     ident = np.eye(3, dtype=complex)
 
-    w = np.exp(-1j * th) + 2j * math.sin(th) / dv ** 2
-    wbar = np.conjugate(w)
-    s_plus = zeta * (-1j * s * w * i_plus + 1j * rd * w * u_minus)
-    s_minus = zeta * (1j * s * wbar * i_minus - 1j * rd * wbar * u_plus)
+    s_plus = zeta * (plus_i * i_plus + plus_u * u_minus)
+    s_minus = zeta * (minus_i * i_minus - minus_u * u_plus)
     s3_op = 0.5 * (
         (1.0 + dv - dv * dv) / (1.0 - dv * dv) * (ident / 3.0 + hyper / 2.0 + iso3)
         - (ident / 3.0 + hyper / 2.0 - iso3)
@@ -144,10 +169,7 @@ class DriveParams:
     def __post_init__(self) -> None:
         for name in ("theta", "d", "omega_drive", "hbar"):
             object.__setattr__(self, name, as_real(name, getattr(self, name)))
-        if self.d < GOLDEN_RATIO - DOMAIN_SLACK:
-            raise InvalidParam(
-                f"d = {self.d} is below the golden ratio; the driven unitary is undefined there"
-            )
+        _check_drive_d(self.d)
         if self.hbar <= 0.0:
             raise InvalidParam(f"hbar must be positive, got {self.hbar}")
 
@@ -168,27 +190,50 @@ def _eb_at_zero_phase(d: float) -> np.ndarray:
     return eb0
 
 
+def _check_drive_d(d: float) -> None:
+    """The golden-ratio rule of the driven unitary, for a d that is already a float."""
+    if d < GOLDEN_RATIO - DOMAIN_SLACK:
+        raise InvalidParam(f"d = {d} is below the golden ratio; the driven unitary is undefined there")
+
+
+def _hamiltonian_row(thetas, omegas, phis, d: float, hbar: float = 1.0) -> np.ndarray:
+    """H at every (theta, omega, phi) of three sequences of finite floats, at one d.
+
+    Returns a (len(thetas), len(omegas), len(phis), 3, 3) stack; each
+    matrix has the bits ``hamiltonian_stack`` gives at its point.  The
+    phase-dependent factors E_B(phi) and dE_B/dphi are built once, and each
+    theta and omega only scales them.  d must pass the rule of ``DriveParams``.
+    """
+    _check_drive_d(d)
+    ph = np.asarray(phis, dtype=float)
+    eb0 = _eb_at_zero_phase(d)
+    delta = np.subtract.outer(_OCCUPATION, _OCCUPATION)
+    eb = eb0[None, :, :] * np.exp(-1j * ph[:, None, None] * delta[None, :, :])
+    deb = -1j * delta * eb
+    # Per theta and per omega, the scalar factors in hamiltonian_stack's own arithmetic.
+    f = np.array([2j * math.sin(th) / d for th in thetas], dtype=complex).reshape(-1, 1, 1, 1)
+    rot = np.array([np.exp(1j * th) for th in thetas], dtype=complex).reshape(-1, 1, 1, 1)
+    scale = np.array([1j * hbar * w for w in omegas], dtype=complex).reshape(-1, 1, 1, 1)
+    b = rot * np.eye(3, dtype=complex) - f * eb
+    db = -f * deb
+    return (scale * db[:, None]) @ dagger(b)[:, None]
+
+
 def hamiltonian_stack(phis, dp: DriveParams) -> np.ndarray:
     """Evolution generators H(phi) = i hbar (dB/dt) B^dagger for an array of phases.
 
     Only the phased entries of the off-diagonal projector depend on phi,
     so dB/dphi is available entrywise in closed form and the whole stack
     is assembled with batched matrix products (this is the hot path of
-    the loop-holonomy computation).
+    the loop-holonomy computation).  This is the one-(theta, omega) case
+    of ``_hamiltonian_row``.
     """
     ph = np.atleast_1d(np.asarray(phis, dtype=float))
     if ph.ndim != 1:
         raise InvalidParam("phis must be a scalar or a 1-D array of drive phases")
     if not np.all(np.isfinite(ph)):
         raise InvalidParam("drive phases must be finite")
-    eb0 = _eb_at_zero_phase(dp.d)
-    delta = np.subtract.outer(_OCCUPATION, _OCCUPATION)
-    eb = eb0[None, :, :] * np.exp(-1j * ph[:, None, None] * delta[None, :, :])
-    deb = -1j * delta * eb
-    f = 2j * math.sin(dp.theta) / dp.d
-    b = np.exp(1j * dp.theta) * np.eye(3, dtype=complex)[None, :, :] - f * eb
-    db = -f * deb
-    return 1j * dp.hbar * dp.omega_drive * db @ dagger(b)
+    return _hamiltonian_row((dp.theta,), (dp.omega_drive,), ph, dp.d, dp.hbar)[0, 0]
 
 
 def hamiltonian(phi, dp: DriveParams) -> np.ndarray:

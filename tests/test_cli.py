@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from bwmberry import (
     GOLDEN_RATIO,
     AlgebraParams,
+    BwmBerryError,
     DegenerateSpectrum,
     DriveParams,
     InvalidParam,
@@ -24,6 +25,9 @@ from bwmberry import (
     berry,
     berry_closed,
     cli,
+    cos_alpha,
+    hamiltonian_stack,
+    hermitian_eigs,
     ladder_ops,
 )
 from bwmberry.cli import KNOBS, build_config, build_parser, main
@@ -256,10 +260,14 @@ def test_spectrum_solver_errors_become_skips(error, reason, tmp_path, capsys, mo
     ]
 
 
-def test_spectrum_solver_error_skips_only_its_own_point(tmp_path, capsys, monkeypatch):
+def casimir_matrix(theta: float, d: float) -> np.ndarray:
+    trip = ladder_ops(theta, d)
+    return 0.5 * (trip.s_plus @ trip.s_minus + trip.s_minus @ trip.s_plus) + trip.s3 @ trip.s3
+
+
+def assert_only_the_refused_point_skips(chosen, name, params, tmp_path, capsys, monkeypatch):
     # The row's batched solve fails because one matrix of it is refused; the
     # row is then solved matrix by matrix, so only that point becomes a skip.
-    chosen = cli.hamiltonian_stack([1.3], cli.DriveParams(theta=2.2, d=2.0, omega_drive=0.5))[0]
     solve = cli.hermitian_eigs
 
     def refuse_chosen(m):
@@ -279,9 +287,90 @@ def test_spectrum_solver_error_skips_only_its_own_point(tmp_path, capsys, monkey
     changed = [(a, b) for a, b in zip(plain, patched) if a != b]
     assert len(changed) == 1
     before, after = changed[0]
-    assert after["params"] == before["params"] == {"theta": 2.2, "d": 2.0, "omega_drive": 0.5, "phi": 1.3}
-    assert (after["name"], after["status"], after["reason"]) == ("spectrum.h_eigenvalues", "skip", "not_hermitian")
+    assert after["params"] == before["params"] == params
+    assert (after["name"], after["status"], after["reason"]) == (name, "skip", "not_hermitian")
     assert after["data"] == {"detail": "injected for one matrix"}
+
+
+def test_spectrum_solver_error_skips_only_its_own_point(tmp_path, capsys, monkeypatch):
+    chosen = hamiltonian_stack([1.3], DriveParams(theta=2.2, d=2.0, omega_drive=0.5))[0]
+    params = {"theta": 2.2, "d": 2.0, "omega_drive": 0.5, "phi": 1.3}
+    assert_only_the_refused_point_skips(chosen, "spectrum.h_eigenvalues", params, tmp_path, capsys, monkeypatch)
+
+
+def test_spectrum_solver_error_skips_only_its_own_casimir_point(tmp_path, capsys, monkeypatch):
+    chosen = casimir_matrix(2.2, 2.0)
+    params = {"theta": 2.2, "d": 2.0}
+    assert_only_the_refused_point_skips(chosen, "spectrum.casimir", params, tmp_path, capsys, monkeypatch)
+
+
+def per_point_levels(cfg, name: str, points: list) -> list:
+    """Records of (params, matrix or error, predicted) points, each matrix solved on its own."""
+    out = []
+    for params, m, predicted in points:
+        if not isinstance(m, BwmBerryError):
+            try:
+                m = hermitian_eigs(m).values
+            except BwmBerryError as exc:
+                m = exc
+        if isinstance(m, BwmBerryError):
+            out.append(cli._skip(name, params, cfg.tolerance, m))
+            continue
+        observed, predicted = m.tolist(), [float(x) for x in predicted]
+        dev = max(abs(o - p) for o, p in zip(observed, predicted)) / max(1.0, max(abs(p) for p in predicted))
+        out.append(cli._record(name, params, dev, cfg.tolerance, observed=observed, predicted=predicted))
+    return out
+
+
+def per_point_spectrum(cfg) -> list:
+    """The spectrum records built point by point: one ``ladder_ops`` per (d, theta), one
+    ``DriveParams``, ``hamiltonian_stack`` and ``cos_alpha`` per (d, theta, omega)."""
+    casimirs, generators = [], []
+    for d in cfg.grid("d"):
+        for theta in cfg.grid("theta"):
+            try:
+                casimirs.append(({"theta": theta, "d": d}, casimir_matrix(theta, d), (0.0, 0.75, 0.75)))
+            except BwmBerryError as exc:
+                casimirs.append(({"theta": theta, "d": d}, exc, None))
+            for omega in cfg.grid("omega"):
+                points = [{"theta": theta, "d": d, "omega_drive": omega, "phi": phi} for phi in cfg.grid("phi")]
+                try:
+                    dp = DriveParams(theta=theta, d=d, omega_drive=omega)
+                    hs = hamiltonian_stack(cfg.grid("phi"), dp)
+                    level = dp.hbar * dp.omega_drive * cos_alpha(theta, d)
+                    predicted = np.sort([0.0, level, -level])
+                except BwmBerryError as exc:
+                    generators += [(p, exc, None) for p in points]
+                    continue
+                generators += [(p, h, predicted) for p, h in zip(points, hs)]
+    return per_point_levels(cfg, "spectrum.casimir", casimirs) + per_point_levels(
+        cfg, "spectrum.h_eigenvalues", generators
+    )
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "grids",
+    [
+        SPECTRUM_DOMAIN_GRIDS,
+        [],
+        ["--grid-spec", "theta="],
+        ["--grid-spec", "omega="],
+        ["--grid-spec", "phi="],
+        ["--grid-spec", "d="],
+        ["--grid-spec", "d=1e100"],
+        ["--grid-spec", "d=1e200"],
+        ["--grid-spec", "omega=1e300"],
+        ["--grid-spec", f"d={GOLDEN_RATIO!r}", "--grid-spec", f"theta=0,{math.pi!r},-0.0"]
+        + ["--grid-spec", "omega=-1,0"],
+    ],
+    ids=["domain", "default", "no_theta", "no_omega", "no_phi", "no_d", "d_1e100", "d_1e200", "omega_1e300", "edges"],
+)
+def test_spectrum_rows_match_the_per_point_route(grids, jobs):
+    # Every byte of every record, the signs of zeros included, skips with their details.
+    cfg = build_config(build_parser().parse_args(["spectrum", *grids, "--jobs", jobs]))
+    records, expected = cli.cmd_spectrum(cfg), per_point_spectrum(cfg)
+    assert json.dumps([vars(r) for r in records]) == json.dumps([vars(r) for r in expected])
 
 
 def test_report_meta_holds_stage_timings(tmp_path, capsys):
@@ -289,8 +378,11 @@ def test_report_meta_holds_stage_timings(tmp_path, capsys):
     report = load_report(tmp_path, "spectrum")
     assert set(report["meta"]) == {"timestamp", "out_dir", "jobs", "timings"}
     timings = report["meta"]["timings"]
-    assert set(timings) == {"build_config", "evaluate", "report_write"}
+    assert set(timings) == {"build_config", "evaluate", "report_write", "spectrum.casimir", "spectrum.h"}
     assert timings["evaluate"]["records"] == report["summary"]["checks"] == 75
+    assert [timings[f"spectrum.{family}"]["points"] for family in ("casimir", "h")] == [3 * 5, 3 * 5 * 2 * 2]
+    families = sum(timings[f"spectrum.{family}"]["seconds"] for family in ("casimir", "h"))
+    assert 0.0 < families <= timings["evaluate"]["seconds"]
     run(["figure", "--out", str(tmp_path), "--theta-points", "11", "--d-mesh", "1:3:4"], capsys)
     report = load_report(tmp_path, "figure")
     timings = report["meta"]["timings"]

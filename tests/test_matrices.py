@@ -286,6 +286,17 @@ def test_inverse_singularity_guard_is_scale_aware():
     np.testing.assert_allclose(inverse(m), 1e-8 * np.eye(3))
 
 
+def test_inverse_singularity_detail_states_the_guard():
+    # The braid generator at q = 1e-3 is exactly invertible, yet its |det| is
+    # 1e-12 of ||m||_F^3; the detail must say what was compared, not that the
+    # matrix is singular.
+    with pytest.raises(SingularMatrix) as info:
+        inverse(np.diag([1e-3, 1e6, -1e3]))
+    assert str(info.value) == (
+        "determinant too small for the matrix scale: |det| = 1.000e+06 <= 1e-12 * max(1, ||m||_F^3) = 1.000e+06"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Hermitian eigendecomposition
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from bwmberry import (
     make_r_theta,
     rel_residual,
 )
-from bwmberry.spin import _eb_at_zero_phase
+from bwmberry.spin import _eb_at_zero_phase, _hamiltonian_row, _ladder_stack
 
 LEVEL_AT_PI_SIXTH_D2 = math.sqrt(3.0) / 4.0  # 2 sin(pi/6) sqrt(3) / 4
 
@@ -37,6 +37,22 @@ D_GRID = (1.7, 2.0, 3.0, 5.0)
 
 def commutator(x, y):
     return x @ y - y @ x
+
+
+def same_bits(a, b) -> bool:
+    """np.array_equal, and the signs of zeros as well."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# Point lists for the row builders: empty, one value or several, with the
+# degenerate angle 0 and the ladder's extreme angle pi/2 among them.
+ANGLE_LISTS = st.lists(st.one_of(st.sampled_from([0.0, math.pi / 2.0]), st.floats(-7.0, 7.0)), max_size=4)
+ROW_D = st.one_of(
+    st.sampled_from([GOLDEN_RATIO, 2.0, 1e100]),
+    st.floats(GOLDEN_RATIO, 10.0),
+    st.floats(0.21, 100.0).map(lambda e: 10.0 ** e),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +172,48 @@ def test_casimir_spectrum_and_commutation(theta, d):
         assert frobenius(commutator(casimir, op)) < 1e-10
 
 
+def _ladder_reference(theta: float, d: float) -> SpinTriple:
+    """ladder_ops's formula as a per-theta function, kept here to pin its bits."""
+    g = gell_mann_basis().generators
+    s, rd = math.sqrt(max(0.0, d * d - d - 1.0)), math.sqrt(d)
+    zeta = d * d / math.sqrt((d * d - 1.0) * (d ** 4 - 4.0 * (d * d - 1.0) * math.sin(theta) ** 2))
+    i_plus, i_minus = g[0] + 1j * g[1], g[0] - 1j * g[1]
+    u_plus, u_minus = g[5] + 1j * g[6], g[5] - 1j * g[6]
+    v_plus, v_minus = g[3] - 1j * g[4], g[3] + 1j * g[4]
+    hyper, iso3, ident = 2.0 / math.sqrt(3.0) * g[7], g[2], np.eye(3, dtype=complex)
+    w = np.exp(-1j * theta) + 2j * math.sin(theta) / d ** 2
+    wbar = np.conjugate(w)
+    s3 = 0.5 * (
+        (1.0 + d - d * d) / (1.0 - d * d) * (ident / 3.0 + hyper / 2.0 + iso3)
+        - (ident / 3.0 + hyper / 2.0 - iso3)
+        - d / (1.0 - d * d) * (ident / 3.0 - hyper)
+        + rd * s / (1.0 - d * d) * (v_minus + v_plus)
+    )
+    return SpinTriple(
+        s_plus=zeta * (-1j * s * w * i_plus + 1j * rd * w * u_minus),
+        s_minus=zeta * (1j * s * wbar * i_minus - 1j * rd * wbar * u_plus),
+        s3=s3,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(thetas=ANGLE_LISTS, d=ROW_D.filter(lambda d: d < 1e75))
+def test_ladder_stack_keeps_the_bits_of_each_theta(thetas, d):
+    stack = _ladder_stack(thetas, d)
+    casimirs = stack.casimir()
+    assert stack.s_plus.shape == stack.s_minus.shape == casimirs.shape == (len(thetas), 3, 3)
+    for k, theta in enumerate(thetas):
+        one, ref = ladder_ops(theta, d), _ladder_reference(theta, d)
+        for name in ("s_plus", "s_minus", "s3"):
+            assert same_bits(getattr(one, name), getattr(ref, name))
+        assert same_bits(stack.s_plus[k], ref.s_plus)
+        assert same_bits(stack.s_minus[k], ref.s_minus)
+        assert same_bits(stack.s3, ref.s3)
+        expected = 0.5 * (ref.s_plus @ ref.s_minus + ref.s_minus @ ref.s_plus) + ref.s3 @ ref.s3
+        assert same_bits(casimirs[k], expected)
+        assert same_bits(one.casimir(), expected)
+
+
 # ---------------------------------------------------------------------------
 # drive parameters and the driven unitary
 # ---------------------------------------------------------------------------
@@ -252,6 +310,38 @@ def test_generator_phase_free_factor_is_built_once_per_d():
     assert np.array_equal(eb0, make_eb(AlgebraParams.tla(2.5, 0.0, 0.0)))
     with pytest.raises(ValueError):
         eb0[0, 0] = 0.0
+
+
+def _generator_reference(phis, theta: float, d: float, omega: float, hbar: float) -> np.ndarray:
+    """hamiltonian_stack's formula at one (theta, omega), kept here to pin its bits."""
+    ph = np.asarray(phis, dtype=float)
+    delta = np.subtract.outer([0.0, 1.0, 0.0], [0.0, 1.0, 0.0])
+    eb = make_eb(AlgebraParams.tla(d, 0.0, 0.0))[None, :, :] * np.exp(-1j * ph[:, None, None] * delta[None, :, :])
+    deb = -1j * delta * eb
+    f = 2j * math.sin(theta) / d
+    b = np.exp(1j * theta) * np.eye(3, dtype=complex)[None, :, :] - f * eb
+    db = -f * deb
+    return 1j * hbar * omega * db @ dagger(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    thetas=ANGLE_LISTS,
+    omegas=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-1e3, 1e3)), max_size=3),
+    phis=st.lists(st.one_of(st.just(0.0), st.floats(-7.0, 7.0)), max_size=4),
+    d=ROW_D,
+    hbar=st.sampled_from([1.0, 0.5]),
+)
+def test_generator_row_keeps_the_bits_of_each_point(thetas, omegas, phis, d, hbar):
+    row = _hamiltonian_row(thetas, omegas, phis, d, hbar)
+    assert row.shape == (len(thetas), len(omegas), len(phis), 3, 3)
+    for i, theta in enumerate(thetas):
+        for j, omega in enumerate(omegas):
+            expected = _generator_reference(phis, theta, d, omega, hbar)
+            assert same_bits(row[i, j], expected)
+            if phis:
+                dp = DriveParams(theta=theta, d=d, omega_drive=omega, hbar=hbar)
+                assert same_bits(hamiltonian_stack(phis, dp), expected)
 
 
 def test_generator_drives_the_unitary():

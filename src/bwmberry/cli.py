@@ -8,15 +8,15 @@ Four subcommands, all batch-style (run, write artifacts, exit):
 * ``berry``    - Wilson-loop phases against the closed forms;
 * ``figure``   - CSV tables of the closed-form phase surface and sections.
 
-Every command writes a schema-versioned JSON report whose check records
-carry (name, params, residual, tolerance, status, reason).  Exit codes:
-0 all executed checks passed, 1 at least one check failed, 2 the
-configuration or an output path was unusable, or a package error escaped
-every per-point guard.  Grid points that violate
-a domain guard become per-point ``skip`` records with a machine-readable
-reason token instead of aborting the run.  With a fixed seed the reports
-and CSVs are byte-identical across runs (timestamps live in a separate
-``meta`` object).
+Every command writes a schema-versioned JSON report whose check records carry
+(name, params, residual, tolerance, status, reason), one record per line of
+the otherwise ``indent=2`` text (see ``_write_report``). Exit codes: 0 all
+executed checks passed, 1 at least one check failed, 2 the configuration or an
+output path was unusable, the run did not fit in memory, or a package error
+escaped every per-point guard. Grid points that violate a domain guard become
+per-point ``skip`` records with a machine-readable reason token instead of
+aborting the run. With a fixed seed the reports and CSVs are byte-identical
+across runs (timestamps live in a separate ``meta`` object).
 """
 
 from __future__ import annotations
@@ -78,6 +78,16 @@ DEFAULT_GRIDS: dict[str, tuple[float, ...]] = {
 
 GRID_NAMES = tuple(DEFAULT_GRIDS)
 
+#: Largest accepted counts; ``MAX_AXIS_POINTS`` bounds ``--theta-points``, the
+#: ``--d-mesh`` count and a grid range's count.  Each keeps one run's memory
+#: bounded: a Berry loop holds about 1 kB per step, and every pair, sample or
+#: axis point becomes records or CSV rows held at once.
+MAX_STEPS = 2**17
+MAX_PHASE_PAIRS = 10_000
+MAX_YBE_SAMPLES = 100_000
+MAX_AXIS_POINTS = 10_000
+MAX_JOBS = 64
+
 
 # --------------------------------------------------------------------------
 # knob validators: each takes (name, value) and returns the normalised value
@@ -94,10 +104,10 @@ def _positive(name: str, value) -> float:
     return float(value)
 
 
-def _count(minimum: int):
+def _count(minimum: int, maximum: float = math.inf):
     def check(name: str, value) -> int:
-        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-            raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, int) or not minimum <= value <= maximum:
+            raise ConfigError(f"{name} must be an integer from {minimum} to {maximum}, got {value!r}")
         return value
 
     return check
@@ -108,7 +118,7 @@ def _d_mesh(name: str, value) -> tuple[float, float, int]:
         raise ConfigError(f"{name} must be [min, max, count] with finite min and max, got {value!r}")
     if not 1 <= value[0] <= value[1]:
         raise ConfigError(f"{name} needs 1 <= min <= max, got {value!r}")
-    return (float(value[0]), float(value[1]), _count(2)(f"{name} count", value[2]))
+    return (float(value[0]), float(value[1]), _count(2, MAX_AXIS_POINTS)(f"{name} count", value[2]))
 
 
 def _parse_range(text: str) -> tuple[float, float, int]:
@@ -145,12 +155,14 @@ class RunConfig:
     out_dir: Path
     tolerance: float = _knob(1e-10, _positive, "--tolerance", "base relation tolerance")
     phase_tolerance: float = _knob(1e-4, _positive, "--phase-tolerance", "loop-phase match tolerance")
-    steps: int = _knob(4096, _count(MIN_STEPS), "--steps", "loop discretisation points")
+    steps: int = _knob(4096, _count(MIN_STEPS, MAX_STEPS), "--steps", "loop discretisation points")
     seed: int = _knob(20260815, _count(0), "--seed", "seed for sampled phases and velocities")
-    jobs: int = _knob(1, _count(1), "--jobs", "worker threads for grid evaluation", echo=False)
-    phase_pairs: int = _knob(5, _count(0), "--phase-pairs", "number of sampled (phi1, phi2) pairs")
-    ybe_samples: int = _knob(200, _count(0), "--ybe-samples", "number of sampled exchange tuples")
-    figure_theta_points: int = _knob(401, _count(2), "--theta-points", "theta samples over [0, 2pi]", figure=True)
+    jobs: int = _knob(1, _count(1, MAX_JOBS), "--jobs", "worker threads for grid evaluation", echo=False)
+    phase_pairs: int = _knob(5, _count(0, MAX_PHASE_PAIRS), "--phase-pairs", "number of sampled (phi1, phi2) pairs")
+    ybe_samples: int = _knob(200, _count(0, MAX_YBE_SAMPLES), "--ybe-samples", "number of sampled exchange tuples")
+    figure_theta_points: int = _knob(
+        401, _count(2, MAX_AXIS_POINTS), "--theta-points", "theta samples over [0, 2pi]", figure=True
+    )
     figure_d_mesh: tuple[float, float, int] = _knob(
         (1.0, 6.0, 51), _d_mesh, "--d-mesh", "surface d mesh", parse=_parse_range, metavar="MIN:MAX:COUNT", figure=True
     )
@@ -246,20 +258,11 @@ def _map_points(cfg: RunConfig, fn, points) -> list[CheckRecord]:
 
 
 # --------------------------------------------------------------------------
-# report writing: the bytes of json.dumps(report, indent=2, sort_keys=True)
+# report writing: indent=2 with sorted keys, one check record per line
 # --------------------------------------------------------------------------
 
-#: Check records per write of the report.  Each chunk's scalars go through
-#: one C-encoder call, and the chunk bounds the memory the write allocates:
-#: about 0.2 MB at 64 records against 0.8 MB at 256 on a 7,000-record
-#: report, with no measurable difference in speed.
-REPORT_CHUNK = 64
-
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-_RECORD_KEYS = frozenset(f.name for f in fields(CheckRecord))
-#: The C encoder (no indent) with one scalar per line; ``ensure_ascii``
-#: escapes every newline inside a string, so the lines split cleanly.
-_SCALAR_LINES = json.JSONEncoder(separators=("\n", ": "))
+#: The C encoder with sorted keys and no indent: the text of one check record.
+_RECORD_LINE = json.JSONEncoder(sort_keys=True)
 
 
 def _dumps(value, depth: int) -> str:
@@ -267,92 +270,24 @@ def _dumps(value, depth: int) -> str:
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
 
 
-def _block(open_: str, close: str, items: list[str], depth: int) -> str:
-    """Items of an array or object ``depth`` levels deep, laid out as ``indent=2`` does."""
-    pad = "\n" + "  " * (depth + 1)
-    return open_ + pad + ("," + pad).join(items) + pad[:-2] + close if items else open_ + close
-
-
-def _record_template(pkeys: tuple, dkeys: tuple, lengths: tuple):
-    """The layout of one record shape in ``checks``, ``%s`` for each scalar.
-
-    Returns the template and the sorted ``data`` and ``params`` keys (the
-    order of the scalars), or None when a key is not a string.
-    """
-    if not all(type(k) is str for k in pkeys + dkeys):
-        return None
-
-    def member(k, text: str = "%s") -> str:
-        return json.dumps(k).replace("%", "%%") + ": " + text
-
-    data = sorted(zip(dkeys, lengths))
-    items = [member(k, _block("[", "]", ["%s"] * n, 4)) if n >= 0 else member(k) for k, n in data]
-    members = {
-        "data": _block("{", "}", items, 3),
-        "params": _block("{", "}", [member(k) for k in sorted(pkeys)], 3),
-    }
-    template = _block("{", "}", [member(k, members.get(k, "%s")) for k in sorted(_RECORD_KEYS)], 2)
-    return template, [k for k, _ in data], sorted(pkeys)
-
-
-def _check_texts(records: list, templates: dict) -> list[str]:
-    """The text of each record at depth 2; one C-encoder call serves every templated record."""
-    texts, slots, scalars = [], [], []
-    for rec in records:
-        entry = None
-        if type(rec) is dict and rec.keys() == _RECORD_KEYS:
-            params, data = rec["params"], rec["data"]
-            if type(params) is dict and type(data) is dict:
-                shape = (tuple(params), tuple(data), tuple([len(v) if type(v) is list else -1 for v in data.values()]))
-                if shape not in templates:
-                    templates[shape] = _record_template(*shape)
-                entry = templates[shape]
-        if entry is not None:
-            template, dkeys, pkeys = entry
-            start = len(scalars)
-            # The scalars in the template's order: data, name, params, reason, residual, status, tolerance.
-            for k in dkeys:
-                v = data[k]
-                scalars += v if type(v) is list else (v,)
-            scalars.append(rec["name"])
-            scalars += [params[k] for k in pkeys]
-            scalars += (rec["reason"], rec["residual"], rec["status"], rec["tolerance"])
-            if _SCALARS.issuperset(map(type, scalars[start:])):
-                slots.append((len(texts), template, start, len(scalars)))
-                texts.append(template)
-                continue
-            del scalars[start:]
-        texts.append(_dumps(rec, 2))
-    cells = _SCALAR_LINES.encode(scalars)[1:-1].split("\n")
-    for i, template, start, stop in slots:
-        texts[i] = template % tuple(cells[start:stop])
-    return texts
-
-
 def _write_report(fh, report: dict, timings: dict) -> None:
-    """Write ``json.dumps(report, indent=2, sort_keys=True) + "\\n"`` to ``fh``.
-
-    ``checks`` is written ``REPORT_CHUNK`` records at a time.  The seconds
-    and characters written before ``meta`` go to ``timings["report_write"]``
+    """Write ``report`` in the layout of ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``,
+    except that each element of ``checks`` is one line, ``_RECORD_LINE.encode(record)``.
+    The seconds and characters written before ``meta`` go to ``timings["report_write"]``
     first, so a ``meta`` that holds ``timings`` reports them.
     """
-    start, size, templates = time.perf_counter(), 0, {}
+    start, size = time.perf_counter(), 0
     for i, key in enumerate(sorted(report)):
         if key == "meta":
             timings["report_write"] = {"seconds": time.perf_counter() - start, "bytes": size}
         value = report[key]
-        head = ("{\n  " if i == 0 else ",\n  ") + json.dumps(key) + ": "
-        if key == "checks" and type(value) is list and value:
-            for n in range(0, len(value), REPORT_CHUNK):
-                texts = _check_texts(value[n : n + REPORT_CHUNK], templates)
-                text = (head + "[\n    " if n == 0 else ",\n    ") + ",\n    ".join(texts)
-                fh.write(text)
-                size += len(text)
-            text = "\n  ]"
+        size += fh.write(("{\n  " if i == 0 else ",\n  ") + json.dumps(key) + ": ")
+        if key == "checks" and value:
+            for n, rec in enumerate(value):
+                size += fh.write(("[\n    " if n == 0 else ",\n    ") + _RECORD_LINE.encode(rec))
+            size += fh.write("\n  ]")
         else:
-            text = head + _dumps(value, 1)
-        fh.write(text)
-        size += len(text)
+            size += fh.write(_dumps(value, 1))
     fh.write("\n}\n" if report else "{}\n")
 
 
@@ -662,8 +597,8 @@ def _grid_values(name: str, values) -> tuple[float, ...]:
         try:
             if ":" in text:
                 start, stop, count = _parse_range(text)
-                if count < 1:
-                    raise ValueError(f"range count must be >= 1, got {count}")
+                if not 1 <= count <= MAX_AXIS_POINTS:
+                    raise ValueError(f"range count must be from 1 to {MAX_AXIS_POINTS}, got {count}")
                 values = [float(x) for x in np.linspace(start, stop, count)]
             else:
                 values = [float(tok) for tok in text.split(",")] if text else []
@@ -681,6 +616,8 @@ def _load_config_file(path: Path) -> dict:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -792,6 +729,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: the run does not fit in memory: {exc}", file=sys.stderr)
         return 2
 
     warnings = [] if records else ["no checks were executed (empty grids?)"]

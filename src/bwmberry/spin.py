@@ -182,14 +182,6 @@ def b_of_phi(phi, dp: DriveParams) -> np.ndarray:
     return np.exp(1j * dp.theta) * np.eye(3, dtype=complex) - f * make_eb(p)
 
 
-@functools.lru_cache(maxsize=16)
-def _eb_at_zero_phase(d: float) -> np.ndarray:
-    """E_B at projector phases (0, 0), read-only: the phase-free factor of every H at loop value d."""
-    eb0 = make_eb(AlgebraParams.tla(d, 0.0, 0.0))
-    eb0.flags.writeable = False
-    return eb0
-
-
 def _check_drive_d(d: float) -> None:
     """The golden-ratio rule of the driven unitary, for a d that is already a float."""
     if d < GOLDEN_RATIO - DOMAIN_SLACK:
@@ -206,7 +198,7 @@ def _hamiltonian_row(thetas, omegas, phis, d: float, hbar: float = 1.0) -> np.nd
     """
     _check_drive_d(d)
     ph = np.asarray(phis, dtype=float)
-    eb0 = _eb_at_zero_phase(d)
+    eb0 = make_eb(AlgebraParams.tla(d, 0.0, 0.0))  # E_B at projector phases (0, 0)
     delta = np.subtract.outer(_OCCUPATION, _OCCUPATION)
     eb = eb0[None, :, :] * np.exp(-1j * ph[:, None, None] * delta[None, :, :])
     deb = -1j * delta * eb

@@ -6,7 +6,6 @@ import json
 import math
 import subprocess
 import sys
-import unittest.mock
 
 import numpy as np
 import pytest
@@ -688,7 +687,7 @@ def test_figure_csv_bytes_match_scalar_closed_form(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# report writing: the streamed writer lays the report out as json.dumps does
+# report writing: indent=2 with sorted keys, each check record on one line
 # ---------------------------------------------------------------------------
 
 _FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 1.5e308]))
@@ -713,18 +712,33 @@ _RECORD = st.fixed_dictionaries(
         "data": _DATA,
     }
 )
-# Records of another layout, which the writer must pass through unchanged too.
+# Records of another layout, which the writer must write on one line too.
 _ODD_RECORD = st.one_of(_NESTED, st.dictionaries(_TEXT, _SCALAR, max_size=3), _RECORD.map(lambda r: {**r, "extra": 1}))
 
 
-def write_report(report, timings, chunk=cli.REPORT_CHUNK):
+def write_report(report, timings):
     buffer = io.StringIO()
-    with unittest.mock.patch.object(cli, "REPORT_CHUNK", chunk):
-        cli._write_report(buffer, report, timings)
+    cli._write_report(buffer, report, timings)
     return buffer.getvalue()
 
 
-# Keys and strings the record templates must escape, as params, data and detail.
+def one_line_checks(report) -> str:
+    """json.dumps(report, indent=2, sort_keys=True) + "\n", each checks item on one line as json.dumps gives it.
+
+    Built from the indent=2 text of the report with a one-entry placeholder
+    list as ``checks``; "checks" sorts before every other top-level key here.
+    """
+    checks = report.get("checks")
+    text = json.dumps({**report, "checks": [0]} if checks else report, indent=2, sort_keys=True) + "\n"
+    if not checks:
+        return text
+    placeholder = '{\n  "checks": [\n    0\n  ]'
+    assert text.startswith(placeholder)
+    lines = ",\n    ".join(json.dumps(item, sort_keys=True) for item in checks)
+    return '{\n  "checks": [\n    ' + lines + "\n  ]" + text[len(placeholder) :]
+
+
+# Keys and strings the encoder must escape, as params, data and detail.
 _AWKWARD = {"%": 1.5, "%s": -0.0, '"q"': math.nan, "a\\b": math.inf, "\x00\n\t": -math.inf, "é ψ 😀": True, "": 7}
 _AWKWARD_RECORD = {
     "name": "bwm.%s",
@@ -735,44 +749,51 @@ _AWKWARD_RECORD = {
     "reason": "50% \"quoted\" \\ \u2028",
     "data": {**_AWKWARD, "detail": "d = 1.2\n%d \x1f ψ", "list": [None, math.nan, "%", True, 2**70]},
 }
+_SHAPES = [
+    _AWKWARD_RECORD,
+    {**_AWKWARD_RECORD, "params": {"d": 1.7, "theta": 0.3}, "data": {"observed": [0.0, 0.75, 0.75]}},
+    {**_AWKWARD_RECORD, "data": {"nested": {"b": [1, [2]], "a": {}}}, "params": {}},
+    {**_AWKWARD_RECORD, "params": {2: 1.0, 10: 2.0}},  # int keys sort as numbers
+    {"name": "not a record"},
+]
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     pool=st.lists(st.one_of(_RECORD, _RECORD, _ODD_RECORD), max_size=5),
     count=st.integers(0, 12),
-    chunk=st.sampled_from([1, 3, cli.REPORT_CHUNK]),
     config=st.dictionaries(
         _TEXT, st.one_of(_NESTED, st.tuples(_FLOATS, _FLOATS), st.lists(st.tuples(_FLOATS))), max_size=3
     ),
     rest=st.fixed_dictionaries({}, optional={"command": _TEXT, "schema": st.integers(), "warnings": st.lists(_TEXT)}),
     meta=st.booleans(),
 )
-@example(pool=[_AWKWARD_RECORD], count=2, chunk=1, config={"grids": {"q": (0.5, 2.0)}}, rest={}, meta=True)
-def test_property_report_writer_matches_json_dumps(pool, count, chunk, config, rest, meta):
+@example(pool=[_AWKWARD_RECORD], count=2, config={"grids": {"q": (0.5, 2.0)}}, rest={}, meta=True)
+@example(pool=_SHAPES, count=2 * len(_SHAPES) + 3, config={}, rest={"command": "verify"}, meta=True)
+def test_property_report_writer_gives_one_line_per_check(pool, count, config, rest, meta):
     timings = {"evaluate": {"seconds": 0.5, "records": count}}
     checks = [pool[i % len(pool)] for i in range(count)] if pool else []
     report = {"checks": checks, "config": config, **rest}
     if meta:
         report["meta"] = {"timestamp": "now", "timings": timings}
-    text = write_report(report, timings, chunk)
-    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = write_report(report, timings)
+    assert text == one_line_checks(report)
     if meta:
         assert timings["report_write"]["bytes"] == text.index(',\n  "meta": ')
 
 
-def test_report_writer_streams_several_chunks_of_mixed_shapes():
-    shapes = [
-        _AWKWARD_RECORD,
-        {**_AWKWARD_RECORD, "params": {"d": 1.7, "theta": 0.3}, "data": {"observed": [0.0, 0.75, 0.75]}},
-        {**_AWKWARD_RECORD, "data": {"nested": {"b": [1, [2]], "a": {}}}, "params": {}},
-        {**_AWKWARD_RECORD, "params": {2: 1.0, 10: 2.0}},  # int keys sort as numbers
-        {"name": "not a record"},
-    ]
-    checks = [shapes[i % len(shapes)] for i in range(2 * cli.REPORT_CHUNK + 3)]
-    report = {"checks": checks, "command": "verify", "meta": {}, "summary": {"checks": len(checks)}}
-    assert write_report(report, {}) == json.dumps(report, indent=2, sort_keys=True) + "\n"
-    assert write_report({"checks": [], "meta": {}}, {}) == json.dumps({"checks": [], "meta": {}}, indent=2) + "\n"
+def test_report_writer_exact_bytes():
+    report = {"checks": _SHAPES[1:3], "command": "verify", "meta": {}, "summary": {"checks": 2}, "warnings": []}
+    assert write_report(report, {}) == (
+        '{\n  "checks": [\n'
+        '    {"data": {"observed": [0.0, 0.75, 0.75]}, "name": "bwm.%s", "params": {"d": 1.7, "theta": 0.3}, '
+        '"reason": "50% \\"quoted\\" \\\\ \\u2028", "residual": -0.0, "status": "skip", "tolerance": Infinity},\n'
+        '    {"data": {"nested": {"a": {}, "b": [1, [2]]}}, "name": "bwm.%s", "params": {}, '
+        '"reason": "50% \\"quoted\\" \\\\ \\u2028", "residual": -0.0, "status": "skip", "tolerance": Infinity}\n'
+        '  ],\n  "command": "verify",\n  "meta": {},\n  "summary": {\n    "checks": 2\n  },\n  "warnings": []\n}\n'
+    )
+    assert write_report({"checks": [], "meta": {}}, {}) == '{\n  "checks": [],\n  "meta": {}\n}\n'
+    assert write_report({}, {}) == "{}\n"
 
 
 SMALL_BERRY = ["--grid-spec", "berry_theta=0,0.7", "--grid-spec", "berry_d=1.2,1.7", "--steps", "64"]
@@ -790,12 +811,12 @@ SMALL_BERRY = ["--grid-spec", "berry_theta=0,0.7", "--grid-spec", "berry_d=1.2,1
     ],
     ids=["verify", "spectrum", "spectrum_all_skip", "berry", "figure"],
 )
-def test_report_text_is_json_dumps_layout(command, args, all_skip, jobs, tmp_path, capsys):
+def test_report_text_has_one_line_per_check(command, args, all_skip, jobs, tmp_path, capsys):
     code, _, _ = run([command, "--out", str(tmp_path), *args, "--jobs", jobs], capsys)
     assert code in (0, 1)
     text = (tmp_path / f"{command}_report.json").read_text(encoding="utf-8")
     report = json.loads(text)
-    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert text == one_line_checks(report)
     assert report["meta"]["timings"]["report_write"]["bytes"] == text.index(',\n  "meta": ')
     assert ({c["status"] for c in report["checks"]} == {"skip"}) == all_skip
 
@@ -872,26 +893,72 @@ def test_config_file_grid_range_syntax(tmp_path, capsys):
         ["figure", "--d-mesh", "1:6"],
         ["verify", "--grid-spec", "q"],  # no NAME=VALUES
         ["verify", "--grid-spec", "theta=0:1:0"],  # empty range
+        # Each count is refused above its maximum, before any array or thread is made.
+        ["verify", "--phase-pairs", "1000000000000", "--grid-spec", "q=", "--grid-spec", "tla_d=", "--ybe-samples", "0"],
+        ["berry", "--steps", "1000000000000", "--grid-spec", "berry_theta=0.5", "--grid-spec", "berry_d=2"],
+        ["spectrum", "--grid-spec", "theta=0:1:1000000000000"],
+        ["verify", "--phase-pairs", "99999999999999999999"],
+        ["berry", "--steps", str(cli.MAX_STEPS + 1)],
+        ["verify", "--phase-pairs", str(cli.MAX_PHASE_PAIRS + 1)],
+        ["verify", "--ybe-samples", str(cli.MAX_YBE_SAMPLES + 1)],
+        ["figure", "--theta-points", str(cli.MAX_AXIS_POINTS + 1)],
+        ["figure", "--d-mesh", f"1:6:{cli.MAX_AXIS_POINTS + 1}"],
+        ["figure", "--grid-spec", f"figure_d=1:6:{cli.MAX_AXIS_POINTS + 1}"],
+        ["verify", "--jobs", str(cli.MAX_JOBS + 1)],
     ],
 )
 def test_config_errors_exit_two(argv, tmp_path, capsys):
-    code, _, err = run([*argv, "--out", str(tmp_path)], capsys)
+    code, out, err = run([*argv, "--out", str(tmp_path)], capsys)
     assert code == 2
-    assert "error:" in err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert not out and not list(tmp_path.iterdir())
+
+
+def test_count_maxima_are_accepted():
+    argv = ["figure", "--steps", str(cli.MAX_STEPS), "--phase-pairs", str(cli.MAX_PHASE_PAIRS)]
+    argv += ["--ybe-samples", str(cli.MAX_YBE_SAMPLES), "--jobs", str(cli.MAX_JOBS)]
+    argv += ["--theta-points", str(cli.MAX_AXIS_POINTS), "--d-mesh", f"1:6:{cli.MAX_AXIS_POINTS}"]
+    cfg = build_config(build_parser().parse_args([*argv, "--grid-spec", f"figure_d=1:6:{cli.MAX_AXIS_POINTS}"]))
+    assert (cfg.steps, cfg.phase_pairs, cfg.ybe_samples, cfg.jobs, cfg.figure_theta_points) == (
+        cli.MAX_STEPS,
+        cli.MAX_PHASE_PAIRS,
+        cli.MAX_YBE_SAMPLES,
+        cli.MAX_JOBS,
+        cli.MAX_AXIS_POINTS,
+    )
+    assert cfg.figure_d_mesh[2] == len(cfg.grid("figure_d")) == cli.MAX_AXIS_POINTS
+
+
+def test_run_that_does_not_fit_in_memory_exits_two(tmp_path, capsys, monkeypatch):
+    # Counts inside their maxima can still multiply past the memory at hand;
+    # the allocation failure is simulated, so nothing large is allocated.
+    message = "Unable to allocate 763. MiB for an array with shape (10000, 10000)"
+
+    def refuse(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "figure_table", refuse)
+    code, out, err = run(["figure", "--out", str(tmp_path), "--theta-points", "5"], capsys)
+    assert code == 2 and not out
+    assert err == f"error: the run does not fit in memory: {message}\n"
 
 
 @pytest.mark.parametrize(
-    "content", ["[1]", '{"grids": [1]}', None, "directory"], ids=["list", "grids_list", "missing", "directory"]
+    "content",
+    ["[1]", '{"grids": [1]}', None, "directory", b"\xff\xfe{"],
+    ids=["list", "grids_list", "missing", "directory", "not_utf8"],
 )
 def test_unusable_config_file_exits_two(content, tmp_path, capsys):
     cfg = tmp_path / "run.json"
     if content == "directory":
         cfg.mkdir()
+    elif isinstance(content, bytes):
+        cfg.write_bytes(content)
     elif content is not None:
         cfg.write_text(content)
     code, _, err = run(["verify", "--out", str(tmp_path / "out"), "--config", str(cfg)], capsys)
     assert code == 2
-    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 def test_unwritable_report_exits_two(tmp_path, capsys):
@@ -918,6 +985,8 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
         ("verify", {"grids": {"q": [True]}}),
         ("figure", {"figure_d_mesh": [1, 6, 2.9]}),
         ("figure", {"out": 123}),
+        ("verify", {"ybe_samples": 10**12}),
+        ("spectrum", {"grids": {"theta": "0:1:1000000000000"}}),
     ],
 )
 @pytest.mark.parametrize("flags", [[], ["--tolerance", "1e-9", "--seed", "3", "--out", "."]], ids=["file", "flags"])

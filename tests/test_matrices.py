@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bwmberry import (
@@ -486,11 +486,14 @@ hermitian_matrices = st.one_of(
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(hermitian_matrices, min_size=1, max_size=6))
+# Eigenvalues -5, 0 and 5 to double precision; LAPACK's values-only driver
+# (np.linalg.eigvalsh) returns +-4.99999984 here, so the reference is eigh's.
+@example([np.array([[9.04569224e-169, 0.0, 5j], [0.0, 0.0, 1.73293318e-138], [-5j, 1.73293318e-138, 1.97915637e-118]])])
 def test_property_closed_form_eigh_is_an_eigensystem(matrices):
     stack = np.array(matrices, dtype=complex)
     values, vectors = _closed_form_eigh(stack)
     scale = UNIT_ROUNDOFF * frobenius(stack)[:, None]
-    assert np.all(np.abs(values - np.linalg.eigvalsh(stack)) <= VALUE_BOUND * scale)
+    assert np.all(np.abs(values - np.linalg.eigh(stack)[0]) <= VALUE_BOUND * scale)
     residual = np.linalg.norm(stack @ vectors - vectors * values[:, None, :], axis=1)
     assert np.all(residual <= VALUE_BOUND * scale)
     gram = dagger(vectors) @ vectors

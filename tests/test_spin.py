@@ -27,7 +27,7 @@ from bwmberry import (
     make_r_theta,
     rel_residual,
 )
-from bwmberry.spin import _eb_at_zero_phase, _hamiltonian_row, _ladder_stack
+from bwmberry.spin import _hamiltonian_row, _ladder_stack
 
 LEVEL_AT_PI_SIXTH_D2 = math.sqrt(3.0) / 4.0  # 2 sin(pi/6) sqrt(3) / 4
 
@@ -299,17 +299,6 @@ def test_generator_stack_matches_scalar_route():
     assert stack.shape == (32, 3, 3)
     for k, phi in enumerate(phis):
         assert rel_residual(stack[k], hamiltonian(phi, dp)) < 1e-14
-
-
-def test_generator_phase_free_factor_is_built_once_per_d():
-    # hamiltonian_stack takes E_B(d, 0, 0) from a cache; callers share one
-    # read-only array, which must hold make_eb's bits.
-    eb0 = _eb_at_zero_phase(2.5)
-    assert _eb_at_zero_phase(2.5) is eb0
-    assert not eb0.flags.writeable
-    assert np.array_equal(eb0, make_eb(AlgebraParams.tla(2.5, 0.0, 0.0)))
-    with pytest.raises(ValueError):
-        eb0[0, 0] = 0.0
 
 
 def _generator_reference(phis, theta: float, d: float, omega: float, hbar: float) -> np.ndarray:

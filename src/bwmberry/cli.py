@@ -265,9 +265,9 @@ def _map_points(cfg: RunConfig, fn, points) -> list[CheckRecord]:
 _RECORD_LINE = json.JSONEncoder(sort_keys=True)
 
 
-def _dumps(value, depth: int) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` as laid out ``depth`` levels deep."""
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+def _dumps(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` as laid out for a top-level member."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
 
 
 def _write_report(fh, report: dict, timings: dict) -> None:
@@ -287,7 +287,7 @@ def _write_report(fh, report: dict, timings: dict) -> None:
                 size += fh.write(("[\n    " if n == 0 else ",\n    ") + _RECORD_LINE.encode(rec))
             size += fh.write("\n  ]")
         else:
-            size += fh.write(_dumps(value, 1))
+            size += fh.write(_dumps(value))
     fh.write("\n}\n" if report else "{}\n")
 
 

@@ -18,13 +18,14 @@ identities into per-line residual reports.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParam
-from .matrices import as_matrix3, as_real, inverse, refuse_overflow, rel_residual
+from .errors import BwmBerryError, InvalidParam
+from .matrices import _inverse_stack, as_matrix3, as_real, dagger, inverse, refuse_overflow, rel_residual
 
 #: Smallest loop value d for which the off-diagonal projector stays real.
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
@@ -131,15 +132,82 @@ def _offdiag_root(d: float) -> float:
     return math.sqrt(max(0.0, d * d - d - 1.0))
 
 
-def _projector_weights(p: AlgebraParams) -> tuple:
-    """The entries shared by E_B, U and B: sqrt(d^2-d-1), sqrt(d), e^(i phi1), e^(i phi2), e^(i(phi1+phi2))."""
+@functools.partial(refuse_overflow, name="make_b")
+def _braid_weights(q: float, d: float) -> tuple:
+    """The real weights of B's entries, in Python float arithmetic, where q ** 4 overflowing or
+    underflowing to 0 in a denominator raises InvalidParam naming make_b."""
+    s, rd = _offdiag_root(d), math.sqrt(d)
     return (
-        _offdiag_root(p.d),
-        math.sqrt(p.d),
-        np.exp(1j * p.phi1),
-        np.exp(1j * p.phi2),
-        np.exp(1j * (p.phi1 + p.phi2)),
+        1.0 / (q ** 4 * (d - 1.0) * d),
+        s / (d * q),
+        -s / (q * q * (d - 1.0) * rd),
+        q * q / d,
+        q / rd,
+        (d - 2.0) / (d - 1.0),
     )
+
+
+def _phase_weights(d, phi1, phi2) -> tuple:
+    """The entries shared by E_B, U and B at every phase pair (phi1[k], phi2[k]), as arrays.
+
+    They are d, sqrt(d^2 - d - 1), sqrt(d), e^(i phi1), e^(i phi2) and
+    e^(i(phi1 + phi2)), with ``d`` one loop value or one per pair.  The
+    ``_*_stack`` builders turn them into (n, 3, 3) stacks, of which
+    ``make_eb``, ``make_u`` and ``make_b`` are the one-pair case, and each
+    matrix of a stack has the bits of building its pair alone: the real
+    weights are IEEE float arithmetic, the phase factors numpy's complex
+    exp, and each weight meets a phase factor in a multiply or divide that
+    numpy's array loops round as its scalar arithmetic does (a real times a
+    complex number has no cross term for a fused multiply-add to round
+    otherwise).
+    """
+    d = np.asarray(d, dtype=float)
+    phi1, phi2 = (np.atleast_1d(np.asarray(phi, dtype=float)) for phi in (phi1, phi2))
+    s = np.sqrt(np.maximum(0.0, d * d - d - 1.0))
+    return d, s, np.sqrt(d), np.exp(1j * phi1), np.exp(1j * phi2), np.exp(1j * (phi1 + phi2))
+
+
+def _stack3(rows) -> np.ndarray:
+    """The complex (..., 3, 3) stack whose entry (i, j) is rows[i][j], a number or an array."""
+    out = np.empty(np.broadcast_shapes(*(np.shape(x) for row in rows for x in row)) + (3, 3), dtype=complex)
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            out[..., i, j] = entry
+    return out
+
+
+def _ea_stack(weights) -> np.ndarray:
+    d = weights[0]
+    return _stack3([[0.0, 0.0, 0.0], [0.0, d, 0.0], [0.0, 0.0, 0.0]])
+
+
+def _eb_stack(weights) -> np.ndarray:
+    d, s, rd, e1, e2, e12 = weights
+    return _stack3(
+        [
+            [(d * d - d - 1.0) / d, s / d * e1, -s / rd * e12],
+            [s / d / e1, 1.0 / d, -e2 / rd],
+            [-s / rd / e12, -1.0 / e2 / rd, 1.0],
+        ]
+    )
+
+
+def _u_stack(weights) -> np.ndarray:
+    d, s, rd, e1, e2, e12 = weights
+    return _stack3(
+        [
+            [1.0 / ((d - 1.0) * d), -s / d * e1, -s / (rd * (d - 1.0)) * e12],
+            [s / d / e1, -1.0 / d, e2 / rd],
+            [s / (rd * (d - 1.0)) / e12, 1.0 / e2 / rd, -(d - 2.0) / (d - 1.0)],
+        ]
+    )
+
+
+def _b_stack(weights, q: float) -> np.ndarray:
+    """B at every pair of weights of one loop value d, the coupled loop value of q."""
+    d, _, _, e1, e2, e12 = weights
+    w00, w01, w02, w11, w12, w22 = _braid_weights(q, float(d))
+    return _stack3([[w00, w01 * e1, w02 * e12], [w01 / e1, w11, w12 * e2], [w02 / e12, w12 / e2, w22]])
 
 
 def make_ea(p: AlgebraParams) -> np.ndarray:
@@ -149,30 +217,12 @@ def make_ea(p: AlgebraParams) -> np.ndarray:
 
 def make_eb(p: AlgebraParams) -> np.ndarray:
     """Off-diagonal Temperley-Lieb projector (Hermitian, d times a rank-1 projector)."""
-    d = p.d
-    s, rd, e1, e2, e12 = _projector_weights(p)
-    return np.array(
-        [
-            [(d * d - d - 1.0) / d, s / d * e1, -s / rd * e12],
-            [s / d / e1, 1.0 / d, -e2 / rd],
-            [-s / rd / e12, -1.0 / e2 / rd, 1.0],
-        ],
-        dtype=complex,
-    )
+    return _eb_stack(_phase_weights(p.d, p.phi1, p.phi2))[0]
 
 
 def make_u(p: AlgebraParams) -> np.ndarray:
     """Unitary that conjugates the diagonal pair into the off-diagonal pair."""
-    d = p.d
-    s, rd, e1, e2, e12 = _projector_weights(p)
-    return np.array(
-        [
-            [1.0 / ((d - 1.0) * d), -s / d * e1, -s / (rd * (d - 1.0)) * e12],
-            [s / d / e1, -1.0 / d, e2 / rd],
-            [s / (rd * (d - 1.0)) / e12, 1.0 / e2 / rd, -(d - 2.0) / (d - 1.0)],
-        ],
-        dtype=complex,
-    )
+    return _u_stack(_phase_weights(p.d, p.phi1, p.phi2))[0]
 
 
 @refuse_overflow
@@ -184,22 +234,11 @@ def make_a(p: AlgebraParams) -> np.ndarray:
     return np.diag([q, q ** -2, -1.0 / q]).astype(complex)
 
 
-@refuse_overflow
 def make_b(p: AlgebraParams) -> np.ndarray:
     """Off-diagonal braid generator, the conjugate of make_a by make_u."""
     if p.q is None:
         raise InvalidParam("make_b needs coupled mode: the braid pair carries q")
-    q = p.q
-    d = p.d
-    s, rd, e1, e2, e12 = _projector_weights(p)
-    return np.array(
-        [
-            [1.0 / (q ** 4 * (d - 1.0) * d), s / (d * q) * e1, -s / (q * q * (d - 1.0) * rd) * e12],
-            [s / (d * q) / e1, q * q / d, q / rd * e2],
-            [-s / (q * q * (d - 1.0) * rd) / e12, q / rd / e2, (d - 2.0) / (d - 1.0)],
-        ],
-        dtype=complex,
-    )
+    return _b_stack(_phase_weights(p.d, p.phi1, p.phi2), p.q)[0]
 
 
 @dataclass(frozen=True)
@@ -237,12 +276,42 @@ class RelationReport:
         raise KeyError(name)
 
 
-def _build_report(lines, tolerance: float, notes: tuple[str, ...] = ()) -> RelationReport:
-    """One check per (name, lhs, rhs) line, all residuals from one stacked ``rel_residual``."""
+#: The lines that ``_bwm_row`` evaluates after the suite: B and E_B as the
+#: U-conjugates of A and E_A, and U unitary.
+TRANSPORT_LINES = ("transport_b", "transport_eb", "unitary_u")
+
+
+def _pair_residuals(lines, n: int) -> tuple[tuple[str, ...], list]:
+    """The names of ``(name, lhs, rhs)`` lines and, per pair, their residuals from one stacked ``rel_residual``.
+
+    Each lhs and rhs is one 3x3 matrix, the same at every pair, or an
+    (n, 3, 3) stack; the entry of a pair is the list of its residuals, one
+    per line.
+    """
     names, lhs, rhs = zip(*lines)
-    residuals = rel_residual(np.stack(lhs), np.stack(rhs)).tolist()
-    checks = tuple(RelationCheck(name=n, residual=r, passed=r < tolerance) for n, r in zip(names, residuals))
+    lhs, rhs = (np.stack([np.broadcast_to(m, (n, 3, 3)) for m in side], axis=1) for side in (lhs, rhs))
+    return names, rel_residual(lhs, rhs).tolist()
+
+
+def _build_report(names, results, tolerance: float, notes: tuple[str, ...] = ()) -> RelationReport:
+    """The report of one pair's results: its residuals, or its error, which raises.
+
+    A name list shorter than the residuals keeps its lines only.
+    """
+    (result,) = results
+    if isinstance(result, BwmBerryError):
+        raise result
+    checks = tuple(RelationCheck(name=n, residual=r, passed=r < tolerance) for n, r in zip(names, result))
     return RelationReport(checks=checks, tolerance=float(tolerance), notes=notes)
+
+
+def _tla_lines(ea, eb, d: float) -> list:
+    return [
+        ("square_a", ea @ ea, d * ea),
+        ("square_b", eb @ eb, d * eb),
+        ("sandwich_a", ea @ eb @ ea, ea),
+        ("sandwich_b", eb @ ea @ eb, eb),
+    ]
 
 
 def check_tla(ea, eb, d, tolerance: float = 1e-10) -> RelationReport:
@@ -250,25 +319,24 @@ def check_tla(ea, eb, d, tolerance: float = 1e-10) -> RelationReport:
 
     Lines: E^2 = d E for both projectors and both three-factor sandwich
     identities.  The matrices are taken as given (no Hermiticity demanded),
-    so the report can diagnose broken inputs.
+    so the report can diagnose broken inputs.  The one-pair case of
+    ``_tla_row``'s evaluation.
     """
-    ea = as_matrix3(ea)
-    eb = as_matrix3(eb)
-    dv = as_real("d", d)
-    lines = [
-        ("square_a", ea @ ea, dv * ea),
-        ("square_b", eb @ eb, dv * eb),
-        ("sandwich_a", ea @ eb @ ea, ea),
-        ("sandwich_b", eb @ ea @ eb, eb),
-    ]
-    return _build_report(lines, tolerance)
+    lines = _tla_lines(as_matrix3(ea), as_matrix3(eb), as_real("d", d))
+    return _build_report(*_pair_residuals(lines, 1), tolerance)
+
+
+def _tla_row(p: AlgebraParams, phi1, phi2) -> tuple[tuple[str, ...], list]:
+    """``_pair_residuals`` of the Temperley-Lieb lines at every phase pair of p's loop value."""
+    eb = _eb_stack(_phase_weights(p.d, phi1, phi2))
+    return _pair_residuals(_tla_lines(make_ea(p), eb, p.d), len(eb))
 
 
 def check_braid(a, b, tolerance: float = 1e-10) -> RelationReport:
     """Check the braid identity ABA = BAB for an arbitrary pair of matrices."""
     a = as_matrix3(a)
     b = as_matrix3(b)
-    return _build_report([("braid", a @ b @ a, b @ a @ b)], tolerance)
+    return _build_report(*_pair_residuals([("braid", a @ b @ a, b @ a @ b)], 1), tolerance)
 
 
 def check_bwm_suite(p: AlgebraParams, tolerance: float = 1e-10) -> RelationReport:
@@ -278,29 +346,46 @@ def check_bwm_suite(p: AlgebraParams, tolerance: float = 1e-10) -> RelationRepor
     lines then degenerate to the involution statements A = A^-1, B = B^-1
     (still checked, as written), and the projector-square lines fall back to
     the coupled loop value because the omega-quotient form is 0/0 there; the
-    report notes the substitution.
+    report notes the substitution.  The one-pair case of ``_bwm_row``,
+    without its transport lines.
     """
-    if not p.coupled_mode:
-        raise InvalidParam("check_bwm_suite needs coupled mode (construct via AlgebraParams.coupled)")
-    return _bwm_suite(p, make_a(p), make_b(p), make_ea(p), make_eb(p), tolerance)
+    names, results = _bwm_row(p, p.phi1, p.phi2)
+    return _build_report(names[: -len(TRANSPORT_LINES)], results, tolerance, _skein_weights(p)[3])
 
 
-def _bwm_suite(p: AlgebraParams, a, b, ea, eb, tolerance: float = 1e-10) -> RelationReport:
-    """The report of ``check_bwm_suite`` on A, B, E_A and E_B of p, built by the caller."""
-    ident = np.eye(3, dtype=complex)
-    ai = inverse(a)
-    bi = inverse(b)
+def _skein_weights(p: AlgebraParams) -> tuple:
+    """omega, sigma, the loop value of the projector squares and the suite's notes."""
     omega = p.omega_skein
     sigma = p.sigma
-    notes: tuple[str, ...] = ()
     if abs(omega) < DEGENERATE_OMEGA:
-        dtop = p.d
         notes = (
             "omega_skein ~ 0: skein lines reduce to the involutions A = A^-1, B = B^-1; "
             "projector squares checked against the coupled loop value",
         )
-    else:
-        dtop = d_topological(omega, sigma)
+        return omega, sigma, p.d, notes
+    return omega, sigma, d_topological(omega, sigma), ()
+
+
+def _bwm_row(p: AlgebraParams, phi1, phi2) -> tuple[tuple[str, ...], list]:
+    """The BWM suite and the transport lines at every phase pair of p's q, in one stacked evaluation.
+
+    Returns the line names (the suite's, then TRANSPORT_LINES) and, per
+    pair, the residuals of those lines or the error of a B or U that
+    ``inverse`` refuses at that pair.  An error that depends on q alone
+    (make_a, make_b, A refused by ``inverse``) raises, as it would at every
+    pair, and so does a residual out of the double range, whose magnitude
+    does not depend on the phases.  p's own phases are not used.
+    """
+    if not p.coupled_mode:
+        raise InvalidParam("check_bwm_suite needs coupled mode (construct via AlgebraParams.coupled)")
+    a = make_a(p)
+    weights = _phase_weights(p.d, phi1, phi2)
+    ea, eb, u, b = make_ea(p), _eb_stack(weights), _u_stack(weights), _b_stack(weights, p.q)
+    ident = np.eye(3, dtype=complex)
+    ai = inverse(a)
+    bi, errors = _inverse_stack(b)
+    ui, u_errors = _inverse_stack(u)
+    omega, sigma, dtop, _ = _skein_weights(p)
     lines = [
         ("skein_a", a - ai, omega * (ident - ea)),
         ("skein_b", b - bi, omega * (ident - eb)),
@@ -325,5 +410,10 @@ def _bwm_suite(p: AlgebraParams, a, b, ea, eb, tolerance: float = 1e-10) -> Rela
         ("cross_eigen_b", eb @ a @ eb, eb / sigma),
         ("square_a", ea @ ea, dtop * ea),
         ("square_b", eb @ eb, dtop * eb),
+        ("transport_b", b, u @ a @ ui),
+        ("transport_eb", eb, u @ ea @ ui),
+        ("unitary_u", dagger(u) @ u, ident),
     ]
-    return _build_report(lines, tolerance, notes)
+    names, results = _pair_residuals(lines, len(b))
+    errors = {**u_errors, **errors}  # B's error first: the suite inverts B before the transport lines invert U
+    return names, [errors.get(k, r) for k, r in enumerate(results)]

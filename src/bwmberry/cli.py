@@ -35,21 +35,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import (
-    DOMAIN_SLACK,
-    GOLDEN_RATIO,
-    AlgebraParams,
-    _bwm_suite,
-    check_tla,
-    make_a,
-    make_b,
-    make_ea,
-    make_eb,
-    make_u,
-)
+from .algebra import DOMAIN_SLACK, GOLDEN_RATIO, TRANSPORT_LINES, AlgebraParams, _bwm_row, _tla_row
 from .berry import MIN_STEPS, SECTION_D_VALUES, _wrap_phase, berry_closed, berry_discrete, berry_wilson_loop, figure_table
 from .errors import BwmBerryError, ConfigError, InvalidParam
-from .matrices import dagger, hermitian_eigs, inverse, rel_residual
+from .matrices import hermitian_eigs
 from .spin import _hamiltonian_row, _ladder_stack, cos_alpha
 from .yangbaxter import SpectralParams, exchange_residuals
 
@@ -87,6 +76,12 @@ MAX_PHASE_PAIRS = 10_000
 MAX_YBE_SAMPLES = 100_000
 MAX_AXIS_POINTS = 10_000
 MAX_JOBS = 64
+
+#: Phase pairs or exchange samples per stacked evaluation.  One evaluation
+#: per chunk removes the per-point call overhead, and a bounded chunk keeps
+#: the (n, 3, 3) stacks small, so peak memory does not grow with
+#: ``--phase-pairs`` or ``--ybe-samples``.
+CHUNK = 256
 
 
 # --------------------------------------------------------------------------
@@ -226,11 +221,6 @@ def _skip(name: str, params: dict, tolerance: float | None, exc: BaseException, 
     )
 
 
-def _relation_records(prefix: str, params: dict, report, tolerance: float) -> list[CheckRecord]:
-    """One record per identity of an algebra ``RelationReport``."""
-    return [_record(f"{prefix}.{c.name}", params, c.residual, tolerance) for c in report.checks]
-
-
 class timed:
     """Context manager that adds the seconds spent in its block to ``timings[stage]``.
 
@@ -300,34 +290,45 @@ def _phase_pairs(cfg: RunConfig) -> list[tuple[float, float]]:
     return [tuple(float(x) for x in row) for row in rng.uniform(-math.pi, math.pi, size=(cfg.phase_pairs, 2))]
 
 
-def _bwm_point(cfg: RunConfig, q: float, p1: float, p2: float) -> list[CheckRecord]:
-    base = {"q": float(q), "phi1": float(p1), "phi2": float(p2)}
+def _relation_records(family: str, params: list, tolerance: float, evaluate, exact=()) -> list[CheckRecord]:
+    """The records of one chunk of a relation family, from one stacked evaluation.
+
+    ``evaluate()`` returns the line names and, per point of ``params``, the
+    residuals of the lines or the error of that point alone, which makes the
+    point one ``<family>.suite`` skip; if it raises, every point skips with
+    that error.  Lines named in ``exact`` are graded at EXACT_TOL, the
+    others at ``tolerance``.
+    """
     try:
-        p = AlgebraParams.coupled(q, p1, p2)
-        a, b, ea, eb = make_a(p), make_b(p), make_ea(p), make_eb(p)
-        rep = _bwm_suite(p, a, b, ea, eb)
+        names, results = evaluate()
     except BwmBerryError as exc:
-        return [_skip("bwm.suite", base, cfg.tolerance, exc)]
-    u = make_u(p)
-    ui = inverse(u)
-    transports = rel_residual(
-        np.stack([b, eb, dagger(u) @ u]),
-        np.stack([u @ a @ ui, u @ ea @ ui, np.eye(3, dtype=complex)]),
-    )
-    names = ("bwm.transport_b", "bwm.transport_eb", "bwm.unitary_u")
-    return _relation_records("bwm", base, rep, cfg.tolerance) + [
-        _record(name, base, resid, EXACT_TOL) for name, resid in zip(names, transports.tolist())
-    ]
+        names, results = (), [exc] * len(params)
+    tolerances = [EXACT_TOL if name in exact else tolerance for name in names]
+    out = []
+    for p, result in zip(params, results):
+        if isinstance(result, BwmBerryError):
+            out.append(_skip(f"{family}.suite", p, tolerance, result))
+        else:
+            out += [_record(f"{family}.{n}", p, r, t) for n, r, t in zip(names, result, tolerances)]
+    return out
 
 
-def _tla_point(cfg: RunConfig, d: float, p1: float, p2: float) -> list[CheckRecord]:
-    base = {"d": float(d), "phi1": float(p1), "phi2": float(p2)}
-    try:
-        p = AlgebraParams.tla(d, p1, p2)
-        rep = check_tla(make_ea(p), make_eb(p), d)
-    except BwmBerryError as exc:
-        return [_skip("tla.suite", base, EXACT_TOL, exc)]
-    return _relation_records("tla", base, rep, EXACT_TOL)
+def _bwm_point(cfg: RunConfig, q: float, *pairs: tuple[float, float]) -> list[CheckRecord]:
+    """The records of a chunk of phase pairs at one q: the suite, then the transport lines, pair by pair.
+
+    ``bench/spans.py`` traces the ``_<family>_point`` functions by name, so
+    this one, ``_tla_point`` and ``_ybe_point`` keep their names although
+    they take a chunk.
+    """
+    params = [{"q": float(q), "phi1": p1, "phi2": p2} for p1, p2 in pairs]
+    evaluate = lambda: _bwm_row(AlgebraParams.coupled(q), *zip(*pairs))
+    return _relation_records("bwm", params, cfg.tolerance, evaluate, TRANSPORT_LINES)
+
+
+def _tla_point(cfg: RunConfig, d: float, *pairs: tuple[float, float]) -> list[CheckRecord]:
+    """The records of a chunk of phase pairs at one loop value d."""
+    params = [{"d": float(d), "phi1": p1, "phi2": p2} for p1, p2 in pairs]
+    return _relation_records("tla", params, EXACT_TOL, lambda: _tla_row(AlgebraParams.tla(d), *zip(*pairs)))
 
 
 def _ybe_corner_samples() -> list[SpectralParams]:
@@ -357,18 +358,8 @@ def _ybe_seeded_samples(cfg: RunConfig) -> list[SpectralParams]:
     return samples
 
 
-#: Exchange samples per ``_ybe_point`` call.  One stacked evaluation per
-#: chunk removes the per-sample call overhead, and a bounded chunk keeps the
-#: stacks small, so peak memory does not grow with ``--ybe-samples``.
-YBE_CHUNK = 256
-
-
 def _ybe_point(cfg: RunConfig, *samples: SpectralParams) -> list[CheckRecord]:
-    """The records of a chunk of exchange samples, from one stacked evaluation.
-
-    ``bench/spans.py`` traces the ``_<family>_point`` functions by name, so
-    this one keeps its name although it takes a chunk.
-    """
+    """The records of a chunk of exchange samples, from one stacked evaluation."""
     out = []
     for s, result in zip(samples, exchange_residuals(samples)):
         base = dict(vars(s))
@@ -381,24 +372,29 @@ def _ybe_point(cfg: RunConfig, *samples: SpectralParams) -> list[CheckRecord]:
     return out
 
 
-def cmd_verify(cfg: RunConfig) -> list[CheckRecord]:
-    """BWM records, then TLA records, then exchange records; ``meta.timings`` gets each family's time."""
-    pairs = _phase_pairs(cfg)
-    records = []
-    with timed(cfg.timings, "verify.bwm") as entry:
-        points = [(q, p1, p2) for q in cfg.grid("q") for (p1, p2) in pairs]
-        records += _map_points(cfg, _bwm_point, points)
-        entry["points"] = len(points)
-    with timed(cfg.timings, "verify.tla") as entry:
-        points = [(d, p1, p2) for d in cfg.grid("tla_d") for (p1, p2) in pairs]
-        records += _map_points(cfg, _tla_point, points)
-        entry["points"] = len(points)
-    with timed(cfg.timings, "verify.ybe") as entry:
-        samples = _ybe_corner_samples() + _ybe_seeded_samples(cfg) if cfg.ybe_samples > 0 else []
-        chunks = [samples[i : i + YBE_CHUNK] for i in range(0, len(samples), YBE_CHUNK)]
-        records += _map_points(cfg, _ybe_point, chunks)
-        entry["points"] = len(samples)
+def _family(cfg: RunConfig, stage: str, fn, chunks: list, points: int) -> list[CheckRecord]:
+    """``_map_points(cfg, fn, chunks)``; ``meta.timings[stage]`` gets its seconds, the ``points`` it
+    evaluated, its ``rows`` (stacked evaluations, one per chunk) and its ``skipped`` points."""
+    with timed(cfg.timings, stage) as entry:
+        records = _map_points(cfg, fn, chunks)
+        entry.update(points=points, rows=len(chunks), skipped=sum(r.status == "skip" for r in records))
     return records
+
+
+def cmd_verify(cfg: RunConfig) -> list[CheckRecord]:
+    """BWM records, then TLA records, then exchange records; ``meta.timings`` gets each family's time.
+
+    Each row (one q or one tla_d) is evaluated CHUNK phase pairs at a time.
+    """
+    pairs = _phase_pairs(cfg)
+    chunks = [pairs[i : i + CHUNK] for i in range(0, len(pairs), CHUNK)]
+    qs, ds = cfg.grid("q"), cfg.grid("tla_d")
+    records = _family(cfg, "verify.bwm", _bwm_point, [(q, *c) for q in qs for c in chunks], len(qs) * len(pairs))
+    records += _family(cfg, "verify.tla", _tla_point, [(d, *c) for d in ds for c in chunks], len(ds) * len(pairs))
+    with timed(cfg.timings, "verify.ybe"):
+        samples = _ybe_corner_samples() + _ybe_seeded_samples(cfg) if cfg.ybe_samples > 0 else []
+    chunks = [samples[i : i + CHUNK] for i in range(0, len(samples), CHUNK)]
+    return records + _family(cfg, "verify.ybe", _ybe_point, chunks, len(samples))
 
 
 # --------------------------------------------------------------------------

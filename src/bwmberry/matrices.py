@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParam, NoConvergence, NotHermitian, SingularMatrix
+from .errors import BwmBerryError, InvalidParam, NoConvergence, NotHermitian, SingularMatrix
 
 #: Relative Frobenius tolerance for accepting a matrix as Hermitian.
 HERMITICITY_RTOL = 1e-10
@@ -174,44 +174,97 @@ def rel_residual(lhs, rhs):
     return float(residual[0]) if a.ndim == 2 else residual.reshape(a.shape[:-2])
 
 
+def _cmul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) as its real and imaginary parts, in the arithmetic of numpy's scalar multiply.
+
+    numpy's array loop for a complex multiply may fuse a product and a sum
+    into one FMA instruction (it does with AVX-512), which rounds once where
+    the scalar multiply rounds twice, so the array ``*`` and the scalar ``*``
+    differ in the last bit on about half of all random products.  These
+    float products and sums round as the scalar multiply does.
+    """
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _adjugate_det(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Adjugate and cofactor-expansion determinant of each matrix of an (n, 3, 3) stack.
+
+    Every complex product is a ``_cmul``, so each matrix gets the bits of the
+    same formulas evaluated on its numpy scalar entries.
+    """
+    x = [[(a[:, i, j].real, a[:, i, j].imag) for j in range(3)] for i in range(3)]
+
+    def cofactor(r1, c1, r2, c2):
+        (pr, pi), (qr, qi) = _cmul(*x[r1][c1], *x[r2][c2]), _cmul(*x[r1][c2], *x[r2][c1])
+        return pr - qr, pi - qi
+
+    adj = np.empty_like(a)
+    for i in range(3):
+        for j in range(3):
+            entry = adj[:, i, j]
+            entry.real, entry.imag = cofactor((j + 1) % 3, (i + 1) % 3, (j + 2) % 3, (i + 2) % 3)
+    # a00 (a11 a22 - a12 a21) - a01 (a10 a22 - a12 a20) + a02 (a10 a21 - a11 a20), left to right.
+    (r0, i0), (r1, i1), (r2, i2) = (
+        _cmul(*x[0][j], *cofactor(1, c1, 2, c2)) for j, c1, c2 in ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+    )
+    det = np.empty(len(a), dtype=complex)
+    det.real, det.imag = r0 - r1 + r2, i0 - i1 + i2
+    return adj, det
+
+
 def det3(m) -> complex:
     """Determinant of a 3x3 matrix by cofactor expansion."""
-    a = as_matrix3(m)
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
-    return complex(
-        a00 * (a11 * a22 - a12 * a21)
-        - a01 * (a10 * a22 - a12 * a20)
-        + a02 * (a10 * a21 - a11 * a20)
-    )
+    return complex(_adjugate_det(as_matrix3(m)[None])[1][0])
 
 
-@refuse_overflow
+#: ||m||_F^3 of ``inverse``'s singularity guard; a cube beyond the double range raises InvalidParam.
+_norm_cube = refuse_overflow(lambda norm: norm ** 3, "inverse")
+
+
+def _inverse_stack(m) -> tuple[np.ndarray, dict[int, BwmBerryError]]:
+    """The adjugate inverse of each matrix of an (n, 3, 3) stack, with the bits ``inverse`` gives it alone.
+
+    Returns the stack of inverses and, by stack index, the error that
+    ``inverse`` raises on each matrix it refuses (its entry in the stack is
+    then not an inverse): ``SingularMatrix`` with the same ``detail``, or
+    ``InvalidParam`` where ||m||_F or its cube leaves the double range.
+    """
+    a = as_matrix3(m, stack=True)
+    adj, det = _adjugate_det(a)
+    try:
+        norms = frobenius(a).tolist()
+    except InvalidParam:  # a norm beyond the double range: find it matrix by matrix
+        norms = [None] * len(a)
+    errors = {}
+    for k, (d, norm) in enumerate(zip(det.tolist(), norms)):
+        try:
+            scale = max(1.0, _norm_cube(frobenius(a[k]) if norm is None else norm))
+        except InvalidParam as exc:
+            errors[k] = exc
+            continue
+        if abs(d) <= SINGULARITY_RTOL * scale:
+            errors[k] = SingularMatrix(
+                f"determinant too small for the matrix scale: |det| = {abs(d):.3e} <= "
+                f"{SINGULARITY_RTOL:g} * max(1, ||m||_F^3) = {SINGULARITY_RTOL * scale:.3e}"
+            )
+    if errors:
+        det[list(errors)] = 1.0
+    return adj / det[:, None, None], errors
+
+
 def inverse(m) -> np.ndarray:
     """Invert a 3x3 matrix via the adjugate / determinant formula.
 
     The closed form has no pivoting noise, so the inverse of an exactly
     representable matrix is reproducible bit-for-bit.  Raises
     SingularMatrix when |det| <= 1e-12 * max(1, ||m||_F^3), and
-    InvalidParam where ||m||_F^3 overflows.
+    InvalidParam where ||m||_F^3 overflows.  The one-matrix case of
+    ``_inverse_stack``.
     """
-    a = as_matrix3(m)
-    d = det3(a)
-    scale = max(1.0, frobenius(a) ** 3)
-    if abs(d) <= SINGULARITY_RTOL * scale:
-        raise SingularMatrix(
-            f"determinant too small for the matrix scale: |det| = {abs(d):.3e} <= "
-            f"{SINGULARITY_RTOL:g} * max(1, ||m||_F^3) = {SINGULARITY_RTOL * scale:.3e}"
-        )
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
-    adj = np.array(
-        [
-            [a11 * a22 - a12 * a21, a02 * a21 - a01 * a22, a01 * a12 - a02 * a11],
-            [a12 * a20 - a10 * a22, a00 * a22 - a02 * a20, a02 * a10 - a00 * a12],
-            [a10 * a21 - a11 * a20, a01 * a20 - a00 * a21, a00 * a11 - a01 * a10],
-        ],
-        dtype=complex,
-    )
-    return adj / d
+    inv, errors = _inverse_stack(as_matrix3(m)[None])
+    if errors:
+        raise errors[0]
+    return inv[0]
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraParams, make_ea, make_eb
+from .algebra import AlgebraParams, _ea_stack, _eb_stack, _phase_weights, make_ea, make_eb
 from .errors import BwmBerryError, DomainError, InvalidParam, NonUnimodular, PoleEncountered
 from .matrices import as_real, refuse_overflow, rel_residual
 
@@ -174,12 +174,13 @@ def exchange_residuals(samples) -> list:
     Each entry is ``(residual, (z(u), z(v), z(u*v)))``, or the
     ``BwmBerryError`` that the sample's scalar set-up raised (velocity
     pole, phase off the unit circle, parameter out of domain).  The
-    residual compares A(u) B(u*v) A(v) with B(v) A(u*v) B(u); the R
-    matrices of all samples are built as (n, 3, 3) stacks and multiplied
-    and compared with stacked operations, which give each sample the same
-    bits as evaluating it alone.
+    residual compares A(u) B(u*v) A(v) with B(v) A(u*v) B(u); the
+    projectors of all samples are built as (n, 3, 3) stacks
+    (``algebra._ea_stack``, ``algebra._eb_stack``), and the R matrices are dressed,
+    multiplied and compared with stacked operations, which give each sample
+    the same bits as evaluating it alone.
     """
-    out, weights, ea, eb = [], [], [], []
+    out, weights, points = [], [], []
     for s in samples:
         # The errors come in the order of building R(u), R(v), R(u*v) one by
         # one: the velocity pole, z(u), the projector domain, z(v), z(u*v).
@@ -193,11 +194,11 @@ def exchange_residuals(samples) -> list:
             continue
         out.append(zs)
         weights.append([_r_weights(z, s.d) for z in zs])
-        ea.append(make_ea(p))
-        eb.append(make_eb(p))
+        points.append((p.d, p.phi1, p.phi2))
     if not weights:
         return out
-    ea, eb = np.stack(ea), np.stack(eb)
+    entries = _phase_weights(*zip(*points))
+    ea, eb = _ea_stack(entries), _eb_stack(entries)
     (ua, ub), (va, vb), (wa, wb) = ((_dress(w, ea), _dress(w, eb)) for w in zip(*weights))
     residuals = iter(rel_residual(ua @ wb @ va, vb @ wa @ ub).tolist())
     return [r if isinstance(r, BwmBerryError) else (next(residuals), r) for r in out]

@@ -489,10 +489,13 @@ hermitian_matrices = st.one_of(
 # Eigenvalues -5, 0 and 5 to double precision; LAPACK's values-only driver
 # (np.linalg.eigvalsh) returns +-4.99999984 here, so the reference is eigh's.
 @example([np.array([[9.04569224e-169, 0.0, 5j], [0.0, 0.0, 1.73293318e-138], [-5j, 1.73293318e-138, 1.97915637e-118]])])
+# Entries 8.87e-284 square to 0, so frobenius underflows to 0 for this nonzero matrix.
+@example([np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 8.86960696e-284], [0.0, 8.86960696e-284, 0.0]])])
 def test_property_closed_form_eigh_is_an_eigensystem(matrices):
     stack = np.array(matrices, dtype=complex)
     values, vectors = _closed_form_eigh(stack)
-    scale = UNIT_ROUNDOFF * frobenius(stack)[:, None]
+    # ||H||_F, or its largest |entry| (never more) where the sum of squares underflows to 0.
+    scale = UNIT_ROUNDOFF * np.maximum(frobenius(stack), np.abs(stack).max(axis=(1, 2)))[:, None]
     assert np.all(np.abs(values - np.linalg.eigh(stack)[0]) <= VALUE_BOUND * scale)
     residual = np.linalg.norm(stack @ vectors - vectors * values[:, None, :], axis=1)
     assert np.all(residual <= VALUE_BOUND * scale)

@@ -24,6 +24,10 @@ HERMITICITY_RTOL = 1e-10
 #: |det| below this times max(1, ||m||_F^3) counts as singular.
 SINGULARITY_RTOL = 1e-12
 
+#: Frobenius norms below this, 2^-511, come from a sum of squares that
+#: underflows the smallest normal double, 2^-1022.
+_UNDERFLOW_NORM = 2.0 ** -511
+
 #: Components smaller than this are ignored when fixing eigenvector phases.
 PHASE_FIX_CUTOFF = 1e-12
 
@@ -130,6 +134,12 @@ def _row_norm(row: np.ndarray) -> float:
     raise InvalidParam("the Frobenius norm overflows double precision")
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """sqrt(re.re + im.im) of each flattened matrix of an (n, size) array, each dot one BLAS call."""
+    rows, cols = x.reshape(-1, 1, x.shape[-1]), x.reshape(-1, x.shape[-1], 1)
+    return np.sqrt((rows.real @ cols.real + rows.imag @ cols.imag).ravel())
+
+
 def frobenius(m):
     """Frobenius norm of a matrix, or of each matrix of a (..., 3, 3) stack.
 
@@ -139,16 +149,27 @@ def frobenius(m):
     matrix, so the two agree bit for bit (a norm over a stack's last axes
     does not).  If a sum of squares overflows, ``_row_norm`` redoes them
     all: such a norm is still right, and one beyond the double range raises
-    InvalidParam.
+    InvalidParam.  A nonzero matrix whose sum of squares underflows (norm
+    below 2^-511, the root of the smallest normal double) is scaled by the
+    power of two that brings its largest entry into [0.5, 1), exactly, and
+    its norm is that of the scaled matrix scaled back, so it is not 0.
     """
     x = np.asarray(m, dtype=complex)
-    size = x.shape[-2] * x.shape[-1]
-    rows, cols = x.reshape(-1, 1, size), x.reshape(-1, size, 1)
+    rows = x.reshape(-1, x.shape[-2] * x.shape[-1])
     try:
         with np.errstate(over="raise"):
-            norms = np.sqrt((rows.real @ cols.real + rows.imag @ cols.imag).ravel())
+            norms = _norms(rows)
     except FloatingPointError:
         norms = np.array([_row_norm(row) for row in rows])
+    small = np.flatnonzero(norms < _UNDERFLOW_NORM)
+    if small.size:
+        small = small[np.any(rows if small.size == len(rows) else rows[small], axis=1)]  # zero stays 0
+    if small.size:
+        tiny = rows[small]
+        big = np.maximum(np.abs(tiny.real).max(axis=1), np.abs(tiny.imag).max(axis=1))
+        k = np.frexp(big)[1]
+        scaled = np.ldexp(tiny.real, -k[:, None]) + 1j * np.ldexp(tiny.imag, -k[:, None])
+        norms[small] = np.ldexp(_norms(scaled), k)
     return float(norms[0]) if x.ndim == 2 else norms.reshape(x.shape[:-2])
 
 

@@ -161,9 +161,23 @@ def test_rel_residual_symmetric_and_nonnegative():
         assert r_ab >= 0.0
 
 
+def reference_norm(m) -> float:
+    """``np.linalg.norm(m)``, except where its sum of squares underflows (a norm below 2^-511).
+
+    There it is the norm of m scaled by the power of two that brings its
+    largest entry into [0.5, 1), scaled back.
+    """
+    norm = float(np.linalg.norm(m))
+    if norm >= 2.0 ** -511:
+        return norm
+    m = np.asarray(m, dtype=complex)
+    k = math.frexp(float(max(np.max(np.abs(m.real)), np.max(np.abs(m.imag)))))[1]
+    return math.ldexp(float(np.linalg.norm(np.ldexp(m.real, -k) + 1j * np.ldexp(m.imag, -k))), k)
+
+
 def reference_rel_residual(a, b) -> float:
-    """The residual as defined before it took stacks: one ``np.linalg.norm`` per matrix."""
-    return float(np.linalg.norm(a - b)) / max(1.0, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
+    """The residual as defined before it took stacks: one ``np.linalg.norm`` per matrix, see ``reference_norm``."""
+    return reference_norm(a - b) / max(1.0, reference_norm(a), reference_norm(b))
 
 
 # Entries from 1e-150 to 1e150 in magnitude, and zeros: no sum of squares overflows.
@@ -217,6 +231,27 @@ def test_norms_that_overflow_when_squared_are_right():
     with pytest.raises(NotHermitian, match="defect 1.414e[+]200"):
         hermitian_eigs(m)
     np.testing.assert_allclose(hermitian_eigs(m + m.T).values, [-1e200, 0.0, 1e200], rtol=1e-15)
+
+
+def test_norms_that_underflow_when_squared_are_right():
+    # Entries of 8.87e-284 square to 0, and entries of 1e-160 to subnormals
+    # short of bits; the norms of these nonzero matrices are neither.
+    tiny = np.zeros((3, 3))
+    tiny[1, 2] = tiny[2, 1] = 8.86960696e-284
+    assert np.linalg.norm(tiny) == 0.0
+    assert frobenius(tiny) == pytest.approx(math.sqrt(2.0) * 8.86960696e-284, rel=1e-15)
+    small = np.full((3, 3), 1e-160) * (1.0 + 1j)
+    assert frobenius(small) == pytest.approx(math.sqrt(18.0) * 1e-160, rel=1e-15)
+    assert frobenius(np.full((3, 3), 5e-324)) == 3 * 5e-324  # 3 * 2^-1074, exactly
+    # In a stack only those matrices are redone: zero stays 0, the rest keep np.linalg.norm's bits.
+    m = random_complex_matrix(np.random.default_rng(5))
+    norms = frobenius(np.stack([tiny, m, np.zeros((3, 3)), small, m * 1e-150]))
+    assert norms[[0, 3]].tolist() == [frobenius(tiny), frobenius(small)]
+    assert norms[[1, 2, 4]].tolist() == [np.linalg.norm(m), 0.0, np.linalg.norm(m * 1e-150)]
+    both = frobenius(np.stack([np.full((3, 3), 1e200), tiny]))
+    assert both.tolist() == pytest.approx([3e200, math.sqrt(2.0) * 8.86960696e-284], rel=1e-15)
+    # A difference of such entries does not read as residual 0.
+    assert rel_residual(tiny, 2.0 * tiny) == pytest.approx(math.sqrt(2.0) * 8.86960696e-284, rel=1e-15)
 
 
 def test_rel_residual_braid_sides_agree():
@@ -489,13 +524,10 @@ hermitian_matrices = st.one_of(
 # Eigenvalues -5, 0 and 5 to double precision; LAPACK's values-only driver
 # (np.linalg.eigvalsh) returns +-4.99999984 here, so the reference is eigh's.
 @example([np.array([[9.04569224e-169, 0.0, 5j], [0.0, 0.0, 1.73293318e-138], [-5j, 1.73293318e-138, 1.97915637e-118]])])
-# Entries 8.87e-284 square to 0, so frobenius underflows to 0 for this nonzero matrix.
-@example([np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 8.86960696e-284], [0.0, 8.86960696e-284, 0.0]])])
 def test_property_closed_form_eigh_is_an_eigensystem(matrices):
     stack = np.array(matrices, dtype=complex)
     values, vectors = _closed_form_eigh(stack)
-    # ||H||_F, or its largest |entry| (never more) where the sum of squares underflows to 0.
-    scale = UNIT_ROUNDOFF * np.maximum(frobenius(stack), np.abs(stack).max(axis=(1, 2)))[:, None]
+    scale = UNIT_ROUNDOFF * frobenius(stack)[:, None]
     assert np.all(np.abs(values - np.linalg.eigh(stack)[0]) <= VALUE_BOUND * scale)
     residual = np.linalg.norm(stack @ vectors - vectors * values[:, None, :], axis=1)
     assert np.all(residual <= VALUE_BOUND * scale)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BwmBerryError, InvalidParam
+from .errors import InvalidParam
 from .matrices import _inverse_stack, as_matrix3, as_real, dagger, inverse, refuse_overflow, rel_residual
 
 #: Smallest loop value d for which the off-diagonal projector stays real.
@@ -293,15 +293,10 @@ def _pair_residuals(lines, n: int) -> tuple[tuple[str, ...], list]:
     return names, rel_residual(lhs, rhs).tolist()
 
 
-def _build_report(names, results, tolerance: float, notes: tuple[str, ...] = ()) -> RelationReport:
-    """The report of one pair's results: its residuals, or its error, which raises.
-
-    A name list shorter than the residuals keeps its lines only.
-    """
-    (result,) = results
-    if isinstance(result, BwmBerryError):
-        raise result
-    checks = tuple(RelationCheck(name=n, residual=r, passed=r < tolerance) for n, r in zip(names, result))
+def _build_report(lines, tolerance: float, notes: tuple[str, ...] = ()) -> RelationReport:
+    """The report of one pair's ``(name, lhs, rhs)`` lines."""
+    names, (residuals,) = _pair_residuals(lines, 1)
+    checks = tuple(RelationCheck(name=n, residual=r, passed=r < tolerance) for n, r in zip(names, residuals))
     return RelationReport(checks=checks, tolerance=float(tolerance), notes=notes)
 
 
@@ -322,8 +317,7 @@ def check_tla(ea, eb, d, tolerance: float = 1e-10) -> RelationReport:
     so the report can diagnose broken inputs.  The one-pair case of
     ``_tla_row``'s evaluation.
     """
-    lines = _tla_lines(as_matrix3(ea), as_matrix3(eb), as_real("d", d))
-    return _build_report(*_pair_residuals(lines, 1), tolerance)
+    return _build_report(_tla_lines(as_matrix3(ea), as_matrix3(eb), as_real("d", d)), tolerance)
 
 
 def _tla_row(p: AlgebraParams, phi1, phi2) -> tuple[tuple[str, ...], list]:
@@ -336,7 +330,7 @@ def check_braid(a, b, tolerance: float = 1e-10) -> RelationReport:
     """Check the braid identity ABA = BAB for an arbitrary pair of matrices."""
     a = as_matrix3(a)
     b = as_matrix3(b)
-    return _build_report(*_pair_residuals([("braid", a @ b @ a, b @ a @ b)], 1), tolerance)
+    return _build_report([("braid", a @ b @ a, b @ a @ b)], tolerance)
 
 
 def check_bwm_suite(p: AlgebraParams, tolerance: float = 1e-10) -> RelationReport:
@@ -349,8 +343,10 @@ def check_bwm_suite(p: AlgebraParams, tolerance: float = 1e-10) -> RelationRepor
     report notes the substitution.  The one-pair case of ``_bwm_row``,
     without its transport lines.
     """
-    names, results = _bwm_row(p, p.phi1, p.phi2)
-    return _build_report(names[: -len(TRANSPORT_LINES)], results, tolerance, _skein_weights(p)[3])
+    lines, errors = _bwm_lines(p, p.phi1, p.phi2, transport=False)
+    if errors:
+        raise errors[0]
+    return _build_report(lines, tolerance, _skein_weights(p)[3])
 
 
 def _skein_weights(p: AlgebraParams) -> tuple:
@@ -366,25 +362,22 @@ def _skein_weights(p: AlgebraParams) -> tuple:
     return omega, sigma, d_topological(omega, sigma), ()
 
 
-def _bwm_row(p: AlgebraParams, phi1, phi2) -> tuple[tuple[str, ...], list]:
-    """The BWM suite and the transport lines at every phase pair of p's q, in one stacked evaluation.
+def _bwm_lines(p: AlgebraParams, phi1, phi2, transport: bool) -> tuple[list, dict]:
+    """The ``(name, lhs, rhs)`` lines of the BWM suite at every phase pair of p's q, stacked.
 
-    Returns the line names (the suite's, then TRANSPORT_LINES) and, per
-    pair, the residuals of those lines or the error of a B or U that
-    ``inverse`` refuses at that pair.  An error that depends on q alone
-    (make_a, make_b, A refused by ``inverse``) raises, as it would at every
-    pair, and so does a residual out of the double range, whose magnitude
-    does not depend on the phases.  p's own phases are not used.
+    With ``transport`` the TRANSPORT_LINES follow the suite's.  Returns the
+    lines and the errors, by pair index, of a B or U that ``inverse``
+    refuses at that pair.  An error that depends on q alone (make_a, make_b,
+    A refused by ``inverse``) raises.  p's own phases are not used.
     """
     if not p.coupled_mode:
         raise InvalidParam("check_bwm_suite needs coupled mode (construct via AlgebraParams.coupled)")
     a = make_a(p)
     weights = _phase_weights(p.d, phi1, phi2)
-    ea, eb, u, b = make_ea(p), _eb_stack(weights), _u_stack(weights), _b_stack(weights, p.q)
+    ea, eb, b = make_ea(p), _eb_stack(weights), _b_stack(weights, p.q)
     ident = np.eye(3, dtype=complex)
     ai = inverse(a)
     bi, errors = _inverse_stack(b)
-    ui, u_errors = _inverse_stack(u)
     omega, sigma, dtop, _ = _skein_weights(p)
     lines = [
         ("skein_a", a - ai, omega * (ident - ea)),
@@ -410,10 +403,28 @@ def _bwm_row(p: AlgebraParams, phi1, phi2) -> tuple[tuple[str, ...], list]:
         ("cross_eigen_b", eb @ a @ eb, eb / sigma),
         ("square_a", ea @ ea, dtop * ea),
         ("square_b", eb @ eb, dtop * eb),
-        ("transport_b", b, u @ a @ ui),
-        ("transport_eb", eb, u @ ea @ ui),
-        ("unitary_u", dagger(u) @ u, ident),
     ]
-    names, results = _pair_residuals(lines, len(b))
-    errors = {**u_errors, **errors}  # B's error first: the suite inverts B before the transport lines invert U
+    if transport:
+        u = _u_stack(weights)
+        ui, u_errors = _inverse_stack(u)
+        lines += [
+            ("transport_b", b, u @ a @ ui),
+            ("transport_eb", eb, u @ ea @ ui),
+            ("unitary_u", dagger(u) @ u, ident),
+        ]
+        errors = {**u_errors, **errors}  # B's error first: the suite inverts B before the transport lines invert U
+    return lines, errors
+
+
+def _bwm_row(p: AlgebraParams, phi1, phi2) -> tuple[tuple[str, ...], list]:
+    """The BWM suite and the transport lines at every phase pair of p's q, in one stacked evaluation.
+
+    Returns the line names (the suite's, then TRANSPORT_LINES) and, per
+    pair, the residuals of those lines or the error of a B or U that
+    ``inverse`` refuses at that pair.  An error that depends on q alone
+    raises, as it would at every pair, and so does a residual out of the
+    double range, whose magnitude does not depend on the phases.
+    """
+    lines, errors = _bwm_lines(p, phi1, phi2, transport=True)
+    names, results = _pair_residuals(lines, np.size(phi1))
     return names, [errors.get(k, r) for k, r in enumerate(results)]

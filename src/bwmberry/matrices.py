@@ -162,14 +162,17 @@ def frobenius(m):
     except FloatingPointError:
         norms = np.array([_row_norm(row) for row in rows])
     small = np.flatnonzero(norms < _UNDERFLOW_NORM)
-    if small.size:
-        small = small[np.any(rows if small.size == len(rows) else rows[small], axis=1)]  # zero stays 0
-    if small.size:
-        tiny = rows[small]
-        big = np.maximum(np.abs(tiny.real).max(axis=1), np.abs(tiny.imag).max(axis=1))
-        k = np.frexp(big)[1]
-        scaled = np.ldexp(tiny.real, -k[:, None]) + 1j * np.ldexp(tiny.imag, -k[:, None])
-        norms[small] = np.ldexp(_norms(scaled), k)
+    # Mostly zero matrices (exact differences in rel_residual), looked at a
+    # few at a time so that no copy of a whole stack is made.
+    for start in range(0, small.size, 256):
+        part = small[start : start + 256]
+        part = part[np.any(rows[part], axis=1)]
+        if part.size:
+            tiny = rows[part]
+            big = np.maximum(np.abs(tiny.real).max(axis=1), np.abs(tiny.imag).max(axis=1))
+            k = np.frexp(big)[1]
+            scaled = np.ldexp(tiny.real, -k[:, None]) + 1j * np.ldexp(tiny.imag, -k[:, None])
+            norms[part] = np.ldexp(_norms(scaled), k)
     return float(norms[0]) if x.ndim == 2 else norms.reshape(x.shape[:-2])
 
 

@@ -164,6 +164,8 @@ class RunConfig:
     grids: dict[str, tuple[float, ...]] = field(default_factory=dict)
     #: Stage timings of the run (see ``timed``), written to the report's ``meta``.
     timings: dict[str, dict] = field(default_factory=dict)
+    #: What the run left out of its input, for the report's ``warnings``.
+    warnings: list[str] = field(default_factory=list)
 
     def grid(self, name: str) -> tuple[float, ...]:
         return self.grids.get(name, DEFAULT_GRIDS[name])
@@ -340,11 +342,16 @@ def _ybe_corner_samples() -> list[SpectralParams]:
 
 
 def _ybe_seeded_samples(cfg: RunConfig) -> list[SpectralParams]:
+    """The seeded exchange samples; none, with a warning, where ``ybe_beta`` or ``ybe_d`` is empty."""
     rng = np.random.default_rng([cfg.seed, 1])
     betas = cfg.grid("ybe_beta")
     ds = cfg.grid("ybe_d")
     samples = []
-    if not betas or not ds:
+    empty = [name for name, grid in (("ybe_beta", betas), ("ybe_d", ds)) if not grid]
+    if empty:
+        cfg.warnings.append(
+            f"grid {' and '.join(empty)} is empty: the {cfg.ybe_samples} seeded exchange samples were not drawn"
+        )
         return samples
     for _ in range(cfg.ybe_samples):
         u, v = rng.uniform(-0.9, 0.9, size=2)
@@ -382,7 +389,8 @@ def _family(cfg: RunConfig, stage: str, fn, chunks: list, points: int) -> list[C
 
 
 def cmd_verify(cfg: RunConfig) -> list[CheckRecord]:
-    """BWM records, then TLA records, then exchange records; ``meta.timings`` gets each family's time.
+    """BWM records, then TLA records, then exchange records; ``meta.timings`` gets each family's time
+    and, as ``verify.ybe_draw``, the time of drawing the exchange samples.
 
     Each row (one q or one tla_d) is evaluated CHUNK phase pairs at a time.
     """
@@ -391,8 +399,9 @@ def cmd_verify(cfg: RunConfig) -> list[CheckRecord]:
     qs, ds = cfg.grid("q"), cfg.grid("tla_d")
     records = _family(cfg, "verify.bwm", _bwm_point, [(q, *c) for q in qs for c in chunks], len(qs) * len(pairs))
     records += _family(cfg, "verify.tla", _tla_point, [(d, *c) for d in ds for c in chunks], len(ds) * len(pairs))
-    with timed(cfg.timings, "verify.ybe"):
+    with timed(cfg.timings, "verify.ybe_draw") as entry:
         samples = _ybe_corner_samples() + _ybe_seeded_samples(cfg) if cfg.ybe_samples > 0 else []
+        entry["points"] = len(samples)
     chunks = [samples[i : i + CHUNK] for i in range(0, len(samples), CHUNK)]
     return records + _family(cfg, "verify.ybe", _ybe_point, chunks, len(samples))
 
@@ -730,7 +739,7 @@ def main(argv=None) -> int:
         print(f"error: the run does not fit in memory: {exc}", file=sys.stderr)
         return 2
 
-    warnings = [] if records else ["no checks were executed (empty grids?)"]
+    warnings = cfg.warnings + ([] if records else ["no checks were executed (empty grids?)"])
     residuals = [c.residual for c in records if c.residual is not None]
     summary = {
         "checks": len(records),

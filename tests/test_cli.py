@@ -135,6 +135,19 @@ def test_verify_empty_grids_warn_but_pass(tmp_path, capsys):
     assert report["warnings"]
 
 
+@pytest.mark.parametrize("empty", [["ybe_beta"], ["ybe_d"], ["ybe_beta", "ybe_d"]])
+def test_empty_exchange_grid_warns_that_the_seeded_samples_were_not_drawn(empty, tmp_path, capsys):
+    specs = [arg for name in empty for arg in ("--grid-spec", f"{name}=")]
+    code, _, err = run(["verify", "--out", str(tmp_path), *SMALL_VERIFY, "--ybe-samples", "500", *specs], capsys)
+    assert code == 0
+    warning = f"grid {' and '.join(empty)} is empty: the 500 seeded exchange samples were not drawn"
+    report = load_report(tmp_path, "verify")
+    assert report["warnings"] == [warning]
+    assert f"warning: {warning}\n" in err
+    assert report["meta"]["timings"]["verify.ybe_draw"]["points"] == 3  # the corner samples only
+    assert sum(c["name"] == "ybe.exchange" for c in report["checks"]) == 3
+
+
 def test_verify_deterministic_across_runs_and_jobs(tmp_path, capsys):
     args = [*SMALL_VERIFY, "--seed", "7"]
     run(["verify", "--out", str(tmp_path / "a"), *args], capsys)
@@ -392,10 +405,11 @@ def test_report_meta_holds_stage_timings(tmp_path, capsys):
     run(["verify", "--out", str(tmp_path), "--phase-pairs", "2", "--ybe-samples", "7", "--grid-spec", "q=0.5,2"], capsys)
     report = load_report(tmp_path, "verify")
     timings = report["meta"]["timings"]
-    assert set(timings) == {"build_config", "evaluate", "report_write", "verify.bwm", "verify.tla", "verify.ybe"}
-    assert [timings[f"verify.{family}"]["points"] for family in ("bwm", "tla", "ybe")] == [2 * 2, 5 * 2, 3 + 7]
-    families = sum(timings[f"verify.{family}"]["seconds"] for family in ("bwm", "tla", "ybe"))
-    assert 0.0 < families <= timings["evaluate"]["seconds"]
+    families = ("bwm", "tla", "ybe_draw", "ybe")
+    assert set(timings) == {"build_config", "evaluate", "report_write", *(f"verify.{family}" for family in families)}
+    assert [timings[f"verify.{family}"]["points"] for family in families] == [2 * 2, 5 * 2, 3 + 7, 3 + 7]
+    assert set(timings["verify.ybe_draw"]) == {"seconds", "points"}
+    assert 0.0 < sum(timings[f"verify.{family}"]["seconds"] for family in families) <= timings["evaluate"]["seconds"]
 
 
 def test_error_escaping_the_point_guards_exits_two(tmp_path, capsys, monkeypatch):

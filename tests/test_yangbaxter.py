@@ -1,11 +1,12 @@
 """Tests for the velocity family of unitaries and the exchange identity."""
 
+import cmath
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bwmberry import (
@@ -30,7 +31,8 @@ from bwmberry import (
     z_of_u,
 )
 from bwmberry.cli import RunConfig, _record, _skip, _ybe_corner_samples, _ybe_seeded_samples, cmd_verify
-from bwmberry.yangbaxter import exchange_residuals
+from bwmberry.algebra import DOMAIN_SLACK
+from bwmberry.yangbaxter import _exchange_setup, exchange_residuals
 
 # Frozen from an independent evaluation: with x = beta^2 u^2 + 1 and
 # y = 2 epsilon beta u g, the angle is -atan2(y, x); computed at 40-digit
@@ -98,9 +100,85 @@ def test_velocity_add_is_commutative_and_associative():
     assert left == pytest.approx(right, rel=1e-13)
 
 
+@pytest.mark.parametrize(
+    "u, v, beta",
+    [
+        (1e10, 0.0, 1e150),  # beta^2 u is inf, times v = 0 is nan
+        (1e300, 1e-300, 1e150),  # beta^2 u v is inf
+        (1e308, 1e308, 0.0),  # u + v is inf
+    ],
+)
+def test_velocity_add_refuses_a_composition_out_of_the_double_range(u, v, beta):
+    with pytest.raises(InvalidParam, match="^velocity_add overflows double precision"):
+        velocity_add(u, v, beta)
+    # The exchange skip names velocity_add, not the nan it used to pass on as u*v.
+    (result,) = exchange_residuals([sample(u=u, v=v, beta=beta, d=1.7)])
+    assert (type(result), str(result)) == (InvalidParam, "velocity_add overflows double precision at these parameters")
+
+
 # ---------------------------------------------------------------------------
 # rational phase and angle map
 # ---------------------------------------------------------------------------
+
+
+def reference_z_of_u(u, s):
+    """z(u) as the scalar formula computes it in Python float and complex arithmetic.
+
+    Raises OverflowError where b ** 2 or u ** 2 overflows, and gives nan
+    where their product does.
+    """
+    g = math.sqrt(s.d * s.d / (4.0 - s.d * s.d))
+    num = s.beta ** 2 * u ** 2 + 2j * s.epsilon * s.beta * u * g + 1.0
+    den = s.beta ** 2 * u ** 2 - 2j * s.epsilon * s.beta * u * g + 1.0
+    return complex(num / den)
+
+
+def bits(z: complex) -> tuple[str, str]:
+    """The real and imaginary parts of z in hex, so that the sign of a zero counts."""
+    return z.real.hex(), z.imag.hex()
+
+
+FINITE = dict(allow_nan=False, allow_infinity=False)
+VELOCITIES = st.one_of(
+    st.sampled_from([0.0, -0.0]), st.floats(-0.9, 0.9), st.floats(-1e200, 1e200, **FINITE), st.floats(-1e-200, 1e-200)
+)
+BETAS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 2.0), st.floats(-1e200, 1e200, **FINITE))
+LOOP_VALUES = st.one_of(
+    st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
+    st.floats(GOLDEN_RATIO, 2.0, exclude_max=True),
+    st.floats(GOLDEN_RATIO - 1e-11, GOLDEN_RATIO + 1e-11),
+    st.sampled_from(
+        [GOLDEN_RATIO, GOLDEN_RATIO - DOMAIN_SLACK, math.nextafter(GOLDEN_RATIO - DOMAIN_SLACK, 0.0), math.nextafter(2.0, 0.0)]
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=VELOCITIES, beta=BETAS, epsilon=st.sampled_from([-1, 1]), d=LOOP_VALUES)
+@example(u=1e10, beta=1e150, epsilon=1, d=1.7)  # beta^2 u^2 overflows in the product, not in a power
+@example(u=1e200, beta=1.0, epsilon=1, d=1.7)  # u ** 2 overflows
+@example(u=-0.0, beta=-0.0, epsilon=-1, d=1.7)
+def test_z_of_u_has_the_bits_of_the_scalar_formula(u, beta, epsilon, d):
+    s = SpectralParams(u=u, v=0.0, beta=beta, epsilon=epsilon, d=d)
+    try:
+        want = reference_z_of_u(u, s)
+    except OverflowError:
+        want = complex("nan")
+    if cmath.isfinite(want):
+        assert bits(z_of_u(u, s)) == bits(want)
+    else:
+        with pytest.raises(InvalidParam, match="^z_of_u overflows double precision"):
+            z_of_u(u, s)
+
+
+def test_z_of_u_refuses_a_product_that_overflows():
+    # beta ** 2 = 1e300 and u ** 2 = 1e20 are finite; their product is inf, and
+    # the phase nan, which the unimodularity guard's comparison used to let through.
+    s = SpectralParams(u=1e10, v=0, beta=1e150, epsilon=1, d=1.7)
+    assert cmath.isnan(reference_z_of_u(1e10, s))
+    for fn in (z_of_u, theta_of_u):
+        with pytest.raises(InvalidParam, match="^z_of_u overflows double precision"):
+            fn(1e10, s)
 
 
 def test_z_is_unimodular_on_velocity_grid():
@@ -338,8 +416,35 @@ def test_verify_chunks_give_the_per_sample_records(seeded, jobs, tmp_path):
             want.append(_record("ybe.unimodularity", base, result[1], 1e-13))
     got = cmd_verify(cfg)
     assert got == want
-    assert cfg.timings["verify.ybe"]["points"] == len(samples)
+    assert cfg.timings["verify.ybe"]["points"] == cfg.timings["verify.ybe_draw"]["points"] == len(samples)
     assert 0 < sum(r.status == "skip" for r in got) < len(samples) or not samples
+
+
+@st.composite
+def exchange_sample(draw):
+    """A sample anywhere in the domain of SpectralParams, at times at or next to the velocity pole."""
+    u, v, beta = draw(VELOCITIES), draw(VELOCITIES), draw(BETAS)
+    if draw(st.booleans()) and beta * beta * u != 0.0:
+        v = -1.0 / (beta * beta * u) * draw(st.sampled_from([1.0, 1.0 + 1e-13, 1.0 + 1e-11]))
+        v = v if math.isfinite(v) else 0.5
+    phi1, phi2 = draw(st.floats(-math.pi, math.pi)), draw(st.floats(-math.pi, math.pi))
+    return sample(u=u, v=v, beta=beta, epsilon=draw(st.sampled_from([-1, 1])), d=draw(LOOP_VALUES), phi1=phi1, phi2=phi2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(samples=st.lists(exchange_sample(), min_size=1, max_size=300))
+def test_property_stacked_set_up_gives_every_sample_its_one_sample_result(samples):
+    # Each sample gets what a chunk of its own gives it, and what its set-up
+    # one function call at a time gives: the same phases, or the same error.
+    for s, got in zip(samples, exchange_residuals(samples), strict=True):
+        (want,) = exchange_residuals([s])
+        try:
+            zs = _exchange_setup(s)
+        except BwmBerryError as exc:
+            assert (type(got), str(got)) == (type(want), str(want)) == (type(exc), str(exc)), s
+        else:
+            assert (got[0], [bits(z) for z in got[1]]) == (want[0], [bits(z) for z in zs]), s
+            assert [bits(z) for z in want[1]] == [bits(z) for z in zs], s
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ Four subcommands, all batch-style (run, write artifacts, exit):
 * ``figure``   - CSV tables of the closed-form phase surface and sections.
 
 Every command writes a schema-versioned JSON report whose check records carry
-(name, params, residual, tolerance, status, reason), one record per line of
+(name, params, residual, tolerance, status, reason, data), one record per line of
 the otherwise ``indent=2`` text (see ``_write_report``). Exit codes: 0 all
 executed checks passed, 1 at least one check failed, 2 the configuration or an
 output path was unusable, the run did not fit in memory, or a package error
@@ -183,44 +183,33 @@ KNOBS = tuple(f for f in fields(RunConfig) if "check" in f.metadata)
 _CONFIG_KEYS = {f.name for f in KNOBS} | {"out", "grids"}
 
 
-@dataclass
-class CheckRecord:
-    """One executed (or skipped) check inside a report."""
-
-    name: str
-    params: dict
-    residual: float | None
-    tolerance: float | None
-    status: str
-    reason: str | None = None
-    data: dict = field(default_factory=dict)
-
-
 def _reason_token(exc: BaseException) -> str:
     return re.sub(r"(?<!^)(?=[A-Z])", "_", type(exc).__name__).lower()
 
 
-def _record(name: str, params: dict, residual: float, tolerance: float, **data) -> CheckRecord:
-    return CheckRecord(
-        name=name,
-        params=params,
-        residual=float(residual),
-        tolerance=float(tolerance),
-        status="pass" if residual < tolerance else "fail",
-        data=data,
-    )
+def _record(name: str, params: dict, residual: float, tolerance: float, **data) -> dict:
+    """One executed check, as the report writes it (see ``_write_report``)."""
+    return {
+        "name": name,
+        "params": params,
+        "residual": float(residual),
+        "tolerance": float(tolerance),
+        "status": "pass" if residual < tolerance else "fail",
+        "reason": None,
+        "data": data,
+    }
 
 
-def _skip(name: str, params: dict, tolerance: float | None, exc: BaseException, reason: str | None = None) -> CheckRecord:
-    return CheckRecord(
-        name=name,
-        params=params,
-        residual=None,
-        tolerance=tolerance,
-        status="skip",
-        reason=reason or _reason_token(exc),
-        data={"detail": str(exc)},
-    )
+def _skip(name: str, params: dict, tolerance: float | None, exc: BaseException, reason: str | None = None) -> dict:
+    return {
+        "name": name,
+        "params": params,
+        "residual": None,
+        "tolerance": tolerance,
+        "status": "skip",
+        "reason": reason or _reason_token(exc),
+        "data": {"detail": str(exc)},
+    }
 
 
 class timed:
@@ -239,14 +228,6 @@ class timed:
 
     def __exit__(self, *exc_info) -> None:
         self.entry["seconds"] += time.perf_counter() - self.start
-
-
-def _map_points(cfg: RunConfig, fn, points) -> list[CheckRecord]:
-    """Concatenate ``fn(cfg, *point)`` over the points in order; threads when jobs > 1."""
-    if cfg.jobs <= 1:
-        return [rec for pt in points for rec in fn(cfg, *pt)]
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        return [rec for chunk in pool.map(lambda pt: fn(cfg, *pt), points) for rec in chunk]
 
 
 # --------------------------------------------------------------------------
@@ -292,7 +273,7 @@ def _phase_pairs(cfg: RunConfig) -> list[tuple[float, float]]:
     return [tuple(float(x) for x in row) for row in rng.uniform(-math.pi, math.pi, size=(cfg.phase_pairs, 2))]
 
 
-def _relation_records(family: str, params: list, tolerance: float, evaluate, exact=()) -> list[CheckRecord]:
+def _relation_records(family: str, params: list, tolerance: float, evaluate, exact=()) -> list[dict]:
     """The records of one chunk of a relation family, from one stacked evaluation.
 
     ``evaluate()`` returns the line names and, per point of ``params``, the
@@ -306,16 +287,17 @@ def _relation_records(family: str, params: list, tolerance: float, evaluate, exa
     except BwmBerryError as exc:
         names, results = (), [exc] * len(params)
     tolerances = [EXACT_TOL if name in exact else tolerance for name in names]
+    names = [f"{family}.{name}" for name in names]  # one name string per line, not one per record
     out = []
     for p, result in zip(params, results):
         if isinstance(result, BwmBerryError):
             out.append(_skip(f"{family}.suite", p, tolerance, result))
         else:
-            out += [_record(f"{family}.{n}", p, r, t) for n, r, t in zip(names, result, tolerances)]
+            out += [_record(n, p, r, t) for n, r, t in zip(names, result, tolerances)]
     return out
 
 
-def _bwm_point(cfg: RunConfig, q: float, *pairs: tuple[float, float]) -> list[CheckRecord]:
+def _bwm_point(cfg: RunConfig, q: float, *pairs: tuple[float, float]) -> list[dict]:
     """The records of a chunk of phase pairs at one q: the suite, then the transport lines, pair by pair.
 
     ``bench/spans.py`` traces the ``_<family>_point`` functions by name, so
@@ -327,7 +309,7 @@ def _bwm_point(cfg: RunConfig, q: float, *pairs: tuple[float, float]) -> list[Ch
     return _relation_records("bwm", params, cfg.tolerance, evaluate, TRANSPORT_LINES)
 
 
-def _tla_point(cfg: RunConfig, d: float, *pairs: tuple[float, float]) -> list[CheckRecord]:
+def _tla_point(cfg: RunConfig, d: float, *pairs: tuple[float, float]) -> list[dict]:
     """The records of a chunk of phase pairs at one loop value d."""
     params = [{"d": float(d), "phi1": p1, "phi2": p2} for p1, p2 in pairs]
     return _relation_records("tla", params, EXACT_TOL, lambda: _tla_row(AlgebraParams.tla(d), *zip(*pairs)))
@@ -365,7 +347,7 @@ def _ybe_seeded_samples(cfg: RunConfig) -> list[SpectralParams]:
     return samples
 
 
-def _ybe_point(cfg: RunConfig, *samples: SpectralParams) -> list[CheckRecord]:
+def _ybe_point(cfg: RunConfig, *samples: SpectralParams) -> list[dict]:
     """The records of a chunk of exchange samples, from one stacked evaluation."""
     out = []
     for s, result in zip(samples, exchange_residuals(samples)):
@@ -379,16 +361,23 @@ def _ybe_point(cfg: RunConfig, *samples: SpectralParams) -> list[CheckRecord]:
     return out
 
 
-def _family(cfg: RunConfig, stage: str, fn, chunks: list, points: int) -> list[CheckRecord]:
-    """``_map_points(cfg, fn, chunks)``; ``meta.timings[stage]`` gets its seconds, the ``points`` it
-    evaluated, its ``rows`` (stacked evaluations, one per chunk) and its ``skipped`` points."""
+def _family(cfg: RunConfig, stage: str, fn, rows: list, points: int) -> list[dict]:
+    """The records of ``fn(cfg, *row)`` over the rows, in order, on ``cfg.jobs`` threads.
+
+    ``meta.timings[stage]`` gets the seconds, the ``points`` the rows hold,
+    the ``rows`` (one call of ``fn`` each) and the ``skipped`` points.
+    """
     with timed(cfg.timings, stage) as entry:
-        records = _map_points(cfg, fn, chunks)
-        entry.update(points=points, rows=len(chunks), skipped=sum(r.status == "skip" for r in records))
+        if cfg.jobs <= 1:
+            records = [rec for row in rows for rec in fn(cfg, *row)]
+        else:
+            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+                records = [rec for chunk in pool.map(lambda row: fn(cfg, *row), rows) for rec in chunk]
+        entry.update(points=points, rows=len(rows), skipped=sum(r["status"] == "skip" for r in records))
     return records
 
 
-def cmd_verify(cfg: RunConfig) -> list[CheckRecord]:
+def cmd_verify(cfg: RunConfig) -> list[dict]:
     """BWM records, then TLA records, then exchange records; ``meta.timings`` gets each family's time
     and, as ``verify.ybe_draw``, the time of drawing the exchange samples.
 
@@ -422,7 +411,7 @@ def _eigvals_or_error(m: np.ndarray):
         return exc
 
 
-def _levels_row(cfg: RunConfig, name: str, params: list, build) -> list[CheckRecord]:
+def _levels_row(cfg: RunConfig, name: str, params: list, build) -> list[dict]:
     """The records of one row of points, from one stacked build and one batched eigensolve.
 
     ``build()`` returns the row's matrices as an (n, 3, 3) stack and their
@@ -454,7 +443,7 @@ def _levels_row(cfg: RunConfig, name: str, params: list, build) -> list[CheckRec
     ]
 
 
-def _casimir_row(cfg: RunConfig, d: float) -> list[CheckRecord]:
+def _casimir_row(cfg: RunConfig, d: float) -> list[dict]:
     """All Casimir points of one d row, from one ``_ladder_stack`` over theta."""
     thetas = cfg.grid("theta")
 
@@ -465,7 +454,7 @@ def _casimir_row(cfg: RunConfig, d: float) -> list[CheckRecord]:
     return _levels_row(cfg, "spectrum.casimir", [{"theta": t, "d": d} for t in thetas], build)
 
 
-def _spectrum_row(cfg: RunConfig, d: float) -> list[CheckRecord]:
+def _spectrum_row(cfg: RunConfig, d: float) -> list[dict]:
     """All H points of one d row, ordered by (theta, omega, phi), from one ``_hamiltonian_row``."""
     thetas, omegas, phis = cfg.grid("theta"), cfg.grid("omega"), cfg.grid("phi")
     params = [
@@ -483,27 +472,23 @@ def _spectrum_row(cfg: RunConfig, d: float) -> list[CheckRecord]:
     return _levels_row(cfg, "spectrum.h_eigenvalues", params, build)
 
 
-def cmd_spectrum(cfg: RunConfig) -> list[CheckRecord]:
+def cmd_spectrum(cfg: RunConfig) -> list[dict]:
     """Casimir records, then H records, both ordered by (d, theta, ...), built and solved one d row at a time.
 
-    ``meta.timings`` gets the time and point count of each family.
+    ``meta.timings`` gets each family's seconds, points, rows and skipped points (see ``_family``).
     """
     rows = [(d,) for d in cfg.grid("d")]
     casimir_points = len(rows) * len(cfg.grid("theta"))
-    with timed(cfg.timings, "spectrum.casimir") as entry:
-        records = _map_points(cfg, _casimir_row, rows)
-        entry["points"] = casimir_points
-    with timed(cfg.timings, "spectrum.h") as entry:
-        records += _map_points(cfg, _spectrum_row, rows)
-        entry["points"] = casimir_points * len(cfg.grid("omega")) * len(cfg.grid("phi"))
-    return records
+    h_points = casimir_points * len(cfg.grid("omega")) * len(cfg.grid("phi"))
+    records = _family(cfg, "spectrum.casimir", _casimir_row, rows, casimir_points)
+    return records + _family(cfg, "spectrum.h", _spectrum_row, rows, h_points)
 
 
 # --------------------------------------------------------------------------
 # berry
 # --------------------------------------------------------------------------
 
-def _berry_point(cfg: RunConfig, theta: float, d: float) -> list[CheckRecord]:
+def _berry_point(cfg: RunConfig, theta: float, d: float) -> list[dict]:
     base = {"theta": float(theta), "d": float(d)}
     try:
         closed_sin = berry_closed(theta, d, "sin_form")
@@ -554,8 +539,10 @@ def _berry_point(cfg: RunConfig, theta: float, d: float) -> list[CheckRecord]:
     return out
 
 
-def cmd_berry(cfg: RunConfig) -> list[CheckRecord]:
-    return _map_points(cfg, _berry_point, [(t, d) for d in cfg.grid("berry_d") for t in cfg.grid("berry_theta")])
+def cmd_berry(cfg: RunConfig) -> list[dict]:
+    """The records of each (theta, d) point, ordered by (d, theta); ``meta.timings`` gets the family's time."""
+    points = [(t, d) for d in cfg.grid("berry_d") for t in cfg.grid("berry_theta")]
+    return _family(cfg, "berry", _berry_point, points, len(points))
 
 
 # --------------------------------------------------------------------------
@@ -576,7 +563,7 @@ def _write_csv(path: Path, thetas, ds, gamma) -> int:
     return len(thetas) * len(ds)
 
 
-def cmd_figure(cfg: RunConfig) -> list[CheckRecord]:
+def cmd_figure(cfg: RunConfig) -> list[dict]:
     thetas = np.linspace(0.0, 2.0 * math.pi, cfg.figure_theta_points)
     records = []
     for kind, d_values in (("sections", cfg.grid("figure_d")), ("surface", np.linspace(*cfg.figure_d_mesh))):
@@ -585,7 +572,10 @@ def cmd_figure(cfg: RunConfig) -> list[CheckRecord]:
         with timed(cfg.timings, "write_csv") as entry:
             n = _write_csv(cfg.out_dir / fname, *table)
             entry["rows"] = entry.get("rows", 0) + n
-        records.append(CheckRecord(f"figure.{kind}_csv", {}, None, None, "pass", data={"file": fname, "rows": n}))
+        records.append(
+            {"name": f"figure.{kind}_csv", "params": {}, "residual": None, "tolerance": None, "status": "pass",
+             "reason": None, "data": {"file": fname, "rows": n}}
+        )
     return records
 
 
@@ -740,12 +730,12 @@ def main(argv=None) -> int:
         return 2
 
     warnings = cfg.warnings + ([] if records else ["no checks were executed (empty grids?)"])
-    residuals = [c.residual for c in records if c.residual is not None]
+    residuals = [r["residual"] for r in records if r["residual"] is not None]
     summary = {
         "checks": len(records),
-        "passed": sum(c.status == "pass" for c in records),
-        "failed": sum(c.status == "fail" for c in records),
-        "skipped": sum(c.status == "skip" for c in records),
+        "passed": sum(r["status"] == "pass" for r in records),
+        "failed": sum(r["status"] == "fail" for r in records),
+        "skipped": sum(r["status"] == "skip" for r in records),
         "worst_residual": max(residuals) if residuals else None,
     }
     summary["overall_pass"] = summary["failed"] == 0
@@ -755,7 +745,7 @@ def main(argv=None) -> int:
         "config": cfg.echo(),
         "summary": summary,
         "warnings": warnings,
-        "checks": [vars(c) for c in records],
+        "checks": records,
         "meta": {
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "out_dir": str(cfg.out_dir),

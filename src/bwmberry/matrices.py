@@ -379,7 +379,10 @@ def _closed_form_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scale = np.abs(diag[0])
     for entry in diag[1:] + lower:
         np.maximum(scale, np.abs(entry), out=scale)
-    scale[scale == 0.0] = 1.0  # a zero matrix has no gap and goes to eigh
+    # numpy divides a complex number by ``scale`` through 1 / scale, which overflows at
+    # scale <= 2^-1024; such matrices, the zero matrix among them, go to eigh undivided.
+    tiny = scale <= 2.0**-1024
+    scale[tiny] = 1.0
     a0, a1, a2 = (x / scale for x in diag)
     h10, h20, h21 = (x / scale for x in lower)
     n10, n20, n21 = _abs2(h10), _abs2(h20), _abs2(h21)
@@ -396,7 +399,7 @@ def _closed_form_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r = np.divide(det, denom, out=np.zeros(n), where=denom > 0.0)
     angle = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
     lams = [m + 2.0 * p * np.cos(angle + offset) for offset in _ROOT_OFFSETS]
-    accept = np.minimum(lams[1] - lams[0], lams[2] - lams[1]) > CLOSED_FORM_GAP_RTOL * np.sqrt(fro2)
+    accept = ~tiny & (np.minimum(lams[1] - lams[0], lams[2] - lams[1]) > CLOSED_FORM_GAP_RTOL * np.sqrt(fro2))
     for i, lam in enumerate(lams):
         values[:, i] = lam * scale
         e0, e1, e2 = a0 - lam, a1 - lam, a2 - lam

@@ -382,7 +382,7 @@ def test_spectrum_rows_match_the_per_point_route(grids, jobs):
     # Every byte of every record, the signs of zeros included, skips with their details.
     cfg = build_config(build_parser().parse_args(["spectrum", *grids, "--jobs", jobs]))
     records, expected = cli.cmd_spectrum(cfg), per_point_spectrum(cfg)
-    assert json.dumps([vars(r) for r in records]) == json.dumps([vars(r) for r in expected])
+    assert json.dumps(records) == json.dumps(expected)
 
 
 def test_report_meta_holds_stage_timings(tmp_path, capsys):
@@ -410,6 +410,54 @@ def test_report_meta_holds_stage_timings(tmp_path, capsys):
     assert [timings[f"verify.{family}"]["points"] for family in families] == [2 * 2, 5 * 2, 3 + 7, 3 + 7]
     assert set(timings["verify.ybe_draw"]) == {"seconds", "points"}
     assert 0.0 < sum(timings[f"verify.{family}"]["seconds"] for family in families) <= timings["evaluate"]["seconds"]
+
+
+# Grids whose points skip: the verify rows of a singular A, q <= 0, an
+# overflowing q, d below the golden ratio and d = 1e100, with exchange samples
+# at d = 1.5; the spectrum points below the golden ratio; berry's degenerate
+# theta = 0 loop and its closed-form-only d below the golden ratio.
+SKIPPING_RUNS = {
+    "verify": [
+        *("--grid-spec", "q=1e-3,-1,0,1,0.7,1e150", "--grid-spec", f"tla_d=1.5,{GOLDEN_RATIO!r},3,1e100"),
+        *("--grid-spec", "ybe_d=1.5,1.7,1.9", "--phase-pairs", "3", "--ybe-samples", "20"),
+    ],
+    "spectrum": SPECTRUM_DOMAIN_GRIDS,
+    "berry": [
+        *("--grid-spec", "berry_theta=0,0.7", "--grid-spec", f"berry_d=1,{SQRT2},2"),
+        *("--steps", "64", "--phase-tolerance", "1e-2"),  # a 64-step loop errs by ~1e-3
+    ],
+}
+
+#: The ``meta.timings`` stage of each record name, or of its first dotted part.
+STAGE_OF = {
+    "bwm": "verify.bwm",
+    "tla": "verify.tla",
+    "ybe": "verify.ybe",
+    "spectrum.casimir": "spectrum.casimir",
+    "spectrum.h_eigenvalues": "spectrum.h",
+    "berry": "berry",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", sorted(SKIPPING_RUNS))
+def test_stage_timings_count_the_points_and_skips_of_each_family(command, jobs, tmp_path, capsys):
+    code, _, _ = run([command, *SKIPPING_RUNS[command], "--jobs", jobs, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    report = load_report(tmp_path, command)
+    timings = report["meta"]["timings"]
+    points, skipped = {}, {}
+    for c in report["checks"]:
+        stage = STAGE_OF.get(c["name"]) or STAGE_OF[c["name"].split(".")[0]]
+        points.setdefault(stage, set()).add(json.dumps(c["params"]))  # as text, so -0.0 is not 0.0
+        skipped[stage] = skipped.get(stage, 0) + (c["status"] == "skip")
+    stages = {s for s in timings if s.split(".")[0] == command} - {"verify.ybe_draw"}
+    assert {s: timings[s]["points"] for s in stages} == {s: len(p) for s, p in points.items()}
+    assert {s: timings[s]["skipped"] for s in stages} == skipped
+    assert sum(timings[s]["skipped"] for s in stages) == report["summary"]["skipped"] > 0
+    if command == "berry":
+        assert timings["berry"]["rows"] == timings["berry"]["points"] == 2 * 3
+        assert set(timings["berry"]) == {"seconds", "points", "rows", "skipped"}
 
 
 def test_error_escaping_the_point_guards_exits_two(tmp_path, capsys, monkeypatch):

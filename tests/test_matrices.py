@@ -524,6 +524,8 @@ hermitian_matrices = st.one_of(
 # Eigenvalues -5, 0 and 5 to double precision; LAPACK's values-only driver
 # (np.linalg.eigvalsh) returns +-4.99999984 here, so the reference is eigh's.
 @example([np.array([[9.04569224e-169, 0.0, 5j], [0.0, 0.0, 1.73293318e-138], [-5j, 1.73293318e-138, 1.97915637e-118]])])
+# Largest |entry| below 2^-1024: numpy's complex divide by it overflows, so eigh solves it.
+@example([np.diag([5e-324, 0.0, 0.0]).astype(complex)])
 def test_property_closed_form_eigh_is_an_eigensystem(matrices):
     stack = np.array(matrices, dtype=complex)
     values, vectors = _closed_form_eigh(stack)

@@ -342,7 +342,7 @@ def test_verify_records_match_the_per_point_route(pairs, jobs, tmp_path):
     phase_pairs = cli._phase_pairs(cfg)
     expected = [rec for q in cfg.grid("q") for p1, p2 in phase_pairs for rec in scalar_bwm_point(cfg, q, p1, p2)]
     expected += [rec for d in cfg.grid("tla_d") for p1, p2 in phase_pairs for rec in scalar_tla_point(cfg, d, p1, p2)]
-    assert report_lines(tmp_path / "verify_report.json") == [cli._RECORD_LINE.encode(vars(r)) for r in expected]
+    assert report_lines(tmp_path / "verify_report.json") == [cli._RECORD_LINE.encode(r) for r in expected]
     report = json.loads((tmp_path / "verify_report.json").read_text(encoding="utf-8"))
     timings = report["meta"]["timings"]
     chunks = -(-pairs // cli.CHUNK)

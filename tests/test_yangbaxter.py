@@ -417,7 +417,7 @@ def test_verify_chunks_give_the_per_sample_records(seeded, jobs, tmp_path):
     got = cmd_verify(cfg)
     assert got == want
     assert cfg.timings["verify.ybe"]["points"] == cfg.timings["verify.ybe_draw"]["points"] == len(samples)
-    assert 0 < sum(r.status == "skip" for r in got) < len(samples) or not samples
+    assert 0 < sum(r["status"] == "skip" for r in got) < len(samples) or not samples
 
 
 @st.composite

@@ -187,6 +187,10 @@ def _reason_token(exc: BaseException) -> str:
     return re.sub(r"(?<!^)(?=[A-Z])", "_", type(exc).__name__).lower()
 
 
+#: The ``data`` of every record without data: one dict that nothing mutates, not one per record.
+_NO_DATA: dict = {}
+
+
 def _record(name: str, params: dict, residual: float, tolerance: float, **data) -> dict:
     """One executed check, as the report writes it (see ``_write_report``)."""
     return {
@@ -196,7 +200,7 @@ def _record(name: str, params: dict, residual: float, tolerance: float, **data) 
         "tolerance": float(tolerance),
         "status": "pass" if residual < tolerance else "fail",
         "reason": None,
-        "data": data,
+        "data": data or _NO_DATA,
     }
 
 

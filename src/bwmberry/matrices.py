@@ -28,6 +28,9 @@ SINGULARITY_RTOL = 1e-12
 #: underflows the smallest normal double, 2^-1022.
 _UNDERFLOW_NORM = 2.0 ** -511
 
+#: What ``frobenius`` and ``inverse`` raise where a norm lies beyond the double range.
+_NORM_OVERFLOWS = "the Frobenius norm overflows double precision"
+
 #: Components smaller than this are ignored when fixing eigenvector phases.
 PHASE_FIX_CUTOFF = 1e-12
 
@@ -111,33 +114,38 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conjugate(np.swapaxes(np.asarray(m), -1, -2))
 
 
-def _row_norm(row: np.ndarray) -> float:
-    """Frobenius norm of one flattened matrix, also where its sum of squares overflows.
-
-    Then the entries are scaled by the power of two that brings the largest
-    into [0.5, 1), which is exact, and the norm is scaled back; a norm
-    beyond the double range raises InvalidParam.
-    """
-    re, im = row.real.ravel(), row.imag.ravel()
-    with np.errstate(over="ignore"):
-        sq = re.dot(re) + im.dot(im)
-    if math.isfinite(sq):
-        return math.sqrt(sq)
-    big = float(max(np.max(np.abs(re)), np.max(np.abs(im))))
-    if math.isfinite(big):
-        k = math.frexp(big)[1]
-        re, im = np.ldexp(re, -k), np.ldexp(im, -k)
-        try:
-            return math.ldexp(math.sqrt(re.dot(re) + im.dot(im)), k)
-        except OverflowError:
-            pass
-    raise InvalidParam("the Frobenius norm overflows double precision")
-
-
 def _norms(x: np.ndarray) -> np.ndarray:
     """sqrt(re.re + im.im) of each flattened matrix of an (n, size) array, each dot one BLAS call."""
     rows, cols = x.reshape(-1, 1, x.shape[-1]), x.reshape(-1, x.shape[-1], 1)
     return np.sqrt((rows.real @ cols.real + rows.imag @ cols.imag).ravel())
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each flattened matrix of an (n, size) complex array.
+
+    Each norm is ``_norms`` of its row, unless its sum of squares overflowed
+    (norm +inf) or underflowed (norm below 2^-511, the root of the smallest
+    normal double) on a nonzero row.  Such a row is scaled by the power of
+    two that brings its largest entry into [0.5, 1), which is exact, and its
+    norm is that of the scaled row scaled back (J. L. Blue, ACM TOMS
+    4(1):15, 1978): +inf where that is beyond the double range.  So each
+    norm depends on its row alone.
+    """
+    with np.errstate(over="ignore"):
+        norms = _norms(rows)
+        redo = np.flatnonzero((norms == np.inf) | (norms < _UNDERFLOW_NORM))
+        # Mostly zero matrices (exact differences in rel_residual), looked at a
+        # few at a time so that no copy of a whole stack is made.
+        for start in range(0, redo.size, 256):
+            part = redo[start : start + 256]
+            part = part[np.any(rows[part], axis=1)]
+            if part.size:
+                x = rows[part]
+                big = np.maximum(np.abs(x.real).max(axis=1), np.abs(x.imag).max(axis=1))
+                k = np.frexp(big)[1]
+                x.real, x.imag = np.ldexp(x.real, -k[:, None]), np.ldexp(x.imag, -k[:, None])
+                norms[part] = np.ldexp(_norms(x), k)
+    return norms
 
 
 def frobenius(m):
@@ -147,32 +155,14 @@ def frobenius(m):
     Each norm is sqrt(re.re + im.im) over the entries in C order, each dot
     one BLAS call, as ``np.linalg.norm`` computes the norm of one C-ordered
     matrix, so the two agree bit for bit (a norm over a stack's last axes
-    does not).  If a sum of squares overflows, ``_row_norm`` redoes them
-    all: such a norm is still right, and one beyond the double range raises
-    InvalidParam.  A nonzero matrix whose sum of squares underflows (norm
-    below 2^-511, the root of the smallest normal double) is scaled by the
-    power of two that brings its largest entry into [0.5, 1), exactly, and
-    its norm is that of the scaled matrix scaled back, so it is not 0.
+    does not), except where ``_row_norms`` rescales a sum of squares that
+    overflows or underflows.  Each norm of a stack has the bits of its
+    matrix alone.  A norm beyond the double range raises InvalidParam.
     """
     x = np.asarray(m, dtype=complex)
-    rows = x.reshape(-1, x.shape[-2] * x.shape[-1])
-    try:
-        with np.errstate(over="raise"):
-            norms = _norms(rows)
-    except FloatingPointError:
-        norms = np.array([_row_norm(row) for row in rows])
-    small = np.flatnonzero(norms < _UNDERFLOW_NORM)
-    # Mostly zero matrices (exact differences in rel_residual), looked at a
-    # few at a time so that no copy of a whole stack is made.
-    for start in range(0, small.size, 256):
-        part = small[start : start + 256]
-        part = part[np.any(rows[part], axis=1)]
-        if part.size:
-            tiny = rows[part]
-            big = np.maximum(np.abs(tiny.real).max(axis=1), np.abs(tiny.imag).max(axis=1))
-            k = np.frexp(big)[1]
-            scaled = np.ldexp(tiny.real, -k[:, None]) + 1j * np.ldexp(tiny.imag, -k[:, None])
-            norms[part] = np.ldexp(_norms(scaled), k)
+    norms = _row_norms(x.reshape(-1, x.shape[-2] * x.shape[-1]))
+    if np.any(norms == np.inf):
+        raise InvalidParam(_NORM_OVERFLOWS)
     return float(norms[0]) if x.ndim == 2 else norms.reshape(x.shape[:-2])
 
 
@@ -254,15 +244,16 @@ def _inverse_stack(m) -> tuple[np.ndarray, dict[int, BwmBerryError]]:
     ``InvalidParam`` where ||m||_F or its cube leaves the double range.
     """
     a = as_matrix3(m, stack=True)
-    adj, det = _adjugate_det(a)
-    try:
-        norms = frobenius(a).tolist()
-    except InvalidParam:  # a norm beyond the double range: find it matrix by matrix
-        norms = [None] * len(a)
+    # A product in the adjugate or the determinant is at most ||m||_F^3 in
+    # size, so it overflows only where the guard below refuses the matrix.
+    with np.errstate(over="ignore", invalid="ignore"):
+        adj, det = _adjugate_det(a)
     errors = {}
-    for k, (d, norm) in enumerate(zip(det.tolist(), norms)):
+    for k, (d, norm) in enumerate(zip(det.tolist(), _row_norms(a.reshape(-1, 9)).tolist())):
         try:
-            scale = max(1.0, _norm_cube(frobenius(a[k]) if norm is None else norm))
+            if norm == math.inf:
+                raise InvalidParam(_NORM_OVERFLOWS)
+            scale = max(1.0, _norm_cube(norm))
         except InvalidParam as exc:
             errors[k] = exc
             continue
@@ -273,7 +264,8 @@ def _inverse_stack(m) -> tuple[np.ndarray, dict[int, BwmBerryError]]:
             )
     if errors:
         det[list(errors)] = 1.0
-    return adj / det[:, None, None], errors
+    with np.errstate(over="ignore", invalid="ignore"):
+        return adj / det[:, None, None], errors
 
 
 def inverse(m) -> np.ndarray:

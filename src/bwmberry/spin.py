@@ -25,6 +25,7 @@ import numpy as np
 from .algebra import GOLDEN_RATIO, DOMAIN_SLACK, AlgebraParams, _offdiag_root, make_eb
 from .errors import InvalidParam
 from .matrices import as_real, dagger, refuse_overflow, rel_residual
+from .yangbaxter import make_r_theta
 
 #: Occupation numbers generating the drive: only level 2 picks up the phase.
 _OCCUPATION = np.array([0.0, 1.0, 0.0])
@@ -177,9 +178,7 @@ class DriveParams:
 def b_of_phi(phi, dp: DriveParams) -> np.ndarray:
     """The driven braid unitary B at drive phase phi (projector phases phi, -phi)."""
     ph = as_real("phi", phi)
-    p = AlgebraParams.tla(dp.d, ph, -ph)
-    f = 2j * math.sin(dp.theta) / dp.d
-    return np.exp(1j * dp.theta) * np.eye(3, dtype=complex) - f * make_eb(p)
+    return make_r_theta(dp.theta, AlgebraParams.tla(dp.d, ph, -ph)).b
 
 
 def _check_drive_d(d: float) -> None:

@@ -83,6 +83,7 @@ def test_as_real_rejects_nonfinite_and_nonreal(bad):
         lambda: z_of_u(0.5, SpectralParams(u=0.5, v=0.1, beta=1e200, epsilon=1, d=1.7)),  # beta ** 2
         lambda: inverse(np.diag([1e-60, 1e120, -1e60])),  # ||m||_F ** 3
         lambda: inverse(make_a(AlgebraParams.coupled(1e-80))),  # ||A||_F = 1e160 is finite, its cube is not
+        lambda: inverse(np.full((3, 3), 1e300)),  # its cofactor products overflow too, without a warning
         lambda: AlgebraParams.tla(1e200),  # d * d
         lambda: frobenius(np.full((3, 3), 1e308)),  # the norm itself, 3e308
         lambda: rel_residual(np.full((3, 3), 1.5e308), np.full((3, 3), -1.5e308)),  # lhs - rhs
@@ -99,6 +100,7 @@ def test_as_real_rejects_nonfinite_and_nonreal(bad):
         "z_of_u",
         "inverse",
         "inverse_cube",
+        "inverse_cofactors",
         "algebra_params",
         "frobenius",
         "rel_residual_difference",
@@ -231,6 +233,10 @@ def test_norms_that_overflow_when_squared_are_right():
     with pytest.raises(NotHermitian, match="defect 1.414e[+]200"):
         hermitian_eigs(m)
     np.testing.assert_allclose(hermitian_eigs(m + m.T).values, [-1e200, 0.0, 1e200], rtol=1e-15)
+    # Only a norm beyond the double range raises: a matrix holding NaN has norm NaN, alone or stacked.
+    m[2, 2] = np.nan
+    assert math.isnan(frobenius(m))
+    assert np.isnan(frobenius(np.stack([big, m]))).tolist() == [False, True]
 
 
 def test_norms_that_underflow_when_squared_are_right():
@@ -252,6 +258,21 @@ def test_norms_that_underflow_when_squared_are_right():
     assert both.tolist() == pytest.approx([3e200, math.sqrt(2.0) * 8.86960696e-284], rel=1e-15)
     # A difference of such entries does not read as residual 0.
     assert rel_residual(tiny, 2.0 * tiny) == pytest.approx(math.sqrt(2.0) * 8.86960696e-284, rel=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_matrices, wide_matrices, st.sampled_from([1e200, 1e-200]))
+@example(
+    np.array([[0.3, -1.2, 0.7], [2.1, 0.05, -0.4], [1.1, 0.9, -2.3]]) * (1.0 + 0.6j),
+    np.eye(3, dtype=complex),
+    1e200,
+)
+def test_property_a_norm_does_not_depend_on_its_neighbours(m, other, entry):
+    # Behind a matrix whose sum of squares overflows (entries 1e200) or
+    # underflows (1e-200), m keeps the bits of its norm alone, and a pair its residual.
+    neighbour = np.full((3, 3), entry * (1.0 - 0.5j))
+    assert frobenius(np.stack([neighbour, m]))[1] == frobenius(m)
+    assert rel_residual(np.stack([neighbour, m]), np.stack([np.eye(3), other]))[1] == rel_residual(m, other)
 
 
 def test_rel_residual_braid_sides_agree():

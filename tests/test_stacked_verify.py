@@ -284,8 +284,7 @@ def test_stacked_inverse_gives_each_matrix_its_own_result(matrices):
 
 def test_stacked_inverse_finds_a_norm_beyond_the_double_range_per_matrix():
     huge = np.full((3, 3), 1e308, dtype=complex)  # ||m||_F = 3e308
-    with np.errstate(over="ignore", invalid="ignore"):  # its cofactor products overflow, as in the scalar route
-        inverses, errors = _inverse_stack(np.stack([np.eye(3), huge, 4.0 * np.eye(3)]))
+    inverses, errors = _inverse_stack(np.stack([np.eye(3), huge, 4.0 * np.eye(3)]))  # its cofactors overflow silently
     assert set(errors) == {1} and str(errors[1]) == "the Frobenius norm overflows double precision"
     assert same_bits(inverses[0], np.eye(3, dtype=complex)) and same_bits(inverses[2], scalar_inverse(4.0 * np.eye(3)))
 

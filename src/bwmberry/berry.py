@@ -229,6 +229,13 @@ def berry_wilson_loop(theta, d, omega_drive=1.0, steps: int = 4096) -> BerryResu
     )
 
 
+#: K in the N-step loop's bias bound |berry_discrete - gamma_plus| <= K / N^2 + O(N^-4):
+#: -N arg(1 - p + p exp(-i delta)) = 2 pi p - (2 pi)^3 p (1 - p) (1 - 2 p) / (6 N^2) + O(N^-4)
+#: with p and delta as in ``berry_discrete``, and |p (1 - p) (1 - 2 p)| <= 1 / (6 sqrt(3)).  The
+#: command line grades the loop at 2 K / N^2, which covers the O(N^-4) term and rounding.
+LOOP_BIAS_K = _TAU**3 / (36.0 * math.sqrt(3.0))
+
+
 def berry_discrete(theta, d, steps: int = 4096) -> float:
     """The exact gamma_plus of the ``steps``-point Wilson loop, in (-pi, pi].
 

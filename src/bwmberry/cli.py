@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import DOMAIN_SLACK, GOLDEN_RATIO, TRANSPORT_LINES, AlgebraParams, _bwm_row, _tla_row
-from .berry import MIN_STEPS, SECTION_D_VALUES, _wrap_phase, berry_closed, berry_discrete, berry_wilson_loop, figure_table
+from .berry import LOOP_BIAS_K, MIN_STEPS, SECTION_D_VALUES, _wrap_phase, berry_closed, berry_discrete, berry_wilson_loop, figure_table
 from .errors import BwmBerryError, ConfigError, InvalidParam
 from .matrices import hermitian_eigs
 from .spin import _hamiltonian_row, _ladder_stack, cos_alpha
@@ -66,6 +66,13 @@ DEFAULT_GRIDS: dict[str, tuple[float, ...]] = {
 }
 
 GRID_NAMES = tuple(DEFAULT_GRIDS)
+
+#: (rule, test) of the grids narrower than the finite numbers: closed forms need d >= 1, and
+#: an exchange sample's real angles 0 < d < 2 (``SpectralParams``), so no value fails mid-run.
+_GRID_RULES = {
+    "figure_d": ("finite numbers >= 1", lambda x: x >= 1.0),
+    "ybe_d": ("finite numbers in (0, 2)", lambda x: 0.0 < x < 2.0),
+}
 
 #: Largest accepted counts; ``MAX_AXIS_POINTS`` bounds ``--theta-points``, the
 #: ``--d-mesh`` count and a grid range's count.  Each keeps one run's memory
@@ -149,7 +156,6 @@ class RunConfig:
     command: str
     out_dir: Path
     tolerance: float = _knob(1e-10, _positive, "--tolerance", "base relation tolerance")
-    phase_tolerance: float = _knob(1e-4, _positive, "--phase-tolerance", "loop-phase match tolerance")
     steps: int = _knob(4096, _count(MIN_STEPS, MAX_STEPS), "--steps", "loop discretisation points")
     seed: int = _knob(20260815, _count(0), "--seed", "seed for sampled phases and velocities")
     jobs: int = _knob(1, _count(1, MAX_JOBS), "--jobs", "worker threads for grid evaluation", echo=False)
@@ -305,8 +311,9 @@ def _bwm_point(cfg: RunConfig, q: float, *pairs: tuple[float, float]) -> list[di
     """The records of a chunk of phase pairs at one q: the suite, then the transport lines, pair by pair.
 
     ``bench/spans.py`` traces the ``_<family>_point`` functions by name, so
-    this one, ``_tla_point`` and ``_ybe_point`` keep their names although
-    they take a chunk.
+    this one, ``_tla_point``, ``_ybe_point``, ``_casimir_point``,
+    ``_spectrum_point`` and ``_berry_point`` keep their names, although all
+    but the last take a chunk or a row.
     """
     params = [{"q": float(q), "phi1": p1, "phi2": p2} for p1, p2 in pairs]
     evaluate = lambda: _bwm_row(AlgebraParams.coupled(q), *zip(*pairs))
@@ -447,7 +454,7 @@ def _levels_row(cfg: RunConfig, name: str, params: list, build) -> list[dict]:
     ]
 
 
-def _casimir_row(cfg: RunConfig, d: float) -> list[dict]:
+def _casimir_point(cfg: RunConfig, d: float) -> list[dict]:
     """All Casimir points of one d row, from one ``_ladder_stack`` over theta."""
     thetas = cfg.grid("theta")
 
@@ -458,7 +465,7 @@ def _casimir_row(cfg: RunConfig, d: float) -> list[dict]:
     return _levels_row(cfg, "spectrum.casimir", [{"theta": t, "d": d} for t in thetas], build)
 
 
-def _spectrum_row(cfg: RunConfig, d: float) -> list[dict]:
+def _spectrum_point(cfg: RunConfig, d: float) -> list[dict]:
     """All H points of one d row, ordered by (theta, omega, phi), from one ``_hamiltonian_row``."""
     thetas, omegas, phis = cfg.grid("theta"), cfg.grid("omega"), cfg.grid("phi")
     params = [
@@ -484,8 +491,8 @@ def cmd_spectrum(cfg: RunConfig) -> list[dict]:
     rows = [(d,) for d in cfg.grid("d")]
     casimir_points = len(rows) * len(cfg.grid("theta"))
     h_points = casimir_points * len(cfg.grid("omega")) * len(cfg.grid("phi"))
-    records = _family(cfg, "spectrum.casimir", _casimir_row, rows, casimir_points)
-    return records + _family(cfg, "spectrum.h", _spectrum_row, rows, h_points)
+    records = _family(cfg, "spectrum.casimir", _casimir_point, rows, casimir_points)
+    return records + _family(cfg, "spectrum.h", _spectrum_point, rows, h_points)
 
 
 # --------------------------------------------------------------------------
@@ -494,6 +501,7 @@ def cmd_spectrum(cfg: RunConfig) -> list[dict]:
 
 def _berry_point(cfg: RunConfig, theta: float, d: float) -> list[dict]:
     base = {"theta": float(theta), "d": float(d)}
+    match_tol = 2.0 * LOOP_BIAS_K / cfg.steps**2
     try:
         closed_sin = berry_closed(theta, d, "sin_form")
         closed_cos = berry_closed(theta, d, "cos_form")
@@ -512,13 +520,13 @@ def _berry_point(cfg: RunConfig, theta: float, d: float) -> list[dict]:
     ]
     if d < GOLDEN_RATIO - DOMAIN_SLACK:
         reason_exc = InvalidParam("the Hamiltonian route needs d at or above the golden ratio")
-        out.append(_skip("berry.match_plus", base, cfg.phase_tolerance, reason_exc, reason="closed_form_only"))
+        out.append(_skip("berry.match_plus", base, match_tol, reason_exc, reason="closed_form_only"))
         return out
     try:
         loop = berry_wilson_loop(theta, d, steps=cfg.steps)
         gamma_discrete = berry_discrete(theta, d, steps=cfg.steps)
     except BwmBerryError as exc:
-        out.append(_skip("berry.match_plus", base, cfg.phase_tolerance, exc))
+        out.append(_skip("berry.match_plus", base, match_tol, exc))
         return out
     for branch in ("plus", "minus"):
         wilson = getattr(loop, f"gamma_{branch}")
@@ -528,7 +536,7 @@ def _berry_point(cfg: RunConfig, theta: float, d: float) -> list[dict]:
                 f"berry.match_{branch}",
                 base,
                 abs(_wrap_phase(wilson - closed)),
-                cfg.phase_tolerance,
+                match_tol,
                 wilson=wilson,
                 wilson_lifted=getattr(loop, f"gamma_{branch}_lifted"),
                 closed=closed,
@@ -603,9 +611,8 @@ def _grid_values(name: str, values) -> tuple[float, ...]:
                 values = [float(tok) for tok in text.split(",")] if text else []
         except ValueError as exc:
             raise ConfigError(f"could not parse grid {name!r} from {text!r}: {exc}") from exc
-    lowest = 1.0 if name == "figure_d" else -math.inf
-    if not isinstance(values, list) or not all(_real(x) and x >= lowest for x in values):
-        rule = "finite numbers >= 1" if name == "figure_d" else "finite numbers"
+    rule, admits = _GRID_RULES.get(name, ("finite numbers", lambda x: True))
+    if not isinstance(values, list) or not all(_real(x) and admits(x) for x in values):
         raise ConfigError(f"grid {name!r} must be a list of {rule}, got {values!r}")
     return tuple(float(x) for x in values)
 

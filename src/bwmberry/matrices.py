@@ -318,19 +318,22 @@ def hermitian_eigs(m) -> EigenSystem:
     Each matrix must be Hermitian to within HERMITICITY_RTOL (relative
     Frobenius, with a floor of 1 on the scale); it is then symmetrised
     before the solve so roundoff in the input cannot leak into complex
-    eigenvalues.  Eigenvalues come back ascending; eigenvectors are the
-    matching columns with a deterministic phase (first significant
-    component real positive).  A stack is solved in one batched call and
-    gives, matrix by matrix, the same bits as solving each matrix alone.
+    eigenvalues.  Both steps use the halves A / 2 and A^dagger / 2, exact for
+    normal doubles, so no sum or difference overflows where ||A||_F is in
+    range.  Eigenvalues come back ascending; eigenvectors are the matching
+    columns with a deterministic phase (first significant component real
+    positive).  A stack is solved in one batched call and gives, matrix by
+    matrix, the same bits as solving each matrix alone.
     """
     a = as_matrix3(m, stack=True)
-    skew = a - dagger(a)
-    bad = np.asarray(frobenius(skew) > HERMITICITY_RTOL * np.maximum(1.0, frobenius(a)))
+    half, half_h = a / 2.0, dagger(a) / 2.0
+    skew = half - half_h
+    bad = np.asarray(frobenius(skew) > HERMITICITY_RTOL / 2.0 * np.maximum(1.0, frobenius(a)))
     if np.any(bad):
         index = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
         where = f" at stack index {index}" if index else ""
-        raise NotHermitian(f"matrix{where} is not Hermitian (defect {frobenius(skew[index]):.3e})")
-    h = (a + dagger(a)) / 2.0
+        raise NotHermitian(f"matrix{where} is not Hermitian (defect {2.0 * frobenius(skew[index]):.3e})")
+    h = half + half_h
     try:
         values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails on 3x3

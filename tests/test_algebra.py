@@ -94,6 +94,11 @@ def test_d_topological_rejects_zero_omega():
         d_topological(0.0, 0.25)
 
 
+def test_d_topological_rejects_zero_sigma():
+    with pytest.raises(InvalidParam, match="sigma must be nonzero"):
+        d_topological(1.0, 0.0)
+
+
 def test_coupled_params_store_consistent_d():
     p = AlgebraParams.coupled(2.0, 0.1, -0.2)
     assert p.coupled_mode

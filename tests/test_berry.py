@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bwmberry import (
@@ -22,8 +22,8 @@ from bwmberry import (
     solid_angle,
 )
 from bwmberry.algebra import GOLDEN_RATIO
-from bwmberry.berry import DEGENERACY_GUARD, berry_discrete
-from bwmberry.cli import main
+from bwmberry.berry import DEGENERACY_GUARD, LOOP_BIAS_K, MIN_STEPS, _wrap_phase, berry_discrete
+from bwmberry.cli import MAX_STEPS, main
 
 TAU = 2.0 * math.pi
 
@@ -40,6 +40,21 @@ CONVERGENCE_GAP_FROZEN = 1.476817574896927e-07
 def wrap(x: float) -> float:
     y = math.remainder(x, TAU)
     return y + TAU if y <= -math.pi else y
+
+
+# The p = (1 - cos(alpha)) / 2 of the largest |p (1 - p) (1 - 2 p)|: cos(alpha) = 1 / sqrt(3),
+# which is sin(theta) at d = sqrt(2).
+WORST_BIAS_POINT = (math.asin(1.0 / math.sqrt(3.0)), math.sqrt(2.0))
+
+
+@pytest.mark.parametrize(
+    "x, wrapped",
+    [(0.0, 0.0), (math.pi, math.pi), (-math.pi, math.pi), (3.0 * math.pi, math.pi), (TAU + 0.5, 0.5), (-0.5, -0.5)],
+)
+def test_wrap_phase_reduces_to_the_half_open_principal_interval(x, wrapped):
+    # (-pi, pi]: -pi is the open end and goes to pi.
+    assert _wrap_phase(x) == pytest.approx(wrapped, abs=1e-15)
+    assert -math.pi < _wrap_phase(x) <= math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +323,17 @@ def test_berry_loops_never_fall_back_to_eigh(monkeypatch, tmp_path):
     assert calls == []
 
 
-@pytest.mark.parametrize("theta, d", ((0.7, 2.0), (1.2, 3.0), (4.0, 1.7)))
+@pytest.mark.parametrize("theta, d", ((0.7, 2.0), (1.2, 3.0), (4.0, 1.7), WORST_BIAS_POINT))
 def test_discrete_phase_bias_is_second_order(theta, d):
     # Expanding -N arg(1 - p + p exp(-2 pi i / N)) in 1/N gives
     # pi(1 - cos(alpha)) - (2 pi)^3 p(1 - p)(1 - 2p) / (6 N^2) + O(N^-4):
-    # the dense loop's bias against the closed form, in sign and size.
+    # the dense loop's bias against the closed form, in sign and size.  Its
+    # size is at most LOOP_BIAS_K / N^2, which the worst point reaches.
     p = (1.0 - cos_alpha(theta, d)) / 2.0
     leading = -(TAU ** 3) * p * (1.0 - p) * (1.0 - 2.0 * p) / 6.0
+    assert abs(leading) <= LOOP_BIAS_K * (1.0 + 1e-12)
+    if (theta, d) == WORST_BIAS_POINT:
+        assert abs(leading) == pytest.approx(LOOP_BIAS_K, rel=1e-12)
     closed = berry_closed(theta, d, "sin_form").gamma_plus
     for steps in (1024, 4096):
         bias = wrap(berry_discrete(theta, d, steps=steps) - closed)
@@ -416,3 +435,17 @@ def test_property_closed_form_invariants(theta, d, form):
     assert res.gamma_minus == -res.gamma_plus
     assert res.gamma_plus == pytest.approx(res.solid_angle / 2.0, abs=1e-12)
     assert 0.0 <= res.gamma_plus <= TAU + 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    theta=st.floats(min_value=-10.0, max_value=10.0),
+    d=st.floats(min_value=1.0, max_value=100.0),
+    steps=st.integers(min_value=MIN_STEPS, max_value=MAX_STEPS),
+)
+@example(theta=WORST_BIAS_POINT[0], d=WORST_BIAS_POINT[1], steps=MIN_STEPS)
+@example(theta=WORST_BIAS_POINT[0], d=WORST_BIAS_POINT[1], steps=MAX_STEPS)
+def test_property_discrete_phase_is_within_the_match_bound(theta, d, steps):
+    # The bound the command line grades berry.match_* at: 2 K / N^2.
+    closed = berry_closed(theta, d, "sin_form").gamma_plus
+    assert abs(wrap(berry_discrete(theta, d, steps=steps) - closed)) <= 2.0 * LOOP_BIAS_K / steps**2

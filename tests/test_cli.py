@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line front end."""
 
 import ast
+import dataclasses
 import io
 import json
 import math
@@ -146,6 +147,24 @@ def test_empty_exchange_grid_warns_that_the_seeded_samples_were_not_drawn(empty,
     assert f"warning: {warning}\n" in err
     assert report["meta"]["timings"]["verify.ybe_draw"]["points"] == 3  # the corner samples only
     assert sum(c["name"] == "ybe.exchange" for c in report["checks"]) == 3
+
+
+# An exchange sample's real angles need 0 < d < 2, so a ybe_d value outside is
+# refused with the grid's name before any family is evaluated; a value in
+# (0, golden ratio) has real angles but no R matrices, and skips per sample.
+@pytest.mark.parametrize("value", ["2.5", "2", "0", "-1"])
+def test_ybe_d_outside_the_real_angle_domain_is_a_config_error(value, tmp_path, capsys):
+    code, out, err = run(["verify", "--out", str(tmp_path), "--grid-spec", f"ybe_d=1.7,{value}"], capsys)
+    assert code == 2 and not out and not list(tmp_path.iterdir())
+    assert err.startswith("error: grid 'ybe_d' must be a list of finite numbers in (0, 2)")
+
+
+def test_ybe_d_below_the_golden_ratio_skips_per_sample(tmp_path, capsys):
+    grids = ["--grid-spec", "q=", "--grid-spec", "tla_d=", "--grid-spec", "ybe_d=1.5"]
+    code, _, _ = run(["verify", "--out", str(tmp_path), *grids, "--ybe-samples", "4"], capsys)
+    assert code == 0
+    seeded = [c for c in load_report(tmp_path, "verify")["checks"] if c["params"]["d"] == 1.5]
+    assert [(c["name"], c["reason"]) for c in seeded] == [("ybe.exchange", "invalid_param")] * 4
 
 
 def test_verify_deterministic_across_runs_and_jobs(tmp_path, capsys):
@@ -424,7 +443,7 @@ SKIPPING_RUNS = {
     "spectrum": SPECTRUM_DOMAIN_GRIDS,
     "berry": [
         *("--grid-spec", "berry_theta=0,0.7", "--grid-spec", f"berry_d=1,{SQRT2},2"),
-        *("--steps", "64", "--phase-tolerance", "1e-2"),  # a 64-step loop errs by ~1e-3
+        *("--steps", "64"),  # a 64-step loop errs by up to K / 64^2 ~ 9.7e-4, graded at twice that
     ],
 }
 
@@ -581,7 +600,8 @@ def test_golden_ratio_rule_agrees_everywhere(d, tmp_path, capsys):
     assert skips == (set() if not refused else {"closed_form_only"} if d >= 1.0 else {"invalid_param"})
 
 
-# Loose --tolerance and --phase-tolerance show that these checks ignore both.
+# A loose --tolerance shows that these checks ignore it.  The Berry match lines
+# are graded at twice the N-step loop's bias bound K / N^2, with no knob.
 @pytest.mark.parametrize(
     "command, args, prefix, tolerance, removed_key",
     [
@@ -594,12 +614,18 @@ def test_golden_ratio_rule_agrees_everywhere(d, tmp_path, capsys):
             1e-12,
             "zero_branch_tolerance",
         ),
+        (
+            "berry",
+            ["--grid-spec", "berry_theta=0.7,4.0", "--grid-spec", "berry_d=1.7,3", "--steps", "256"],
+            "berry.match_",
+            2.0 * berry.LOOP_BIAS_K / 256**2,
+            "phase_tolerance",
+        ),
     ],
-    ids=["tla", "unimodularity", "zero_branch"],
+    ids=["tla", "unimodularity", "zero_branch", "match"],
 )
 def test_exact_checks_have_fixed_tolerances(command, args, prefix, tolerance, removed_key, tmp_path, capsys):
-    loose = ["--tolerance", "0.1", "--phase-tolerance", "0.1"]
-    code, _, _ = run([command, "--out", str(tmp_path), *args, *loose], capsys)
+    code, _, _ = run([command, "--out", str(tmp_path), *args, "--tolerance", "0.1"], capsys)
     assert code == 0
     records = [c for c in load_report(tmp_path, command)["checks"] if c["name"].startswith(prefix)]
     assert records
@@ -612,13 +638,11 @@ def test_exact_checks_have_fixed_tolerances(command, args, prefix, tolerance, re
     assert "unknown config keys" in err and removed_key in err
 
 
-# At 33 steps the O(steps^-2) discretisation bias is ~4e-3, hence the loose
-# phase tolerance of the odd case; the exact discrete check stays at 1e-12.
-@pytest.mark.parametrize(
-    "steps, flags", [(1024, []), (33, ["--phase-tolerance", "0.05"])], ids=["1024", "33"]
-)
-def test_berry_exact_discrete_record_catches_a_misspaced_loop(tmp_path, capsys, monkeypatch, steps, flags):
-    grids = ["--grid-spec", "berry_theta=0.7,4.0", "--grid-spec", "berry_d=1.7,3", "--steps", str(steps), *flags]
+# At 33 steps the N^-2 discretisation bias is up to K / 33^2 ~ 3.7e-3, and the
+# match lines are graded at twice that; the exact discrete check stays at 1e-12.
+@pytest.mark.parametrize("steps", [1024, 33])
+def test_berry_exact_discrete_record_catches_a_misspaced_loop(tmp_path, capsys, monkeypatch, steps):
+    grids = ["--grid-spec", "berry_theta=0.7,4.0", "--grid-spec", "berry_d=1.7,3", "--steps", str(steps)]
     code, _, _ = run(["berry", "--out", str(tmp_path / "exact"), *grids], capsys)
     assert code == 0
     exact = [c for c in load_report(tmp_path / "exact", "berry")["checks"] if c["name"] == "berry.exact_discrete"]
@@ -628,9 +652,9 @@ def test_berry_exact_discrete_record_catches_a_misspaced_loop(tmp_path, capsys, 
         gamma = berry.berry_discrete(c["params"]["theta"], c["params"]["d"], steps=steps)
         assert c["data"] == {"steps": steps, "gamma_discrete": gamma}
 
-    # Loop phases spaced 2 pi / (N + 1) instead of 2 pi / N: the loop misses
-    # the closed form by far less than the phase tolerance, so only the
-    # exact discrete check sees it.
+    # Loop phases spaced 2 pi / (N + 1) instead of 2 pi / N: the loop still
+    # misses the closed form by about the N^-2 bias, within the match lines'
+    # bound 2 K / N^2, so only the exact discrete check sees it.
     frames = berry.loop_eigenframes
 
     def misspaced(theta, d, omega_drive=1.0, steps=4096):
@@ -659,6 +683,42 @@ def test_report_identical_across_jobs(command, args, tmp_path, capsys):
         run([command, "--out", str(tmp_path / jobs), *args, "--jobs", jobs], capsys)
         texts.append(json.dumps(strip_meta(load_report(tmp_path / jobs, command)), indent=2, sort_keys=True))
     assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("steps", [16, 17, 31, 64, 100, 4096])
+def test_berry_match_lines_are_graded_at_the_loop_bias_bound(steps, tmp_path, capsys):
+    # Every loop of the default grid misses the closed form by its N^-2 bias
+    # only, so each step count passes; skips carry the same tolerance.
+    code, _, _ = run(["berry", "--out", str(tmp_path), "--steps", str(steps)], capsys)
+    assert code == 0
+    matches = [c for c in load_report(tmp_path, "berry")["checks"] if c["name"].startswith("berry.match_")]
+    statuses = [c["status"] for c in matches]
+    assert (statuses.count("pass"), statuses.count("skip"), len(statuses)) == (32, 8, 40)
+    assert {c["tolerance"] for c in matches} == {2.0 * berry.LOOP_BIAS_K / steps**2}
+
+
+def test_berry_match_plus_catches_a_closed_form_shifted_by_1e_5(tmp_path, capsys, monkeypatch):
+    # At 4096 steps the bound is 4.7e-7, so a shift of 1e-5 in gamma_plus of
+    # both closed forms fails berry.match_plus alone; form consistency is kept.
+    closed = cli.berry_closed
+
+    def shifted(theta, d, form="sin_form"):
+        result = closed(theta, d, form)
+        return dataclasses.replace(result, gamma_plus=result.gamma_plus + 1e-5)
+
+    monkeypatch.setattr(cli, "berry_closed", shifted)
+    grids = ["--grid-spec", "berry_theta=0.7,4.0", "--grid-spec", "berry_d=1.7,3"]
+    code, _, _ = run(["berry", "--out", str(tmp_path), *grids], capsys)
+    assert code == 1
+    failed = [c["name"] for c in load_report(tmp_path, "berry")["checks"] if c["status"] == "fail"]
+    assert failed == ["berry.match_plus"] * 4
+
+
+def test_the_phase_tolerance_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["berry", "--phase-tolerance", "1e-4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --phase-tolerance" in capsys.readouterr().err
 
 
 def test_berry_degenerate_loop_is_skipped(tmp_path, capsys):
@@ -950,6 +1010,7 @@ def test_config_file_grid_range_syntax(tmp_path, capsys):
         ["figure", "--d-mesh", "1:nan:3"],
         ["figure", "--grid-spec", "figure_d=0.5"],
         ["figure", "--grid-spec", "figure_d=nan"],
+        ["verify", "--grid-spec", "ybe_d=2.5"],  # before the BWM and TLA families run
         ["spectrum", "--grid-spec", "theta=nan"],  # one finiteness rule for every grid
         ["verify", "--steps", "abc"],
         ["figure", "--d-mesh", "1:6"],

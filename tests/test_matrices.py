@@ -87,6 +87,7 @@ def test_as_real_rejects_nonfinite_and_nonreal(bad):
         lambda: AlgebraParams.tla(1e200),  # d * d
         lambda: frobenius(np.full((3, 3), 1e308)),  # the norm itself, 3e308
         lambda: rel_residual(np.full((3, 3), 1.5e308), np.full((3, 3), -1.5e308)),  # lhs - rhs
+        lambda: hermitian_eigs(np.array([[0, 1.5e308, 0], [-1.5e308, 0, 0], [0, 0, 0]])),  # its own norm
     ],
     ids=[
         "make_a",
@@ -104,6 +105,7 @@ def test_as_real_rejects_nonfinite_and_nonreal(bad):
         "algebra_params",
         "frobenius",
         "rel_residual_difference",
+        "hermitian_eigs_skew",
     ],
 )
 def test_overflowing_parameters_raise_invalid_param(call):
@@ -233,6 +235,10 @@ def test_norms_that_overflow_when_squared_are_right():
     with pytest.raises(NotHermitian, match="defect 1.414e[+]200"):
         hermitian_eigs(m)
     np.testing.assert_allclose(hermitian_eigs(m + m.T).values, [-1e200, 0.0, 1e200], rtol=1e-15)
+    # Entries of 1e308 sum to inf in A + A^dagger; their halves do not.
+    top = np.zeros((3, 3))
+    top[0, 1] = top[1, 0] = 1e308
+    np.testing.assert_allclose(hermitian_eigs(top).values, [-1e308, 0.0, 1e308], rtol=1e-15)
     # Only a norm beyond the double range raises: a matrix holding NaN has norm NaN, alone or stacked.
     m[2, 2] = np.nan
     assert math.isnan(frobenius(m))

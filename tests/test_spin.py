@@ -352,6 +352,8 @@ def test_generator_rejects_bad_phase_input():
         hamiltonian(float("nan"), dp)
     with pytest.raises(InvalidParam):
         hamiltonian_stack(np.zeros((2, 2)), dp)
+    with pytest.raises(InvalidParam, match="drive phases must be finite"):
+        hamiltonian_stack([0.0, float("nan")], dp)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,15 @@ from .yangbaxter import SpectralParams, exchange_residuals
 #: zero branch and the Wilson loop against its exact discrete phase.
 EXACT_TOL = 1e-12
 
+#: c in the tolerance max(EXACT_TOL, c u |pi/2 - theta|) of ``berry.form_consistency``, u = 2^-53.
+#: The line compares the cos form at theta with the sin form at x = fl(pi/2 - theta), and
+#: forming x rounds it by up to u |pi/2 - theta|.  The sin form's gamma_+ = pi (1 - 2 sin(x)
+#: sqrt(d^2 - 1) / d^2) has |d gamma_+ / dx| <= pi 2 sqrt(d^2 - 1) / d^2 <= pi for d >= 1, so
+#: that rounding moves gamma_+ by up to pi u |pi/2 - theta|.  c is twice pi: the other half
+#: covers the closed forms' own rounding (about 1e-15) wherever the term exceeds EXACT_TOL,
+#: which it does from |theta| ~ 1.4e3 on.  Below that the line keeps EXACT_TOL.
+FORM_ARGUMENT_C = 2.0 * math.pi
+
 #: Tolerance of ``ybe.unimodularity``, the distance of |z(u)| from 1.
 UNIT_CIRCLE_TOL = 1e-13
 
@@ -513,7 +522,7 @@ def _berry_point(cfg: RunConfig, theta: float, d: float) -> list[dict]:
             "berry.form_consistency",
             base,
             abs(closed_cos.gamma_plus - swapped.gamma_plus),
-            EXACT_TOL,
+            max(EXACT_TOL, FORM_ARGUMENT_C * 2.0**-53 * abs(math.pi / 2.0 - theta)),
             gamma_plus_sin=closed_sin.gamma_plus,
             gamma_plus_cos=closed_cos.gamma_plus,
         )
@@ -719,6 +728,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _platform() -> dict:
+    """What a report's bits depend on: the Python build, numpy's version and numpy's CPU baseline and dispatch.
+
+    ``cpu_dispatch`` lists the targets numpy may dispatch to on this CPU, after
+    ``NPY_DISABLE_CPU_FEATURES``.  The module holding these lists is already
+    loaded with numpy: ``numpy._core`` since numpy 2, ``numpy.core`` before.
+    """
+    umath = sys.modules.get("numpy._core._multiarray_umath") or sys.modules["numpy.core._multiarray_umath"]
+    features = umath.__cpu_features__
+    return {
+        "python": sys.version,
+        "numpy": np.__version__,
+        "cpu_baseline": list(umath.__cpu_baseline__),
+        "cpu_dispatch": [target for target in umath.__cpu_dispatch__ if features.get(target)],
+    }
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     timings = {}
@@ -762,6 +788,7 @@ def main(argv=None) -> int:
             "out_dir": str(cfg.out_dir),
             "jobs": cfg.jobs,
             "timings": timings,
+            "platform": _platform(),
         },
     }
     report_path = cfg.out_dir / f"{cfg.command}_report.json"

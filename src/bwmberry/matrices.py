@@ -365,6 +365,17 @@ def _closed_form_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A matrix whose computed relative gap is at most CLOSED_FORM_GAP_RTOL,
     or whose best cross product is at most CLOSED_FORM_CROSS_RTOL ||H||_F^2,
     is solved again by ``np.linalg.eigh`` and gets its output exactly.
+
+    A matrix gets the same bits in any stack.  Where numpy's complex
+    multiply uses FMA (its AVX2 and AVX-512 kernels), a * b and b * a can
+    differ in the last bit, and ``a * b`` on a temporary b of 256 KiB or
+    more (16,384 matrices) is computed into b with the operands swapped.  So
+    x12 is formed with ``np.multiply``; before that, 2,556 of 49,152 Berry
+    matrices (12 loops of 4096 steps at d = 2.3) changed their eigenvectors
+    by up to 2.2e-16 when solved as one stack instead of twelve.
+    ``berry.loop_eigenframes`` still solves each loop as one ``steps``-stack:
+    building and solving 12 loops at one d as one stack took 42-49 ms,
+    against 23-28 ms loop by loop, as its arrays no longer fit in cache.
     """
     n = h.shape[0]
     values = np.empty((n, 3))
@@ -381,8 +392,10 @@ def _closed_form_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a0, a1, a2 = (x / scale for x in diag)
     h10, h20, h21 = (x / scale for x in lower)
     n10, n20, n21 = _abs2(h10), _abs2(h20), _abs2(h21)
-    # The lambda-independent products in the off-diagonal cofactors.
-    x01, x02, x12 = np.conj(h21) * h20, h10 * h21, h20 * np.conj(h10)
+    # The lambda-independent products in the off-diagonal cofactors.  x12 is an explicit
+    # np.multiply: as ``h20 * np.conj(h10)``, numpy would compute it into the temporary
+    # conj(h10) as conj(h10) * h20 once that holds 256 KiB, and rounds differently.
+    x01, x02, x12 = np.conj(h21) * h20, h10 * h21, np.multiply(h20, np.conj(h10))
     off = n10 + n20 + n21
     fro2 = a0 * a0 + a1 * a1 + a2 * a2 + 2.0 * off
     m = (a0 + a1 + a2) / 3.0

@@ -12,6 +12,10 @@ module also builds the spin-1 ladder triple (S+, S-, S3) embedded in the
 su(3) Gell-Mann basis; H decomposes over that triple as an effective
 magnetic field of polar angle alpha whose azimuth rotates opposite to
 the drive phase.
+
+H is built entrywise from B, with no matrix product: only level 2 carries
+the drive phase, so dB/dt has four nonzero entries and each entry of H is
+one or two products of entries of B (``_hamiltonian_row``).
 """
 
 from __future__ import annotations
@@ -24,11 +28,12 @@ import numpy as np
 
 from .algebra import GOLDEN_RATIO, DOMAIN_SLACK, AlgebraParams, _offdiag_root, make_eb
 from .errors import InvalidParam
-from .matrices import as_real, dagger, refuse_overflow, rel_residual
+from .matrices import as_real, refuse_overflow, rel_residual
 from .yangbaxter import make_r_theta
 
-#: Occupation numbers generating the drive: only level 2 picks up the phase.
-_OCCUPATION = np.array([0.0, 1.0, 0.0])
+#: The entries (j, k) of B that carry the drive phase, with n_j - n_k for the
+#: occupation numbers n = (0, 1, 0): only level 2 picks up the phase.
+_DRIVEN = {(0, 1): -1.0, (1, 0): 1.0, (1, 2): 1.0, (2, 1): -1.0}
 
 
 @dataclass(frozen=True)
@@ -190,34 +195,57 @@ def _check_drive_d(d: float) -> None:
 def _hamiltonian_row(thetas, omegas, phis, d: float, hbar: float = 1.0) -> np.ndarray:
     """H at every (theta, omega, phi) of three sequences of finite floats, at one d.
 
-    Returns a (len(thetas), len(omegas), len(phis), 3, 3) stack; each
-    matrix has the bits ``hamiltonian_stack`` gives at its point.  The
-    phase-dependent factors E_B(phi) and dE_B/dphi are built once, and each
-    theta and omega only scales them.  d must pass the rule of ``DriveParams``.
+    Returns a (len(thetas), len(omegas), len(phis), 3, 3) stack, built
+    entrywise from B(phi) = e^{i theta} I - f E_B(phi), f = 2i sin(theta) / d,
+    with no matrix product.  Only level 2 carries the drive phase, so
+    B_jk(phi) = B_jk(0) e^{-i phi (n_j - n_k)} and i hbar dB/dt has the
+    entries hbar omega (n_j - n_k) B_jk, nonzero at (0, 1), (1, 0), (1, 2)
+    and (2, 1) only.  Hence, with w = hbar omega,
+
+        H_0j = -w B_01 conj(B_j1),
+        H_1j =  w B_10 conj(B_j0) + w B_12 conj(B_j2),
+        H_2j = -w B_21 conj(B_j1),
+
+    twelve complex products per matrix.  B(0) is built once per theta, the
+    phases e^{+-i phi} once per phi, and every product and sum is one
+    elementwise ufunc over the whole row, so a matrix has the same bits in
+    any row it is built in.  d must pass the rule of ``DriveParams``.
     """
     _check_drive_d(d)
     ph = np.asarray(phis, dtype=float)
     eb0 = make_eb(AlgebraParams.tla(d, 0.0, 0.0))  # E_B at projector phases (0, 0)
-    delta = np.subtract.outer(_OCCUPATION, _OCCUPATION)
-    eb = eb0[None, :, :] * np.exp(-1j * ph[:, None, None] * delta[None, :, :])
-    deb = -1j * delta * eb
-    # Per theta and per omega, the scalar factors in hamiltonian_stack's own arithmetic.
-    f = np.array([2j * math.sin(th) / d for th in thetas], dtype=complex).reshape(-1, 1, 1, 1)
-    rot = np.array([np.exp(1j * th) for th in thetas], dtype=complex).reshape(-1, 1, 1, 1)
-    scale = np.array([1j * hbar * w for w in omegas], dtype=complex).reshape(-1, 1, 1, 1)
-    b = rot * np.eye(3, dtype=complex) - f * eb
-    db = -f * deb
-    return (scale * db[:, None]) @ dagger(b)[:, None]
+    f = np.array([2j * math.sin(th) / d for th in thetas], dtype=complex).reshape(-1, 1, 1)
+    rot = np.array([np.exp(1j * th) for th in thetas], dtype=complex).reshape(-1, 1, 1)
+    b0 = rot * np.eye(3, dtype=complex) - f * eb0
+    # Complex, so that no product mixes a float array with a complex one: numpy runs such
+    # a product through a cast, whose loop signs underflowed zeros differently by layout.
+    w = np.array([hbar * om for om in omegas], dtype=complex).reshape(1, -1, 1)
+    up = np.exp(1j * ph)  # e^{i phi}, the phase of B_jk where n_j - n_k = -1
+    down = np.conjugate(up)  # e^{-i phi}, where n_j - n_k = 1
+    # Each factor as a (theta, omega, phi) array: w (n_j - n_k) B_jk on the left, conj(B_jk) on the right.
+    right = [[np.conjugate(b0[:, j, k, None, None]) for k in range(3)] for j in range(3)]
+    left = {}
+    for (j, k), n_jk in _DRIVEN.items():
+        phase, conj_phase = (up, down) if n_jk < 0 else (down, up)
+        left[j, k] = ((w if n_jk > 0 else -w) * b0[:, j, k, None, None]) * phase
+        right[j][k] = right[j][k] * conj_phase
+    h = np.empty((len(b0), w.shape[1], len(ph), 3, 3), dtype=complex)
+    for j in range(3):
+        np.multiply(left[0, 1], right[j][1], out=h[..., 0, j])
+        np.add(left[1, 0] * right[j][0], left[1, 2] * right[j][2], out=h[..., 1, j])
+        np.multiply(left[2, 1], right[j][1], out=h[..., 2, j])
+    return h
 
 
 def hamiltonian_stack(phis, dp: DriveParams) -> np.ndarray:
     """Evolution generators H(phi) = i hbar (dB/dt) B^dagger for an array of phases.
 
     Only the phased entries of the off-diagonal projector depend on phi,
-    so dB/dphi is available entrywise in closed form and the whole stack
-    is assembled with batched matrix products (this is the hot path of
-    the loop-holonomy computation).  This is the one-(theta, omega) case
-    of ``_hamiltonian_row``.
+    so dB/dphi is available entrywise in closed form, and each entry of H
+    is one or two products of entries of B, evaluated elementwise over the
+    whole stack (this is the hot path of the loop-holonomy computation).
+    A matrix has the same bits in any stack.  This is the one-(theta, omega)
+    case of ``_hamiltonian_row``.
     """
     ph = np.atleast_1d(np.asarray(phis, dtype=float))
     if ph.ndim != 1:

@@ -407,7 +407,7 @@ def test_spectrum_rows_match_the_per_point_route(grids, jobs):
 def test_report_meta_holds_stage_timings(tmp_path, capsys):
     run(["spectrum", "--out", str(tmp_path), *SPECTRUM_DOMAIN_GRIDS], capsys)
     report = load_report(tmp_path, "spectrum")
-    assert set(report["meta"]) == {"timestamp", "out_dir", "jobs", "timings"}
+    assert set(report["meta"]) == {"timestamp", "out_dir", "jobs", "timings", "platform"}
     timings = report["meta"]["timings"]
     assert set(timings) == {"build_config", "evaluate", "report_write", "spectrum.casimir", "spectrum.h"}
     assert timings["evaluate"]["records"] == report["summary"]["checks"] == 75
@@ -429,6 +429,18 @@ def test_report_meta_holds_stage_timings(tmp_path, capsys):
     assert [timings[f"verify.{family}"]["points"] for family in families] == [2 * 2, 5 * 2, 3 + 7, 3 + 7]
     assert set(timings["verify.ybe_draw"]) == {"seconds", "points"}
     assert 0.0 < sum(timings[f"verify.{family}"]["seconds"] for family in families) <= timings["evaluate"]["seconds"]
+
+
+def test_report_meta_names_the_platform(tmp_path, capsys):
+    # What the bits outside meta depend on: the Python build, numpy and numpy's CPU dispatch.
+    umath = sys.modules.get("numpy._core._multiarray_umath") or sys.modules["numpy.core._multiarray_umath"]
+    run(["figure", "--out", str(tmp_path), "--theta-points", "3", "--d-mesh", "1:2:2"], capsys)
+    platform = load_report(tmp_path, "figure")["meta"]["platform"]
+    assert set(platform) == {"python", "numpy", "cpu_baseline", "cpu_dispatch"}
+    assert platform["python"] == sys.version
+    assert platform["numpy"] == np.__version__
+    assert platform["cpu_baseline"] == list(umath.__cpu_baseline__)
+    assert platform["cpu_dispatch"] == [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
 
 
 # Grids whose points skip: the verify rows of a singular A, q <= 0, an
@@ -571,6 +583,34 @@ def test_berry_matches_closed_form_and_skips_below_domain(tmp_path, capsys):
     assert closed_only["reason"] == "closed_form_only"
     assert ("berry.form_consistency", 1.0) in checks
     assert checks[("berry.exact_discrete", 2.0)]["status"] == "pass"
+
+
+def test_berry_form_consistency_allows_for_the_rounding_of_its_argument(tmp_path, capsys):
+    # The sin form is read at fl(pi/2 - theta), rounded by up to u |pi/2 - theta|.
+    code, _, _ = run(
+        ["berry", "--out", str(tmp_path), "--grid-spec", "berry_theta=0.3,3e4,1e300", "--grid-spec", "berry_d=2"],
+        capsys,
+    )
+    assert code == 0
+    lines = {c["params"]["theta"]: c for c in load_report(tmp_path, "berry")["checks"] if c["name"] == "berry.form_consistency"}
+    assert all(line["status"] == "pass" for line in lines.values())
+    assert lines[0.3]["tolerance"] == cli.EXACT_TOL
+    assert lines[3e4]["tolerance"] == cli.FORM_ARGUMENT_C * 2.0**-53 * abs(math.pi / 2.0 - 3e4)
+    assert lines[3e4]["residual"] > cli.EXACT_TOL
+
+
+def test_berry_form_consistency_fails_on_a_shifted_cos_form(tmp_path, capsys, monkeypatch):
+    def shifted(theta, d, form="sin_form"):
+        result = berry_closed(theta, d, form)
+        if form == "cos_form":
+            return dataclasses.replace(result, gamma_plus=result.gamma_plus + 1e-11)
+        return result
+
+    monkeypatch.setattr(cli, "berry_closed", shifted)
+    code, _, _ = run(["berry", "--out", str(tmp_path), "--grid-spec", "berry_theta=0.3", "--grid-spec", "berry_d=2"], capsys)
+    assert code == 1
+    (line,) = [c for c in load_report(tmp_path, "berry")["checks"] if c["name"] == "berry.form_consistency"]
+    assert line["status"] == "fail" and line["tolerance"] == cli.EXACT_TOL
 
 
 @pytest.mark.parametrize(

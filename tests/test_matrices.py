@@ -603,6 +603,17 @@ def test_closed_form_eigh_reads_the_lower_triangle_only():
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("split", (4096, 1000))
+def test_closed_form_eigh_bits_do_not_depend_on_the_stack(split):
+    # 20,000 matrices hold arrays of 320 KB, above the 256 KiB from which numpy
+    # computes ``a * b`` into a temporary b as b * a; the chunks stay below it.
+    h = hamiltonian_stack(np.linspace(0.0, 2.0 * math.pi, 20_000), DriveParams(0.9, 2.3))
+    values, vectors = _closed_form_eigh(h)
+    chunks = [_closed_form_eigh(h[k : k + split]) for k in range(0, len(h), split)]
+    assert np.array_equal(values, np.concatenate([c[0] for c in chunks]))
+    assert np.array_equal(vectors, np.concatenate([c[1] for c in chunks]))
+
+
 @pytest.mark.parametrize("exponent", (-700, 700))
 def test_closed_form_eigh_is_exact_under_power_of_two_scaling(exponent):
     # Each matrix is divided by its largest |entry| first, so scaling by a

@@ -301,16 +301,29 @@ def test_generator_stack_matches_scalar_route():
         assert rel_residual(stack[k], hamiltonian(phi, dp)) < 1e-14
 
 
-def _generator_reference(phis, theta: float, d: float, omega: float, hbar: float) -> np.ndarray:
-    """hamiltonian_stack's formula at one (theta, omega), kept here to pin its bits."""
-    ph = np.asarray(phis, dtype=float)
-    delta = np.subtract.outer([0.0, 1.0, 0.0], [0.0, 1.0, 0.0])
-    eb = make_eb(AlgebraParams.tla(d, 0.0, 0.0))[None, :, :] * np.exp(-1j * ph[:, None, None] * delta[None, :, :])
-    deb = -1j * delta * eb
-    f = 2j * math.sin(theta) / d
-    b = np.exp(1j * theta) * np.eye(3, dtype=complex)[None, :, :] - f * eb
-    db = -f * deb
-    return 1j * hbar * omega * db @ dagger(b)
+def _generator_reference(theta: float, d: float, omega: float, hbar: float, phi: float) -> np.ndarray:
+    """H at one point by _hamiltonian_row's entrywise formula, kept here to pin its bits.
+
+    Each entry of B and every factor is a one-element array, so each product
+    and sum runs in numpy's array loops, as it does in the row.
+    """
+    b = np.exp(1j * theta) * np.eye(3, dtype=complex) - 2j * math.sin(theta) / d * make_eb(AlgebraParams.tla(d, 0.0, 0.0))
+    w = np.array([hbar * omega], dtype=complex)
+    up = np.exp(1j * np.array([phi]))
+    down = np.conjugate(up)
+    # w (n_j - n_k) B_jk(phi) for the four driven entries, n = (0, 1, 0).
+    x01, x21 = (-w * b[0, 1, None]) * up, (-w * b[2, 1, None]) * up
+    x10, x12 = (w * b[1, 0, None]) * down, (w * b[1, 2, None]) * down
+    # conj(B_jk(phi)) for every entry.
+    r = np.conjugate(b)[:, :, None]
+    r01, r21, r10, r12 = r[0, 1] * down, r[2, 1] * down, r[1, 0] * up, r[1, 2] * up
+    col0, col1, col2 = (r[0, 0], r10, r[2, 0]), (r01, r[1, 1], r21), (r[0, 2], r12, r[2, 2])
+    h = np.empty((3, 3), dtype=complex)
+    for j in range(3):
+        h[0, j] = (x01 * col1[j])[0]
+        h[1, j] = (x10 * col0[j] + x12 * col2[j])[0]
+        h[2, j] = (x21 * col1[j])[0]
+    return h
 
 
 @settings(max_examples=60, deadline=None)
@@ -326,11 +339,72 @@ def test_generator_row_keeps_the_bits_of_each_point(thetas, omegas, phis, d, hba
     assert row.shape == (len(thetas), len(omegas), len(phis), 3, 3)
     for i, theta in enumerate(thetas):
         for j, omega in enumerate(omegas):
-            expected = _generator_reference(phis, theta, d, omega, hbar)
+            expected = np.array([_generator_reference(theta, d, omega, hbar, phi) for phi in phis]).reshape(-1, 3, 3)
             assert same_bits(row[i, j], expected)
             if phis:
                 dp = DriveParams(theta=theta, d=d, omega_drive=omega, hbar=hbar)
                 assert same_bits(hamiltonian_stack(phis, dp), expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    theta=st.one_of(st.sampled_from([0.0, math.pi / 2.0]), st.floats(-7.0, 7.0)),
+    d=ROW_D,
+    omega=st.floats(-1e3, 1e3).filter(lambda w: w != 0.0),
+    phis=st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=40),
+    data=st.data(),
+)
+def test_generator_bits_do_not_depend_on_the_stack_layout(theta, d, omega, phis, data):
+    dp = DriveParams(theta=theta, d=d, omega_drive=omega)
+    k = data.draw(st.integers(0, len(phis) - 1), label="k")
+    stack = hamiltonian_stack(phis, dp)
+    assert same_bits(stack[k], hamiltonian_stack(phis[k:], dp)[0])
+    assert same_bits(stack[k], hamiltonian(phis[k], dp))
+
+
+#: The unit roundoff of double precision and Higham's gamma_n = n u / (1 - n u).
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def _gamma(n: int) -> float:
+    return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
+
+
+#: Relative error bound of one formula for H against exact arithmetic on the
+#: inputs the two formulas share: f, e^{i theta}, E_B(0), hbar omega, e^{+-i phi}
+#: and the five undriven entries of B, which both compute alike.  Each forms
+#: H_ij = sum_k X_ik conj(B_jk) with X = i hbar dB/dt.  A driven factor X_ik
+#: carries two complex products and one real scaling, a driven B_jk two complex
+#: products, each product at most sqrt(2) gamma_2 (Higham, Accuracy and Stability
+#: of Numerical Algorithms, 2nd ed., Lemma 3.5); the real and imaginary parts of
+#: the sum over k are real dot products of length at most 6, so the product and
+#: the sum add at most sqrt(2) gamma_6 (Higham (3.4)-(3.5)).
+#: The product of the (1 + delta) factors minus 1, through log1p and expm1 so it does not round to a few u.
+ONE_FORMULA_RTOL = math.expm1(
+    4.0 * math.log1p(math.sqrt(2.0) * _gamma(2)) + math.log1p(UNIT_ROUNDOFF) + math.log1p(math.sqrt(2.0) * _gamma(6))
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    theta=st.floats(-7.0, 7.0),
+    d=ROW_D,
+    omega=st.one_of(st.just(1.0), st.floats(-1e3, 1e3)),
+    phis=st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=8),
+)
+def test_generator_is_within_rounding_of_the_matrix_product(theta, d, omega, phis):
+    # The formula H = (i hbar dB/dt) @ B^dagger that hamiltonian_stack evaluated
+    # before it was built entrywise.
+    ph = np.asarray(phis)
+    delta = np.subtract.outer([0.0, 1.0, 0.0], [0.0, 1.0, 0.0])
+    eb = make_eb(AlgebraParams.tla(d, 0.0, 0.0))[None, :, :] * np.exp(-1j * ph[:, None, None] * delta[None, :, :])
+    f = 2j * math.sin(theta) / d
+    b = np.exp(1j * theta) * np.eye(3, dtype=complex)[None, :, :] - f * eb
+    x = 1j * omega * (-f * (-1j * delta * eb))
+    product = x @ dagger(b)
+    scale = np.linalg.norm(np.abs(x) @ np.abs(dagger(b)), axis=(1, 2))
+    diff = np.linalg.norm(hamiltonian_stack(ph, DriveParams(theta=theta, d=d, omega_drive=omega)) - product, axis=(1, 2))
+    assert np.all(diff <= 2.0 * ONE_FORMULA_RTOL * scale)
 
 
 def test_generator_drives_the_unitary():

@@ -1,12 +1,15 @@
 """End-to-end tests of the command-line front end."""
 
 import ast
+import contextlib
 import dataclasses
 import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,10 +104,9 @@ def test_verify_passes_and_writes_report(tmp_path, capsys):
     assert {"tla.square_a", "ybe.exchange", "ybe.unimodularity"} <= names
 
 
-def test_verify_tight_tolerance_reports_failures(tmp_path, capsys):
-    code, out, _ = run(
-        ["verify", "--out", str(tmp_path), "--tolerance", "1e-16", *SMALL_VERIFY], capsys
-    )
+def test_verify_tight_tolerance_reports_failures(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "RELATION_TOL", 1e-16)
+    code, out, _ = run(["verify", "--out", str(tmp_path), *SMALL_VERIFY], capsys)
     assert code == 1
     report = load_report(tmp_path, "verify")
     assert report["summary"]["failed"] > 0
@@ -335,7 +337,7 @@ def test_spectrum_solver_error_skips_only_its_own_casimir_point(tmp_path, capsys
     assert_only_the_refused_point_skips(chosen, "spectrum.casimir", params, tmp_path, capsys, monkeypatch)
 
 
-def per_point_levels(cfg, name: str, points: list) -> list:
+def per_point_levels(name: str, points: list) -> list:
     """Records of (params, matrix or error, predicted) points, each matrix solved on its own."""
     out = []
     for params, m, predicted in points:
@@ -345,11 +347,11 @@ def per_point_levels(cfg, name: str, points: list) -> list:
             except BwmBerryError as exc:
                 m = exc
         if isinstance(m, BwmBerryError):
-            out.append(cli._skip(name, params, cfg.tolerance, m))
+            out.append(cli._skip(name, params, cli.RELATION_TOL, m))
             continue
         observed, predicted = m.tolist(), [float(x) for x in predicted]
         dev = max(abs(o - p) for o, p in zip(observed, predicted)) / max(1.0, max(abs(p) for p in predicted))
-        out.append(cli._record(name, params, dev, cfg.tolerance, observed=observed, predicted=predicted))
+        out.append(cli._record(name, params, dev, cli.RELATION_TOL, observed=observed, predicted=predicted))
     return out
 
 
@@ -374,9 +376,7 @@ def per_point_spectrum(cfg) -> list:
                     generators += [(p, exc, None) for p in points]
                     continue
                 generators += [(p, h, predicted) for p, h in zip(points, hs)]
-    return per_point_levels(cfg, "spectrum.casimir", casimirs) + per_point_levels(
-        cfg, "spectrum.h_eigenvalues", generators
-    )
+    return per_point_levels("spectrum.casimir", casimirs) + per_point_levels("spectrum.h_eigenvalues", generators)
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -599,6 +599,26 @@ def test_berry_form_consistency_allows_for_the_rounding_of_its_argument(tmp_path
     assert lines[3e4]["residual"] > cli.EXACT_TOL
 
 
+def test_closing_line_gives_the_largest_residual_to_tolerance_ratio(tmp_path, capsys):
+    # The theta = 1e300 form line has the largest raw residual (about 3.8, graded at
+    # about 7e284), but the run came closest to failing on a match line.
+    grids = ["--grid-spec", "berry_theta=0.3,3e4,1e300", "--grid-spec", "berry_d=2"]
+    code, out, _ = run(["berry", "--out", str(tmp_path), *grids], capsys)
+    assert code == 0
+    report = load_report(tmp_path, "berry")
+    graded = [c for c in report["checks"] if c["residual"] is not None]
+    worst = max(graded, key=lambda c: c["residual"])
+    assert worst["name"] == "berry.form_consistency" and report["summary"]["worst_residual"] == worst["residual"] > 1
+    closest = max(graded, key=lambda c: c["residual"] / c["tolerance"])
+    assert closest["name"].startswith("berry.match_")
+    ratio = closest["residual"] / closest["tolerance"]
+    assert 0 < ratio < 1 and "15/15 checks passed" in out
+    assert f"0 skipped; largest residual/tolerance {ratio:.3g} ({closest['name']}); wrote " in out
+
+    code, out, _ = run(["figure", "--out", str(tmp_path), "--theta-points", "5", "--d-mesh", "1:2:3"], capsys)
+    assert code == 0 and "; largest residual/tolerance n/a; wrote " in out
+
+
 def test_berry_form_consistency_fails_on_a_shifted_cos_form(tmp_path, capsys, monkeypatch):
     def shifted(theta, d, form="sin_form"):
         result = berry_closed(theta, d, form)
@@ -607,10 +627,11 @@ def test_berry_form_consistency_fails_on_a_shifted_cos_form(tmp_path, capsys, mo
         return result
 
     monkeypatch.setattr(cli, "berry_closed", shifted)
-    code, _, _ = run(["berry", "--out", str(tmp_path), "--grid-spec", "berry_theta=0.3", "--grid-spec", "berry_d=2"], capsys)
+    code, out, _ = run(["berry", "--out", str(tmp_path), "--grid-spec", "berry_theta=0.3", "--grid-spec", "berry_d=2"], capsys)
     assert code == 1
     (line,) = [c for c in load_report(tmp_path, "berry")["checks"] if c["name"] == "berry.form_consistency"]
     assert line["status"] == "fail" and line["tolerance"] == cli.EXACT_TOL
+    assert f"largest residual/tolerance {line['residual'] / cli.EXACT_TOL:.3g} (berry.form_consistency);" in out
 
 
 @pytest.mark.parametrize(
@@ -640,11 +661,14 @@ def test_golden_ratio_rule_agrees_everywhere(d, tmp_path, capsys):
     assert skips == (set() if not refused else {"closed_form_only"} if d >= 1.0 else {"invalid_param"})
 
 
-# A loose --tolerance shows that these checks ignore it.  The Berry match lines
-# are graded at twice the N-step loop's bias bound K / N^2, with no knob.
+# No check tolerance is a knob: the relation lines are graded at RELATION_TOL, the
+# identities that hold up to rounding at theirs, and the Berry match lines at twice
+# the N-step loop's bias bound K / N^2.  Each retired config key exits 2.
 @pytest.mark.parametrize(
     "command, args, prefix, tolerance, removed_key",
     [
+        ("verify", SMALL_VERIFY, "bwm.skein_a", cli.RELATION_TOL, "tolerance"),
+        ("spectrum", ["--grid-spec", "d=2,3"], "spectrum.casimir", cli.RELATION_TOL, "tolerance"),
         ("verify", SMALL_VERIFY, "tla.", 1e-12, "tla_tolerance"),
         ("verify", SMALL_VERIFY, "ybe.unimodularity", 1e-13, "unimodularity_tolerance"),
         (
@@ -662,10 +686,10 @@ def test_golden_ratio_rule_agrees_everywhere(d, tmp_path, capsys):
             "phase_tolerance",
         ),
     ],
-    ids=["tla", "unimodularity", "zero_branch", "match"],
+    ids=["skein_a", "casimir", "tla", "unimodularity", "zero_branch", "match"],
 )
 def test_exact_checks_have_fixed_tolerances(command, args, prefix, tolerance, removed_key, tmp_path, capsys):
-    code, _, _ = run([command, "--out", str(tmp_path), *args, "--tolerance", "0.1"], capsys)
+    code, _, _ = run([command, "--out", str(tmp_path), *args], capsys)
     assert code == 0
     records = [c for c in load_report(tmp_path, command)["checks"] if c["name"].startswith(prefix)]
     assert records
@@ -754,11 +778,15 @@ def test_berry_match_plus_catches_a_closed_form_shifted_by_1e_5(tmp_path, capsys
     assert failed == ["berry.match_plus"] * 4
 
 
-def test_the_phase_tolerance_flag_is_gone(capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [["berry", "--phase-tolerance", "1e-4"], ["verify", "--tolerance", "1e-9"], ["verify", "--tolerance", "-1"]],
+)
+def test_the_retired_tolerance_flags_are_gone(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["berry", "--phase-tolerance", "1e-4"])
+        main(argv)
     assert exc.value.code == 2
-    assert "unrecognized arguments: --phase-tolerance" in capsys.readouterr().err
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
 
 def test_berry_degenerate_loop_is_skipped(tmp_path, capsys):
@@ -990,7 +1018,7 @@ def test_report_text_has_one_line_per_check(command, args, all_skip, jobs, tmp_p
 
 def test_config_file_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"tolerance": 1e-2, "seed": 3, "grids": {"q": [0.9], "tla_d": []}}))
+    cfg.write_text(json.dumps({"steps": 64, "seed": 3, "grids": {"q": [0.9], "tla_d": []}}))
     run(
         [
             "verify",
@@ -998,8 +1026,8 @@ def test_config_file_flag_precedence(tmp_path, capsys):
             str(tmp_path),
             "--config",
             str(cfg),
-            "--tolerance",
-            "1e-9",
+            "--steps",
+            "128",
             "--ybe-samples",
             "0",
             "--phase-pairs",
@@ -1008,7 +1036,7 @@ def test_config_file_flag_precedence(tmp_path, capsys):
         capsys,
     )
     report = load_report(tmp_path, "verify")
-    assert report["config"]["tolerance"] == 1e-9  # flag wins
+    assert report["config"]["steps"] == 128  # flag wins
     assert report["config"]["seed"] == 3  # file value survives
     assert report["config"]["grids"]["q"] == [0.9]
 
@@ -1045,7 +1073,6 @@ def test_config_file_grid_range_syntax(tmp_path, capsys):
         ["figure", "--d-mesh", "6:1:10"],
         ["figure", "--d-mesh", "0.5:6:10"],
         ["figure", "--theta-points", "1"],
-        ["verify", "--tolerance", "-1"],
         ["verify", "--seed", "-1"],
         ["figure", "--d-mesh", "1:nan:3"],
         ["figure", "--grid-spec", "figure_d=0.5"],
@@ -1056,6 +1083,7 @@ def test_config_file_grid_range_syntax(tmp_path, capsys):
         ["figure", "--d-mesh", "1:6"],
         ["verify", "--grid-spec", "q"],  # no NAME=VALUES
         ["verify", "--grid-spec", "theta=0:1:0"],  # empty range
+        ["verify", "--grid-spec", "q=-1e308:1e308:3"],  # the range's arithmetic overflows
         # Each count is refused above its maximum, before any array or thread is made.
         ["verify", "--phase-pairs", "1000000000000", "--grid-spec", "q=", "--grid-spec", "tla_d=", "--ybe-samples", "0"],
         ["berry", "--steps", "1000000000000", "--grid-spec", "berry_theta=0.5", "--grid-spec", "berry_d=2"],
@@ -1144,7 +1172,7 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     [
         ("verify", {"seed": "abc"}),
         ("verify", {"seed": 1.7}),
-        ("verify", {"tolerance": True}),
+        ("verify", {"phase_pairs": True}),
         ("verify", {"grids": {"q": [True]}}),
         ("figure", {"figure_d_mesh": [1, 6, 2.9]}),
         ("figure", {"out": 123}),
@@ -1152,7 +1180,7 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
         ("spectrum", {"grids": {"theta": "0:1:1000000000000"}}),
     ],
 )
-@pytest.mark.parametrize("flags", [[], ["--tolerance", "1e-9", "--seed", "3", "--out", "."]], ids=["file", "flags"])
+@pytest.mark.parametrize("flags", [[], ["--steps", "64", "--seed", "3", "--out", "."]], ids=["file", "flags"])
 def test_invalid_config_values_exit_two(command, contents, flags, tmp_path, capsys, monkeypatch):
     # A bad file value is an error even where a flag overrides it.
     monkeypatch.chdir(tmp_path)
@@ -1228,6 +1256,79 @@ def test_out_dir_env_override(tmp_path, capsys, monkeypatch):
     code, _, _ = run(["figure", "--theta-points", "5", "--d-mesh", "1:2:2"], capsys)
     assert code == 0
     assert (tmp_path / "env_dir" / "figure_sections.csv").is_file()
+
+
+# Inputs for the property test over main(): grid specs, knob flags (each count capped
+# at the fixed small run below) and config files, valid and not.
+_NUMBER_TEXT = st.sampled_from(["0", "1.5", "2", "-1", "nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "abc", ""])
+_GRID_SPEC = st.one_of(
+    st.builds(
+        "{}={}".format,
+        st.sampled_from([*cli.GRID_NAMES, "nope", ""]),
+        st.one_of(
+            st.lists(_NUMBER_TEXT, max_size=3).map(",".join),
+            st.builds("{}:{}:{}".format, _NUMBER_TEXT, _NUMBER_TEXT, st.integers(-1, 3)),
+        ),
+    ),
+    st.text(max_size=10),
+)
+_SMALL_RUN = ["--phase-pairs", "2", "--ybe-samples", "3", "--steps", "32"]
+_SMALL_FIGURE = ["--theta-points", "5", "--d-mesh", "1:2:3"]
+_FLAG_VALUES = {
+    "--steps": st.integers(cli.MIN_STEPS - 1, 32),
+    "--seed": st.integers(-1, 3),
+    "--jobs": st.integers(0, 2),
+    "--phase-pairs": st.integers(-1, 2),
+    "--ybe-samples": st.integers(-1, 3),
+    "--theta-points": st.integers(1, 5),
+    "--d-mesh": st.builds("{}:{}:{}".format, _NUMBER_TEXT, _NUMBER_TEXT, st.integers(-1, 3)),
+    "--tolerance": _NUMBER_TEXT,
+    "--phase-tolerance": _NUMBER_TEXT,
+}
+assert set(_FLAG_VALUES) == {k.metadata["flag"] for k in KNOBS} | {"--tolerance", "--phase-tolerance"}
+_FLAG = st.sampled_from(sorted(_FLAG_VALUES)).flatmap(
+    lambda flag: st.tuples(st.just(flag), st.one_of(_FLAG_VALUES[flag].map(str), _NUMBER_TEXT))
+)
+_CONFIG_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), _FLOATS, st.text(max_size=5), st.lists(st.integers(0, 3), max_size=3)
+)
+_CONFIG = st.one_of(
+    st.none(),
+    st.dictionaries(st.sampled_from([*sorted(cli._CONFIG_KEYS), "tolerance", "phase_tolerance"]), _CONFIG_VALUE, max_size=3),
+    st.lists(st.integers(), max_size=2),
+    st.integers(),
+    st.text(max_size=5),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(sorted(cli._COMMANDS)),
+    specs=st.lists(_GRID_SPEC, max_size=3),
+    flags=st.lists(_FLAG, max_size=3),
+    config=_CONFIG,
+)
+@example(command="verify", specs=["q=-1e308:1e308:3"], flags=[], config=None)
+@example(command="berry", specs=[], flags=[("--tolerance", "1e-9")], config={"tolerance": 1e-10})
+def test_property_main_exits_0_1_or_2_without_a_traceback(command, specs, flags, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp, "out")
+        argv = [command, "--out", str(out_dir), *_SMALL_RUN, *(_SMALL_FIGURE if command == "figure" else [])]
+        argv += [arg for spec in specs for arg in ("--grid-spec", spec)] + [arg for flag in flags for arg in flag]
+        if config is not None:
+            Path(tmp, "run.json").write_text(json.dumps(config))
+            argv += ["--config", str(Path(tmp, "run.json"))]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses the command line
+                code = exc.code
+                assert code == 2
+        assert code in (0, 1, 2)
+        assert "Traceback" not in stderr.getvalue()
+        if code != 2:
+            assert (out_dir / f"{command}_report.json").is_file()
 
 
 def test_console_entry_point_runs():

@@ -504,13 +504,20 @@ def test_hermitian_eigs_rejects_trailing_shape_other_than_3x3(shape):
         hermitian_eigs(np.zeros(shape))
 
 
+# The adjugate formula's residual grows like u ||m||_F^3 / |det m|, the measure of
+# inverse's singularity guard, so a fixed 1e-10 fails on ill-conditioned matrices whose
+# |det| is not small, such as the example (residual 2.7e-10, from np.linalg.inv too).
+# The bound is 1e-10 where that measure allows it; above, twice the measure, about three
+# times the worst ratio (0.69) a hill-climbing search over this domain found.
 @settings(max_examples=50, deadline=None)
 @given(st.lists(finite_entries, min_size=18, max_size=18))
+@example(entries=[0.0, 1.0, 3.0, 0.0, 2.0**-23, 0.0, 3.0, 0.0, 0.0] + [0.0] * 9)
 def test_property_inverse_roundtrip(entries):
     m = np.array(entries[:9]).reshape(3, 3) + 1j * np.array(entries[9:]).reshape(3, 3)
     if abs(det3(m)) <= 1e-6:
         return
-    assert rel_residual(m @ inverse(m), np.eye(3, dtype=complex)) < 1e-10
+    bound = max(1e-10, 2.0 * 2.0**-53 * frobenius(m) ** 3 / abs(det3(m)))
+    assert rel_residual(m @ inverse(m), np.eye(3, dtype=complex)) < bound
 
 
 @settings(max_examples=50, deadline=None)

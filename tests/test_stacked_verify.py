@@ -150,9 +150,9 @@ def scalar_bwm_point(cfg, q, p1, p2):
     try:
         p = AlgebraParams.coupled(q, p1, p2)
         a, b, ea, eb = make_a(p), scalar_b(p.q, p.d, p1, p2), make_ea(p), scalar_eb(p.d, p1, p2)
-        suite = _residual_records("bwm", base, scalar_bwm_lines(p, a, b, ea, eb), cfg.tolerance)
+        suite = _residual_records("bwm", base, scalar_bwm_lines(p, a, b, ea, eb), cli.RELATION_TOL)
     except BwmBerryError as exc:
-        return [cli._skip("bwm.suite", base, cfg.tolerance, exc)]
+        return [cli._skip("bwm.suite", base, cli.RELATION_TOL, exc)]
     u = scalar_u(p.d, p1, p2)
     ui = scalar_inverse(u)
     transports = [("transport_b", b, u @ a @ ui), ("transport_eb", eb, u @ ea @ ui)]

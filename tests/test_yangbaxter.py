@@ -30,7 +30,7 @@ from bwmberry import (
     ybe_residual,
     z_of_u,
 )
-from bwmberry.cli import RunConfig, _record, _skip, _ybe_corner_samples, _ybe_seeded_samples, cmd_verify
+from bwmberry.cli import RELATION_TOL, RunConfig, _record, _skip, _ybe_corner_samples, _ybe_seeded_samples, cmd_verify
 from bwmberry.algebra import DOMAIN_SLACK
 from bwmberry.yangbaxter import _exchange_setup, exchange_residuals
 
@@ -410,9 +410,9 @@ def test_verify_chunks_give_the_per_sample_records(seeded, jobs, tmp_path):
         base = dict(vars(s))
         result = reference_exchange(s)
         if isinstance(result, BwmBerryError):
-            want.append(_skip("ybe.exchange", base, cfg.tolerance, result))
+            want.append(_skip("ybe.exchange", base, RELATION_TOL, result))
         else:
-            want.append(_record("ybe.exchange", base, result[0], cfg.tolerance))
+            want.append(_record("ybe.exchange", base, result[0], RELATION_TOL))
             want.append(_record("ybe.unimodularity", base, result[1], 1e-13))
     got = cmd_verify(cfg)
     assert got == want

@@ -40,7 +40,7 @@ from .berry import LOOP_BIAS_K, MIN_STEPS, SECTION_D_VALUES, _wrap_phase, berry_
 from .errors import BwmBerryError, ConfigError, InvalidParam
 from .matrices import hermitian_eigs
 from .spin import _hamiltonian_row, _ladder_stack, cos_alpha
-from .yangbaxter import SpectralParams, exchange_residuals
+from .yangbaxter import SpectralParams, _exchange_columns
 
 #: Tolerance of every check whose identity holds exactly up to rounding:
 #: transport, unitarity, the Temperley-Lieb relations, form consistency, the
@@ -333,43 +333,92 @@ def _tla_point(cfg: RunConfig, d: float, *pairs: tuple[float, float]) -> list[di
     return _relation_records("tla", params, EXACT_TOL, lambda: _tla_row(AlgebraParams.tla(d), *zip(*pairs)))
 
 
-def _ybe_corner_samples() -> list[SpectralParams]:
-    return [
-        SpectralParams(u=0.0, v=0.37, beta=0.3, epsilon=1, d=1.7, phi1=0.4, phi2=-1.1),
-        SpectralParams(u=0.41, v=-0.41, beta=1.0, epsilon=-1, d=1.9, phi1=-2.0, phi2=0.7),
-        SpectralParams(u=0.25, v=0.6, beta=0.0, epsilon=1, d=1.7, phi1=1.2, phi2=2.5),
-    ]
+#: The three corner samples that lead the exchange samples, as rows (u, v, beta, epsilon, d, phi1, phi2).
+_YBE_CORNERS = ((0.0, 0.37, 0.3, 1, 1.7, 0.4, -1.1), (0.41, -0.41, 1.0, -1, 1.9, -2.0, 0.7), (0.25, 0.6, 0.0, 1, 1.7, 1.2, 2.5))
+
+#: The keys of an exchange record's ``params``, in the order of a sample row.
+_YBE_KEYS = tuple(f.name for f in fields(SpectralParams))
 
 
-def _ybe_seeded_samples(cfg: RunConfig) -> list[SpectralParams]:
-    """The seeded exchange samples; none, with a warning, where ``ybe_beta`` or ``ybe_d`` is empty."""
-    rng = np.random.default_rng([cfg.seed, 1])
-    betas = cfg.grid("ybe_beta")
-    ds = cfg.grid("ybe_d")
-    samples = []
+def _ybe_samples(cfg: RunConfig) -> tuple[np.ndarray, int]:
+    """The exchange samples as the rows of a float (n, 7) array, corners first, and how many of
+    them the per-sample loop drew (``_ybe_draw``); none where ``ybe_samples`` is 0, and the corners
+    only, with a warning, where ``ybe_beta`` or ``ybe_d`` is empty."""
+    if cfg.ybe_samples == 0:
+        return np.empty((0, 7)), 0
+    betas, ds = cfg.grid("ybe_beta"), cfg.grid("ybe_d")
     empty = [name for name, grid in (("ybe_beta", betas), ("ybe_d", ds)) if not grid]
     if empty:
         cfg.warnings.append(
             f"grid {' and '.join(empty)} is empty: the {cfg.ybe_samples} seeded exchange samples were not drawn"
         )
-        return samples
-    for _ in range(cfg.ybe_samples):
+        return np.array(_YBE_CORNERS, dtype=float), 0
+    seeded, per_sample = _ybe_draw(np.random.default_rng([cfg.seed, 1]), betas, ds, cfg.ybe_samples)
+    return np.concatenate([_YBE_CORNERS, seeded]), per_sample
+
+
+def _ybe_loop(rng: np.random.Generator, betas, ds, n: int) -> np.ndarray:
+    """n seeded samples, drawn one ``Generator`` call at a time."""
+    rows = []
+    for _ in range(n):
         u, v = rng.uniform(-0.9, 0.9, size=2)
-        beta = float(betas[rng.integers(len(betas))])
+        beta = betas[rng.integers(len(betas))]
         eps = int(rng.integers(2)) * 2 - 1
-        d = float(ds[rng.integers(len(ds))])
+        d = ds[rng.integers(len(ds))]
         p1, p2 = rng.uniform(-math.pi, math.pi, size=2)
-        samples.append(
-            SpectralParams(u=float(u), v=float(v), beta=beta, epsilon=eps, d=d, phi1=float(p1), phi2=float(p2))
-        )
-    return samples
+        rows.append((u, v, beta, eps, d, p1, p2))
+    return np.array(rows, dtype=float).reshape(-1, 7)
 
 
-def _ybe_point(cfg: RunConfig, *samples: SpectralParams) -> list[dict]:
-    """The records of a chunk of exchange samples, from one stacked evaluation."""
+def _ybe_draw(rng: np.random.Generator, betas, ds, n: int) -> tuple[np.ndarray, int]:
+    """``_ybe_loop(rng, betas, ds, n)`` bit for bit, with the same final state of ``rng``, and how
+    many samples the loop drew: none, unless a draw of the replay below rejects.
+
+    The replay reads ``rng``'s PCG64 stream with one ``random_raw`` call.  A sample reads one
+    64-bit word each for u and v, one 32-bit half each for the ``integers(k)`` draws with k > 1
+    (``integers(1)`` draws nothing), then one word each for phi1 and phi2.  A double is
+    lo + (hi - lo) ((w >> 11) 2^-53).  A half is the low half of a fresh word, or the high half
+    of the last one, which PCG64 buffers (``has_uint32``, ``uinteger``) across the doubles.
+    ``integers(k)`` is Lemire's (x k) >> 32, which numpy redraws where (x k) mod 2^32 < 2^32 mod k,
+    shifting the stream; so there the state is restored and the loop draws every sample.  That
+    never happens for k a power of two.
+    """
+    state = rng.bit_generator.state
+    grids = (betas, (-1, 1), ds)  # epsilon is 2 integers(2) - 1
+    buffered, m = state["has_uint32"], sum(len(g) > 1 for g in grids)
+    fresh = (np.arange(n * m) + buffered) % 2 == 0  # a half that reads a new word
+    per = fresh.reshape(n, m)
+    words = 4 + per.sum(axis=1)
+    first = np.cumsum(words) - words
+    raw = rng.bit_generator.random_raw(int(words.sum()))
+    # ext[0] holds the buffered high half; a half reads the word that the last fresh half read.
+    ext = np.concatenate([[np.uint64(state["uinteger"]) << np.uint64(32)], raw])
+    word = 3 + first[:, None] + np.cumsum(per, axis=1) - per
+    src = np.maximum.accumulate(np.concatenate([[0], np.where(fresh, word.ravel(), 0)]))
+    halves = np.where(fresh, ext[src[1:]] & np.uint64(0xFFFFFFFF), ext[src[1:]] >> np.uint64(32)).reshape(n, m)
+    columns, picks = iter(halves.T), []
+    for grid in grids:
+        scaled = next(columns) * np.uint64(len(grid)) if len(grid) > 1 else np.zeros(n, dtype=np.uint64)
+        if np.any(scaled & np.uint64(0xFFFFFFFF) < 2**32 % len(grid)):
+            rng.bit_generator.state = state
+            return _ybe_loop(rng, betas, ds, n), n
+        picks.append(np.asarray(grid, dtype=float)[(scaled >> np.uint64(32)).astype(np.intp)])
+    after = rng.bit_generator.state
+    after.update(has_uint32=(buffered + n * m) % 2, uinteger=int(ext[src[-1]] >> np.uint64(32)))
+    rng.bit_generator.state = after
+    unit = (raw >> np.uint64(11)) * 2.0**-53
+    uniform = lambda lo, hi, at: lo + (hi - lo) * unit[at]
+    u, v = uniform(-0.9, 0.9, first), uniform(-0.9, 0.9, first + 1)
+    p1, p2 = uniform(-math.pi, math.pi, first + words - 2), uniform(-math.pi, math.pi, first + words - 1)
+    return np.stack([u, v, *picks, p1, p2], axis=1), 0
+
+
+def _ybe_point(cfg: RunConfig, samples: np.ndarray) -> list[dict]:
+    """The records of a chunk of exchange samples, the rows of ``samples``, from one stacked evaluation."""
     out = []
-    for s, result in zip(samples, exchange_residuals(samples)):
-        base = dict(vars(s))
+    for row, result in zip(samples.tolist(), _exchange_columns(samples)):
+        base = dict(zip(_YBE_KEYS, row))
+        base["epsilon"] = int(base["epsilon"])
         if isinstance(result, BwmBerryError):
             out.append(_skip("ybe.exchange", base, RELATION_TOL, result))
             continue
@@ -397,9 +446,11 @@ def _family(cfg: RunConfig, stage: str, fn, rows: list, points: int) -> list[dic
 
 def cmd_verify(cfg: RunConfig) -> list[dict]:
     """BWM records, then TLA records, then exchange records; ``meta.timings`` gets each family's time
-    and, as ``verify.ybe_draw``, the time of drawing the exchange samples.
+    and, as ``verify.ybe_draw``, the time of drawing the exchange samples, their ``points`` and
+    how many of them the per-sample loop drew (``per_sample``).
 
-    Each row (one q or one tla_d) is evaluated CHUNK phase pairs at a time.
+    Each row (one q or one tla_d) is evaluated CHUNK phase pairs at a time, and the exchange
+    samples CHUNK rows at a time.
     """
     pairs = _phase_pairs(cfg)
     chunks = [pairs[i : i + CHUNK] for i in range(0, len(pairs), CHUNK)]
@@ -407,9 +458,9 @@ def cmd_verify(cfg: RunConfig) -> list[dict]:
     records = _family(cfg, "verify.bwm", _bwm_point, [(q, *c) for q in qs for c in chunks], len(qs) * len(pairs))
     records += _family(cfg, "verify.tla", _tla_point, [(d, *c) for d in ds for c in chunks], len(ds) * len(pairs))
     with timed(cfg.timings, "verify.ybe_draw") as entry:
-        samples = _ybe_corner_samples() + _ybe_seeded_samples(cfg) if cfg.ybe_samples > 0 else []
+        samples, entry["per_sample"] = _ybe_samples(cfg)
         entry["points"] = len(samples)
-    chunks = [samples[i : i + CHUNK] for i in range(0, len(samples), CHUNK)]
+    chunks = [(samples[i : i + CHUNK],) for i in range(0, len(samples), CHUNK)]
     return records + _family(cfg, "verify.ybe", _ybe_point, chunks, len(samples))
 
 
@@ -583,11 +634,14 @@ def _write_csv(path: Path, thetas, ds, gamma) -> int:
 
 
 def cmd_figure(cfg: RunConfig) -> list[dict]:
+    """Per CSV, its record and then one ``figure.<kind>_row`` skip for each d, ascending, whose
+    d^2 overflows: the closed form needs it, so the table leaves that d's rows out."""
     thetas = np.linspace(0.0, 2.0 * math.pi, cfg.figure_theta_points)
     records = []
     for kind, d_values in (("sections", cfg.grid("figure_d")), ("surface", np.linspace(*cfg.figure_d_mesh))):
         fname = f"figure_{kind}.csv"
-        table = figure_table(thetas, d_values)
+        d_values = [float(d) for d in d_values]
+        table = figure_table(thetas, [d for d in d_values if math.isfinite(d * d)])
         with timed(cfg.timings, "write_csv") as entry:
             n = _write_csv(cfg.out_dir / fname, *table)
             entry["rows"] = entry.get("rows", 0) + n
@@ -595,6 +649,9 @@ def cmd_figure(cfg: RunConfig) -> list[dict]:
             {"name": f"figure.{kind}_csv", "params": {}, "residual": None, "tolerance": None, "status": "pass",
              "reason": None, "data": {"file": fname, "rows": n}}
         )
+        for d in sorted(d for d in d_values if not math.isfinite(d * d)):
+            exc = InvalidParam(f"d = {d} overflows double precision: d*d is not finite")
+            records.append(_skip(f"figure.{kind}_row", {"d": d}, None, exc))
     return records
 
 

@@ -247,6 +247,16 @@ def exchange_residuals(samples) -> list:
     ``BwmBerryError`` that the sample's set-up raised (velocity pole, phase
     off the unit circle or out of the double range, parameter out of
     domain).  The residual compares A(u) B(u*v) A(v) with B(v) A(u*v) B(u).
+    The ``SpectralParams`` case of ``_exchange_columns``.
+    """
+    params = np.array([(s.u, s.v, s.beta, s.epsilon, s.d, s.phi1, s.phi2) for s in samples], dtype=float)
+    return _exchange_columns(params.reshape(-1, 7))
+
+
+def _exchange_columns(params: np.ndarray) -> list:
+    """``exchange_residuals`` of the samples given as the rows (u, v, beta, epsilon, d, phi1, phi2)
+    of a float (n, 7) array, each row a valid ``SpectralParams``.
+
     The set-up is array arithmetic over the samples: u*v and its pole test
     (``_compose``), the three phases (``_z_stack``) with the unimodularity
     guard, the projector domain and the weights (``_r_weights``).  A sample
@@ -257,8 +267,7 @@ def exchange_residuals(samples) -> list:
     compared with stacked operations, which give each sample the same bits
     as evaluating it alone.
     """
-    params = np.array([(s.u, s.v, s.beta, s.epsilon, s.d, s.phi1, s.phi2) for s in samples], dtype=float)
-    u, v, beta, epsilon, d, phi1, phi2 = params.reshape(-1, 7).T
+    u, v, beta, epsilon, d, phi1, phi2 = params.T
     den, w = _compose(u, v, beta)
     z = np.stack([_z_stack(x, beta, epsilon, d) for x in (u, v, w)], axis=1)
     with np.errstate(invalid="ignore"):
@@ -267,10 +276,10 @@ def exchange_residuals(samples) -> list:
     errors = {}
     for i in np.flatnonzero(~ok).tolist():
         try:
-            z[i] = _exchange_setup(samples[i])
+            z[i] = _exchange_setup(SpectralParams(*params[i].tolist()))
         except BwmBerryError as exc:
             errors[i] = exc
-    keep = np.ones(len(samples), dtype=bool)
+    keep = np.ones(len(params), dtype=bool)
     keep[list(errors)] = False
     zs, dk = z[keep], d[keep]
     entries = _phase_weights(dk, phi1[keep], phi2[keep])
@@ -278,7 +287,7 @@ def exchange_residuals(samples) -> list:
     rho, f = _r_weights(zs, dk[:, None])
     (ua, ub), (va, vb), (wa, wb) = ((_dress(rho[:, k], f[:, k], ea), _dress(rho[:, k], f[:, k], eb)) for k in range(3))
     results = zip(rel_residual(ua @ wb @ va, vb @ wa @ ub).tolist(), map(tuple, zs.tolist()))
-    return [errors[i] if i in errors else next(results) for i in range(len(samples))]
+    return [errors[i] if i in errors else next(results) for i in range(len(params))]
 
 
 def ybe_residual(s: SpectralParams) -> float:

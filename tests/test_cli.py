@@ -151,6 +151,39 @@ def test_empty_exchange_grid_warns_that_the_seeded_samples_were_not_drawn(empty,
     assert sum(c["name"] == "ybe.exchange" for c in report["checks"]) == 3
 
 
+def test_a_rejected_draw_runs_the_per_sample_loop_and_says_so(tmp_path, capsys, monkeypatch):
+    # The exchange generator starts with the buffered half 0, which Lemire's
+    # integers(3) rejects, so the replay hands the draw to the per-sample loop;
+    # the records are those of the loop's samples, and meta says how many it drew.
+    default_rng = np.random.default_rng
+
+    def crafted(seed):
+        rng = default_rng(seed)
+        if seed[1] == 1:
+            state = rng.bit_generator.state
+            state.update(has_uint32=1, uinteger=0)
+            rng.bit_generator.state = state
+        return rng
+
+    monkeypatch.setattr(np.random, "default_rng", crafted)
+    argv = ["verify", "--out", str(tmp_path), *SMALL_VERIFY, "--ybe-samples", "40", "--grid-spec", "ybe_beta=0.2,0.5,1.1"]
+    assert run(argv, capsys)[0] == 0
+    report = load_report(tmp_path, "verify")
+    assert report["meta"]["timings"]["verify.ybe_draw"] == {
+        "seconds": report["meta"]["timings"]["verify.ybe_draw"]["seconds"], "per_sample": 40, "points": 43
+    }
+    rng = crafted([cli.RunConfig.seed, 1])
+    drawn = [
+        (*rng.uniform(-0.9, 0.9, size=2), (0.2, 0.5, 1.1)[rng.integers(3)], int(rng.integers(2)) * 2 - 1,
+         (1.7, 1.9)[rng.integers(2)], *rng.uniform(-math.pi, math.pi, size=2))
+        for _ in range(40)
+    ]
+    params = [c["params"] for c in report["checks"] if c["name"] == "ybe.exchange"][3:]
+    keys = ("u", "v", "beta", "epsilon", "d", "phi1", "phi2")
+    assert params == [dict(zip(keys, map(float, row))) for row in drawn]
+    assert all(type(p["epsilon"]) is int for p in params)
+
+
 # An exchange sample's real angles need 0 < d < 2, so a ybe_d value outside is
 # refused with the grid's name before any family is evaluated; a value in
 # (0, golden ratio) has real angles but no R matrices, and skips per sample.
@@ -427,7 +460,8 @@ def test_report_meta_holds_stage_timings(tmp_path, capsys):
     families = ("bwm", "tla", "ybe_draw", "ybe")
     assert set(timings) == {"build_config", "evaluate", "report_write", *(f"verify.{family}" for family in families)}
     assert [timings[f"verify.{family}"]["points"] for family in families] == [2 * 2, 5 * 2, 3 + 7, 3 + 7]
-    assert set(timings["verify.ybe_draw"]) == {"seconds", "points"}
+    assert set(timings["verify.ybe_draw"]) == {"seconds", "points", "per_sample"}
+    assert timings["verify.ybe_draw"]["per_sample"] == 0
     assert 0.0 < sum(timings[f"verify.{family}"]["seconds"] for family in families) <= timings["evaluate"]["seconds"]
 
 
@@ -508,7 +542,7 @@ def test_error_escaping_the_point_guards_exits_two(tmp_path, capsys, monkeypatch
         (["spectrum", "--grid-spec", "d=1e100"], {"spectrum.casimir"}),
         (["spectrum", "--grid-spec", "d=1e200"], {"spectrum.casimir", "spectrum.h_eigenvalues"}),  # d * d is inf
         (["berry", "--grid-spec", "berry_d=1e200"], {"berry.closed"}),
-        (["figure", "--grid-spec", "figure_d=1e200"], None),
+        (["figure", "--grid-spec", "figure_d=1e200"], {"figure.sections_row"}),  # d ** 2 in the closed form
         (["verify", "--grid-spec", "q=1e200"], {"bwm.suite"}),
         (["verify", "--grid-spec", "q=1e-200"], {"bwm.suite"}),
         (["verify", "--grid-spec", "q=1e-60"], {"bwm.suite"}),  # ||A||_F ** 3 in inverse
@@ -535,19 +569,14 @@ def test_error_escaping_the_point_guards_exits_two(tmp_path, capsys, monkeypatch
         "spectrum_omega_norm",
     ],
 )
-def test_overflowing_parameters_skip_or_exit_two(argv, skipped, tmp_path, capsys):
-    # Per-point commands evaluate the point or skip it as invalid_param; figure has no points.
+def test_overflowing_parameters_skip_as_invalid_param(argv, skipped, tmp_path, capsys):
+    # Each command evaluates the point, or the figure row, or skips it as invalid_param.
     # pytest turns a numpy RuntimeWarning into an error, so none escapes either.
     code, _, err = run([*argv, "--out", str(tmp_path)], capsys)
-    assert code in (0, 1, 2)
+    assert code == 0
     assert "Traceback" not in err
-    if skipped is None:
-        assert code == 2
-        assert err.startswith("error: figure_table overflows double precision")
-    else:
-        assert code == 0
-        reasons = {(c["name"], c["reason"]) for c in load_report(tmp_path, argv[0])["checks"] if c["status"] == "skip"}
-        assert reasons == {(name, "invalid_param") for name in skipped}
+    reasons = {(c["name"], c["reason"]) for c in load_report(tmp_path, argv[0])["checks"] if c["status"] == "skip"}
+    assert reasons == {(name, "invalid_param") for name in skipped}
 
 
 # ---------------------------------------------------------------------------
@@ -851,6 +880,29 @@ def test_figure_writes_sorted_tables(tmp_path, capsys):
     assert len(surface) == 1 + 6 * 101
     report = load_report(tmp_path, "figure")
     assert {c["name"] for c in report["checks"]} == {"figure.sections_csv", "figure.surface_csv"}
+
+
+def test_figure_skips_each_d_whose_square_overflows(tmp_path, capsys):
+    # d = 1e155 and d = 1e300 square to inf, which the closed form needs: each gets one skip
+    # record, and the CSVs hold the other rows with the bytes of a run that never had them.
+    common = ["figure", "--theta-points", "7"]
+    bad = ["--grid-spec", "figure_d=2,1e300,1,1e155", "--d-mesh", "1:1e300:3", "--out", str(tmp_path / "bad")]
+    code, out, _ = run([*common, *bad], capsys)
+    assert code == 0 and "2/6 checks passed, 0 failed, 4 skipped" in out
+    # The surface keeps only d = 1, the row that a sections table of d = 1 alone holds.
+    for name, figure_d, csv in (("sections", "2,1", "figure_sections.csv"), ("surface", "1", "figure_surface.csv")):
+        assert run([*common, "--grid-spec", f"figure_d={figure_d}", "--out", str(tmp_path / name)], capsys)[0] == 0
+        assert (tmp_path / "bad" / csv).read_bytes() == (tmp_path / name / "figure_sections.csv").read_bytes()
+    checks = load_report(tmp_path / "bad", "figure")["checks"]
+    detail = "d = {} overflows double precision: d*d is not finite"
+    assert [(c["name"], c["params"], c["status"], c["reason"], c["data"]) for c in checks] == [
+        ("figure.sections_csv", {}, "pass", None, {"file": "figure_sections.csv", "rows": 2 * 7}),
+        ("figure.sections_row", {"d": 1e155}, "skip", "invalid_param", {"detail": detail.format(1e155)}),
+        ("figure.sections_row", {"d": 1e300}, "skip", "invalid_param", {"detail": detail.format(1e300)}),
+        ("figure.surface_csv", {}, "pass", None, {"file": "figure_surface.csv", "rows": 7}),
+        ("figure.surface_row", {"d": 5e299}, "skip", "invalid_param", {"detail": detail.format(5e299)}),
+        ("figure.surface_row", {"d": 1e300}, "skip", "invalid_param", {"detail": detail.format(1e300)}),
+    ]
 
 
 def test_figure_byte_deterministic(tmp_path, capsys):

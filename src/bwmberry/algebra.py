@@ -37,6 +37,13 @@ DOMAIN_SLACK = 1e-12
 #: |omega| below this switches the suite to its degenerate (q = 1) form.
 DEGENERATE_OMEGA = 1e-12
 
+#: Tolerance of the identities that hold exactly up to rounding: transport, unitarity, Temperley-Lieb.
+EXACT_TOL = 1e-12
+
+#: Tolerance of the relation lines, the BWM suite's and the braid identity.  Not EXACT_TOL:
+#: clean ``slide_ba`` residuals reach 5.56e-12 at q = 0.01.
+RELATION_TOL = 1e-10
+
 
 def d_of_q(q) -> float:
     """Loop value of the coupled mode, d = q + 1 + 1/q."""
@@ -276,7 +283,7 @@ class RelationReport:
         raise KeyError(name)
 
 
-#: The lines that ``_bwm_row`` evaluates after the suite: B and E_B as the
+#: The lines that ``_bwm_lines`` builds after the suite: B and E_B as the
 #: U-conjugates of A and E_A, and U unitary.
 TRANSPORT_LINES = ("transport_b", "transport_eb", "unitary_u")
 
@@ -309,7 +316,7 @@ def _tla_lines(ea, eb, d: float) -> list:
     ]
 
 
-def check_tla(ea, eb, d, tolerance: float = 1e-10) -> RelationReport:
+def check_tla(ea, eb, d, tolerance: float = EXACT_TOL) -> RelationReport:
     """Check the Temperley-Lieb identities for an arbitrary pair of matrices.
 
     Lines: E^2 = d E for both projectors and both three-factor sandwich
@@ -326,14 +333,14 @@ def _tla_row(p: AlgebraParams, phi1, phi2) -> tuple[tuple[str, ...], list]:
     return _pair_residuals(_tla_lines(make_ea(p), eb, p.d), len(eb))
 
 
-def check_braid(a, b, tolerance: float = 1e-10) -> RelationReport:
+def check_braid(a, b, tolerance: float = RELATION_TOL) -> RelationReport:
     """Check the braid identity ABA = BAB for an arbitrary pair of matrices."""
     a = as_matrix3(a)
     b = as_matrix3(b)
     return _build_report([("braid", a @ b @ a, b @ a @ b)], tolerance)
 
 
-def check_bwm_suite(p: AlgebraParams, tolerance: float = 1e-10) -> RelationReport:
+def check_bwm_suite(p: AlgebraParams, tolerance: float = RELATION_TOL) -> RelationReport:
     """Residuals for every defining identity of the two-generator algebra.
 
     Requires coupled mode.  Near q = 1 the skein weight vanishes: the skein
@@ -343,10 +350,10 @@ def check_bwm_suite(p: AlgebraParams, tolerance: float = 1e-10) -> RelationRepor
     report notes the substitution.  The one-pair case of ``_bwm_row``,
     without its transport lines.
     """
-    lines, errors = _bwm_lines(p, p.phi1, p.phi2, transport=False)
+    lines, errors = _bwm_lines(p, p.phi1, p.phi2)
     if errors:
         raise errors[0]
-    return _build_report(lines, tolerance, _skein_weights(p)[3])
+    return _build_report(lines[: -len(TRANSPORT_LINES)], tolerance, _skein_weights(p)[3])
 
 
 def _skein_weights(p: AlgebraParams) -> tuple:
@@ -362,13 +369,13 @@ def _skein_weights(p: AlgebraParams) -> tuple:
     return omega, sigma, d_topological(omega, sigma), ()
 
 
-def _bwm_lines(p: AlgebraParams, phi1, phi2, transport: bool) -> tuple[list, dict]:
-    """The ``(name, lhs, rhs)`` lines of the BWM suite at every phase pair of p's q, stacked.
+def _bwm_lines(p: AlgebraParams, phi1, phi2) -> tuple[list, dict]:
+    """The ``(name, lhs, rhs)`` lines of the BWM suite and the TRANSPORT_LINES at every pair, stacked.
 
-    With ``transport`` the TRANSPORT_LINES follow the suite's.  Returns the
-    lines and the errors, by pair index, of a B or U that ``inverse``
-    refuses at that pair.  An error that depends on q alone (make_a, make_b,
-    A refused by ``inverse``) raises.  p's own phases are not used.
+    Returns the lines and the errors, by pair index, of a B or U that
+    ``inverse`` refuses at that pair; where both are refused, B's error.  An
+    error that depends on q alone (make_a, make_b, A refused by ``inverse``)
+    raises.  p's own phases are not used.
     """
     if not p.coupled_mode:
         raise InvalidParam("check_bwm_suite needs coupled mode (construct via AlgebraParams.coupled)")
@@ -377,8 +384,10 @@ def _bwm_lines(p: AlgebraParams, phi1, phi2, transport: bool) -> tuple[list, dic
     ea, eb, b = make_ea(p), _eb_stack(weights), _b_stack(weights, p.q)
     ident = np.eye(3, dtype=complex)
     ai = inverse(a)
-    bi, errors = _inverse_stack(b)
+    bi, b_errors = _inverse_stack(b)
     omega, sigma, dtop, _ = _skein_weights(p)
+    u = _u_stack(weights)
+    ui, u_errors = _inverse_stack(u)
     lines = [
         ("skein_a", a - ai, omega * (ident - ea)),
         ("skein_b", b - bi, omega * (ident - eb)),
@@ -403,17 +412,11 @@ def _bwm_lines(p: AlgebraParams, phi1, phi2, transport: bool) -> tuple[list, dic
         ("cross_eigen_b", eb @ a @ eb, eb / sigma),
         ("square_a", ea @ ea, dtop * ea),
         ("square_b", eb @ eb, dtop * eb),
+        ("transport_b", b, u @ a @ ui),
+        ("transport_eb", eb, u @ ea @ ui),
+        ("unitary_u", dagger(u) @ u, ident),
     ]
-    if transport:
-        u = _u_stack(weights)
-        ui, u_errors = _inverse_stack(u)
-        lines += [
-            ("transport_b", b, u @ a @ ui),
-            ("transport_eb", eb, u @ ea @ ui),
-            ("unitary_u", dagger(u) @ u, ident),
-        ]
-        errors = {**u_errors, **errors}  # B's error first: the suite inverts B before the transport lines invert U
-    return lines, errors
+    return lines, {**u_errors, **b_errors}  # B's error first: the suite inverts B before the transport lines invert U
 
 
 def _bwm_row(p: AlgebraParams, phi1, phi2) -> tuple[tuple[str, ...], list]:
@@ -425,6 +428,6 @@ def _bwm_row(p: AlgebraParams, phi1, phi2) -> tuple[tuple[str, ...], list]:
     raises, as it would at every pair, and so does a residual out of the
     double range, whose magnitude does not depend on the phases.
     """
-    lines, errors = _bwm_lines(p, phi1, phi2, transport=True)
+    lines, errors = _bwm_lines(p, phi1, phi2)
     names, results = _pair_residuals(lines, np.size(phi1))
     return names, [errors.get(k, r) for k, r in enumerate(results)]

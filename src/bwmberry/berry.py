@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrum, InvalidParam
 from .matrices import _closed_form_eigh, as_real, refuse_overflow
-from .spin import DriveParams, cos_alpha, hamiltonian_stack
+from .spin import DriveParams, _polar_cosine, cos_alpha, hamiltonian_stack
 
 #: Smallest admissible number of loop discretisation points.
 MIN_STEPS = 16
@@ -122,7 +122,7 @@ def berry_closed(theta, d, form: str = "sin_form") -> BerryResult:
         method = "closed_cos_form"
     else:
         raise InvalidParam(f"form must be 'sin_form' or 'cos_form', got {form!r}")
-    c = 2.0 * trig * math.sqrt(dv * dv - 1.0) / dv ** 2
+    c = _polar_cosine(trig, dv)
     gamma_plus = math.pi * (1.0 - c)
     return BerryResult(
         gamma_plus=gamma_plus,
@@ -256,18 +256,18 @@ def figure_table(theta_grid, d_values=SECTION_D_VALUES) -> tuple[list[float], li
 
     Returns (thetas, ds, gamma): both axes as sorted lists of floats, each
     value validated once, and gamma[j, i] = gamma_plus(thetas[i], ds[j]).
-    The per-axis factors are computed with ``math`` and only their outer
-    product runs in numpy, in the operation order of ``berry_closed``, so
-    every entry is bit-identical to the scalar closed form.
+    The cosines are computed with ``math``, and each d row is
+    ``spin._polar_cosine`` of their array, so every entry is bit-identical
+    to the scalar closed form.
     """
     thetas = sorted(as_real("theta", t) for t in np.asarray(theta_grid, dtype=float).ravel())
     ds = sorted(as_real("d", dv) for dv in np.asarray(d_values, dtype=float).ravel())
     if ds and ds[0] < 1.0:
         raise InvalidParam(f"closed forms need d >= 1, got d = {ds[0]}")
-    two_trig = np.array([2.0 * math.cos(th) for th in thetas])
-    root = np.array([math.sqrt(dv * dv - 1.0) for dv in ds])
-    dsq = np.array([dv ** 2 for dv in ds])
-    gamma = math.pi * (1.0 - two_trig[None, :] * root[:, None] / dsq[:, None])
+    cosines = np.array([math.cos(th) for th in thetas])
+    gamma = np.empty((len(ds), len(thetas)))
+    for j, dv in enumerate(ds):
+        gamma[j] = math.pi * (1.0 - _polar_cosine(cosines, dv))
     return thetas, ds, gamma
 
 

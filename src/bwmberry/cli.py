@@ -35,17 +35,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import DOMAIN_SLACK, GOLDEN_RATIO, TRANSPORT_LINES, AlgebraParams, _bwm_row, _tla_row
+from .algebra import DOMAIN_SLACK, EXACT_TOL, GOLDEN_RATIO, RELATION_TOL, TRANSPORT_LINES, AlgebraParams, _bwm_row, _tla_row
 from .berry import LOOP_BIAS_K, MIN_STEPS, SECTION_D_VALUES, _wrap_phase, berry_closed, berry_discrete, berry_wilson_loop, figure_table
 from .errors import BwmBerryError, ConfigError, InvalidParam
 from .matrices import hermitian_eigs
 from .spin import _hamiltonian_row, _ladder_stack, cos_alpha
 from .yangbaxter import SpectralParams, _exchange_columns
-
-#: Tolerance of every check whose identity holds exactly up to rounding:
-#: transport, unitarity, the Temperley-Lieb relations, form consistency, the
-#: zero branch and the Wilson loop against its exact discrete phase.
-EXACT_TOL = 1e-12
 
 #: c in the tolerance max(EXACT_TOL, c u |pi/2 - theta|) of ``berry.form_consistency``, u = 2^-53.
 #: The line compares the cos form at theta with the sin form at x = fl(pi/2 - theta), and
@@ -58,11 +53,6 @@ FORM_ARGUMENT_C = 2.0 * math.pi
 
 #: Tolerance of ``ybe.unimodularity``, the distance of |z(u)| from 1.
 UNIT_CIRCLE_TOL = 1e-13
-
-#: Tolerance of the relation lines, skips included: the 23 ``bwm.*`` suite lines,
-#: ``ybe.exchange``, ``spectrum.casimir`` and ``spectrum.h_eigenvalues``.  Not EXACT_TOL:
-#: clean ``bwm.slide_ba`` residuals reach 5.56e-12 at q = 0.01.
-RELATION_TOL = 1e-10
 
 #: Grids accepted by --grid-spec and the config file, with their defaults.
 DEFAULT_GRIDS: dict[str, tuple[float, ...]] = {
@@ -285,9 +275,14 @@ def _write_report(fh, report: dict, timings: dict) -> None:
 # verify
 # --------------------------------------------------------------------------
 
-def _phase_pairs(cfg: RunConfig) -> list[tuple[float, float]]:
-    rng = np.random.default_rng([cfg.seed, 0])
-    return [tuple(float(x) for x in row) for row in rng.uniform(-math.pi, math.pi, size=(cfg.phase_pairs, 2))]
+def _phase_pairs(cfg: RunConfig) -> np.ndarray:
+    """The seeded phase pairs as the rows (phi1, phi2) of a float (n, 2) array."""
+    return np.random.default_rng([cfg.seed, 0]).uniform(-math.pi, math.pi, size=(cfg.phase_pairs, 2))
+
+
+def _chunks(rows: np.ndarray) -> list[np.ndarray]:
+    """The rows of an array, CHUNK at a time."""
+    return [rows[i : i + CHUNK] for i in range(0, len(rows), CHUNK)]
 
 
 def _relation_records(family: str, params: list, tolerance: float, evaluate, exact=()) -> list[dict]:
@@ -314,23 +309,24 @@ def _relation_records(family: str, params: list, tolerance: float, evaluate, exa
     return out
 
 
-def _bwm_point(cfg: RunConfig, q: float, *pairs: tuple[float, float]) -> list[dict]:
-    """The records of a chunk of phase pairs at one q: the suite, then the transport lines, pair by pair.
+def _bwm_point(cfg: RunConfig, q: float, pairs: np.ndarray) -> list[dict]:
+    """The records of a chunk of phase pairs, the rows of ``pairs``, at one q: the suite, then the
+    transport lines, pair by pair.
 
     ``bench/spans.py`` traces the ``_<family>_point`` functions by name, so
     this one, ``_tla_point``, ``_ybe_point``, ``_casimir_point``,
     ``_spectrum_point`` and ``_berry_point`` keep their names, although all
     but the last take a chunk or a row.
     """
-    params = [{"q": float(q), "phi1": p1, "phi2": p2} for p1, p2 in pairs]
-    evaluate = lambda: _bwm_row(AlgebraParams.coupled(q), *zip(*pairs))
+    params = [{"q": float(q), "phi1": p1, "phi2": p2} for p1, p2 in pairs.tolist()]
+    evaluate = lambda: _bwm_row(AlgebraParams.coupled(q), *pairs.T)
     return _relation_records("bwm", params, RELATION_TOL, evaluate, TRANSPORT_LINES)
 
 
-def _tla_point(cfg: RunConfig, d: float, *pairs: tuple[float, float]) -> list[dict]:
-    """The records of a chunk of phase pairs at one loop value d."""
-    params = [{"d": float(d), "phi1": p1, "phi2": p2} for p1, p2 in pairs]
-    return _relation_records("tla", params, EXACT_TOL, lambda: _tla_row(AlgebraParams.tla(d), *zip(*pairs)))
+def _tla_point(cfg: RunConfig, d: float, pairs: np.ndarray) -> list[dict]:
+    """The records of a chunk of phase pairs, the rows of ``pairs``, at one loop value d."""
+    params = [{"d": float(d), "phi1": p1, "phi2": p2} for p1, p2 in pairs.tolist()]
+    return _relation_records("tla", params, EXACT_TOL, lambda: _tla_row(AlgebraParams.tla(d), *pairs.T))
 
 
 #: The three corner samples that lead the exchange samples, as rows (u, v, beta, epsilon, d, phi1, phi2).
@@ -453,15 +449,14 @@ def cmd_verify(cfg: RunConfig) -> list[dict]:
     samples CHUNK rows at a time.
     """
     pairs = _phase_pairs(cfg)
-    chunks = [pairs[i : i + CHUNK] for i in range(0, len(pairs), CHUNK)]
+    chunks = _chunks(pairs)
     qs, ds = cfg.grid("q"), cfg.grid("tla_d")
-    records = _family(cfg, "verify.bwm", _bwm_point, [(q, *c) for q in qs for c in chunks], len(qs) * len(pairs))
-    records += _family(cfg, "verify.tla", _tla_point, [(d, *c) for d in ds for c in chunks], len(ds) * len(pairs))
+    records = _family(cfg, "verify.bwm", _bwm_point, [(q, c) for q in qs for c in chunks], len(qs) * len(pairs))
+    records += _family(cfg, "verify.tla", _tla_point, [(d, c) for d in ds for c in chunks], len(ds) * len(pairs))
     with timed(cfg.timings, "verify.ybe_draw") as entry:
         samples, entry["per_sample"] = _ybe_samples(cfg)
         entry["points"] = len(samples)
-    chunks = [(samples[i : i + CHUNK],) for i in range(0, len(samples), CHUNK)]
-    return records + _family(cfg, "verify.ybe", _ybe_point, chunks, len(samples))
+    return records + _family(cfg, "verify.ybe", _ybe_point, [(c,) for c in _chunks(samples)], len(samples))
 
 
 # --------------------------------------------------------------------------
@@ -470,14 +465,6 @@ def cmd_verify(cfg: RunConfig) -> list[dict]:
 
 #: Spectrum of the quadratic Casimir of the ladder triple.
 CASIMIR_LEVELS = (0.0, 0.75, 0.75)
-
-
-def _eigvals_or_error(m: np.ndarray):
-    """The eigenvalues of one matrix, or the error its solve raised."""
-    try:
-        return hermitian_eigs(m).values
-    except BwmBerryError as exc:
-        return exc
 
 
 def _levels_row(name: str, params: list, build) -> list[dict]:
@@ -498,9 +485,12 @@ def _levels_row(name: str, params: list, build) -> list[dict]:
     try:
         observed = hermitian_eigs(matrices).values
     except BwmBerryError:
-        solved = [_eigvals_or_error(m) for m in matrices]
-        errors = {i: v for i, v in enumerate(solved) if isinstance(v, BwmBerryError)}
-        observed = np.array([np.zeros(3) if i in errors else v for i, v in enumerate(solved)])
+        observed = np.zeros((len(matrices), 3))
+        for i, m in enumerate(matrices):
+            try:
+                observed[i] = hermitian_eigs(m).values
+            except BwmBerryError as exc:
+                errors[i] = exc
     with np.errstate(over="ignore"):  # as the float arithmetic of one point at a time: inf, no warning
         dev = np.max(np.abs(observed - predicted), axis=-1) / np.maximum(1.0, np.max(np.abs(predicted), axis=-1))
     rows = zip(params, dev.tolist(), observed.tolist(), predicted.tolist())

@@ -231,36 +231,33 @@ def det3(m) -> complex:
     return complex(_adjugate_det(as_matrix3(m)[None])[1][0])
 
 
-#: ||m||_F^3 of ``inverse``'s singularity guard; a cube beyond the double range raises InvalidParam.
-_norm_cube = refuse_overflow(lambda norm: norm ** 3, "inverse")
-
-
 def _inverse_stack(m) -> tuple[np.ndarray, dict[int, BwmBerryError]]:
     """The adjugate inverse of each matrix of an (n, 3, 3) stack, with the bits ``inverse`` gives it alone.
 
     Returns the stack of inverses and, by stack index, the error that
     ``inverse`` raises on each matrix it refuses (its entry in the stack is
     then not an inverse): ``SingularMatrix`` with the same ``detail``, or
-    ``InvalidParam`` where ||m||_F or its cube leaves the double range.
+    ``InvalidParam`` where ||m||_F or its cube leaves the double range.  The
+    guard's ``np.float_power`` and ``np.hypot`` are the libm calls of ``norm ** 3`` and ``abs(det)``.
     """
     a = as_matrix3(m, stack=True)
     # A product in the adjugate or the determinant is at most ||m||_F^3 in
     # size, so it overflows only where the guard below refuses the matrix.
     with np.errstate(over="ignore", invalid="ignore"):
         adj, det = _adjugate_det(a)
+        norms = _row_norms(a.reshape(-1, 9))
+        bound = SINGULARITY_RTOL * np.maximum(1.0, np.float_power(norms, 3.0))
+        size = np.hypot(det.real, det.imag)
     errors = {}
-    for k, (d, norm) in enumerate(zip(det.tolist(), _row_norms(a.reshape(-1, 9)).tolist())):
-        try:
-            if norm == math.inf:
-                raise InvalidParam(_NORM_OVERFLOWS)
-            scale = max(1.0, _norm_cube(norm))
-        except InvalidParam as exc:
-            errors[k] = exc
-            continue
-        if abs(d) <= SINGULARITY_RTOL * scale:
+    for k in np.flatnonzero((bound == math.inf) | (size <= bound)).tolist():
+        if norms[k] == math.inf:
+            errors[k] = InvalidParam(_NORM_OVERFLOWS)
+        elif bound[k] == math.inf:
+            errors[k] = InvalidParam("inverse overflows double precision at these parameters")
+        else:
             errors[k] = SingularMatrix(
-                f"determinant too small for the matrix scale: |det| = {abs(d):.3e} <= "
-                f"{SINGULARITY_RTOL:g} * max(1, ||m||_F^3) = {SINGULARITY_RTOL * scale:.3e}"
+                f"determinant too small for the matrix scale: |det| = {size[k]:.3e} <= "
+                f"{SINGULARITY_RTOL:g} * max(1, ||m||_F^3) = {bound[k]:.3e}"
             )
     if errors:
         det[list(errors)] = 1.0

@@ -264,6 +264,12 @@ def hamiltonian(phi, dp: DriveParams) -> np.ndarray:
     return hamiltonian_stack([as_real("phi", phi)], dp)[0]
 
 
+def _polar_cosine(trig, d: float):
+    """2 trig sqrt(d^2-1) / d^2, cos(alpha) at trig = sin(theta), for a float d >= 1 and a float or
+    float array ``trig`` (each entry gets the float's bits).  Raises OverflowError where d ** 2 overflows."""
+    return 2.0 * trig * math.sqrt(d * d - 1.0) / d ** 2
+
+
 @refuse_overflow
 def cos_alpha(theta, d) -> float:
     """Polar cosine of the effective field axis, 2 sin(theta) sqrt(d^2-1) / d^2."""
@@ -271,7 +277,7 @@ def cos_alpha(theta, d) -> float:
     dv = as_real("d", d)
     if dv < 1.0:
         raise InvalidParam(f"cos_alpha needs d >= 1, got d = {dv}")
-    return 2.0 * math.sin(th) * math.sqrt(dv * dv - 1.0) / dv ** 2
+    return _polar_cosine(math.sin(th), dv)
 
 
 def decomposition_residual(phi, dp: DriveParams) -> float:
@@ -289,10 +295,7 @@ def decomposition_residual(phi, dp: DriveParams) -> float:
     ca = cos_alpha(dp.theta, dp.d)
     sa = math.sqrt(max(0.0, 1.0 - ca * ca))
     azimuth = -ph
-    prefactor = (
-        -4.0 * dp.omega_drive * dp.hbar * math.sin(dp.theta) * math.sqrt(dp.d ** 2 - 1.0) / dp.d ** 2
-    )
-    rhs = prefactor * (
+    rhs = -2.0 * dp.omega_drive * dp.hbar * ca * (
         sa * math.cos(azimuth) * s1 + sa * math.sin(azimuth) * s2 + ca * trip.s3
     )
     return rel_residual(hamiltonian(ph, dp), rhs)

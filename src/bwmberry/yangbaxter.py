@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -240,23 +240,14 @@ def _exchange_setup(s: SpectralParams) -> tuple[complex, complex, complex]:
     return zu, _checked_z(s.v, s), _checked_z(w, s)
 
 
-def exchange_residuals(samples) -> list:
-    """Exchange-identity residuals of a sequence of samples, in one stacked evaluation.
+def _exchange_columns(params: np.ndarray) -> list:
+    """Exchange-identity residuals of the samples given as the rows (u, v, beta, epsilon, d, phi1, phi2)
+    of a float (n, 7) array, each row a valid ``SpectralParams``, in one stacked evaluation.
 
     Each entry is ``(residual, (z(u), z(v), z(u*v)))``, or the
     ``BwmBerryError`` that the sample's set-up raised (velocity pole, phase
     off the unit circle or out of the double range, parameter out of
     domain).  The residual compares A(u) B(u*v) A(v) with B(v) A(u*v) B(u).
-    The ``SpectralParams`` case of ``_exchange_columns``.
-    """
-    params = np.array([(s.u, s.v, s.beta, s.epsilon, s.d, s.phi1, s.phi2) for s in samples], dtype=float)
-    return _exchange_columns(params.reshape(-1, 7))
-
-
-def _exchange_columns(params: np.ndarray) -> list:
-    """``exchange_residuals`` of the samples given as the rows (u, v, beta, epsilon, d, phi1, phi2)
-    of a float (n, 7) array, each row a valid ``SpectralParams``.
-
     The set-up is array arithmetic over the samples: u*v and its pole test
     (``_compose``), the three phases (``_z_stack``) with the unimodularity
     guard, the projector domain and the weights (``_r_weights``).  A sample
@@ -297,9 +288,9 @@ def ybe_residual(s: SpectralParams) -> float:
     relativistic composition of the two velocities.  Machine-zero residual
     is the signature that the family solves the braid-type exchange
     relation for every admissible parameter choice.  The one-sample case
-    of ``exchange_residuals``.
+    of ``_exchange_columns``.
     """
-    (result,) = exchange_residuals([s])
+    (result,) = _exchange_columns(np.array([astuple(s)], dtype=float))
     if isinstance(result, BwmBerryError):
         raise result
     return result[0]

@@ -27,6 +27,7 @@ from bwmberry import (
     make_u,
     rel_residual,
 )
+from bwmberry import algebra, cli
 
 # Names of every identity line the full suite must report, in order.
 SUITE_LINES = (
@@ -267,6 +268,18 @@ def test_tla_suite_passes_on_grid(d, phases):
     p = AlgebraParams.tla(d, *phases)
     report = check_tla(make_ea(p), make_eb(p), d, tolerance=1e-12)
     assert report.all_pass, report.failures()
+
+
+def test_library_checks_default_to_the_command_line_verdicts():
+    # One verdict: check_tla grades at EXACT_TOL, as the tla.* lines do, and the
+    # suite and the braid check at RELATION_TOL, as the bwm.* suite lines do.
+    p = AlgebraParams.coupled(2.0, 0.5, -1.2)
+    assert (algebra.EXACT_TOL, algebra.RELATION_TOL) == (cli.EXACT_TOL, cli.RELATION_TOL) == (1e-12, 1e-10)
+    assert check_tla(make_ea(p), make_eb(p), p.d).tolerance == cli.EXACT_TOL
+    assert check_bwm_suite(p).tolerance == check_braid(make_a(p), make_b(p)).tolerance == cli.RELATION_TOL
+    # A projector off by 1e-11 passed the former default 1e-10; the tla.* lines refuse it.
+    report = check_tla(make_ea(p), (1.0 + 1e-11) * make_eb(p), p.d)
+    assert report.failures() == ("square_b", "sandwich_a", "sandwich_b") and 1e-12 < report.worst < 1e-10
 
 
 def test_braid_check_identity_matrices():

@@ -22,11 +22,14 @@ from hypothesis import strategies as st
 from bwmberry import GOLDEN_RATIO, AlgebraParams, BwmBerryError, cli, make_a, make_ea, rel_residual
 from bwmberry.algebra import (
     DEGENERATE_OMEGA,
+    TRANSPORT_LINES,
     _b_stack,
+    _bwm_row,
     _ea_stack,
     _eb_stack,
     _phase_weights,
     _u_stack,
+    check_bwm_suite,
     d_topological,
     make_b,
     make_eb,
@@ -267,6 +270,9 @@ def scalar_inverse_or_error(m):
 @example([np.diag([1e-3, 1e6, -1e3]).astype(complex), np.eye(3, dtype=complex)])  # the singular A at q = 1e-3
 @example([np.diag([1e-60, 1e120, -1e60]).astype(complex), 2.0 * np.eye(3, dtype=complex)])  # ||m||_F^3 overflows
 @example([np.zeros((3, 3), dtype=complex), np.eye(3, dtype=complex)])  # det = 0 exactly
+@example([make_b(AlgebraParams.coupled(1e-3, 0.4, -1.1)), np.eye(3, dtype=complex)])  # |det| = 1.000e+06 on the bound
+@example([make_b(AlgebraParams.coupled(1e-60, 0.4, -1.1)), np.eye(3, dtype=complex)])  # ||B||_F^3 overflows
+@example([np.diag([1.0, 1.0, SINGULARITY_RTOL * math.sqrt(2.0) ** 3]).astype(complex)])  # |det| is the bound
 def test_stacked_inverse_gives_each_matrix_its_own_result(matrices):
     stack = np.stack(matrices)
     inverses, errors = _inverse_stack(stack)
@@ -328,6 +334,35 @@ def report_lines(path):
     return [line.strip().rstrip(",") for line in body.splitlines()[1:]]
 
 
+def bwm_outcome(evaluate):
+    """What ``evaluate()`` returns, or the type and text of the error it raises."""
+    try:
+        return evaluate()
+    except BwmBerryError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.floats(1e-2, 1e2), phi1=st.floats(-math.pi, math.pi), phi2=st.floats(-math.pi, math.pi))
+@example(q=1.0, phi1=0.8, phi2=-0.3)  # omega = 0: the involution lines and the suite's notes
+@example(q=1e-3, phi1=0.4, phi2=-1.1)  # A is refused by inverse: both raise
+def test_property_the_suite_is_the_first_lines_of_the_stacked_row(q, phi1, phi2):
+    # check_bwm_suite and the stacked row share ``_bwm_lines``: the suite's 23
+    # residuals are the row's first 23, bit for bit, or both raise alike.
+    suite = bwm_outcome(lambda: check_bwm_suite(AlgebraParams.coupled(q, phi1, phi2)))
+    row = bwm_outcome(lambda: _bwm_row(AlgebraParams.coupled(q), [phi1], [phi2]))
+    if isinstance(suite, tuple):
+        assert row == suite and (q != 1e-3 or suite[0] is SingularMatrix)
+        return
+    names, (residuals,) = row
+    n = len(names) - len(TRANSPORT_LINES)
+    assert n == 23 and [c.name for c in suite.checks] == list(names[:n])
+    assert np.array([c.residual for c in suite.checks]).tobytes() == np.array(residuals[:n]).tobytes()
+    assert suite.tolerance == cli.RELATION_TOL
+    degenerate = abs(AlgebraParams.coupled(q).omega_skein) < DEGENERATE_OMEGA
+    assert [note.startswith("omega_skein ~ 0: skein lines reduce") for note in suite.notes] == [True] * degenerate
+
+
 # Rows with a singular A (1e-3), q <= 0, q = 1 (degenerate skein weight),
 # an overflowing q (1e150), d below the golden ratio and d = 1e100.
 EDGE_GRIDS = ["--grid-spec", "q=1e-3,-1,0,1,0.7,1e150", "--grid-spec", f"tla_d=1.5,{GOLDEN_RATIO!r},3,1e100"]
@@ -338,7 +373,7 @@ def test_verify_records_match_the_per_point_route(pairs, jobs, tmp_path):
     argv = ["verify", *EDGE_GRIDS, "--phase-pairs", str(pairs), "--ybe-samples", "0", "--jobs", str(jobs)]
     assert cli.main([*argv, "--out", str(tmp_path)]) == 0
     cfg = cli.build_config(cli.build_parser().parse_args(argv))
-    phase_pairs = cli._phase_pairs(cfg)
+    phase_pairs = cli._phase_pairs(cfg).tolist()
     expected = [rec for q in cfg.grid("q") for p1, p2 in phase_pairs for rec in scalar_bwm_point(cfg, q, p1, p2)]
     expected += [rec for d in cfg.grid("tla_d") for p1, p2 in phase_pairs for rec in scalar_tla_point(cfg, d, p1, p2)]
     assert report_lines(tmp_path / "verify_report.json") == [cli._RECORD_LINE.encode(r) for r in expected]

@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from bwmberry import (
 )
 from bwmberry.cli import RELATION_TOL, RunConfig, _record, _skip, _ybe_draw, _ybe_samples, cmd_verify
 from bwmberry.algebra import DOMAIN_SLACK
-from bwmberry.yangbaxter import _exchange_setup, exchange_residuals
+from bwmberry.yangbaxter import _exchange_columns, _exchange_setup
 
 # Frozen from an independent evaluation: with x = beta^2 u^2 + 1 and
 # y = 2 epsilon beta u g, the angle is -atan2(y, x); computed at 40-digit
@@ -43,6 +44,11 @@ THETA_AT_HALF = -1.0264137704909981
 
 def sample(u=0.5, v=0.1, beta=1.0, epsilon=1, d=1.8, phi1=0.0, phi2=0.0):
     return SpectralParams(u=u, v=v, beta=beta, epsilon=epsilon, d=d, phi1=phi1, phi2=phi2)
+
+
+def exchange_residuals(samples) -> list:
+    """``_exchange_columns`` of a sequence of ``SpectralParams``, each one row of its (n, 7) array."""
+    return _exchange_columns(np.array([astuple(s) for s in samples], dtype=float).reshape(-1, 7))
 
 
 # ---------------------------------------------------------------------------

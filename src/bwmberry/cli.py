@@ -40,7 +40,7 @@ from .berry import LOOP_BIAS_K, MIN_STEPS, SECTION_D_VALUES, _wrap_phase, berry_
 from .errors import BwmBerryError, ConfigError, InvalidParam
 from .matrices import hermitian_eigs
 from .spin import _hamiltonian_row, _ladder_stack, cos_alpha
-from .yangbaxter import SpectralParams, _exchange_columns
+from .yangbaxter import UNIT_CIRCLE_TOL, SpectralParams, _exchange_columns
 
 #: c in the tolerance max(EXACT_TOL, c u |pi/2 - theta|) of ``berry.form_consistency``, u = 2^-53.
 #: The line compares the cos form at theta with the sin form at x = fl(pi/2 - theta), and
@@ -50,9 +50,6 @@ from .yangbaxter import SpectralParams, _exchange_columns
 #: covers the closed forms' own rounding (about 1e-15) wherever the term exceeds EXACT_TOL,
 #: which it does from |theta| ~ 1.4e3 on.  Below that the line keeps EXACT_TOL.
 FORM_ARGUMENT_C = 2.0 * math.pi
-
-#: Tolerance of ``ybe.unimodularity``, the distance of |z(u)| from 1.
-UNIT_CIRCLE_TOL = 1e-13
 
 #: Grids accepted by --grid-spec and the config file, with their defaults.
 DEFAULT_GRIDS: dict[str, tuple[float, ...]] = {
@@ -285,25 +282,29 @@ def _chunks(rows: np.ndarray) -> list[np.ndarray]:
     return [rows[i : i + CHUNK] for i in range(0, len(rows), CHUNK)]
 
 
-def _relation_records(family: str, params: list, tolerance: float, evaluate, exact=()) -> list[dict]:
+#: The tolerances of the relation lines not graded at their family's tolerance, by record name.
+_LINE_TOLERANCES = {**{f"bwm.{name}": EXACT_TOL for name in TRANSPORT_LINES}, "ybe.unimodularity": UNIT_CIRCLE_TOL}
+
+
+def _relation_records(family: str, params: list, tolerance: float, evaluate, skip: str = "suite") -> list[dict]:
     """The records of one chunk of a relation family, from one stacked evaluation.
 
     ``evaluate()`` returns the line names and, per point of ``params``, the
     residuals of the lines or the error of that point alone, which makes the
-    point one ``<family>.suite`` skip; if it raises, every point skips with
-    that error.  Lines named in ``exact`` are graded at EXACT_TOL, the
-    others at ``tolerance``.
+    point one ``<family>.<skip>`` skip; if it raises, every point skips with
+    that error.  A line is graded at its ``_LINE_TOLERANCES`` entry, if it
+    has one, else at ``tolerance``.
     """
     try:
         names, results = evaluate()
     except BwmBerryError as exc:
         names, results = (), [exc] * len(params)
-    tolerances = [EXACT_TOL if name in exact else tolerance for name in names]
     names = [f"{family}.{name}" for name in names]  # one name string per line, not one per record
+    tolerances = [_LINE_TOLERANCES.get(name, tolerance) for name in names]
     out = []
     for p, result in zip(params, results):
         if isinstance(result, BwmBerryError):
-            out.append(_skip(f"{family}.suite", p, tolerance, result))
+            out.append(_skip(f"{family}.{skip}", p, tolerance, result))
         else:
             out += [_record(n, p, r, t) for n, r, t in zip(names, result, tolerances)]
     return out
@@ -319,8 +320,7 @@ def _bwm_point(cfg: RunConfig, q: float, pairs: np.ndarray) -> list[dict]:
     but the last take a chunk or a row.
     """
     params = [{"q": float(q), "phi1": p1, "phi2": p2} for p1, p2 in pairs.tolist()]
-    evaluate = lambda: _bwm_row(AlgebraParams.coupled(q), *pairs.T)
-    return _relation_records("bwm", params, RELATION_TOL, evaluate, TRANSPORT_LINES)
+    return _relation_records("bwm", params, RELATION_TOL, lambda: _bwm_row(AlgebraParams.coupled(q), *pairs.T))
 
 
 def _tla_point(cfg: RunConfig, d: float, pairs: np.ndarray) -> list[dict]:
@@ -411,17 +411,8 @@ def _ybe_draw(rng: np.random.Generator, betas, ds, n: int) -> tuple[np.ndarray, 
 
 def _ybe_point(cfg: RunConfig, samples: np.ndarray) -> list[dict]:
     """The records of a chunk of exchange samples, the rows of ``samples``, from one stacked evaluation."""
-    out = []
-    for row, result in zip(samples.tolist(), _exchange_columns(samples)):
-        base = dict(zip(_YBE_KEYS, row))
-        base["epsilon"] = int(base["epsilon"])
-        if isinstance(result, BwmBerryError):
-            out.append(_skip("ybe.exchange", base, RELATION_TOL, result))
-            continue
-        resid, zs = result
-        out.append(_record("ybe.exchange", base, resid, RELATION_TOL))
-        out.append(_record("ybe.unimodularity", base, max(abs(abs(z) - 1.0) for z in zs), UNIT_CIRCLE_TOL))
-    return out
+    params = [dict(zip(_YBE_KEYS, row), epsilon=int(row[3])) for row in samples.tolist()]
+    return _relation_records("ybe", params, RELATION_TOL, lambda: _exchange_columns(samples), "exchange")
 
 
 def _family(cfg: RunConfig, stage: str, fn, rows: list, points: int) -> list[dict]:

@@ -226,11 +226,6 @@ def _adjugate_det(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return adj, det
 
 
-def det3(m) -> complex:
-    """Determinant of a 3x3 matrix by cofactor expansion."""
-    return complex(_adjugate_det(as_matrix3(m)[None])[1][0])
-
-
 def _inverse_stack(m) -> tuple[np.ndarray, dict[int, BwmBerryError]]:
     """The adjugate inverse of each matrix of an (n, 3, 3) stack, with the bits ``inverse`` gives it alone.
 

@@ -38,6 +38,9 @@ POLE_TOL = 1e-12
 #: | |z| - 1 | beyond this trips the internal unimodularity guard.
 UNIMODULARITY_TOL = 1e-12
 
+#: Tolerance of ``ybe.unimodularity``, the largest | |z| - 1 | of a sample's three phases.
+UNIT_CIRCLE_TOL = 1e-13
+
 
 @dataclass(frozen=True)
 class SpectralParams:
@@ -240,34 +243,36 @@ def _exchange_setup(s: SpectralParams) -> tuple[complex, complex, complex]:
     return zu, _checked_z(s.v, s), _checked_z(w, s)
 
 
-def _exchange_columns(params: np.ndarray) -> list:
-    """Exchange-identity residuals of the samples given as the rows (u, v, beta, epsilon, d, phi1, phi2)
+def _exchange_columns(params: np.ndarray) -> tuple[tuple[str, ...], list]:
+    """The exchange lines of the samples given as the rows (u, v, beta, epsilon, d, phi1, phi2)
     of a float (n, 7) array, each row a valid ``SpectralParams``, in one stacked evaluation.
 
-    Each entry is ``(residual, (z(u), z(v), z(u*v)))``, or the
-    ``BwmBerryError`` that the sample's set-up raised (velocity pole, phase
-    off the unit circle or out of the double range, parameter out of
-    domain).  The residual compares A(u) B(u*v) A(v) with B(v) A(u*v) B(u).
-    The set-up is array arithmetic over the samples: u*v and its pole test
-    (``_compose``), the three phases (``_z_stack``) with the unimodularity
-    guard, the projector domain and the weights (``_r_weights``).  A sample
-    that fails one of those tests, or has a non-finite value, is set up on
-    its own (``_exchange_setup``), which raises its error.  The projectors
-    of all samples are built as (n, 3, 3) stacks (``algebra._ea_stack``,
-    ``algebra._eb_stack``), and the R matrices are dressed, multiplied and
-    compared with stacked operations, which give each sample the same bits
-    as evaluating it alone.
+    Returns the line names ``("exchange", "unimodularity")`` and, per sample,
+    ``[residual, defect]`` or the ``BwmBerryError`` that the sample's set-up
+    raised (velocity pole, phase off the unit circle or out of the double
+    range, parameter out of domain).  The residual compares A(u) B(u*v) A(v)
+    with B(v) A(u*v) B(u); the defect is the largest | |z| - 1 | of z(u),
+    z(v) and z(u*v), the measure of the unimodularity guard.  The set-up is
+    array arithmetic over the samples: u*v and its pole test (``_compose``),
+    the three phases (``_z_stack``) with the guard, the projector domain and
+    the weights (``_r_weights``).  A sample that fails one of those tests, or
+    has a non-finite value, is set up on its own (``_exchange_setup``), which
+    raises its error.  The projectors of all samples are built as (n, 3, 3)
+    stacks (``algebra._ea_stack``, ``algebra._eb_stack``), and the R matrices
+    are dressed, multiplied and compared with stacked operations, which give
+    each sample the same bits as evaluating it alone.
     """
     u, v, beta, epsilon, d, phi1, phi2 = params.T
     den, w = _compose(u, v, beta)
     z = np.stack([_z_stack(x, beta, epsilon, d) for x in (u, v, w)], axis=1)
     with np.errstate(invalid="ignore"):
+        defect = np.abs(np.hypot(z.real, z.imag) - 1.0)
         ok = (np.abs(den) >= POLE_TOL) & np.isfinite(den) & np.isfinite(w) & (d >= GOLDEN_RATIO - DOMAIN_SLACK)
-        ok &= np.all(np.abs(np.hypot(z.real, z.imag) - 1.0) <= UNIMODULARITY_TOL, axis=1)
+        ok &= np.all(defect <= UNIMODULARITY_TOL, axis=1)
     errors = {}
     for i in np.flatnonzero(~ok).tolist():
         try:
-            z[i] = _exchange_setup(SpectralParams(*params[i].tolist()))
+            _exchange_setup(SpectralParams(*params[i].tolist()))
         except BwmBerryError as exc:
             errors[i] = exc
     keep = np.ones(len(params), dtype=bool)
@@ -277,8 +282,9 @@ def _exchange_columns(params: np.ndarray) -> list:
     ea, eb = _ea_stack(entries), _eb_stack(entries)
     rho, f = _r_weights(zs, dk[:, None])
     (ua, ub), (va, vb), (wa, wb) = ((_dress(rho[:, k], f[:, k], ea), _dress(rho[:, k], f[:, k], eb)) for k in range(3))
-    results = zip(rel_residual(ua @ wb @ va, vb @ wa @ ub).tolist(), map(tuple, zs.tolist()))
-    return [errors[i] if i in errors else next(results) for i in range(len(params))]
+    lines = np.stack([rel_residual(ua @ wb @ va, vb @ wa @ ub), np.max(defect[keep], axis=1)], axis=1)
+    results = iter(lines.tolist())
+    return ("exchange", "unimodularity"), [errors[i] if i in errors else next(results) for i in range(len(params))]
 
 
 def ybe_residual(s: SpectralParams) -> float:
@@ -290,7 +296,7 @@ def ybe_residual(s: SpectralParams) -> float:
     relation for every admissible parameter choice.  The one-sample case
     of ``_exchange_columns``.
     """
-    (result,) = _exchange_columns(np.array([astuple(s)], dtype=float))
+    _, (result,) = _exchange_columns(np.array([astuple(s)], dtype=float))
     if isinstance(result, BwmBerryError):
         raise result
     return result[0]

@@ -326,6 +326,23 @@ def test_spectrum_solver_errors_become_skips(error, reason, tmp_path, capsys, mo
     ]
 
 
+def test_a_chunk_level_exchange_error_skips_every_sample_of_the_chunk(tmp_path, capsys, monkeypatch):
+    # No valid sample reaches this path (R's entries are O(1)); an error of a
+    # whole chunk skips each of its samples, as it does each point of a BWM or
+    # TLA row, and the run goes on.
+    def fail(samples):
+        raise InvalidParam("injected chunk failure")
+
+    monkeypatch.setattr(cli, "_exchange_columns", fail)
+    code, _, err = run(["verify", "--out", str(tmp_path), "--phase-pairs", "0", "--ybe-samples", "300"], capsys)
+    assert code == 0
+    assert "Traceback" not in err
+    checks = load_report(tmp_path, "verify")["checks"]
+    assert len(checks) == 303  # the three corners and 300 seeded samples, in two chunks
+    skip = ("ybe.exchange", "skip", "invalid_param", 1e-10, {"detail": "injected chunk failure"})
+    assert all((c["name"], c["status"], c["reason"], c["tolerance"], c["data"]) == skip for c in checks)
+
+
 def casimir_matrix(theta: float, d: float) -> np.ndarray:
     trip = ladder_ops(theta, d)
     return 0.5 * (trip.s_plus @ trip.s_minus + trip.s_minus @ trip.s_plus) + trip.s3 @ trip.s3

@@ -34,7 +34,7 @@ from bwmberry import (
 )
 from bwmberry.cli import RELATION_TOL, RunConfig, _record, _skip, _ybe_draw, _ybe_samples, cmd_verify
 from bwmberry.algebra import DOMAIN_SLACK
-from bwmberry.yangbaxter import _exchange_columns, _exchange_setup
+from bwmberry.yangbaxter import _compose, _exchange_columns, _exchange_setup, _z_stack
 
 # Frozen from an independent evaluation: with x = beta^2 u^2 + 1 and
 # y = 2 epsilon beta u g, the angle is -atan2(y, x); computed at 40-digit
@@ -47,8 +47,11 @@ def sample(u=0.5, v=0.1, beta=1.0, epsilon=1, d=1.8, phi1=0.0, phi2=0.0):
 
 
 def exchange_residuals(samples) -> list:
-    """``_exchange_columns`` of a sequence of ``SpectralParams``, each one row of its (n, 7) array."""
-    return _exchange_columns(np.array([astuple(s) for s in samples], dtype=float).reshape(-1, 7))
+    """The per-sample results of ``_exchange_columns`` of a sequence of ``SpectralParams``, each one row
+    of its (n, 7) array, after checking the line names."""
+    names, results = _exchange_columns(np.array([astuple(s) for s in samples], dtype=float).reshape(-1, 7))
+    assert names == ("exchange", "unimodularity")
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +367,7 @@ def reference_exchange(s):
 def same_outcome(got, want) -> bool:
     if isinstance(want, BwmBerryError):
         return type(got) is type(want) and str(got) == str(want)
-    resid, zs = got
-    return (resid, max(abs(abs(z) - 1.0) for z in zs)) == want
+    return got == [*want]
 
 
 EXCHANGE_EDGE_SAMPLES = [
@@ -510,16 +512,20 @@ def exchange_sample(draw):
 @given(samples=st.lists(exchange_sample(), min_size=1, max_size=300))
 def test_property_stacked_set_up_gives_every_sample_its_one_sample_result(samples):
     # Each sample gets what a chunk of its own gives it, and what its set-up
-    # one function call at a time gives: the same phases, or the same error.
-    for s, got in zip(samples, exchange_residuals(samples), strict=True):
+    # one function call at a time gives: the same error, or the same phases
+    # from the stacked z (``_z_stack`` over the chunk's columns), whose
+    # largest | |z| - 1 | in Python arithmetic is the defect.
+    u, v, beta, epsilon, d = np.array([astuple(s) for s in samples], dtype=float).T[:5]
+    z = np.stack([_z_stack(x, beta, epsilon, d) for x in (u, v, _compose(u, v, beta)[1])], axis=1)
+    for s, got, stacked in zip(samples, exchange_residuals(samples), z.tolist(), strict=True):
         (want,) = exchange_residuals([s])
         try:
             zs = _exchange_setup(s)
         except BwmBerryError as exc:
             assert (type(got), str(got)) == (type(want), str(want)) == (type(exc), str(exc)), s
         else:
-            assert (got[0], [bits(z) for z in got[1]]) == (want[0], [bits(z) for z in zs]), s
-            assert [bits(z) for z in want[1]] == [bits(z) for z in zs], s
+            assert got == want == [got[0], max(abs(abs(z) - 1.0) for z in zs)], s
+            assert [bits(z) for z in stacked] == [bits(z) for z in zs], s
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ Four subcommands, all batch-style (run, write artifacts, exit):
 
 Every command writes a schema-versioned JSON report whose check records carry
 (name, params, residual, tolerance, status, reason, data), one record per line of
-the otherwise ``indent=2`` text (see ``_write_report``). Exit codes: 0 all
+the otherwise ``indent=2`` text (see the ``report`` module). Exit codes: 0 all
 executed checks passed, 1 at least one check failed, 2 the configuration or an
 output path was unusable, the run did not fit in memory, or a package error
 escaped every per-point guard. Grid points that violate a domain guard become
@@ -39,6 +39,7 @@ from .algebra import DOMAIN_SLACK, EXACT_TOL, GOLDEN_RATIO, RELATION_TOL, TRANSP
 from .berry import LOOP_BIAS_K, MIN_STEPS, SECTION_D_VALUES, _wrap_phase, berry_closed, berry_discrete, berry_wilson_loop, figure_table
 from .errors import BwmBerryError, ConfigError, InvalidParam
 from .matrices import hermitian_eigs
+from .report import _write_report
 from .spin import _hamiltonian_row, _ladder_stack, cos_alpha
 from .yangbaxter import UNIT_CIRCLE_TOL, SpectralParams, _exchange_columns
 
@@ -232,40 +233,6 @@ class timed:
 
     def __exit__(self, *exc_info) -> None:
         self.entry["seconds"] += time.perf_counter() - self.start
-
-
-# --------------------------------------------------------------------------
-# report writing: indent=2 with sorted keys, one check record per line
-# --------------------------------------------------------------------------
-
-#: The C encoder with sorted keys and no indent: the text of one check record.
-_RECORD_LINE = json.JSONEncoder(sort_keys=True)
-
-
-def _dumps(value) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` as laid out for a top-level member."""
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
-
-
-def _write_report(fh, report: dict, timings: dict) -> None:
-    """Write ``report`` in the layout of ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``,
-    except that each element of ``checks`` is one line, ``_RECORD_LINE.encode(record)``.
-    The seconds and characters written before ``meta`` go to ``timings["report_write"]``
-    first, so a ``meta`` that holds ``timings`` reports them.
-    """
-    start, size = time.perf_counter(), 0
-    for i, key in enumerate(sorted(report)):
-        if key == "meta":
-            timings["report_write"] = {"seconds": time.perf_counter() - start, "bytes": size}
-        value = report[key]
-        size += fh.write(("{\n  " if i == 0 else ",\n  ") + json.dumps(key) + ": ")
-        if key == "checks" and value:
-            for n, rec in enumerate(value):
-                size += fh.write(("[\n    " if n == 0 else ",\n    ") + _RECORD_LINE.encode(rec))
-            size += fh.write("\n  ]")
-        else:
-            size += fh.write(_dumps(value))
-    fh.write("\n}\n" if report else "{}\n")
 
 
 # --------------------------------------------------------------------------
@@ -782,6 +749,45 @@ def _platform() -> dict:
     }
 
 
+def _summary(records: list) -> tuple[dict, float, str | None]:
+    """The report's ``summary``, and the closing line's largest residual/tolerance with its record's name.
+
+    One pass over the records.  A record with a residual is graded.
+    ``worst_residual`` and the ratio are each the ``max`` of their graded
+    values in record order: a later value replaces the kept one only if it
+    is larger, so a NaN on the first graded record is kept and a later NaN
+    never is.  Without graded records they are None and (0, None).
+    """
+    passed = failed = skipped = 0
+    worst, ratio, closest = None, 0, None
+    for r in records:
+        status, residual = r["status"], r["residual"]
+        if status == "pass":
+            passed += 1
+        elif status == "fail":
+            failed += 1
+        elif status == "skip":
+            skipped += 1
+        if residual is not None:
+            quotient = residual / r["tolerance"]
+            if worst is None:
+                worst, ratio, closest = residual, quotient, r["name"]
+            else:
+                if residual > worst:
+                    worst = residual
+                if quotient > ratio:
+                    ratio, closest = quotient, r["name"]
+    summary = {
+        "checks": len(records),
+        "passed": passed,
+        "failed": failed,
+        "skipped": skipped,
+        "worst_residual": worst,
+        "overall_pass": failed == 0,
+    }
+    return summary, ratio, closest
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     timings = {}
@@ -804,15 +810,7 @@ def main(argv=None) -> int:
         return 2
 
     warnings = cfg.warnings + ([] if records else ["no checks were executed (empty grids?)"])
-    graded = [r for r in records if r["residual"] is not None]
-    summary = {
-        "checks": len(records),
-        "passed": sum(r["status"] == "pass" for r in records),
-        "failed": sum(r["status"] == "fail" for r in records),
-        "skipped": sum(r["status"] == "skip" for r in records),
-        "worst_residual": max([r["residual"] for r in graded], default=None),
-    }
-    summary["overall_pass"] = summary["failed"] == 0
+    summary, ratio, closest = _summary(records)
     report = {
         "schema": 1,
         "command": cfg.command,
@@ -838,7 +836,6 @@ def main(argv=None) -> int:
 
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    ratio, closest = max(((r["residual"] / r["tolerance"], r["name"]) for r in graded), key=lambda p: p[0], default=(0, None))
     margin = "n/a" if closest is None else f"{ratio:.3g} ({closest})"
     print(
         f"[bwmberry {cfg.command}] {summary['passed']}/{summary['checks']} checks passed, {summary['failed']} failed, "

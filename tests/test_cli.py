@@ -33,6 +33,7 @@ from bwmberry import (
     hermitian_eigs,
     ladder_ops,
 )
+from bwmberry import report as writer
 from bwmberry.cli import KNOBS, build_config, build_parser, main
 
 PI_THIRD = repr(math.pi / 3.0)
@@ -974,6 +975,41 @@ _RECORD = st.fixed_dictionaries(
 # Records of another layout, which the writer must write on one line too.
 _ODD_RECORD = st.one_of(_NESTED, st.dictionaries(_TEXT, _SCALAR, max_size=3), _RECORD.map(lambda r: {**r, "extra": 1}))
 
+_CLI_NAMES = st.sampled_from(["bwm.skein_a", "ybe.exchange", "ybe.suite", "spectrum.casimir"])
+
+
+@st.composite
+def _shared_checks(draw):
+    """Records that share sub-objects as the CLI's do, mixed with records the writer must encode whole.
+
+    A few params dicts serve many records, in runs and apart, next to equal
+    but distinct copies; ``data`` is often ``cli._NO_DATA``; skips have no
+    residual.  Some records have an int or bool residual or tolerance, a
+    non-str name or status, or an extra key.
+    """
+    pool = draw(st.lists(_PARAMS, min_size=1, max_size=3))
+    data_pool = [cli._NO_DATA, *draw(st.lists(_DATA, max_size=2))]
+    number = st.one_of(st.none(), _FLOATS, _FLOATS, st.integers(), st.booleans())
+    checks = []
+    for _ in range(draw(st.integers(0, 16))):
+        params = pool[draw(st.integers(0, len(pool) - 1))]
+        if draw(st.integers(0, 4)) == 0:
+            params = dict(params)
+        skip = draw(st.booleans())
+        record = {
+            "name": draw(st.one_of(_CLI_NAMES, _CLI_NAMES, _TEXT, st.none(), st.integers())),
+            "params": params,
+            "residual": None if skip else draw(number),
+            "tolerance": draw(number),
+            "status": "skip" if skip else draw(st.one_of(st.sampled_from(["pass", "fail"]), _TEXT, st.booleans())),
+            "reason": draw(st.one_of(st.just("invalid_param"), _TEXT)) if skip else None,
+            "data": {"detail": draw(_TEXT)} if skip else data_pool[draw(st.integers(0, len(data_pool) - 1))],
+        }
+        if draw(st.integers(0, 9)) == 0:
+            record["extra"] = draw(_SCALAR)
+        checks.append(record)
+    return checks
+
 
 def write_report(report, timings):
     buffer = io.StringIO()
@@ -1026,12 +1062,14 @@ _SHAPES = [
     ),
     rest=st.fixed_dictionaries({}, optional={"command": _TEXT, "schema": st.integers(), "warnings": st.lists(_TEXT)}),
     meta=st.booleans(),
+    shared=_shared_checks(),
 )
-@example(pool=[_AWKWARD_RECORD], count=2, config={"grids": {"q": (0.5, 2.0)}}, rest={}, meta=True)
-@example(pool=_SHAPES, count=2 * len(_SHAPES) + 3, config={}, rest={"command": "verify"}, meta=True)
-def test_property_report_writer_gives_one_line_per_check(pool, count, config, rest, meta):
+@example(pool=[_AWKWARD_RECORD], count=2, config={"grids": {"q": (0.5, 2.0)}}, rest={}, meta=True, shared=[])
+@example(pool=_SHAPES, count=2 * len(_SHAPES) + 3, config={}, rest={"command": "verify"}, meta=True, shared=[])
+def test_property_report_writer_gives_one_line_per_check(pool, count, config, rest, meta, shared):
     timings = {"evaluate": {"seconds": 0.5, "records": count}}
     checks = [pool[i % len(pool)] for i in range(count)] if pool else []
+    checks += shared
     report = {"checks": checks, "config": config, **rest}
     if meta:
         report["meta"] = {"timestamp": "now", "timings": timings}
@@ -1053,6 +1091,152 @@ def test_report_writer_exact_bytes():
     )
     assert write_report({"checks": [], "meta": {}}, {}) == '{\n  "checks": [],\n  "meta": {}\n}\n'
     assert write_report({}, {}) == "{}\n"
+
+
+def _check(name="bwm.skein_a", params=None, residual=0.0, tolerance=1e-10, **changes):
+    record = {"name": name, "params": params or {"q": 0.5}, "residual": residual, "tolerance": tolerance,
+              "status": "pass", "reason": None, "data": cli._NO_DATA}
+    return {**record, **changes}
+
+
+def test_report_writer_keeps_signed_zeros_typed_params_and_full_tables(monkeypatch):
+    # 0.0 and -0.0 are one dict key with two texts; a NaN is a key only to itself.
+    params = {"q": 0.5}
+    zeros = [_check(params=params, residual=r, tolerance=t) for r, t in [(0.0, 0.0), (-0.0, -0.0), (0.0, 0.0)]]
+    nans = [_check(params=params, residual=math.nan, tolerance=math.nan) for _ in range(3)]
+    report = {"checks": zeros + nans + [_check(tolerance=-math.inf), _check(tolerance=math.inf)]}
+    assert write_report(report, {}) == one_line_checks(report)
+    # Equal values of other types are other texts: params are reused by identity only, and
+    # a name, reason or status that is not a str or None sends its record to the whole encode.
+    report = {"checks": [_check(params={"q": value}) for value in (1, 1.0, True, 1, 1.0)]}
+    report["checks"] += [_check(name=value, status=status) for value in (1, True, 1.0) for status in (0, False, "pass")]
+    assert write_report(report, {}) == one_line_checks(report)
+    # Past _WORDS_MAX texts the tables stop growing, and the bytes stay the same.
+    monkeypatch.setattr(writer, "_WORDS_MAX", 3)
+    report = {"checks": [_check(name=f"line {i}", tolerance=1.0 + i, reason=str(i)) for i in range(10)] * 2}
+    assert write_report(report, {}) == one_line_checks(report)
+
+
+def test_a_failed_record_encode_leaves_the_writer_usable():
+    # A record that cannot be encoded must not leave its containers marked as open in an
+    # encoder that outlives the write: the next write of the same data would read as circular.
+    data = {"kept": [1.5], "bad": object()}
+    report = {"checks": [_check(data=data)]}
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_report(report, {})
+    del data["bad"]
+    assert write_report(report, {}) == one_line_checks(report)
+    circular = [1.0]
+    circular.append(circular)
+    with pytest.raises(ValueError, match="Circular reference"):
+        write_report({"checks": [_check(data={"loop": circular})]}, {})
+
+
+def test_report_writer_bytes_are_the_same_without_the_c_encoder(tmp_path, capsys, monkeypatch):
+    code, _, _ = run(["verify", "--out", str(tmp_path / "c"), *SMALL_VERIFY], capsys)
+    assert code == 0
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    assert writer._part_encoder() == writer._RECORD_LINE.encode
+    code, _, _ = run(["verify", "--out", str(tmp_path / "python"), *SMALL_VERIFY], capsys)
+    assert code == 0
+    c_text, python_text = (
+        text[: text.index(',\n  "meta": ')]
+        for text in ((tmp_path / side / "verify_report.json").read_text(encoding="utf-8") for side in ("c", "python"))
+    )
+    assert c_text == python_text
+    report = {"checks": _SHAPES * 2 + [_check(), _check(residual=math.nan)]}
+    assert write_report(report, {}) == one_line_checks(report)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify"],
+        ["spectrum"],
+        ["berry"],
+        ["figure"],
+        ["verify", "--grid-spec", "q=0.01,1e-3,1,100,1e4", "--grid-spec", "tla_d=1e100,1.5,1e-3"],
+        ["figure", "--grid-spec", "figure_d=1e300,1,2.5", "--d-mesh", "1:1e300:4"],
+    ],
+    ids=["verify", "spectrum", "berry", "figure", "verify_edge", "figure_edge"],
+)
+def test_every_record_of_the_program_is_joined_from_its_members(argv, tmp_path, capsys, monkeypatch):
+    # A record encoded whole means that a key or a value type was added to _record,
+    # _skip or figure's records, and the writer lost its shared texts for it.
+    whole, part_encoder = [], writer._part_encoder
+
+    def counting_encoder():
+        encode = part_encoder()
+
+        def counted(value):
+            if isinstance(value, dict) and {"name", "params", "status"} <= value.keys():
+                whole.append(value)
+            return encode(value)
+
+        return counted
+
+    monkeypatch.setattr(writer, "_part_encoder", counting_encoder)
+    code, _, _ = run([*argv, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    report = load_report(tmp_path, argv[0])
+    assert report["checks"] and whole == []
+
+
+def reference_summary(records):
+    """The summary and closing-line ratio as four sums, a graded list and two ``max`` calls give them."""
+    graded = [r for r in records if r["residual"] is not None]
+    summary = {
+        "checks": len(records),
+        "passed": sum(r["status"] == "pass" for r in records),
+        "failed": sum(r["status"] == "fail" for r in records),
+        "skipped": sum(r["status"] == "skip" for r in records),
+        "worst_residual": max([r["residual"] for r in graded], default=None),
+    }
+    summary["overall_pass"] = summary["failed"] == 0
+    ratio, closest = max(((r["residual"] / r["tolerance"], r["name"]) for r in graded), key=lambda p: p[0], default=(0, None))
+    return summary, ratio, closest
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.none(), _FLOATS),
+            st.one_of(_FLOATS.filter(lambda t: t != 0.0)),
+            st.sampled_from(["pass", "fail", "skip", "other"]),
+            st.sampled_from(["a", "b", "c"]),
+        ),
+        max_size=8,
+    )
+)
+def test_property_summary_is_the_reference_in_one_pass(rows):
+    records = [_check(name=n, residual=r, tolerance=t, status=s) for r, t, s, n in rows]
+    assert repr(cli._summary(records)) == repr(reference_summary(records))
+
+
+@pytest.mark.parametrize("nan_first", [True, False], ids=["nan_first", "nan_later"])
+def test_a_nan_residual_is_kept_only_as_the_first_graded_record(nan_first, tmp_path, capsys, monkeypatch):
+    # max() keeps its first item unless a later one is larger, and nothing compares larger
+    # than NaN or larger with it: a NaN first stays the largest, a NaN later is passed over.
+    records = [
+        _check(name="bwm.suite", residual=None, status="skip", reason="singular_matrix"),
+        _check(name="bwm.skein_a", residual=2e-11, tolerance=1e-10),
+        _check(name="ybe.exchange", residual=5e-11, tolerance=1e-10),
+    ]
+    nan = _check(name="ybe.unimodularity", residual=math.nan, tolerance=1e-12, status="fail")
+    records.insert(1 if nan_first else 3, nan)
+    monkeypatch.setitem(cli._COMMANDS, "verify", lambda cfg: records)
+    code, out, _ = run(["verify", "--out", str(tmp_path)], capsys)
+    assert code == 1
+    summary = load_report(tmp_path, "verify")["summary"]
+    expected, ratio, closest = reference_summary(records)
+    assert json.dumps(summary, sort_keys=True) == json.dumps(expected, sort_keys=True)
+    assert (summary["checks"], summary["skipped"]) == (4, 1)
+    if nan_first:
+        assert math.isnan(summary["worst_residual"]) and (closest, math.isnan(ratio)) == ("ybe.unimodularity", True)
+    else:
+        assert summary["worst_residual"] == 5e-11 and closest == "ybe.exchange"
+    assert f"2/4 checks passed, 1 failed, 1 skipped; largest residual/tolerance {ratio:.3g} ({closest}); wrote " in out
 
 
 SMALL_BERRY = ["--grid-spec", "berry_theta=0,0.7", "--grid-spec", "berry_d=1.2,1.7", "--steps", "64"]

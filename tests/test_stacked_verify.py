@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bwmberry import GOLDEN_RATIO, AlgebraParams, BwmBerryError, cli, make_a, make_ea, rel_residual
+from bwmberry import report as writer
 from bwmberry.algebra import (
     DEGENERATE_OMEGA,
     TRANSPORT_LINES,
@@ -376,7 +377,7 @@ def test_verify_records_match_the_per_point_route(pairs, jobs, tmp_path):
     phase_pairs = cli._phase_pairs(cfg).tolist()
     expected = [rec for q in cfg.grid("q") for p1, p2 in phase_pairs for rec in scalar_bwm_point(cfg, q, p1, p2)]
     expected += [rec for d in cfg.grid("tla_d") for p1, p2 in phase_pairs for rec in scalar_tla_point(cfg, d, p1, p2)]
-    assert report_lines(tmp_path / "verify_report.json") == [cli._RECORD_LINE.encode(r) for r in expected]
+    assert report_lines(tmp_path / "verify_report.json") == [writer._RECORD_LINE.encode(r) for r in expected]
     report = json.loads((tmp_path / "verify_report.json").read_text(encoding="utf-8"))
     timings = report["meta"]["timings"]
     chunks = -(-pairs // cli.CHUNK)

@@ -16,7 +16,8 @@ output path was unusable, the run did not fit in memory, or a package error
 escaped every per-point guard. Grid points that violate a domain guard become
 per-point ``skip`` records with a machine-readable reason token instead of
 aborting the run. With a fixed seed the reports and CSVs are byte-identical
-across runs (timestamps live in a separate ``meta`` object).
+across runs and job counts (timestamps live in a separate ``meta`` object);
+``--jobs N`` evaluates grid rows on N forked processes where ``os.fork`` exists.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -153,7 +153,7 @@ class RunConfig:
     out_dir: Path
     steps: int = _knob(4096, _count(MIN_STEPS, MAX_STEPS), "--steps", "loop discretisation points")
     seed: int = _knob(20260815, _count(0), "--seed", "seed for sampled phases and velocities")
-    jobs: int = _knob(1, _count(1, MAX_JOBS), "--jobs", "worker threads for grid evaluation", echo=False)
+    jobs: int = _knob(1, _count(1, MAX_JOBS), "--jobs", "worker processes for grid evaluation", echo=False)
     phase_pairs: int = _knob(5, _count(0, MAX_PHASE_PAIRS), "--phase-pairs", "number of sampled (phi1, phi2) pairs")
     ybe_samples: int = _knob(200, _count(0, MAX_YBE_SAMPLES), "--ybe-samples", "number of sampled exchange tuples")
     figure_theta_points: int = _knob(
@@ -383,17 +383,22 @@ def _ybe_point(cfg: RunConfig, samples: np.ndarray) -> list[dict]:
 
 
 def _family(cfg: RunConfig, stage: str, fn, rows: list, points: int) -> list[dict]:
-    """The records of ``fn(cfg, *row)`` over the rows, in order, on ``cfg.jobs`` threads.
+    """The records of ``fn(cfg, *row)`` over the rows, in order, on ``cfg.jobs`` processes.
 
-    ``meta.timings[stage]`` gets the seconds, the ``points`` the rows hold,
-    the ``rows`` (one call of ``fn`` each) and the ``skipped`` points.
+    With more than one job and ``os.fork`` at hand, worker k evaluates
+    ``rows[k::jobs]`` (see ``_workers``): this process is worker 0 and the
+    others are forked children, so ``fn`` must not mutate ``cfg``, as a
+    child's writes are lost. ``meta.timings[stage]`` gets this process's wall
+    seconds, the ``points`` the rows hold, the ``rows`` (one call of ``fn``
+    each) and the ``skipped`` points.
     """
     with timed(cfg.timings, stage) as entry:
-        if cfg.jobs <= 1:
+        if min(cfg.jobs, len(rows)) <= 1 or not hasattr(os, "fork"):
             records = [rec for row in rows for rec in fn(cfg, *row)]
         else:
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                records = [rec for chunk in pool.map(lambda row: fn(cfg, *row), rows) for rec in chunk]
+            from ._workers import interleaved
+
+            records = [rec for chunk in interleaved(lambda row: fn(cfg, *row), rows, cfg.jobs) for rec in chunk]
         entry.update(points=points, rows=len(rows), skipped=sum(r["status"] == "skip" for r in records))
     return records
 

@@ -6,9 +6,13 @@ import dataclasses
 import io
 import json
 import math
+import os
+import pickle
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -790,10 +794,160 @@ def test_berry_exact_discrete_record_catches_a_misspaced_loop(tmp_path, capsys, 
 )
 def test_report_identical_across_jobs(command, args, tmp_path, capsys):
     texts = []
-    for jobs in ("1", "2"):
+    for jobs in ("1", "2", "3"):
         run([command, "--out", str(tmp_path / jobs), *args, "--jobs", jobs], capsys)
         texts.append(json.dumps(strip_meta(load_report(tmp_path / jobs, command)), indent=2, sort_keys=True))
     assert texts[0] == texts[1]
+
+
+SMALL_BERRY = ["--grid-spec", "berry_theta=0,0.7", "--grid-spec", "berry_d=1.2,1.7", "--steps", "64"]
+
+# Five Berry rows at d = 2: with --jobs 2 the parent evaluates rows 0, 2, 4
+# and one child rows 1, 3; with --jobs 3 the parent rows 0, 3 and two
+# children rows 1, 4 and 2.
+FIVE_THETAS = [0.1, 0.2, 0.3, 0.4, 0.5]
+FIVE_BERRY_ROWS = ["--grid-spec", "berry_theta=0.1,0.2,0.3,0.4,0.5", "--grid-spec", "berry_d=2", "--steps", "16"]
+
+#: A larger verify run: 3 BWM rows, 2 TLA rows and 2 exchange chunks (256 + 44 samples).
+VERIFY_ROWS = ["--grid-spec", "q=0.5,0.9,2.0", "--grid-spec", "tla_d=2,3", "--phase-pairs", "2", "--ybe-samples", "300"]
+
+
+def assert_no_child_process_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("jobs", [2, 3, 4])
+@pytest.mark.parametrize("command, args, rows", [("berry", SMALL_BERRY, [4]), ("verify", VERIFY_ROWS, [3, 2, 2])])
+def test_each_family_forks_one_child_per_extra_worker_and_reaps_them(command, args, rows, jobs, tmp_path, capsys, monkeypatch):
+    # A family of n rows forks min(jobs, n) - 1 children; --jobs 4 exceeds every verify family.
+    forks, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    code, _, _ = run([command, *args, "--jobs", str(jobs), "--out", str(tmp_path / "n")], capsys)
+    assert code == 0
+    assert len(forks) == sum(min(jobs, n) - 1 for n in rows)
+    assert_no_child_process_left()
+    run([command, *args, "--out", str(tmp_path / "1")], capsys)
+    assert strip_meta(load_report(tmp_path / "n", command)) == strip_meta(load_report(tmp_path / "1", command))
+
+
+def test_worker_k_evaluates_every_jobs_th_row():
+    # Interleaved, not contiguous: the cheap rows at the start of a grid spread over the workers.
+    from bwmberry._workers import interleaved
+
+    pids = interleaved(lambda row: (row, os.getpid()), list(range(8)), 3)
+    assert [row for row, _ in pids] == list(range(8))
+    assert [{pid for _, pid in pids[k::3]} for k in range(3)] == [{os.getpid()}, {pids[1][1]}, {pids[2][1]}]
+    assert len({pid for _, pid in pids}) == 3
+    assert_no_child_process_left()
+
+
+@pytest.mark.parametrize("failing", [(1, 2, 3, 4), (3,), (0, 4)], ids=["from_row_1", "row_3", "rows_0_4"])
+@pytest.mark.parametrize("error", [DegenerateSpectrum, MemoryError, ValueError])
+def test_an_error_in_a_worker_gives_the_verdict_of_one_job(error, failing, tmp_path, capsys, monkeypatch):
+    # The first failing row in row order decides, wherever it ran: exit code
+    # and stderr, or the exception main() lets escape, are those of --jobs 1.
+    real_point = cli._berry_point
+
+    def point(cfg, theta, d):
+        if FIVE_THETAS.index(theta) in failing:
+            raise error(f"injected at theta={theta}")
+        return real_point(cfg, theta, d)
+
+    monkeypatch.setattr(cli, "_berry_point", point)
+    verdicts = []
+    for jobs in ("1", "2", "3"):
+        try:
+            verdicts.append(run(["berry", *FIVE_BERRY_ROWS, "--jobs", jobs, "--out", str(tmp_path)], capsys))
+        except ValueError as exc:
+            verdicts.append(repr(exc))
+        assert_no_child_process_left()
+    assert verdicts[0] == verdicts[1] == verdicts[2]
+    assert f"injected at theta={FIVE_THETAS[failing[0]]}" in str(verdicts[0])
+    assert not (tmp_path / "berry_report.json").exists()
+
+
+class TwoPartError(BwmBerryError):
+    """Pickles, but does not unpickle: its constructor needs two arguments."""
+
+    def __init__(self, first, second):
+        super().__init__(f"{first} {second}")
+
+
+def raise_two_part_error():
+    raise TwoPartError("does not", "unpickle")
+
+
+@pytest.mark.parametrize(
+    "end, how",
+    [
+        (lambda: os._exit(3), "exit status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
+        (lambda: [threading.Lock()], "exit status 1"),  # a result that does not pickle
+        (raise_two_part_error, "exit status 0"),
+    ],
+    ids=["exit", "killed", "unpicklable_result", "unpicklable_error"],
+)
+def test_a_worker_that_ends_without_a_result_exits_two(end, how, tmp_path, capsys, monkeypatch):
+    parent, real_point = os.getpid(), cli._berry_point
+    monkeypatch.setattr(cli, "_berry_point", lambda cfg, *row: end() if os.getpid() != parent else real_point(cfg, *row))
+    code, out, err = run(["berry", *SMALL_BERRY, "--jobs", "2", "--out", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: worker 1 of 2 (--jobs) ended without a result ({how})\n"
+    assert not (tmp_path / "berry_report.json").exists()
+    assert_no_child_process_left()
+
+
+def test_every_prefix_of_an_outcome_is_no_result():
+    # A child killed while writing leaves a prefix of its pickle in the pipe.
+    from bwmberry._workers import _received
+
+    outcome = ([[{"name": "berry.closed", "residual": 0.5, "data": [1.0, None]}]], DegenerateSpectrum("near"))
+    payload = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+    assert repr(_received(1, 2, payload, 0)) == repr(outcome)
+    for cut in range(len(payload)):
+        with pytest.raises(BwmBerryError, match=r"^worker 1 of 2 \(--jobs\) ended without a result \(killed by signal 9\)$"):
+            _received(1, 2, payload[:cut], signal.SIGKILL)
+
+
+@pytest.mark.parametrize("jobs", ["1", "3"])
+def test_workers_leave_by_os_exit_and_one_job_imports_no_worker_module(jobs, tmp_path):
+    # Buffered stdout and an atexit handler of the parent show once each: no
+    # child flushes its copy of the buffer or runs the handler.
+    script = "\n".join(
+        [
+            "import atexit, sys",
+            "from bwmberry.cli import main",
+            "atexit.register(print, 'atexit ran')",
+            "print('written before the fork')",
+            f"code = main(['berry', *{SMALL_BERRY!r}, '--jobs', {jobs!r}, '--out', {str(tmp_path)!r}])",
+            "assert 'concurrent.futures' not in sys.modules",
+            f"assert ('bwmberry._workers' in sys.modules) == {jobs != '1'}",
+            "sys.exit(code)",
+        ]
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3
+    assert lines[0] == "written before the fork" and lines[1].startswith("[bwmberry berry]") and lines[2] == "atexit ran"
+
+
+def test_without_fork_every_job_count_runs_in_one_process(tmp_path, capsys, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    verdicts = []
+    for jobs in ("1", "3"):
+        code, _, err = run(["berry", *SMALL_BERRY, "--jobs", jobs, "--out", str(tmp_path / jobs)], capsys)
+        verdicts.append((code, err, strip_meta(load_report(tmp_path / jobs, "berry"))))
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0][1] == "" and verdicts[0][2]["warnings"] == []
 
 
 @pytest.mark.parametrize("steps", [16, 17, 31, 64, 100, 4096])
@@ -1237,9 +1391,6 @@ def test_a_nan_residual_is_kept_only_as_the_first_graded_record(nan_first, tmp_p
     else:
         assert summary["worst_residual"] == 5e-11 and closest == "ybe.exchange"
     assert f"2/4 checks passed, 1 failed, 1 skipped; largest residual/tolerance {ratio:.3g} ({closest}); wrote " in out
-
-
-SMALL_BERRY = ["--grid-spec", "berry_theta=0,0.7", "--grid-spec", "berry_d=1.2,1.7", "--steps", "64"]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -10,14 +10,15 @@ Four subcommands, all batch-style (run, write artifacts, exit):
 
 Every command writes a schema-versioned JSON report whose check records carry
 (name, params, residual, tolerance, status, reason, data), one record per line of
-the otherwise ``indent=2`` text (see the ``report`` module). Exit codes: 0 all
-executed checks passed, 1 at least one check failed, 2 the configuration or an
-output path was unusable, the run did not fit in memory, or a package error
-escaped every per-point guard. Grid points that violate a domain guard become
-per-point ``skip`` records with a machine-readable reason token instead of
-aborting the run. With a fixed seed the reports and CSVs are byte-identical
-across runs and job counts (timestamps live in a separate ``meta`` object);
-``--jobs N`` evaluates grid rows on N forked processes where ``os.fork`` exists.
+the otherwise ``indent=2`` text; the ``report`` module builds every record and
+writes that text. Exit codes: 0 all executed checks passed, 1 at least one check
+failed, 2 the configuration or an output path was unusable, the run did not fit
+in memory, or a package error escaped every per-point guard. Grid points that
+violate a domain guard become per-point ``skip`` records with a machine-readable
+reason token instead of aborting the run. With a fixed seed the reports and CSVs
+are byte-identical across runs and job counts (timestamps live in a separate
+``meta`` object); ``--jobs N`` evaluates grid rows on N forked processes where
+``os.fork`` exists.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -39,7 +39,7 @@ from .algebra import DOMAIN_SLACK, EXACT_TOL, GOLDEN_RATIO, RELATION_TOL, TRANSP
 from .berry import LOOP_BIAS_K, MIN_STEPS, SECTION_D_VALUES, _wrap_phase, berry_closed, berry_discrete, berry_wilson_loop, figure_table
 from .errors import BwmBerryError, ConfigError, InvalidParam
 from .matrices import hermitian_eigs
-from .report import _write_report
+from .report import _NO_DATA, _csv_record, _record, _skip, _summary, _write_report
 from .spin import _hamiltonian_row, _ladder_stack, cos_alpha
 from .yangbaxter import UNIT_CIRCLE_TOL, SpectralParams, _exchange_columns
 
@@ -182,39 +182,6 @@ class RunConfig:
 KNOBS = tuple(f for f in fields(RunConfig) if "check" in f.metadata)
 
 _CONFIG_KEYS = {f.name for f in KNOBS} | {"out", "grids"}
-
-
-def _reason_token(exc: BaseException) -> str:
-    return re.sub(r"(?<!^)(?=[A-Z])", "_", type(exc).__name__).lower()
-
-
-#: The ``data`` of every record without data: one dict that nothing mutates, not one per record.
-_NO_DATA: dict = {}
-
-
-def _record(name: str, params: dict, residual: float, tolerance: float, **data) -> dict:
-    """One executed check, as the report writes it (see ``_write_report``)."""
-    return {
-        "name": name,
-        "params": params,
-        "residual": float(residual),
-        "tolerance": float(tolerance),
-        "status": "pass" if residual < tolerance else "fail",
-        "reason": None,
-        "data": data or _NO_DATA,
-    }
-
-
-def _skip(name: str, params: dict, tolerance: float | None, exc: BaseException, reason: str | None = None) -> dict:
-    return {
-        "name": name,
-        "params": params,
-        "residual": None,
-        "tolerance": tolerance,
-        "status": "skip",
-        "reason": reason or _reason_token(exc),
-        "data": {"detail": str(exc)},
-    }
 
 
 class timed:
@@ -598,10 +565,7 @@ def cmd_figure(cfg: RunConfig) -> list[dict]:
         with timed(cfg.timings, "write_csv") as entry:
             n = _write_csv(cfg.out_dir / fname, *table)
             entry["rows"] = entry.get("rows", 0) + n
-        records.append(
-            {"name": f"figure.{kind}_csv", "params": {}, "residual": None, "tolerance": None, "status": "pass",
-             "reason": None, "data": {"file": fname, "rows": n}}
-        )
+        records.append(_csv_record(f"figure.{kind}_csv", fname, n))
         for d in sorted(d for d in d_values if not math.isfinite(d * d)):
             exc = InvalidParam(f"d = {d} overflows double precision: d*d is not finite")
             records.append(_skip(f"figure.{kind}_row", {"d": d}, None, exc))
@@ -752,45 +716,6 @@ def _platform() -> dict:
         "cpu_baseline": list(umath.__cpu_baseline__),
         "cpu_dispatch": [target for target in umath.__cpu_dispatch__ if features.get(target)],
     }
-
-
-def _summary(records: list) -> tuple[dict, float, str | None]:
-    """The report's ``summary``, and the closing line's largest residual/tolerance with its record's name.
-
-    One pass over the records.  A record with a residual is graded.
-    ``worst_residual`` and the ratio are each the ``max`` of their graded
-    values in record order: a later value replaces the kept one only if it
-    is larger, so a NaN on the first graded record is kept and a later NaN
-    never is.  Without graded records they are None and (0, None).
-    """
-    passed = failed = skipped = 0
-    worst, ratio, closest = None, 0, None
-    for r in records:
-        status, residual = r["status"], r["residual"]
-        if status == "pass":
-            passed += 1
-        elif status == "fail":
-            failed += 1
-        elif status == "skip":
-            skipped += 1
-        if residual is not None:
-            quotient = residual / r["tolerance"]
-            if worst is None:
-                worst, ratio, closest = residual, quotient, r["name"]
-            else:
-                if residual > worst:
-                    worst = residual
-                if quotient > ratio:
-                    ratio, closest = quotient, r["name"]
-    summary = {
-        "checks": len(records),
-        "passed": passed,
-        "failed": failed,
-        "skipped": skipped,
-        "worst_residual": worst,
-        "overall_pass": failed == 0,
-    }
-    return summary, ratio, closest
 
 
 def main(argv=None) -> int:

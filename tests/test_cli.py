@@ -1114,54 +1114,40 @@ _PARAMS = st.one_of(
     st.dictionaries(_TEXT, st.one_of(st.integers(), _FLOATS, st.booleans()), max_size=4),
     st.dictionaries(st.integers(), _FLOATS, max_size=3),
 )
-_DATA = st.dictionaries(_TEXT, st.one_of(_SCALAR, st.lists(_SCALAR, max_size=4), _NESTED), max_size=4)
-_RECORD = st.fixed_dictionaries(
-    {
-        "name": _TEXT,
-        "params": _PARAMS,
-        "residual": st.one_of(st.none(), _FLOATS),
-        "tolerance": st.one_of(st.none(), _FLOATS),
-        "status": st.sampled_from(["pass", "fail", "skip"]),
-        "reason": st.one_of(st.none(), _TEXT),
-        "data": _DATA,
-    }
+# Any text but the names of _record's other arguments can key its data.
+_DATA = st.dictionaries(
+    _TEXT.filter(lambda key: key not in ("name", "params", "residual", "tolerance")),
+    st.one_of(_SCALAR, st.lists(_SCALAR, max_size=4), _NESTED),
+    min_size=1,
+    max_size=4,
 )
-# Records of another layout, which the writer must write on one line too.
-_ODD_RECORD = st.one_of(_NESTED, st.dictionaries(_TEXT, _SCALAR, max_size=3), _RECORD.map(lambda r: {**r, "extra": 1}))
-
 _CLI_NAMES = st.sampled_from(["bwm.skein_a", "ybe.exchange", "ybe.suite", "spectrum.casimir"])
 
 
 @st.composite
-def _shared_checks(draw):
-    """Records that share sub-objects as the CLI's do, mixed with records the writer must encode whole.
+def _checks(draw):
+    """Records as ``_record``, ``_skip`` and ``_csv_record`` build them, sharing params as the CLI's do.
 
     A few params dicts serve many records, in runs and apart, next to equal
-    but distinct copies; ``data`` is often ``cli._NO_DATA``; skips have no
-    residual.  Some records have an int or bool residual or tolerance, a
-    non-str name or status, or an extra key.
+    but distinct copies; ``data`` is often empty; residuals and tolerances
+    include NaN, +-inf and +-0.0.
     """
     pool = draw(st.lists(_PARAMS, min_size=1, max_size=3))
-    data_pool = [cli._NO_DATA, *draw(st.lists(_DATA, max_size=2))]
-    number = st.one_of(st.none(), _FLOATS, _FLOATS, st.integers(), st.booleans())
     checks = []
     for _ in range(draw(st.integers(0, 16))):
         params = pool[draw(st.integers(0, len(pool) - 1))]
         if draw(st.integers(0, 4)) == 0:
             params = dict(params)
-        skip = draw(st.booleans())
-        record = {
-            "name": draw(st.one_of(_CLI_NAMES, _CLI_NAMES, _TEXT, st.none(), st.integers())),
-            "params": params,
-            "residual": None if skip else draw(number),
-            "tolerance": draw(number),
-            "status": "skip" if skip else draw(st.one_of(st.sampled_from(["pass", "fail"]), _TEXT, st.booleans())),
-            "reason": draw(st.one_of(st.just("invalid_param"), _TEXT)) if skip else None,
-            "data": {"detail": draw(_TEXT)} if skip else data_pool[draw(st.integers(0, len(data_pool) - 1))],
-        }
-        if draw(st.integers(0, 9)) == 0:
-            record["extra"] = draw(_SCALAR)
-        checks.append(record)
+        name, kind = draw(st.one_of(_CLI_NAMES, _CLI_NAMES, _TEXT)), draw(st.integers(0, 5))
+        if kind < 3:
+            data = draw(_DATA) if kind == 0 else {}
+            checks.append(writer._record(name, params, draw(_FLOATS), draw(_FLOATS), **data))
+        elif kind < 5:
+            tolerance, detail = draw(st.one_of(st.none(), _FLOATS)), InvalidParam(draw(_TEXT))
+            reason = draw(st.one_of(st.none(), st.just("closed_form_only"), _TEXT))
+            checks.append(writer._skip(name, params, tolerance, detail, reason))
+        else:
+            checks.append(writer._csv_record(name, draw(_TEXT), draw(st.integers(0, 10**6))))
     return checks
 
 
@@ -1187,44 +1173,34 @@ def one_line_checks(report) -> str:
     return '{\n  "checks": [\n    ' + lines + "\n  ]" + text[len(placeholder) :]
 
 
-# Keys and strings the encoder must escape, as params, data and detail.
+# Keys and strings the encoder must escape, as params, data, reason and detail.
 _AWKWARD = {"%": 1.5, "%s": -0.0, '"q"': math.nan, "a\\b": math.inf, "\x00\n\t": -math.inf, "é ψ 😀": True, "": 7}
-_AWKWARD_RECORD = {
-    "name": "bwm.%s",
-    "params": _AWKWARD,
-    "residual": -0.0,
-    "tolerance": math.inf,
-    "status": "skip",
-    "reason": "50% \"quoted\" \\ \u2028",
-    "data": {**_AWKWARD, "detail": "d = 1.2\n%d \x1f ψ", "list": [None, math.nan, "%", True, 2**70]},
-}
+_AWKWARD_REASON = "50% \"quoted\" \\ \u2028"
 _SHAPES = [
-    _AWKWARD_RECORD,
-    {**_AWKWARD_RECORD, "params": {"d": 1.7, "theta": 0.3}, "data": {"observed": [0.0, 0.75, 0.75]}},
-    {**_AWKWARD_RECORD, "data": {"nested": {"b": [1, [2]], "a": {}}}, "params": {}},
-    {**_AWKWARD_RECORD, "params": {2: 1.0, 10: 2.0}},  # int keys sort as numbers
-    {"name": "not a record"},
+    writer._skip("bwm.%s", _AWKWARD, math.inf, InvalidParam("d = 1.2\n%d \x1f ψ"), _AWKWARD_REASON),
+    writer._skip("bwm.%s", {"d": 1.7, "theta": 0.3}, math.inf, InvalidParam("d = 1.2\n%d"), _AWKWARD_REASON),
+    writer._record("bwm.%s", {}, -0.0, math.inf, nested={"b": [1, [2]], "a": {}}),
+    writer._record("bwm.%s", _AWKWARD, math.nan, -0.0, **_AWKWARD, list=[None, math.nan, "%", True, 2**70]),
+    writer._record("ybe.exchange", {2: 1.0, 10: 2.0}, -math.inf, 1e-10),  # int keys sort as numbers
+    writer._csv_record("figure.\u2028_csv", "é ψ.csv", 0),
 ]
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    pool=st.lists(st.one_of(_RECORD, _RECORD, _ODD_RECORD), max_size=5),
-    count=st.integers(0, 12),
+    shapes=st.lists(st.sampled_from(_SHAPES), max_size=12),
+    checks=_checks(),
     config=st.dictionaries(
         _TEXT, st.one_of(_NESTED, st.tuples(_FLOATS, _FLOATS), st.lists(st.tuples(_FLOATS))), max_size=3
     ),
     rest=st.fixed_dictionaries({}, optional={"command": _TEXT, "schema": st.integers(), "warnings": st.lists(_TEXT)}),
     meta=st.booleans(),
-    shared=_shared_checks(),
 )
-@example(pool=[_AWKWARD_RECORD], count=2, config={"grids": {"q": (0.5, 2.0)}}, rest={}, meta=True, shared=[])
-@example(pool=_SHAPES, count=2 * len(_SHAPES) + 3, config={}, rest={"command": "verify"}, meta=True, shared=[])
-def test_property_report_writer_gives_one_line_per_check(pool, count, config, rest, meta, shared):
-    timings = {"evaluate": {"seconds": 0.5, "records": count}}
-    checks = [pool[i % len(pool)] for i in range(count)] if pool else []
-    checks += shared
-    report = {"checks": checks, "config": config, **rest}
+@example(shapes=_SHAPES[:1] * 2, checks=[], config={"grids": {"q": (0.5, 2.0)}}, rest={}, meta=True)
+@example(shapes=_SHAPES * 2 + _SHAPES[:3], checks=[], config={}, rest={"command": "verify"}, meta=True)
+def test_property_report_writer_gives_one_line_per_check(shapes, checks, config, rest, meta):
+    timings = {"evaluate": {"seconds": 0.5, "records": len(shapes) + len(checks)}}
+    report = {"checks": shapes + checks, "config": config, **rest}
     if meta:
         report["meta"] = {"timestamp": "now", "timings": timings}
     text = write_report(report, timings)
@@ -1237,10 +1213,10 @@ def test_report_writer_exact_bytes():
     report = {"checks": _SHAPES[1:3], "command": "verify", "meta": {}, "summary": {"checks": 2}, "warnings": []}
     assert write_report(report, {}) == (
         '{\n  "checks": [\n'
-        '    {"data": {"observed": [0.0, 0.75, 0.75]}, "name": "bwm.%s", "params": {"d": 1.7, "theta": 0.3}, '
-        '"reason": "50% \\"quoted\\" \\\\ \\u2028", "residual": -0.0, "status": "skip", "tolerance": Infinity},\n'
+        '    {"data": {"detail": "d = 1.2\\n%d"}, "name": "bwm.%s", "params": {"d": 1.7, "theta": 0.3}, '
+        '"reason": "50% \\"quoted\\" \\\\ \\u2028", "residual": null, "status": "skip", "tolerance": Infinity},\n'
         '    {"data": {"nested": {"a": {}, "b": [1, [2]]}}, "name": "bwm.%s", "params": {}, '
-        '"reason": "50% \\"quoted\\" \\\\ \\u2028", "residual": -0.0, "status": "skip", "tolerance": Infinity}\n'
+        '"reason": null, "residual": -0.0, "status": "pass", "tolerance": Infinity}\n'
         '  ],\n  "command": "verify",\n  "meta": {},\n  "summary": {\n    "checks": 2\n  },\n  "warnings": []\n}\n'
     )
     assert write_report({"checks": [], "meta": {}}, {}) == '{\n  "checks": [],\n  "meta": {}\n}\n'
@@ -1253,21 +1229,19 @@ def _check(name="bwm.skein_a", params=None, residual=0.0, tolerance=1e-10, **cha
     return {**record, **changes}
 
 
-def test_report_writer_keeps_signed_zeros_typed_params_and_full_tables(monkeypatch):
+def test_report_writer_keeps_signed_zeros_typed_params_and_full_tables():
     # 0.0 and -0.0 are one dict key with two texts; a NaN is a key only to itself.
     params = {"q": 0.5}
-    zeros = [_check(params=params, residual=r, tolerance=t) for r, t in [(0.0, 0.0), (-0.0, -0.0), (0.0, 0.0)]]
-    nans = [_check(params=params, residual=math.nan, tolerance=math.nan) for _ in range(3)]
-    report = {"checks": zeros + nans + [_check(tolerance=-math.inf), _check(tolerance=math.inf)]}
+    zeros = [writer._record("bwm.skein_a", params, r, t) for r, t in [(0.0, 0.0), (-0.0, -0.0), (0.0, 0.0)]]
+    nans = [writer._record("bwm.skein_a", params, math.nan, math.nan) for _ in range(3)]
+    skips = [writer._skip("bwm.suite", params, t, InvalidParam("x")) for t in (-0.0, 0.0, -0.0, -math.inf, math.inf)]
+    report = {"checks": zeros + nans + skips}
     assert write_report(report, {}) == one_line_checks(report)
-    # Equal values of other types are other texts: params are reused by identity only, and
-    # a name, reason or status that is not a str or None sends its record to the whole encode.
-    report = {"checks": [_check(params={"q": value}) for value in (1, 1.0, True, 1, 1.0)]}
-    report["checks"] += [_check(name=value, status=status) for value in (1, True, 1.0) for status in (0, False, "pass")]
+    # Equal values of other types are other texts: params are reused by identity only.
+    report = {"checks": [writer._record("bwm.skein_a", {"q": value}, 0.0, 1e-10) for value in (1, 1.0, True, 1, 1.0)]}
     assert write_report(report, {}) == one_line_checks(report)
-    # Past _WORDS_MAX texts the tables stop growing, and the bytes stay the same.
-    monkeypatch.setattr(writer, "_WORDS_MAX", 3)
-    report = {"checks": [_check(name=f"line {i}", tolerance=1.0 + i, reason=str(i)) for i in range(10)] * 2}
+    # The tables keep every name and tolerance of a write, here one of each per record.
+    report = {"checks": [writer._record(f"line {i}", params, 0.5, 1.0 + i) for i in range(2000)] * 2}
     assert write_report(report, {}) == one_line_checks(report)
 
 
@@ -1298,8 +1272,21 @@ def test_report_writer_bytes_are_the_same_without_the_c_encoder(tmp_path, capsys
         for text in ((tmp_path / side / "verify_report.json").read_text(encoding="utf-8") for side in ("c", "python"))
     )
     assert c_text == python_text
-    report = {"checks": _SHAPES * 2 + [_check(), _check(residual=math.nan)]}
+    params = {"q": 0.5}
+    report = {"checks": _SHAPES * 2 + [writer._record("bwm.skein_a", params, r, 1e-10) for r in (0.0, math.nan)]}
     assert write_report(report, {}) == one_line_checks(report)
+
+
+def capture_checks(monkeypatch) -> list:
+    """The list that receives each report's ``checks`` as ``cli`` hands them to the writer."""
+    written = []
+
+    def write(fh, report, timings):
+        written.append(report["checks"])
+        writer._write_report(fh, report, timings)
+
+    monkeypatch.setattr(cli, "_write_report", write)
+    return written
 
 
 @pytest.mark.parametrize(
@@ -1311,29 +1298,55 @@ def test_report_writer_bytes_are_the_same_without_the_c_encoder(tmp_path, capsys
         ["figure"],
         ["verify", "--grid-spec", "q=0.01,1e-3,1,100,1e4", "--grid-spec", "tla_d=1e100,1.5,1e-3"],
         ["figure", "--grid-spec", "figure_d=1e300,1,2.5", "--d-mesh", "1:1e300:4"],
+        ["spectrum", "--grid-spec", "d=1.2,1e100,1e200,2", "--grid-spec", "omega=1e308,1"],
+        ["berry", "--grid-spec", "berry_theta=0,1e4,0.3", "--grid-spec", "berry_d=1,1.7,1e100", "--jobs", "3"],
     ],
-    ids=["verify", "spectrum", "berry", "figure", "verify_edge", "figure_edge"],
+    ids=["verify", "spectrum", "berry", "figure", "verify_edge", "figure_edge", "spectrum_edge", "berry_edge_jobs3"],
 )
-def test_every_record_of_the_program_is_joined_from_its_members(argv, tmp_path, capsys, monkeypatch):
-    # A record encoded whole means that a key or a value type was added to _record,
-    # _skip or figure's records, and the writer lost its shared texts for it.
-    whole, part_encoder = [], writer._part_encoder
+def test_every_record_of_the_program_keeps_the_record_contract(argv, tmp_path, capsys, monkeypatch):
+    # The writer joins each line from these members without checking them.
+    written = capture_checks(monkeypatch)
+    code, _, _ = run([*argv, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    (records,) = written
+    assert records
+    for r in records:
+        assert r.keys() == {"name", "params", "residual", "tolerance", "status", "reason", "data"}, r
+        assert type(r["name"]) is str and r["status"] in ("pass", "fail", "skip"), r
+        assert (type(r["reason"]) is str if r["status"] == "skip" else r["reason"] is None), r
+        assert type(r["residual"]) in (float, type(None)) and type(r["tolerance"]) in (float, type(None)), r
+        assert type(r["data"]) is dict, r
+
+
+def test_worker_records_keep_one_params_encode_per_point(tmp_path, capsys, monkeypatch):
+    # Pickling keeps one params object per point, so the records that forked workers
+    # send back share it as this process's records do, and the writer encodes it once.
+    written, encoded, part_encoder = capture_checks(monkeypatch), [], writer._part_encoder
 
     def counting_encoder():
         encode = part_encoder()
 
         def counted(value):
-            if isinstance(value, dict) and {"name", "params", "status"} <= value.keys():
-                whole.append(value)
+            encoded.append(value)
             return encode(value)
 
         return counted
 
     monkeypatch.setattr(writer, "_part_encoder", counting_encoder)
-    code, _, _ = run([*argv, "--out", str(tmp_path)], capsys)
-    assert code == 0
-    report = load_report(tmp_path, argv[0])
-    assert report["checks"] and whole == []
+    verify_sweep_sizes = ["verify", "--phase-pairs", "60", "--ybe-samples", "2500"]
+    counts = {}
+    for jobs in ("1", "2"):
+        for argv in (verify_sweep_sizes, ["spectrum"]):
+            code, _, _ = run([*argv, "--jobs", jobs, "--out", str(tmp_path / jobs)], capsys)
+            assert code == 0
+        params = [{id(r["params"]) for r in records} for records in written]
+        counts[jobs] = (sum(map(len, params)), sum(id(v) in ids for ids in params for v in encoded))
+        written.clear()
+        encoded.clear()
+    # 60 phase pairs at 4 q and at 5 tla_d, 3 corner and 2,500 drawn exchange samples, and
+    # spectrum's 4 d by 5 theta Casimir points and 2 omega by 2 phi H points at each of them.
+    points = (4 + 5) * 60 + 3 + 2500 + 4 * 5 * (1 + 2 * 2)
+    assert counts == {"1": (points, points), "2": (points, points)}
 
 
 def reference_summary(records):

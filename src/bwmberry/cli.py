@@ -539,18 +539,22 @@ def cmd_berry(cfg: RunConfig) -> list[dict]:
 # figure
 # --------------------------------------------------------------------------
 
-def _write_csv(path: Path, thetas, ds, gamma) -> int:
-    """Write rows (theta, d, gamma[j, i]) sorted by (d, theta), one d row per write.
+def _write_csv(path: Path, thetas, ds, gamma) -> tuple[int, int]:
+    """Write rows (theta, d, gamma[j, i]) sorted by (d, theta); return the rows and characters written.
 
-    Each axis value is formatted once; only gamma is formatted per row.
+    The row template ``"<theta>,\\0,%.17g\\n"`` over all thetas is joined once.  Each
+    d row then fills in its d text for the NUL and is one ``%`` call over its gamma
+    values, which gives the bytes of a per-value ``format(x, ".17g")``: no ``.17g``
+    text holds ``%`` or NUL.  Rows are converted to floats one at a time, because a
+    whole-table ``tolist()`` holds every value as a Python float at once, about
+    4 MB more peak memory on a 601 x 201 table.
     """
-    theta_cells = [format(th, ".17g") for th in thetas]
+    template = "".join([f"{th:.17g},\0,%.17g\n" for th in thetas])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("theta,d,gamma_plus\n")
+        size = fh.write("theta,d,gamma_plus\n")
         for dv, row in zip(ds, gamma):
-            d_cell = format(dv, ".17g")
-            fh.write("".join([f"{t},{d_cell},{g:.17g}\n" for t, g in zip(theta_cells, row.tolist())]))
-    return len(thetas) * len(ds)
+            size += fh.write(template.replace("\0", format(dv, ".17g")) % tuple(row.tolist()))
+    return len(thetas) * len(ds), size
 
 
 def cmd_figure(cfg: RunConfig) -> list[dict]:
@@ -563,8 +567,9 @@ def cmd_figure(cfg: RunConfig) -> list[dict]:
         d_values = [float(d) for d in d_values]
         table = figure_table(thetas, [d for d in d_values if math.isfinite(d * d)])
         with timed(cfg.timings, "write_csv") as entry:
-            n = _write_csv(cfg.out_dir / fname, *table)
+            n, size = _write_csv(cfg.out_dir / fname, *table)
             entry["rows"] = entry.get("rows", 0) + n
+            entry["bytes"] = entry.get("bytes", 0) + size
         records.append(_csv_record(f"figure.{kind}_csv", fname, n))
         for d in sorted(d for d in d_values if not math.isfinite(d * d)):
             exc = InvalidParam(f"d = {d} overflows double precision: d*d is not finite")

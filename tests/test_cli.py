@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -475,6 +476,8 @@ def test_report_meta_holds_stage_timings(tmp_path, capsys):
     assert set(timings) == {"build_config", "evaluate", "report_write", "write_csv"}
     assert timings["evaluate"]["records"] == 2
     assert timings["write_csv"]["rows"] == sum(c["data"]["rows"] for c in report["checks"]) == 11 * (5 + 4)
+    csv_bytes = sum((tmp_path / c["data"]["file"]).stat().st_size for c in report["checks"])
+    assert timings["write_csv"]["bytes"] == csv_bytes > 0
     assert all(entry["seconds"] >= 0.0 for entry in timings.values())
     run(["verify", "--out", str(tmp_path), "--phase-pairs", "2", "--ybe-samples", "7", "--grid-spec", "q=0.5,2"], capsys)
     report = load_report(tmp_path, "verify")
@@ -1098,6 +1101,54 @@ def test_figure_csv_bytes_match_scalar_closed_form(tmp_path, capsys):
         rows = [(t, d, berry_closed(t, d, "cos_form").gamma_plus) for d in sorted(ds) for t in thetas]
         text = "theta,d,gamma_plus\n" + "".join(",".join(format(float(x), ".17g") for x in r) + "\n" for r in rows)
         assert (tmp_path / name).read_bytes() == text.encode("utf-8")
+
+
+_CSV_FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e300]))
+
+
+@st.composite
+def _csv_tables(draw):
+    thetas = draw(st.lists(_CSV_FLOATS, min_size=2, max_size=50))
+    ds = draw(st.lists(_CSV_FLOATS, min_size=1, max_size=6))
+    rows = draw(st.lists(st.lists(_CSV_FLOATS, min_size=len(thetas), max_size=len(thetas)), min_size=len(ds), max_size=len(ds)))
+    return thetas, ds, np.array(rows, dtype=float)
+
+
+def per_value_csv(thetas, ds, gamma) -> str:
+    """The CSV text with each value formatted on its own by ``format(x, ".17g")``."""
+    cells = [format(th, ".17g") for th in thetas]
+    return "theta,d,gamma_plus\n" + "".join(
+        f"{th},{format(dv, '.17g')},{format(g, '.17g')}\n" for dv, row in zip(ds, gamma.tolist()) for th, g in zip(cells, row)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_csv_tables())
+@example(([0.0, -0.0], [math.nan], np.array([[-math.nan, 5e-324]])))
+@example(([math.inf, -math.inf, 1e300], [1.0, -0.0], np.array([[math.nan, -math.nan, -0.0], [math.inf, 1e300, 5e-324]])))
+def test_property_csv_writer_matches_per_value_format(table):
+    thetas, ds, gamma = table
+    # The row template relies on this: theta texts sit in a % format, and d texts replace its NULs.
+    texts = [format(x, ".17g") for x in [*thetas, *ds, *gamma.ravel().tolist()]]
+    assert not any("%" in text or "\0" in text for text in texts)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        rows, size = cli._write_csv(path, thetas, ds, gamma)
+        data = path.read_bytes()
+    assert data == per_value_csv(thetas, ds, gamma).encode("utf-8")
+    assert (rows, size) == (len(thetas) * len(ds), len(data))
+
+
+def test_csv_writer_converts_one_row_at_a_time(tmp_path):
+    # The figure_surface table of 601 x 201 values: converted whole, it peaks near 4 MB.
+    table = cli.figure_table(np.linspace(0.0, 2.0 * math.pi, 601), np.linspace(1.0, 6.0, 201))
+    tracemalloc.start()
+    try:
+        cli._write_csv(tmp_path / "surface.csv", *table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
 
 
 # ---------------------------------------------------------------------------

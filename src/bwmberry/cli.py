@@ -270,77 +270,29 @@ _YBE_CORNERS = ((0.0, 0.37, 0.3, 1, 1.7, 0.4, -1.1), (0.41, -0.41, 1.0, -1, 1.9,
 _YBE_KEYS = tuple(f.name for f in fields(SpectralParams))
 
 
-def _ybe_samples(cfg: RunConfig) -> tuple[np.ndarray, int]:
-    """The exchange samples as the rows of a float (n, 7) array, corners first, and how many of
-    them the per-sample loop drew (``_ybe_draw``); none where ``ybe_samples`` is 0, and the corners
-    only, with a warning, where ``ybe_beta`` or ``ybe_d`` is empty."""
+def _ybe_samples(cfg: RunConfig) -> np.ndarray:
+    """The exchange samples as the rows of a float (n, 7) array, corners first; none where
+    ``ybe_samples`` is 0, and the corners only, with a warning, where ``ybe_beta`` or ``ybe_d`` is empty.
+
+    The seeded samples come from five calls on ``default_rng([seed, 1])``, in this order: u and v,
+    the ``ybe_beta`` picks, the signs epsilon, the ``ybe_d`` picks, then phi1 and phi2.
+    """
     if cfg.ybe_samples == 0:
-        return np.empty((0, 7)), 0
+        return np.empty((0, 7))
     betas, ds = cfg.grid("ybe_beta"), cfg.grid("ybe_d")
     empty = [name for name, grid in (("ybe_beta", betas), ("ybe_d", ds)) if not grid]
     if empty:
         cfg.warnings.append(
             f"grid {' and '.join(empty)} is empty: the {cfg.ybe_samples} seeded exchange samples were not drawn"
         )
-        return np.array(_YBE_CORNERS, dtype=float), 0
-    seeded, per_sample = _ybe_draw(np.random.default_rng([cfg.seed, 1]), betas, ds, cfg.ybe_samples)
-    return np.concatenate([_YBE_CORNERS, seeded]), per_sample
-
-
-def _ybe_loop(rng: np.random.Generator, betas, ds, n: int) -> np.ndarray:
-    """n seeded samples, drawn one ``Generator`` call at a time."""
-    rows = []
-    for _ in range(n):
-        u, v = rng.uniform(-0.9, 0.9, size=2)
-        beta = betas[rng.integers(len(betas))]
-        eps = int(rng.integers(2)) * 2 - 1
-        d = ds[rng.integers(len(ds))]
-        p1, p2 = rng.uniform(-math.pi, math.pi, size=2)
-        rows.append((u, v, beta, eps, d, p1, p2))
-    return np.array(rows, dtype=float).reshape(-1, 7)
-
-
-def _ybe_draw(rng: np.random.Generator, betas, ds, n: int) -> tuple[np.ndarray, int]:
-    """``_ybe_loop(rng, betas, ds, n)`` bit for bit, with the same final state of ``rng``, and how
-    many samples the loop drew: none, unless a draw of the replay below rejects.
-
-    The replay reads ``rng``'s PCG64 stream with one ``random_raw`` call.  A sample reads one
-    64-bit word each for u and v, one 32-bit half each for the ``integers(k)`` draws with k > 1
-    (``integers(1)`` draws nothing), then one word each for phi1 and phi2.  A double is
-    lo + (hi - lo) ((w >> 11) 2^-53).  A half is the low half of a fresh word, or the high half
-    of the last one, which PCG64 buffers (``has_uint32``, ``uinteger``) across the doubles.
-    ``integers(k)`` is Lemire's (x k) >> 32, which numpy redraws where (x k) mod 2^32 < 2^32 mod k,
-    shifting the stream; so there the state is restored and the loop draws every sample.  That
-    never happens for k a power of two.
-    """
-    state = rng.bit_generator.state
-    grids = (betas, (-1, 1), ds)  # epsilon is 2 integers(2) - 1
-    buffered, m = state["has_uint32"], sum(len(g) > 1 for g in grids)
-    fresh = (np.arange(n * m) + buffered) % 2 == 0  # a half that reads a new word
-    per = fresh.reshape(n, m)
-    words = 4 + per.sum(axis=1)
-    first = np.cumsum(words) - words
-    raw = rng.bit_generator.random_raw(int(words.sum()))
-    # ext[0] holds the buffered high half; a half reads the word that the last fresh half read.
-    ext = np.concatenate([[np.uint64(state["uinteger"]) << np.uint64(32)], raw])
-    word = 3 + first[:, None] + np.cumsum(per, axis=1) - per
-    src = np.maximum.accumulate(np.concatenate([[0], np.where(fresh, word.ravel(), 0)]))
-    halves = np.where(fresh, ext[src[1:]] & np.uint64(0xFFFFFFFF), ext[src[1:]] >> np.uint64(32)).reshape(n, m)
-    columns, picks = iter(halves.T), []
-    for grid in grids:
-        scaled = next(columns) * np.uint64(len(grid)) if len(grid) > 1 else np.zeros(n, dtype=np.uint64)
-        if np.any(scaled & np.uint64(0xFFFFFFFF) < 2**32 % len(grid)):
-            rng.bit_generator.state = state
-            return _ybe_loop(rng, betas, ds, n), n
-        picks.append(np.asarray(grid, dtype=float)[(scaled >> np.uint64(32)).astype(np.intp)])
-    after = rng.bit_generator.state
-    after.update(has_uint32=(buffered + n * m) % 2, uinteger=int(ext[src[-1]] >> np.uint64(32)))
-    rng.bit_generator.state = after
-    unit = (raw >> np.uint64(11)) * 2.0**-53
-    uniform = lambda lo, hi, at: lo + (hi - lo) * unit[at]
-    u, v = uniform(-0.9, 0.9, first), uniform(-0.9, 0.9, first + 1)
-    p1, p2 = uniform(-math.pi, math.pi, first + words - 2), uniform(-math.pi, math.pi, first + words - 1)
-    return np.stack([u, v, *picks, p1, p2], axis=1), 0
+        return np.array(_YBE_CORNERS, dtype=float)
+    n, rng = cfg.ybe_samples, np.random.default_rng([cfg.seed, 1])
+    u, v = rng.uniform(-0.9, 0.9, size=(2, n))
+    beta = np.take(betas, rng.integers(len(betas), size=n))
+    eps = rng.integers(2, size=n) * 2 - 1
+    d = np.take(ds, rng.integers(len(ds), size=n))
+    phi1, phi2 = rng.uniform(-math.pi, math.pi, size=(2, n))
+    return np.concatenate([_YBE_CORNERS, np.stack([u, v, beta, eps, d, phi1, phi2], axis=1)])
 
 
 def _ybe_point(cfg: RunConfig, samples: np.ndarray) -> list[dict]:
@@ -372,8 +324,7 @@ def _family(cfg: RunConfig, stage: str, fn, rows: list, points: int) -> list[dic
 
 def cmd_verify(cfg: RunConfig) -> list[dict]:
     """BWM records, then TLA records, then exchange records; ``meta.timings`` gets each family's time
-    and, as ``verify.ybe_draw``, the time of drawing the exchange samples, their ``points`` and
-    how many of them the per-sample loop drew (``per_sample``).
+    and, as ``verify.ybe_draw``, the time of drawing the exchange samples and their ``points``.
 
     Each row (one q or one tla_d) is evaluated CHUNK phase pairs at a time, and the exchange
     samples CHUNK rows at a time.
@@ -384,7 +335,7 @@ def cmd_verify(cfg: RunConfig) -> list[dict]:
     records = _family(cfg, "verify.bwm", _bwm_point, [(q, c) for q in qs for c in chunks], len(qs) * len(pairs))
     records += _family(cfg, "verify.tla", _tla_point, [(d, c) for d in ds for c in chunks], len(ds) * len(pairs))
     with timed(cfg.timings, "verify.ybe_draw") as entry:
-        samples, entry["per_sample"] = _ybe_samples(cfg)
+        samples = _ybe_samples(cfg)
         entry["points"] = len(samples)
     return records + _family(cfg, "verify.ybe", _ybe_point, [(c,) for c in _chunks(samples)], len(samples))
 

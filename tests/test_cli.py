@@ -157,39 +157,6 @@ def test_empty_exchange_grid_warns_that_the_seeded_samples_were_not_drawn(empty,
     assert sum(c["name"] == "ybe.exchange" for c in report["checks"]) == 3
 
 
-def test_a_rejected_draw_runs_the_per_sample_loop_and_says_so(tmp_path, capsys, monkeypatch):
-    # The exchange generator starts with the buffered half 0, which Lemire's
-    # integers(3) rejects, so the replay hands the draw to the per-sample loop;
-    # the records are those of the loop's samples, and meta says how many it drew.
-    default_rng = np.random.default_rng
-
-    def crafted(seed):
-        rng = default_rng(seed)
-        if seed[1] == 1:
-            state = rng.bit_generator.state
-            state.update(has_uint32=1, uinteger=0)
-            rng.bit_generator.state = state
-        return rng
-
-    monkeypatch.setattr(np.random, "default_rng", crafted)
-    argv = ["verify", "--out", str(tmp_path), *SMALL_VERIFY, "--ybe-samples", "40", "--grid-spec", "ybe_beta=0.2,0.5,1.1"]
-    assert run(argv, capsys)[0] == 0
-    report = load_report(tmp_path, "verify")
-    assert report["meta"]["timings"]["verify.ybe_draw"] == {
-        "seconds": report["meta"]["timings"]["verify.ybe_draw"]["seconds"], "per_sample": 40, "points": 43
-    }
-    rng = crafted([cli.RunConfig.seed, 1])
-    drawn = [
-        (*rng.uniform(-0.9, 0.9, size=2), (0.2, 0.5, 1.1)[rng.integers(3)], int(rng.integers(2)) * 2 - 1,
-         (1.7, 1.9)[rng.integers(2)], *rng.uniform(-math.pi, math.pi, size=2))
-        for _ in range(40)
-    ]
-    params = [c["params"] for c in report["checks"] if c["name"] == "ybe.exchange"][3:]
-    keys = ("u", "v", "beta", "epsilon", "d", "phi1", "phi2")
-    assert params == [dict(zip(keys, map(float, row))) for row in drawn]
-    assert all(type(p["epsilon"]) is int for p in params)
-
-
 # An exchange sample's real angles need 0 < d < 2, so a ybe_d value outside is
 # refused with the grid's name before any family is evaluated; a value in
 # (0, golden ratio) has real angles but no R matrices, and skips per sample.
@@ -227,6 +194,30 @@ def test_verify_seed_changes_sampled_points(tmp_path, capsys):
     params_a = [c["params"] for c in rep_a["checks"] if c["name"] == "ybe.exchange"]
     params_b = [c["params"] for c in rep_b["checks"] if c["name"] == "ybe.exchange"]
     assert params_a != params_b
+
+
+def test_the_seed_moves_the_seeded_exchange_samples_but_not_the_corners(tmp_path, capsys):
+    for seed in ("1", "2"):
+        run(["verify", "--out", str(tmp_path / seed), *SMALL_VERIFY, "--seed", seed], capsys)
+    params_a, params_b = (
+        [c["params"] for c in load_report(tmp_path / seed, "verify")["checks"] if c["name"] == "ybe.exchange"]
+        for seed in ("1", "2")
+    )
+    corners = [dict(zip(cli._YBE_KEYS, map(float, row)), epsilon=row[3]) for row in cli._YBE_CORNERS]
+    assert params_a[:3] == params_b[:3] == corners
+    assert len(params_a) == len(params_b) == 3 + 5
+    assert all(a["u"] != b["u"] and a["phi1"] != b["phi1"] for a, b in zip(params_a[3:], params_b[3:]))
+
+
+def test_zero_exchange_samples_run_no_exchange_checks_not_even_the_corners(tmp_path, capsys):
+    code, _, err = run(["verify", "--out", str(tmp_path), *SMALL_VERIFY, "--ybe-samples", "0"], capsys)
+    assert code == 0 and not err
+    report = load_report(tmp_path, "verify")
+    names = {c["name"].split(".")[0] for c in report["checks"]}
+    assert names == {"bwm", "tla"} and not report["warnings"]
+    timings = report["meta"]["timings"]
+    assert timings["verify.ybe_draw"]["points"] == 0
+    assert (timings["verify.ybe"]["points"], timings["verify.ybe"]["rows"]) == (0, 0)
 
 
 def test_verify_tla_below_golden_ratio_skips(tmp_path, capsys):
@@ -460,6 +451,30 @@ def test_spectrum_rows_match_the_per_point_route(grids, jobs):
     assert json.dumps(records) == json.dumps(expected)
 
 
+@pytest.mark.parametrize("d, jobs", [("2", "1"), ("3,2", "2"), ("2,3", "2")])
+def test_an_overflowing_norm_skips_only_its_own_points_after_the_batched_solve(d, jobs, tmp_path, capsys):
+    # At omega = 1.7e308, ||H||_F = sqrt 2 omega |cos alpha| overflows for theta = 1.5 only, so the
+    # d = 2 row's batched solve raises and each matrix is solved on its own; with --jobs 2 that row
+    # runs in the forked child for d=3,2 and in this process, beside a forked d = 3 row, for d=2,3.
+    grids = ["--grid-spec", f"d={d}", "--grid-spec", "theta=1.5,0.3", "--grid-spec", "omega=1.7e308,1"]
+    args = ["spectrum", *grids, "--grid-spec", "phi=0,1.3", "--jobs", jobs]
+    detail = "the Frobenius norm overflows double precision"
+    with pytest.raises(InvalidParam, match=detail):
+        hermitian_eigs(cli._hamiltonian_row((1.5, 0.3), (1.7e308, 1.0), (0.0, 1.3), 2.0).reshape(-1, 3, 3))
+    code, _, err = run([*args, "--out", str(tmp_path)], capsys)
+    assert code == 0 and "Traceback" not in err
+    checks = load_report(tmp_path, "spectrum")["checks"]
+    skips = [c for c in checks if c["status"] == "skip"]
+    assert [(c["name"], c["reason"], c["data"]) for c in skips] == [
+        ("spectrum.h_eigenvalues", "invalid_param", {"detail": detail})
+    ] * 2
+    assert [c["params"] for c in skips] == [
+        {"theta": 1.5, "d": 2.0, "omega_drive": 1.7e308, "phi": phi} for phi in (0.0, 1.3)
+    ]
+    expected = per_point_spectrum(build_config(build_parser().parse_args(args)))
+    assert json.loads(json.dumps(expected)) == checks
+
+
 def test_report_meta_holds_stage_timings(tmp_path, capsys):
     run(["spectrum", "--out", str(tmp_path), *SPECTRUM_DOMAIN_GRIDS], capsys)
     report = load_report(tmp_path, "spectrum")
@@ -485,8 +500,7 @@ def test_report_meta_holds_stage_timings(tmp_path, capsys):
     families = ("bwm", "tla", "ybe_draw", "ybe")
     assert set(timings) == {"build_config", "evaluate", "report_write", *(f"verify.{family}" for family in families)}
     assert [timings[f"verify.{family}"]["points"] for family in families] == [2 * 2, 5 * 2, 3 + 7, 3 + 7]
-    assert set(timings["verify.ybe_draw"]) == {"seconds", "points", "per_sample"}
-    assert timings["verify.ybe_draw"]["per_sample"] == 0
+    assert set(timings["verify.ybe_draw"]) == {"seconds", "points"}
     assert 0.0 < sum(timings[f"verify.{family}"]["seconds"] for family in families) <= timings["evaluate"]["seconds"]
 
 

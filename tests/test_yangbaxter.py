@@ -5,6 +5,8 @@ import json
 import math
 import re
 from dataclasses import astuple
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from bwmberry import (
     ybe_residual,
     z_of_u,
 )
-from bwmberry.cli import RELATION_TOL, RunConfig, _record, _skip, _ybe_draw, _ybe_samples, cmd_verify
+from bwmberry.cli import _YBE_CORNERS, RELATION_TOL, RunConfig, _record, _skip, _ybe_samples, cmd_verify
 from bwmberry.algebra import DOMAIN_SLACK
 from bwmberry.yangbaxter import _compose, _exchange_columns, _exchange_setup, _z_stack
 
@@ -413,7 +415,7 @@ def test_verify_chunks_give_the_per_sample_records(seeded, jobs, tmp_path):
     # of 256 exactly or spill one sample into a second; d = 1.5 skips.
     grids = {"q": (), "tla_d": (), "ybe_d": (1.5, 1.7, 1.9)}
     cfg = RunConfig(command="verify", out_dir=tmp_path, ybe_samples=seeded, jobs=jobs, grids=grids)
-    samples = [SpectralParams(*row) for row in _ybe_samples(cfg)[0].tolist()]
+    samples = [SpectralParams(*row) for row in _ybe_samples(cfg).tolist()]
     want = []
     for s in samples:
         base = dict(vars(s), epsilon=int(s.epsilon))
@@ -430,71 +432,39 @@ def test_verify_chunks_give_the_per_sample_records(seeded, jobs, tmp_path):
     assert 0 < sum(r["status"] == "skip" for r in got) < len(samples) or not samples
 
 
-def reference_draw(rng, betas, ds, n):
-    """The seeded exchange samples drawn one ``Generator`` call per value, each validated as a
-    ``SpectralParams``: the reference that the CLI's stream replay must match bit for bit."""
-    samples = []
-    for _ in range(n):
-        u, v = rng.uniform(-0.9, 0.9, size=2)
-        beta = float(betas[rng.integers(len(betas))])
-        eps = int(rng.integers(2)) * 2 - 1
-        d = float(ds[rng.integers(len(ds))])
-        p1, p2 = rng.uniform(-math.pi, math.pi, size=2)
-        samples.append(
-            SpectralParams(u=float(u), v=float(v), beta=beta, epsilon=eps, d=d, phi1=float(p1), phi2=float(p2))
-        )
-    rows = [(s.u, s.v, s.beta, s.epsilon, s.d, s.phi1, s.phi2) for s in samples]
-    return np.array(rows, dtype=float).reshape(-1, 7)
-
-
-def generator(seed: int, has_uint32: int = 0, uinteger: int = 0) -> np.random.Generator:
-    """``default_rng([seed, 1])`` with the given 32-bit buffer of its PCG64 stream."""
-    rng = np.random.default_rng([seed, 1])
-    state = rng.bit_generator.state
-    state.update(has_uint32=has_uint32, uinteger=uinteger)
-    rng.bit_generator.state = state
-    return rng
-
-
-def assert_draw_is_the_reference(rng: np.random.Generator, betas, ds, n: int) -> int:
-    """``_ybe_draw`` gives the reference's samples, bit for bit, and leaves ``rng`` in the
-    reference's state; returns how many samples the per-sample loop drew."""
-    ref = np.random.default_rng()
-    ref.bit_generator.state = rng.bit_generator.state
-    got, per_sample = _ybe_draw(rng, betas, ds, n)
-    want = reference_draw(ref, betas, ds, n)
-    assert got.shape == want.shape == (n, 7)
-    assert got.tobytes() == want.tobytes()
-    assert rng.bit_generator.state == ref.bit_generator.state
-    return per_sample
-
-
 @settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n_beta=st.integers(1, 9),
-    n_d=st.integers(1, 9),
-    n=st.integers(0, 600),
-    has_uint32=st.sampled_from([0, 1]),
-    uinteger=st.integers(0, 2**32 - 1),
-)
-@example(seed=1, n_beta=3, n_d=1, n=601, has_uint32=1, uinteger=7)
-def test_property_replayed_draw_is_the_per_sample_loop(seed, n_beta, n_d, n, has_uint32, uinteger):
-    # Grid lengths set the stream's layout: integers(1) draws nothing, and the
-    # halves of integers(k) follow PCG64's buffered 32-bit half across samples.
+@given(seed=st.integers(0, 2**128), n_beta=st.integers(1, 9), n_d=st.integers(1, 9), n=st.integers(0, 600))
+@example(seed=20260815, n_beta=3, n_d=1, n=599)
+def test_property_exchange_samples_are_the_corners_then_five_generator_calls(seed, n_beta, n_d, n):
+    # The order of the five calls is part of every seeded ybe.* record, so it
+    # is written out here; the generator must end where these five calls leave it.
     betas = tuple(0.1 + 0.2 * i for i in range(n_beta))
     ds = tuple(GOLDEN_RATIO + 0.04 * i for i in range(n_d))
-    assert_draw_is_the_reference(generator(seed, has_uint32, uinteger), betas, ds, n)
+    cfg = RunConfig(command="verify", out_dir=Path(), seed=seed, ybe_samples=n, grids={"ybe_beta": betas, "ybe_d": ds})
+    made = []
 
+    def recording_rng(seed, default_rng=np.random.default_rng):
+        made.append(default_rng(seed))
+        return made[-1]
 
-@pytest.mark.parametrize("n", [1, 2, 257])
-def test_a_rejected_half_sends_the_draw_to_the_per_sample_loop(n):
-    # The buffered half 0 is Lemire's rejection zone of integers(3): 0 * 3 mod 2^32 < 2^32 mod 3 = 1.
-    assert assert_draw_is_the_reference(generator(5, has_uint32=1, uinteger=0), (0.2, 0.5, 1.1), (1.7,), n) == n
-
-
-def test_the_replay_draws_without_the_per_sample_loop():
-    assert assert_draw_is_the_reference(generator(101), (0.3, 1.0), (1.7, 1.9), 2500) == 0
+    with mock.patch.object(np.random, "default_rng", recording_rng):
+        got = _ybe_samples(cfg)
+    if n == 0:  # no exchange checks, the corners included
+        assert got.shape == (0, 7) and not made
+        return
+    rng = np.random.default_rng([seed, 1])
+    u, v = rng.uniform(-0.9, 0.9, size=(2, n))
+    beta_picks = rng.integers(len(betas), size=n)
+    signs = rng.integers(2, size=n) * 2 - 1
+    d_picks = rng.integers(len(ds), size=n)
+    phi1, phi2 = rng.uniform(-math.pi, math.pi, size=(2, n))
+    seeded = np.column_stack([u, v, np.take(betas, beta_picks), signs, np.take(ds, d_picks), phi1, phi2])
+    assert got.dtype == np.float64 and got.shape == (3 + n, 7)
+    assert got[:3].tolist() == [list(map(float, corner)) for corner in _YBE_CORNERS]
+    assert got[3:].tobytes() == seeded.tobytes()
+    assert len(made) == 1 and made[0].bit_generator.state == rng.bit_generator.state
+    assert set(got[:, 3].tolist()) <= {-1.0, 1.0}
+    assert set(got[3:, 2].tolist()) <= set(betas) and set(got[3:, 4].tolist()) <= set(ds)
 
 
 @st.composite

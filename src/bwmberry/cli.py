@@ -11,19 +11,22 @@ Four subcommands, all batch-style (run, write artifacts, exit):
 Every command writes a schema-versioned JSON report whose check records carry
 (name, params, residual, tolerance, status, reason, data), one record per line of
 the otherwise ``indent=2`` text; the ``report`` module builds every record and
-writes that text. Exit codes: 0 all executed checks passed, 1 at least one check
+writes that text, row by row as the command yields its records, so no command holds all
+of them. Exit codes: 0 all executed checks passed, 1 at least one check
 failed, 2 the configuration or an output path was unusable, the run did not fit
 in memory, or a package error escaped every per-point guard. Grid points that
 violate a domain guard become per-point ``skip`` records with a machine-readable
 reason token instead of aborting the run. With a fixed seed the reports and CSVs
 are byte-identical across runs and job counts (timestamps live in a separate
 ``meta`` object); ``--jobs N`` evaluates grid rows on N forked processes where
-``os.fork`` exists.
+``os.fork`` exists.  The report and the CSVs are written under temporary names and
+moved onto their own names once complete, so a failed run leaves no partial file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -39,7 +42,7 @@ from .algebra import DOMAIN_SLACK, EXACT_TOL, GOLDEN_RATIO, RELATION_TOL, TRANSP
 from .berry import LOOP_BIAS_K, MIN_STEPS, SECTION_D_VALUES, _wrap_phase, berry_closed, berry_discrete, berry_wilson_loop, figure_table
 from .errors import BwmBerryError, ConfigError, InvalidParam
 from .matrices import hermitian_eigs
-from .report import _NO_DATA, _csv_record, _record, _skip, _summary, _write_report
+from .report import _NO_DATA, _csv_record, _record, _skip, _write_report
 from .spin import _hamiltonian_row, _ladder_stack, cos_alpha
 from .yangbaxter import UNIT_CIRCLE_TOL, SpectralParams, _exchange_columns
 
@@ -78,8 +81,9 @@ _GRID_RULES = {
 
 #: Largest accepted counts; ``MAX_AXIS_POINTS`` bounds ``--theta-points``, the
 #: ``--d-mesh`` count and a grid range's count.  Each keeps one run's memory
-#: bounded: a Berry loop holds about 1 kB per step, and every pair, sample or
-#: axis point becomes records or CSV rows held at once.
+#: bounded: a Berry loop holds about 1 kB per step, a figure table holds every
+#: value at once, and ``--jobs`` above 1 holds a family's records until its
+#: workers return.
 MAX_STEPS = 2**17
 MAX_PHASE_PAIRS = 10_000
 MAX_YBE_SAMPLES = 100_000
@@ -88,8 +92,8 @@ MAX_JOBS = 64
 
 #: Phase pairs or exchange samples per stacked evaluation.  One evaluation
 #: per chunk removes the per-point call overhead, and a bounded chunk keeps
-#: the (n, 3, 3) stacks small, so peak memory does not grow with
-#: ``--phase-pairs`` or ``--ybe-samples``.
+#: the (n, 3, 3) stacks and one chunk's records small, so at ``--jobs 1`` peak
+#: memory does not grow with ``--phase-pairs`` or ``--ybe-samples``.
 CHUNK = 256
 
 
@@ -301,30 +305,39 @@ def _ybe_point(cfg: RunConfig, samples: np.ndarray) -> list[dict]:
     return _relation_records("ybe", params, RELATION_TOL, lambda: _exchange_columns(samples), "exchange")
 
 
-def _family(cfg: RunConfig, stage: str, fn, rows: list, points: int) -> list[dict]:
-    """The records of ``fn(cfg, *row)`` over the rows, in order, on ``cfg.jobs`` processes.
+def _family(cfg: RunConfig, stage: str, fn, rows: list, points: int):
+    """Yield the records of ``fn(cfg, *row)`` over the rows, in order, one list per row, on ``cfg.jobs`` processes.
 
-    With more than one job and ``os.fork`` at hand, worker k evaluates
-    ``rows[k::jobs]`` (see ``_workers``): this process is worker 0 and the
-    others are forked children, so ``fn`` must not mutate ``cfg``, as a
-    child's writes are lost. ``meta.timings[stage]`` gets this process's wall
-    seconds, the ``points`` the rows hold, the ``rows`` (one call of ``fn``
-    each) and the ``skipped`` points.
+    With one job, or without ``os.fork``, each row is evaluated when its
+    records are asked for.  With more, worker k evaluates ``rows[k::jobs]``
+    (see ``_workers``): this process is worker 0 and the others are forked
+    children, so ``fn`` must not mutate ``cfg``, as a child's writes are
+    lost, and the rows are evaluated before the first is yielded.
+    ``meta.timings[stage]`` gets this process's wall seconds of evaluation
+    (not the caller's time between rows), the ``points`` the rows hold, the
+    ``rows`` (one call of ``fn`` each) and the ``skipped`` points.
     """
-    with timed(cfg.timings, stage) as entry:
-        if min(cfg.jobs, len(rows)) <= 1 or not hasattr(os, "fork"):
-            records = [rec for row in rows for rec in fn(cfg, *row)]
-        else:
-            from ._workers import interleaved
+    entry = cfg.timings[stage] = {"seconds": 0.0, "points": points, "rows": len(rows), "skipped": 0}
 
-            records = [rec for chunk in interleaved(lambda row: fn(cfg, *row), rows, cfg.jobs) for rec in chunk]
-        entry.update(points=points, rows=len(rows), skipped=sum(r["status"] == "skip" for r in records))
-    return records
+    def evaluate(row):
+        with timed(cfg.timings, stage):
+            return fn(cfg, *row)
+
+    results = map(evaluate, rows)
+    if min(cfg.jobs, len(rows)) > 1 and hasattr(os, "fork"):
+        from ._workers import interleaved
+
+        with timed(cfg.timings, stage):
+            results = interleaved(lambda row: fn(cfg, *row), rows, cfg.jobs)
+    for records in results:
+        entry["skipped"] += sum(r["status"] == "skip" for r in records)
+        yield records
 
 
-def cmd_verify(cfg: RunConfig) -> list[dict]:
-    """BWM records, then TLA records, then exchange records; ``meta.timings`` gets each family's time
-    and, as ``verify.ybe_draw``, the time of drawing the exchange samples and their ``points``.
+def cmd_verify(cfg: RunConfig):
+    """Yield BWM records, then TLA records, then exchange records, one list per row; ``meta.timings``
+    gets each family's time and, as ``verify.ybe_draw``, the time of drawing the exchange samples
+    and their ``points``.
 
     Each row (one q or one tla_d) is evaluated CHUNK phase pairs at a time, and the exchange
     samples CHUNK rows at a time.
@@ -332,12 +345,12 @@ def cmd_verify(cfg: RunConfig) -> list[dict]:
     pairs = _phase_pairs(cfg)
     chunks = _chunks(pairs)
     qs, ds = cfg.grid("q"), cfg.grid("tla_d")
-    records = _family(cfg, "verify.bwm", _bwm_point, [(q, c) for q in qs for c in chunks], len(qs) * len(pairs))
-    records += _family(cfg, "verify.tla", _tla_point, [(d, c) for d in ds for c in chunks], len(ds) * len(pairs))
+    yield from _family(cfg, "verify.bwm", _bwm_point, [(q, c) for q in qs for c in chunks], len(qs) * len(pairs))
+    yield from _family(cfg, "verify.tla", _tla_point, [(d, c) for d in ds for c in chunks], len(ds) * len(pairs))
     with timed(cfg.timings, "verify.ybe_draw") as entry:
         samples = _ybe_samples(cfg)
         entry["points"] = len(samples)
-    return records + _family(cfg, "verify.ybe", _ybe_point, [(c,) for c in _chunks(samples)], len(samples))
+    yield from _family(cfg, "verify.ybe", _ybe_point, [(c,) for c in _chunks(samples)], len(samples))
 
 
 # --------------------------------------------------------------------------
@@ -412,16 +425,17 @@ def _spectrum_point(cfg: RunConfig, d: float) -> list[dict]:
     return _levels_row("spectrum.h_eigenvalues", params, build)
 
 
-def cmd_spectrum(cfg: RunConfig) -> list[dict]:
-    """Casimir records, then H records, both ordered by (d, theta, ...), built and solved one d row at a time.
+def cmd_spectrum(cfg: RunConfig):
+    """Yield Casimir records, then H records, both ordered by (d, theta, ...), built and solved one d
+    row at a time, one list per row.
 
     ``meta.timings`` gets each family's seconds, points, rows and skipped points (see ``_family``).
     """
     rows = [(d,) for d in cfg.grid("d")]
     casimir_points = len(rows) * len(cfg.grid("theta"))
     h_points = casimir_points * len(cfg.grid("omega")) * len(cfg.grid("phi"))
-    records = _family(cfg, "spectrum.casimir", _casimir_point, rows, casimir_points)
-    return records + _family(cfg, "spectrum.h", _spectrum_point, rows, h_points)
+    yield from _family(cfg, "spectrum.casimir", _casimir_point, rows, casimir_points)
+    yield from _family(cfg, "spectrum.h", _spectrum_point, rows, h_points)
 
 
 # --------------------------------------------------------------------------
@@ -480,18 +494,40 @@ def _berry_point(cfg: RunConfig, theta: float, d: float) -> list[dict]:
     return out
 
 
-def cmd_berry(cfg: RunConfig) -> list[dict]:
-    """The records of each (theta, d) point, ordered by (d, theta); ``meta.timings`` gets the family's time."""
+def cmd_berry(cfg: RunConfig):
+    """Yield the records of each (theta, d) point, one list per point, ordered by (d, theta);
+    ``meta.timings`` gets the family's time."""
     points = [(t, d) for d in cfg.grid("berry_d") for t in cfg.grid("berry_theta")]
-    return _family(cfg, "berry", _berry_point, points, len(points))
+    yield from _family(cfg, "berry", _berry_point, points, len(points))
 
 
 # --------------------------------------------------------------------------
 # figure
 # --------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def _replaced(path: Path):
+    """A text file (UTF-8, LF) that becomes ``path`` once the block ends: it is written under a
+    temporary name in ``path``'s directory and moved onto ``path`` by ``os.replace``.  If the
+    block, the close or the move raises, the temporary file is removed and ``path`` is left as
+    it was.
+    """
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    fh = open(temporary, "w", encoding="utf-8", newline="")
+    try:
+        yield fh
+        fh.close()
+        os.replace(temporary, path)
+    except BaseException:
+        for cleanup in (fh.close, temporary.unlink):
+            with contextlib.suppress(OSError):
+                cleanup()
+        raise
+
+
 def _write_csv(path: Path, thetas, ds, gamma) -> tuple[int, int]:
-    """Write rows (theta, d, gamma[j, i]) sorted by (d, theta); return the rows and characters written.
+    """Write rows (theta, d, gamma[j, i]) sorted by (d, theta) to ``path`` (see ``_replaced``);
+    return the rows and characters written.
 
     The row template ``"<theta>,\\0,%.17g\\n"`` over all thetas is joined once.  Each
     d row then fills in its d text for the NUL and is one ``%`` call over its gamma
@@ -501,18 +537,18 @@ def _write_csv(path: Path, thetas, ds, gamma) -> tuple[int, int]:
     4 MB more peak memory on a 601 x 201 table.
     """
     template = "".join([f"{th:.17g},\0,%.17g\n" for th in thetas])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replaced(path) as fh:
         size = fh.write("theta,d,gamma_plus\n")
         for dv, row in zip(ds, gamma):
             size += fh.write(template.replace("\0", format(dv, ".17g")) % tuple(row.tolist()))
     return len(thetas) * len(ds), size
 
 
-def cmd_figure(cfg: RunConfig) -> list[dict]:
-    """Per CSV, its record and then one ``figure.<kind>_row`` skip for each d, ascending, whose
-    d^2 overflows: the closed form needs it, so the table leaves that d's rows out."""
+def cmd_figure(cfg: RunConfig):
+    """Yield, per CSV as it is written, one list: its record and then one ``figure.<kind>_row`` skip
+    for each d, ascending, whose d^2 overflows: the closed form needs it, so the table leaves that
+    d's rows out."""
     thetas = np.linspace(0.0, 2.0 * math.pi, cfg.figure_theta_points)
-    records = []
     for kind, d_values in (("sections", cfg.grid("figure_d")), ("surface", np.linspace(*cfg.figure_d_mesh))):
         fname = f"figure_{kind}.csv"
         d_values = [float(d) for d in d_values]
@@ -521,11 +557,11 @@ def cmd_figure(cfg: RunConfig) -> list[dict]:
             n, size = _write_csv(cfg.out_dir / fname, *table)
             entry["rows"] = entry.get("rows", 0) + n
             entry["bytes"] = entry.get("bytes", 0) + size
-        records.append(_csv_record(f"figure.{kind}_csv", fname, n))
+        records = [_csv_record(f"figure.{kind}_csv", fname, n)]
         for d in sorted(d for d in d_values if not math.isfinite(d * d)):
             exc = InvalidParam(f"d = {d} overflows double precision: d*d is not finite")
             records.append(_skip(f"figure.{kind}_row", {"d": d}, None, exc))
-    return records
+        yield records
 
 
 # --------------------------------------------------------------------------
@@ -674,6 +710,23 @@ def _platform() -> dict:
     }
 
 
+class _OutputError(Exception):
+    """An ``OSError`` of the outputs other than the report: the output directory, or figure's CSVs."""
+
+
+def _outputs(rows):
+    """The command's rows, with an ``OSError`` raised as ``_OutputError``, so it is told from the report's."""
+    try:
+        yield from rows
+    except OSError as exc:
+        raise _OutputError(exc) from exc
+
+
+def _error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     timings = {}
@@ -681,46 +734,38 @@ def main(argv=None) -> int:
         with timed(timings, "build_config"):
             cfg = build_config(args)
         cfg.timings = timings
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        with timed(timings, "evaluate") as entry:
-            records = _COMMANDS[cfg.command](cfg)
-            entry["records"] = len(records)
+        try:
+            cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise _OutputError(exc) from exc
+        report = {
+            "schema": 1,
+            "command": cfg.command,
+            "config": cfg.echo(),
+            "summary": None,  # counted from the checks as they are written
+            "warnings": cfg.warnings,
+            "checks": _outputs(_COMMANDS[cfg.command](cfg)),
+            "meta": {
+                "timestamp": datetime.now(timezone.utc).isoformat(),
+                "out_dir": str(cfg.out_dir),
+                "jobs": cfg.jobs,
+                "timings": timings,
+                "platform": _platform(),
+            },
+        }
+        report_path = cfg.out_dir / f"{cfg.command}_report.json"
+        with _replaced(report_path) as fh:
+            summary, ratio, closest = _write_report(fh, report, timings)
     except BwmBerryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
+    except _OutputError as exc:
+        return _error(f"cannot write outputs: {exc}")
     except MemoryError as exc:
-        print(f"error: the run does not fit in memory: {exc}", file=sys.stderr)
-        return 2
-
-    warnings = cfg.warnings + ([] if records else ["no checks were executed (empty grids?)"])
-    summary, ratio, closest = _summary(records)
-    report = {
-        "schema": 1,
-        "command": cfg.command,
-        "config": cfg.echo(),
-        "summary": summary,
-        "warnings": warnings,
-        "checks": records,
-        "meta": {
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-            "out_dir": str(cfg.out_dir),
-            "jobs": cfg.jobs,
-            "timings": timings,
-            "platform": _platform(),
-        },
-    }
-    report_path = cfg.out_dir / f"{cfg.command}_report.json"
-    try:
-        with open(report_path, "w", encoding="utf-8", newline="") as fh:
-            _write_report(fh, report, timings)
+        return _error(f"the run does not fit in memory: {exc}")
     except OSError as exc:
-        print(f"error: cannot write report: {exc}", file=sys.stderr)
-        return 2
+        return _error(f"cannot write report: {exc}")
 
-    for w in warnings:
+    for w in report["warnings"]:
         print(f"warning: {w}", file=sys.stderr)
     margin = "n/a" if closest is None else f"{ratio:.3g} ({closest})"
     print(

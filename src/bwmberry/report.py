@@ -3,8 +3,8 @@
 This module alone knows a check record's shape.  ``_record`` (an executed
 check), ``_skip`` (a point that could not be evaluated) and ``_csv_record``
 (a CSV that figure wrote) build every record as a dict with the seven keys
-name, params, residual, tolerance, status, reason and data.  ``_summary``
-counts them.  Each record's line is the text
+name, params, residual, tolerance, status, reason and data.  ``_Tally``
+counts them for the ``summary``.  Each record's line is the text
 ``json.dumps(record, sort_keys=True)`` gives it: ``_record_lines`` joins it
 from the texts of the record's members, and encodes a member that
 consecutive records share, such as one point's params, once.  The records
@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import re
 import time
+from itertools import chain
 
 
 #: The ``data`` of every record without data: one dict that nothing mutates, not one per record.
@@ -66,43 +67,82 @@ def _csv_record(name: str, file: str, rows: int) -> dict:
     }
 
 
-def _summary(records: list) -> tuple[dict, float, str | None]:
-    """The report's ``summary``, and the closing line's largest residual/tolerance with its record's name.
+class _Tally:
+    """The running count behind a report's ``summary``: ``add`` the records in order, in runs.
 
-    One pass over the records.  A record with a residual is graded.
-    ``worst_residual`` and the ratio are each the ``max`` of their graded
-    values in record order: a later value replaces the kept one only if it
-    is larger, so a NaN on the first graded record is kept and a later NaN
-    never is.  Without graded records they are None and (0, None).
+    ``worst_residual`` and the closing line's ratio are each the ``max`` of
+    their graded values in record order: a record with a residual is graded,
+    and a later value replaces the kept one only if it is larger, so a NaN on
+    the first graded record is kept and a later NaN never is.  Without graded
+    records they are None and (0, None).  ``pull`` adds the rows of a stream
+    as they are read, and times their production in ``seconds``.
     """
-    passed = failed = skipped = 0
-    worst, ratio, closest = None, 0, None
-    for r in records:
-        status, residual = r["status"], r["residual"]
-        if status == "pass":
-            passed += 1
-        elif status == "fail":
-            failed += 1
-        elif status == "skip":
-            skipped += 1
-        if residual is not None:
-            quotient = residual / r["tolerance"]
-            if worst is None:
-                worst, ratio, closest = residual, quotient, r["name"]
-            else:
-                if residual > worst:
-                    worst = residual
-                if quotient > ratio:
-                    ratio, closest = quotient, r["name"]
-    summary = {
-        "checks": len(records),
-        "passed": passed,
-        "failed": failed,
-        "skipped": skipped,
-        "worst_residual": worst,
-        "overall_pass": failed == 0,
-    }
-    return summary, ratio, closest
+
+    def __init__(self):
+        self.checks = self.passed = self.failed = self.skipped = 0
+        self.worst, self.ratio, self.closest = None, 0, None
+        self.seconds = 0.0
+
+    def add(self, records: list) -> None:
+        passed = failed = skipped = 0
+        worst, ratio, closest = self.worst, self.ratio, self.closest
+        for r in records:
+            status, residual = r["status"], r["residual"]
+            if status == "pass":
+                passed += 1
+            elif status == "fail":
+                failed += 1
+            elif status == "skip":
+                skipped += 1
+            if residual is not None:
+                quotient = residual / r["tolerance"]
+                if worst is None:
+                    worst, ratio, closest = residual, quotient, r["name"]
+                else:
+                    if residual > worst:
+                        worst = residual
+                    if quotient > ratio:
+                        ratio, closest = quotient, r["name"]
+        self.checks += len(records)
+        self.passed += passed
+        self.failed += failed
+        self.skipped += skipped
+        self.worst, self.ratio, self.closest = worst, ratio, closest
+
+    def pull(self, rows):
+        """The rows of ``rows``, lists of records, each added as it is pulled.
+
+        A row is pulled once the one before it is used up; ``seconds`` gets
+        the time spent pulling, which is the time spent producing the rows.
+        """
+        rows, clock = iter(rows), time.perf_counter
+        while True:
+            start = clock()
+            row = next(rows, None)
+            self.seconds += clock() - start
+            if row is None:
+                return
+            self.add(row)
+            yield row
+
+    def summary(self) -> tuple[dict, float, str | None]:
+        """The report's ``summary``, and the closing line's largest residual/tolerance with its record's name."""
+        summary = {
+            "checks": self.checks,
+            "passed": self.passed,
+            "failed": self.failed,
+            "skipped": self.skipped,
+            "worst_residual": self.worst,
+            "overall_pass": self.failed == 0,
+        }
+        return summary, self.ratio, self.closest
+
+
+def _summary(records: list) -> tuple[dict, float, str | None]:
+    """``_Tally.summary`` of the records, counted in one pass."""
+    tally = _Tally()
+    tally.add(records)
+    return tally.summary()
 
 
 #: The encoder with sorted keys and no indent: the text of one check record.
@@ -186,23 +226,44 @@ def _dumps(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
 
 
-def _write_report(fh, report: dict, timings: dict) -> None:
+#: The warning of a report without checks.
+NO_CHECKS = "no checks were executed (empty grids?)"
+
+
+def _write_report(fh, report: dict, timings: dict) -> tuple[dict, float, str | None]:
     """Write ``report`` in the layout of ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``,
-    except that each element of ``checks`` is one line, ``_RECORD_LINE.encode(record)``
-    as ``_record_lines`` builds it.  The seconds and characters written before ``meta``
-    go to ``timings["report_write"]`` first, so a ``meta`` that holds ``timings``
-    reports them.
+    except that ``checks`` holds rows, lists of records, and each record is one line,
+    ``_RECORD_LINE.encode(record)`` as ``_record_lines`` builds it; return the count of
+    the records (``_Tally.summary``).
+
+    The rows are pulled one at a time and written as they arrive (``_Tally.pull``), so no
+    more than one row need be held at once.  ``checks`` sorts before the other members,
+    so those that depend on the records are written after the last one: a ``summary``
+    member becomes the count, and a ``warnings`` list gains ``NO_CHECKS`` where there
+    were no records.  Before ``meta``, ``timings["evaluate"]`` gets the seconds spent
+    producing the rows and the records, and ``timings["report_write"]`` the seconds
+    spent writing, without those, and the characters written; so a ``meta`` that holds
+    ``timings`` reports them.
     """
-    start, size = time.perf_counter(), 0
+    start, size, tally = time.perf_counter(), 0, _Tally()
     for i, key in enumerate(sorted(report)):
         if key == "meta":
-            timings["report_write"] = {"seconds": time.perf_counter() - start, "bytes": size}
+            elapsed = time.perf_counter() - start
+            timings["evaluate"] = {"seconds": tally.seconds, "records": tally.checks}
+            timings["report_write"] = {"seconds": elapsed - tally.seconds, "bytes": size}
+        elif key == "summary":
+            report[key] = tally.summary()[0]
+        elif key == "warnings" and not tally.checks:
+            report[key] = [*report[key], NO_CHECKS]
         value = report[key]
         size += fh.write(("{\n  " if i == 0 else ",\n  ") + json.dumps(key) + ": ")
-        if key == "checks" and value:
-            for n, line in enumerate(_record_lines(value)):
-                size += fh.write(("[\n    " if n == 0 else ",\n    ") + line)
-            size += fh.write("\n  ]")
+        if key == "checks":
+            separator = "[\n    "
+            for line in _record_lines(chain.from_iterable(tally.pull(value))):
+                size += fh.write(separator + line)
+                separator = ",\n    "
+            size += fh.write("[]" if tally.checks == 0 else "\n  ]")
         else:
             size += fh.write(_dumps(value))
     fh.write("\n}\n" if report else "{}\n")
+    return tally.summary()

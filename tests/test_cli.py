@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -86,6 +87,26 @@ def strip_meta(report: dict) -> dict:
     trimmed = dict(report)
     trimmed.pop("meta")
     return trimmed
+
+
+#: The bytes of a report a failed run must leave as it was.
+OLD_REPORT = b'{"an": "earlier report"}\n'
+
+
+def place_old_report(out_dir, command, existing):
+    """Put ``OLD_REPORT`` at the command's report path if ``existing``; return the names the directory must keep."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if not existing:
+        return []
+    (out_dir / f"{command}_report.json").write_bytes(OLD_REPORT)
+    return [f"{command}_report.json"]
+
+
+def assert_left_as_it_was(out_dir, command, kept):
+    """Only the files in ``kept`` are there, no report and no temporary file, and an earlier report is unchanged."""
+    assert sorted(os.listdir(out_dir)) == sorted(kept)
+    if f"{command}_report.json" in kept and (out_dir / f"{command}_report.json").is_file():
+        assert (out_dir / f"{command}_report.json").read_bytes() == OLD_REPORT
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +468,7 @@ def per_point_spectrum(cfg) -> list:
 def test_spectrum_rows_match_the_per_point_route(grids, jobs):
     # Every byte of every record, the signs of zeros included, skips with their details.
     cfg = build_config(build_parser().parse_args(["spectrum", *grids, "--jobs", jobs]))
-    records, expected = cli.cmd_spectrum(cfg), per_point_spectrum(cfg)
+    records, expected = [r for row in cli.cmd_spectrum(cfg) for r in row], per_point_spectrum(cfg)
     assert json.dumps(records) == json.dumps(expected)
 
 
@@ -572,7 +593,7 @@ def test_error_escaping_the_point_guards_exits_two(tmp_path, capsys, monkeypatch
     code, _, err = run(["berry", "--out", str(tmp_path)], capsys)
     assert code == 2
     assert err == "error: injected outside any point\n"
-    assert not (tmp_path / "berry_report.json").exists()
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize(
@@ -814,7 +835,7 @@ def test_report_identical_across_jobs(command, args, tmp_path, capsys):
     for jobs in ("1", "2", "3"):
         run([command, "--out", str(tmp_path / jobs), *args, "--jobs", jobs], capsys)
         texts.append(json.dumps(strip_meta(load_report(tmp_path / jobs, command)), indent=2, sort_keys=True))
-    assert texts[0] == texts[1]
+    assert texts[0] == texts[1] == texts[2]
 
 
 SMALL_BERRY = ["--grid-spec", "berry_theta=0,0.7", "--grid-spec", "berry_d=1.2,1.7", "--steps", "64"]
@@ -888,7 +909,7 @@ def test_an_error_in_a_worker_gives_the_verdict_of_one_job(error, failing, tmp_p
         assert_no_child_process_left()
     assert verdicts[0] == verdicts[1] == verdicts[2]
     assert f"injected at theta={FIVE_THETAS[failing[0]]}" in str(verdicts[0])
-    assert not (tmp_path / "berry_report.json").exists()
+    assert os.listdir(tmp_path) == []  # no report and no temporary file
 
 
 class TwoPartError(BwmBerryError):
@@ -913,12 +934,14 @@ def raise_two_part_error():
     ids=["exit", "killed", "unpicklable_result", "unpicklable_error"],
 )
 def test_a_worker_that_ends_without_a_result_exits_two(end, how, tmp_path, capsys, monkeypatch):
+    # The child forks with the temporary report open; the earlier report stays as it was.
+    kept = place_old_report(tmp_path, "berry", True)
     parent, real_point = os.getpid(), cli._berry_point
     monkeypatch.setattr(cli, "_berry_point", lambda cfg, *row: end() if os.getpid() != parent else real_point(cfg, *row))
     code, out, err = run(["berry", *SMALL_BERRY, "--jobs", "2", "--out", str(tmp_path)], capsys)
     assert (code, out) == (2, "")
     assert err == f"error: worker 1 of 2 (--jobs) ended without a result ({how})\n"
-    assert not (tmp_path / "berry_report.json").exists()
+    assert_left_as_it_was(tmp_path, "berry", kept)
     assert_no_child_process_left()
 
 
@@ -1186,6 +1209,7 @@ _DATA = st.dictionaries(
     min_size=1,
     max_size=4,
 )
+_NONZERO = _FLOATS.filter(lambda t: t != 0.0)
 _CLI_NAMES = st.sampled_from(["bwm.skein_a", "ybe.exchange", "ybe.suite", "spectrum.casimir"])
 
 
@@ -1195,7 +1219,9 @@ def _checks(draw):
 
     A few params dicts serve many records, in runs and apart, next to equal
     but distinct copies; ``data`` is often empty; residuals and tolerances
-    include NaN, +-inf and +-0.0.
+    include NaN, +-inf and +-0.0, except that the writer counts each record
+    into the summary, which divides a residual by its tolerance: an executed
+    check's tolerance is never 0, as none of the program's is.
     """
     pool = draw(st.lists(_PARAMS, min_size=1, max_size=3))
     checks = []
@@ -1206,7 +1232,7 @@ def _checks(draw):
         name, kind = draw(st.one_of(_CLI_NAMES, _CLI_NAMES, _TEXT)), draw(st.integers(0, 5))
         if kind < 3:
             data = draw(_DATA) if kind == 0 else {}
-            checks.append(writer._record(name, params, draw(_FLOATS), draw(_FLOATS), **data))
+            checks.append(writer._record(name, params, draw(_FLOATS), draw(_NONZERO), **data))
         elif kind < 5:
             tolerance, detail = draw(st.one_of(st.none(), _FLOATS)), InvalidParam(draw(_TEXT))
             reason = draw(st.one_of(st.none(), st.just("closed_form_only"), _TEXT))
@@ -1216,9 +1242,20 @@ def _checks(draw):
     return checks
 
 
-def write_report(report, timings):
+def write_report(report, timings, cuts=()):
+    """The writer's text of ``report``, its ``checks`` handed over as rows split before the indices ``cuts``.
+
+    The members the writer fills in after the checks, ``summary`` and
+    ``warnings``, are copied back into ``report``, so that
+    ``one_line_checks(report)`` is the text expected.
+    """
+    written = dict(report)
+    if "checks" in report:
+        bounds = [0, *sorted(cuts), len(report["checks"])]
+        written["checks"] = (report["checks"][a:b] for a, b in zip(bounds, bounds[1:]))
     buffer = io.StringIO()
-    cli._write_report(buffer, report, timings)
+    cli._write_report(buffer, written, timings)
+    report.update({key: value for key, value in written.items() if key != "checks"})
     return buffer.getvalue()
 
 
@@ -1245,7 +1282,7 @@ _SHAPES = [
     writer._skip("bwm.%s", _AWKWARD, math.inf, InvalidParam("d = 1.2\n%d \x1f ψ"), _AWKWARD_REASON),
     writer._skip("bwm.%s", {"d": 1.7, "theta": 0.3}, math.inf, InvalidParam("d = 1.2\n%d"), _AWKWARD_REASON),
     writer._record("bwm.%s", {}, -0.0, math.inf, nested={"b": [1, [2]], "a": {}}),
-    writer._record("bwm.%s", _AWKWARD, math.nan, -0.0, **_AWKWARD, list=[None, math.nan, "%", True, 2**70]),
+    writer._record("bwm.%s", _AWKWARD, math.nan, -5e-324, **_AWKWARD, list=[None, math.nan, "%", True, 2**70]),
     writer._record("ybe.exchange", {2: 1.0, 10: 2.0}, -math.inf, 1e-10),  # int keys sort as numbers
     writer._csv_record("figure.\u2028_csv", "é ψ.csv", 0),
 ]
@@ -1258,33 +1295,50 @@ _SHAPES = [
     config=st.dictionaries(
         _TEXT, st.one_of(_NESTED, st.tuples(_FLOATS, _FLOATS), st.lists(st.tuples(_FLOATS))), max_size=3
     ),
-    rest=st.fixed_dictionaries({}, optional={"command": _TEXT, "schema": st.integers(), "warnings": st.lists(_TEXT)}),
+    rest=st.fixed_dictionaries(
+        {},
+        optional={"command": _TEXT, "schema": st.integers(), "summary": st.none(), "warnings": st.lists(_TEXT)},
+    ),
     meta=st.booleans(),
+    cuts=st.lists(st.integers(0, 30), max_size=4),
 )
-@example(shapes=_SHAPES[:1] * 2, checks=[], config={"grids": {"q": (0.5, 2.0)}}, rest={}, meta=True)
-@example(shapes=_SHAPES * 2 + _SHAPES[:3], checks=[], config={}, rest={"command": "verify"}, meta=True)
-def test_property_report_writer_gives_one_line_per_check(shapes, checks, config, rest, meta):
-    timings = {"evaluate": {"seconds": 0.5, "records": len(shapes) + len(checks)}}
-    report = {"checks": shapes + checks, "config": config, **rest}
+@example(shapes=_SHAPES[:1] * 2, checks=[], config={"grids": {"q": (0.5, 2.0)}}, rest={}, meta=True, cuts=[])
+@example(shapes=_SHAPES * 2 + _SHAPES[:3], checks=[], config={}, rest={"command": "verify"}, meta=True, cuts=[3, 3])
+@example(shapes=[], checks=[], config={}, rest={"summary": None, "warnings": ["w"]}, meta=True, cuts=[0])
+def test_property_report_writer_gives_one_line_per_check(shapes, checks, config, rest, meta, cuts):
+    records = shapes + checks
+    timings = {"build_config": {"seconds": 0.5}}
+    report = {"checks": records, "config": config, **rest}
     if meta:
         report["meta"] = {"timestamp": "now", "timings": timings}
-    text = write_report(report, timings)
+    text = write_report(report, timings, [min(cut, len(records)) for cut in cuts])
     assert text == one_line_checks(report)
+    if "summary" in rest:
+        assert repr(report["summary"]) == repr(writer._summary(records)[0])
+    if "warnings" in rest:
+        assert report["warnings"] == rest["warnings"] + ([] if records else [writer.NO_CHECKS])
     if meta:
+        assert set(timings) == {"build_config", "evaluate", "report_write"}
+        assert timings["evaluate"]["records"] == len(records)
         assert timings["report_write"]["bytes"] == text.index(',\n  "meta": ')
 
 
 def test_report_writer_exact_bytes():
-    report = {"checks": _SHAPES[1:3], "command": "verify", "meta": {}, "summary": {"checks": 2}, "warnings": []}
-    assert write_report(report, {}) == (
+    report = {"checks": _SHAPES[1:3], "command": "verify", "meta": {}, "summary": None, "warnings": []}
+    assert write_report(report, {}, [1]) == (
         '{\n  "checks": [\n'
         '    {"data": {"detail": "d = 1.2\\n%d"}, "name": "bwm.%s", "params": {"d": 1.7, "theta": 0.3}, '
         '"reason": "50% \\"quoted\\" \\\\ \\u2028", "residual": null, "status": "skip", "tolerance": Infinity},\n'
         '    {"data": {"nested": {"a": {}, "b": [1, [2]]}}, "name": "bwm.%s", "params": {}, '
         '"reason": null, "residual": -0.0, "status": "pass", "tolerance": Infinity}\n'
-        '  ],\n  "command": "verify",\n  "meta": {},\n  "summary": {\n    "checks": 2\n  },\n  "warnings": []\n}\n'
+        '  ],\n  "command": "verify",\n  "meta": {},\n  "summary": {\n    "checks": 2,\n    "failed": 0,\n'
+        '    "overall_pass": true,\n    "passed": 1,\n    "skipped": 1,\n    "worst_residual": -0.0\n  },\n'
+        '  "warnings": []\n}\n'
     )
     assert write_report({"checks": [], "meta": {}}, {}) == '{\n  "checks": [],\n  "meta": {}\n}\n'
+    assert write_report({"checks": [], "warnings": []}, {}) == (
+        '{\n  "checks": [],\n  "warnings": [\n    "no checks were executed (empty grids?)"\n  ]\n}\n'
+    )
     assert write_report({}, {}) == "{}\n"
 
 
@@ -1297,7 +1351,7 @@ def _check(name="bwm.skein_a", params=None, residual=0.0, tolerance=1e-10, **cha
 def test_report_writer_keeps_signed_zeros_typed_params_and_full_tables():
     # 0.0 and -0.0 are one dict key with two texts; a NaN is a key only to itself.
     params = {"q": 0.5}
-    zeros = [writer._record("bwm.skein_a", params, r, t) for r, t in [(0.0, 0.0), (-0.0, -0.0), (0.0, 0.0)]]
+    zeros = [writer._record("bwm.skein_a", params, r, 1e-10) for r in (0.0, -0.0, 0.0)]
     nans = [writer._record("bwm.skein_a", params, math.nan, math.nan) for _ in range(3)]
     skips = [writer._skip("bwm.suite", params, t, InvalidParam("x")) for t in (-0.0, 0.0, -0.0, -math.inf, math.inf)]
     report = {"checks": zeros + nans + skips}
@@ -1343,12 +1397,13 @@ def test_report_writer_bytes_are_the_same_without_the_c_encoder(tmp_path, capsys
 
 
 def capture_checks(monkeypatch) -> list:
-    """The list that receives each report's ``checks`` as ``cli`` hands them to the writer."""
+    """The list that receives each report's records, as ``cli`` hands their rows to the writer."""
     written = []
 
     def write(fh, report, timings):
-        written.append(report["checks"])
-        writer._write_report(fh, report, timings)
+        rows = list(report["checks"])
+        written.append([r for row in rows for r in row])
+        return writer._write_report(fh, {**report, "checks": rows}, timings)
 
     monkeypatch.setattr(cli, "_write_report", write)
     return written
@@ -1434,7 +1489,7 @@ def reference_summary(records):
     st.lists(
         st.tuples(
             st.one_of(st.none(), _FLOATS),
-            st.one_of(_FLOATS.filter(lambda t: t != 0.0)),
+            _NONZERO,
             st.sampled_from(["pass", "fail", "skip", "other"]),
             st.sampled_from(["a", "b", "c"]),
         ),
@@ -1443,7 +1498,7 @@ def reference_summary(records):
 )
 def test_property_summary_is_the_reference_in_one_pass(rows):
     records = [_check(name=n, residual=r, tolerance=t, status=s) for r, t, s, n in rows]
-    assert repr(cli._summary(records)) == repr(reference_summary(records))
+    assert repr(writer._summary(records)) == repr(reference_summary(records))
 
 
 @pytest.mark.parametrize("nan_first", [True, False], ids=["nan_first", "nan_later"])
@@ -1457,7 +1512,7 @@ def test_a_nan_residual_is_kept_only_as_the_first_graded_record(nan_first, tmp_p
     ]
     nan = _check(name="ybe.unimodularity", residual=math.nan, tolerance=1e-12, status="fail")
     records.insert(1 if nan_first else 3, nan)
-    monkeypatch.setitem(cli._COMMANDS, "verify", lambda cfg: records)
+    monkeypatch.setitem(cli._COMMANDS, "verify", lambda cfg: iter([records[:2], records[2:]]))
     code, out, _ = run(["verify", "--out", str(tmp_path)], capsys)
     assert code == 1
     summary = load_report(tmp_path, "verify")["summary"]
@@ -1491,6 +1546,124 @@ def test_report_text_has_one_line_per_check(command, args, all_skip, jobs, tmp_p
     assert text == one_line_checks(report)
     assert report["meta"]["timings"]["report_write"]["bytes"] == text.index(',\n  "meta": ')
     assert ({c["status"] for c in report["checks"]} == {"skip"}) == all_skip
+
+
+# ---------------------------------------------------------------------------
+# streamed reports: written row by row, in place only once complete
+# ---------------------------------------------------------------------------
+
+def rows_then(error):
+    """A command that yields two rows of 1,500 records, enough to reach the file, and then raises ``error``."""
+
+    def command(cfg):
+        for q in (0.5, 0.9):
+            params = {"q": q}
+            yield [writer._record(f"bwm.line_{i}", params, 1e-16, 1e-10) for i in range(1500)]
+        raise error
+
+    return command
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["no_report", "earlier_report"])
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (DegenerateSpectrum("injected after two rows"), "error: injected after two rows\n"),
+        (MemoryError("injected after two rows"), "error: the run does not fit in memory: injected after two rows\n"),
+        (OSError(errno.ENOSPC, "No space left on device"), "error: cannot write outputs: [Errno 28] No space left on device\n"),
+        (ValueError("injected after two rows"), None),
+    ],
+    ids=["package_error", "memory", "outputs", "escaping"],
+)
+def test_a_command_that_raises_after_some_rows_leaves_no_report(error, message, existing, tmp_path, capsys, monkeypatch):
+    # The report goes to a temporary file that replaces the report only once complete;
+    # every exit-2 path, and an exception that escapes main(), removes it.
+    kept = place_old_report(tmp_path, "verify", existing)
+    monkeypatch.setitem(cli._COMMANDS, "verify", rows_then(error))
+    if message is None:
+        with pytest.raises(ValueError, match="injected after two rows"):
+            main(["verify", "--out", str(tmp_path)])
+        assert capsys.readouterr().out == ""
+    else:
+        assert run(["verify", "--out", str(tmp_path)], capsys) == (2, "", message)
+    assert_left_as_it_was(tmp_path, "verify", kept)
+
+
+@pytest.mark.parametrize(
+    "command, args",
+    [("verify", VERIFY_ROWS), ("spectrum", SPECTRUM_DOMAIN_GRIDS), ("berry", FIVE_BERRY_ROWS)],
+    ids=["verify", "spectrum", "berry"],
+)
+def test_forked_workers_add_no_bytes_to_the_open_report(command, args, tmp_path, capsys):
+    # Each family forks with the temporary report open and text in its buffer; a child
+    # leaves by os._exit, so it never flushes its copy, and the bytes are those of one job.
+    texts = {}
+    for jobs in ("1", "2", "3"):
+        code, _, err = run([command, *args, "--jobs", jobs, "--out", str(tmp_path / jobs)], capsys)
+        assert (code, err) == (0, "")
+        assert sorted(os.listdir(tmp_path / jobs)) == [f"{command}_report.json"]
+        text = (tmp_path / jobs / f"{command}_report.json").read_text(encoding="utf-8")
+        start, end = text.index(',\n  "meta": {'), text.index('\n  },\n  "schema": ')
+        texts[jobs] = text[:start] + text[end + 4 :]
+    assert texts["1"] == texts["2"] == texts["3"]
+    assert_no_child_process_left()
+
+
+class FailingFile:
+    """A file whose ``write`` fails as a full disk does once ``writes`` calls have gone through."""
+
+    def __init__(self, fh, writes: int):
+        self.fh, self.writes = fh, writes
+
+    def write(self, text: str) -> int:
+        if self.writes == 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.writes -= 1
+        return self.fh.write(text)
+
+    def close(self) -> None:
+        self.fh.close()
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["no_csv", "earlier_csv"])
+def test_a_csv_write_that_fails_after_a_few_rows_leaves_no_partial_csv(existing, tmp_path, capsys, monkeypatch):
+    # The surface CSV fails after its header and three d rows: the sections CSV before it is
+    # complete, and no partial surface CSV, temporary file or report is left behind.
+    real_open = open
+
+    def failing_open(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        return FailingFile(fh, 4) if "figure_surface.csv" in str(path) else fh
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    if existing:
+        (tmp_path / "figure_surface.csv").write_bytes(b"theta,d,gamma_plus\nearlier\n")
+    argv = ["figure", "--theta-points", "11", "--d-mesh", "1:3:6"]
+    code, out, err = run([*argv, "--out", str(tmp_path)], capsys)
+    assert (code, out, err) == (2, "", "error: cannot write outputs: [Errno 28] No space left on device\n")
+    assert sorted(os.listdir(tmp_path)) == ["figure_sections.csv", *(["figure_surface.csv"] if existing else [])]
+    if existing:
+        assert (tmp_path / "figure_surface.csv").read_bytes() == b"theta,d,gamma_plus\nearlier\n"
+    monkeypatch.undo()
+    assert run([*argv, "--out", str(tmp_path / "whole")], capsys)[0] == 0
+    assert (tmp_path / "figure_sections.csv").read_bytes() == (tmp_path / "whole" / "figure_sections.csv").read_bytes()
+
+
+def test_peak_memory_does_not_grow_with_the_phase_pairs(tmp_path, capsys):
+    # At --jobs 1 the report is written row by row, CHUNK phase pairs at a time, so the
+    # traced peak of 2,500 pairs stays near that of 250; holding every record would double it.
+    def peak(pairs: int) -> int:
+        argv = ["verify", "--phase-pairs", str(pairs), "--ybe-samples", "0", "--grid-spec", "q=", "--grid-spec", "tla_d=2"]
+        tracemalloc.start()
+        try:
+            assert run([*argv, "--out", str(tmp_path)], capsys)[0] == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(250)  # one-time allocations of a first run out of the way
+    small, large = peak(250), peak(2500)
+    assert large < 1.5 * small, (small, large)
 
 
 # ---------------------------------------------------------------------------
@@ -1614,6 +1787,7 @@ def test_run_that_does_not_fit_in_memory_exits_two(tmp_path, capsys, monkeypatch
     code, out, err = run(["figure", "--out", str(tmp_path), "--theta-points", "5"], capsys)
     assert code == 2 and not out
     assert err == f"error: the run does not fit in memory: {message}\n"
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize(
@@ -1635,10 +1809,16 @@ def test_unusable_config_file_exits_two(content, tmp_path, capsys):
 
 
 def test_unwritable_report_exits_two(tmp_path, capsys):
+    # The report path is a directory: the temporary report cannot replace it, and is removed;
+    # the records were written to it as three families forked their workers.
     (tmp_path / "verify_report.json").mkdir()
-    code, _, err = run(["verify", "--out", str(tmp_path), *SMALL_VERIFY], capsys)
-    assert code == 2
-    assert err.startswith("error: cannot write report")
+    (tmp_path / "verify_report.json" / "inside").write_bytes(OLD_REPORT)
+    code, out, err = run(["verify", "--out", str(tmp_path), *VERIFY_ROWS, "--jobs", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write report: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["verify_report.json"]
+    assert os.listdir(tmp_path / "verify_report.json") == ["inside"]
+    assert_no_child_process_left()
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):

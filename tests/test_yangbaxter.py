@@ -425,7 +425,7 @@ def test_verify_chunks_give_the_per_sample_records(seeded, jobs, tmp_path):
         else:
             want.append(_record("ybe.exchange", base, result[0], RELATION_TOL))
             want.append(_record("ybe.unimodularity", base, result[1], 1e-13))
-    got = cmd_verify(cfg)
+    got = [r for row in cmd_verify(cfg) for r in row]
     assert got == want
     assert json.dumps(got) == json.dumps(want)  # the same types too: epsilon is an int
     assert cfg.timings["verify.ybe"]["points"] == cfg.timings["verify.ybe_draw"]["points"] == len(samples)

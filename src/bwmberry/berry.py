@@ -35,6 +35,7 @@ d at or above the golden ratio; the closed forms extend down to d = 1.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrum, InvalidParam
 from .matrices import _closed_form_eigh, as_real, refuse_overflow
-from .spin import DriveParams, _polar_cosine, cos_alpha, hamiltonian_stack
+from .spin import DriveParams, _drive_factors, _hamiltonian_row, _polar_cosine, cos_alpha
 
 #: Smallest admissible number of loop discretisation points.
 MIN_STEPS = 16
@@ -144,11 +145,25 @@ def _loop_steps(steps) -> int:
     return int(steps)
 
 
+@functools.lru_cache(maxsize=1)
+def _loop_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The loop phases 2 pi k / n and their drive factors e^{i phi}, as read-only arrays.
+
+    Every loop of n steps shares them, so they are built once per step count; only the
+    last count's grid is kept (3 MB at the command line's largest ``--steps``).
+    """
+    phis = _TAU * np.arange(n) / n
+    up = _drive_factors(phis)
+    phis.flags.writeable = up.flags.writeable = False
+    return phis, up
+
+
 def loop_eigenframes(theta, d, omega_drive=1.0, steps: int = 4096):
     """Eigenframes of H around one drive period.
 
     Returns (phis, values, vectors) where phis are the ``steps`` loop
-    phases 2 pi k / steps, values[k] the ascending eigenvalues at phase
+    phases 2 pi k / steps (a copy of the shared grid, the caller's to
+    write to), values[k] the ascending eigenvalues at phase
     phis[k] and vectors[k] the matching eigenvector columns.  The closing
     point phi = 2 pi is not duplicated; loop products wrap around.
 
@@ -161,11 +176,10 @@ def loop_eigenframes(theta, d, omega_drive=1.0, steps: int = 4096):
     ``np.linalg.eigh``.  Each vector is in its own gauge, which the
     Pancharatnam product does not see.
     """
-    n = _loop_steps(steps)
     dp = DriveParams(theta=theta, d=d, omega_drive=omega_drive)
-    phis = _TAU * np.arange(n) / n
-    values, vectors = _closed_form_eigh(hamiltonian_stack(phis, dp))
-    return phis, values, vectors
+    phis, up = _loop_grid(_loop_steps(steps))
+    values, vectors = _closed_form_eigh(_hamiltonian_row((dp.theta,), (dp.omega_drive,), up, dp.d, dp.hbar)[0, 0])
+    return phis.copy(), values, vectors
 
 
 def pancharatnam_phase(vectors: np.ndarray) -> float:
@@ -175,17 +189,31 @@ def pancharatnam_phase(vectors: np.ndarray) -> float:
     the product multiplies <v_k | v_{k+1}> around the loop including the
     wrap-around factor <v_{n-1} | v_0>.  Per-point phase choices cancel
     between consecutive factors, so the result is independent of the
-    eigensolver's gauge.  Returns the phase in (-pi, pi].
+    eigensolver's gauge.  Where the product's magnitude underflows the
+    smallest normal double or is not finite (as it can for thousands of
+    states that are not close to each other), the phase is that of the
+    product of the unit factors o / |o| instead.  Returns the phase in (-pi, pi].
     """
     v = np.asarray(vectors, dtype=complex)
     if v.ndim != 2 or v.shape[0] < 3 or v.shape[1] != 3:
         raise InvalidParam(f"expected loop states of shape (n>=3, 3), got {v.shape}")
-    overlaps = np.sum(np.conjugate(v) * np.roll(v, -1, axis=0), axis=1)
-    if np.min(np.abs(overlaps)) < _OVERLAP_FLOOR:
+    # conj(v_k) v_{k+1} entrywise from two slices plus the wrap-around row, then the
+    # three components added left to right: each overlap is a sum over one state.
+    products = np.conjugate(v)
+    products[:-1] *= v[1:]
+    products[-1] *= v[0]
+    overlaps = products[:, 0] + products[:, 1]
+    overlaps += products[:, 2]
+    magnitudes = np.abs(overlaps)
+    if np.min(magnitudes) < _OVERLAP_FLOOR:
         raise DegenerateSpectrum(
             "consecutive loop states became orthogonal; the discretisation lost a branch"
         )
-    return _wrap_phase(-float(np.angle(np.prod(overlaps))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = np.prod(overlaps)
+    if not sys.float_info.min <= abs(product) < math.inf:
+        product = np.prod(overlaps / magnitudes)
+    return _wrap_phase(-float(np.angle(product)))
 
 
 def berry_wilson_loop(theta, d, omega_drive=1.0, steps: int = 4096) -> BerryResult:

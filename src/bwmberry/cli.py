@@ -43,7 +43,7 @@ from .berry import LOOP_BIAS_K, MIN_STEPS, SECTION_D_VALUES, _wrap_phase, berry_
 from .errors import BwmBerryError, ConfigError, InvalidParam
 from .matrices import hermitian_eigs
 from .report import _NO_DATA, _csv_record, _record, _skip, _write_report
-from .spin import _hamiltonian_row, _ladder_stack, cos_alpha
+from .spin import _drive_factors, _hamiltonian_row, _ladder_stack, cos_alpha
 from .yangbaxter import UNIT_CIRCLE_TOL, SpectralParams, _exchange_columns
 
 #: c in the tolerance max(EXACT_TOL, c u |pi/2 - theta|) of ``berry.form_consistency``, u = 2^-53.
@@ -415,7 +415,7 @@ def _spectrum_point(cfg: RunConfig, d: float) -> list[dict]:
     ]
 
     def build():
-        hs = _hamiltonian_row(thetas, omegas, phis, d)
+        hs = _hamiltonian_row(thetas, omegas, _drive_factors(phis), d)
         # Per (theta, omega): the level hbar omega cos(alpha) with hbar = 1, and {0, +-level} ascending.
         level = np.multiply.outer([cos_alpha(t, d) for t in thetas], omegas)
         levels = np.sort(np.stack([np.zeros_like(level), level, -level], axis=-1), axis=-1)

@@ -334,8 +334,73 @@ def hermitian_eigs(m) -> EigenSystem:
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
-    """|z|^2 entrywise, without the square root of ``np.abs``."""
-    return z.real * z.real + z.imag * z.imag
+    """|z|^2 = re^2 + im^2 entrywise for a contiguous complex z, without the square root of ``np.abs``.
+
+    The squares are taken over z's float view, in one contiguous pass.
+    """
+    squares = np.square(z.view(float))
+    return squares[..., 0::2] + squares[..., 1::2]
+
+
+def _reciprocal(x: np.ndarray) -> np.ndarray:
+    """1 / x for a float array x, as complex numbers with imaginary part -0.0.
+
+    numpy divides a complex z by a float x as (z.real + z.imag * 0, z.imag - z.real * 0) * (1 / x),
+    so ``z * _reciprocal(x)`` gives the same values and the same signs of exact zeros, except
+    where a part of the product underflows to zero.  The multiply takes a third of the divide's time.
+    """
+    inv = np.full(len(x), -0.0j)
+    np.divide(1.0, x, out=inv.real)
+    return inv
+
+
+def _smith_roots(diag, abs2, re_det_term):
+    """O. K. Smith's trigonometric eigenvalues of each scaled matrix, ascending, and its ||H||_F^2.
+
+    ``diag`` is the real diagonal, ``abs2`` the squared magnitudes |h10|^2, |h20|^2, |h21|^2 and
+    ``re_det_term`` Re(h10 h21 conj(h20)), the determinant's off-diagonal term over 2.
+    """
+    a0, a1, a2 = diag
+    n10, n20, n21 = abs2
+    off = n10 + n20 + n21
+    fro2 = a0 * a0 + a1 * a1 + a2 * a2 + 2.0 * off
+    m = (a0 + a1 + a2) / 3.0
+    b0, b1, b2 = a0 - m, a1 - m, a2 - m
+    p2 = (b0 * b0 + b1 * b1 + b2 * b2 + 2.0 * off) / 6.0
+    p = np.sqrt(p2)
+    det = b0 * b1 * b2 - b0 * n21 - b1 * n20 - b2 * n10 + 2.0 * re_det_term
+    denom = 2.0 * p2 * p
+    r = np.divide(det, denom, out=np.zeros(len(det)), where=denom > 0.0)
+    angle = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+    two_p = 2.0 * p
+    return [m + two_p * np.cos(angle + offset) for offset in _ROOT_OFFSETS], fro2
+
+
+def _cofactor_vector(lam, diag, abs2, lower, cross, column) -> np.ndarray:
+    """Write the unit eigenvector of each scaled matrix for its eigenvalue ``lam`` into ``column``.
+
+    ``diag`` and ``abs2`` are as in ``_smith_roots``, ``lower`` the entries (h10, h20, h21) and
+    ``cross`` the products (conj(h21) h20, h10 h21, h20 conj(h10)).  Row k of the cofactor
+    matrix of H - lambda I is the cross product of its other two rows; the vector is the
+    largest-norm row, normalised.  Returns that norm for each matrix, 0 where every row is 0.
+    """
+    a0, a1, a2 = diag
+    n10, n20, n21 = abs2
+    h10, h20, h21 = lower
+    x01, x02, x12 = cross
+    e0, e1, e2 = a0 - lam, a1 - lam, a2 - lam
+    c00, c11, c22 = e1 * e2 - n21, e0 * e2 - n20, e0 * e1 - n10
+    c01, c02, c12 = x01 - e2 * h10, x02 - e1 * h20, x12 - e0 * h21
+    q01, q02, q12 = _abs2(c01), _abs2(c02), _abs2(c12)
+    r0, r1, r2 = c00 * c00 + q01 + q02, q01 + c11 * c11 + q12, q02 + q12 + c22 * c22
+    use0 = (r0 >= r1) & (r0 >= r2)
+    use1 = ~use0 & (r1 >= r2)
+    norm = np.sqrt(np.maximum(np.maximum(r0, r1), r2))
+    inv_norm = _reciprocal(np.where(norm == 0.0, 1.0, norm))
+    np.multiply(np.where(use0, c00, np.where(use1, np.conj(c01), np.conj(c02))), inv_norm, out=column[:, 0])
+    np.multiply(np.where(use0, c01, np.where(use1, c11, np.conj(c12))), inv_norm, out=column[:, 1])
+    np.multiply(np.where(use0, c02, np.where(use1, c12, c22)), inv_norm, out=column[:, 2])
+    return norm
 
 
 def _closed_form_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -377,46 +442,25 @@ def _closed_form_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scale = np.abs(diag[0])
     for entry in diag[1:] + lower:
         np.maximum(scale, np.abs(entry), out=scale)
-    # numpy divides a complex number by ``scale`` through 1 / scale, which overflows at
-    # scale <= 2^-1024; such matrices, the zero matrix among them, go to eigh undivided.
+    # The complex entries are multiplied by 1 / scale, which overflows at scale <= 2^-1024;
+    # such matrices, the zero matrix among them, go to eigh undivided.
     tiny = scale <= 2.0**-1024
     scale[tiny] = 1.0
-    a0, a1, a2 = (x / scale for x in diag)
-    h10, h20, h21 = (x / scale for x in lower)
-    n10, n20, n21 = _abs2(h10), _abs2(h20), _abs2(h21)
+    diag = tuple(x / scale for x in diag)
+    inv_scale = _reciprocal(scale)
+    h10, h20, h21 = lower = tuple(x * inv_scale for x in lower)
+    abs2 = tuple(_abs2(x) for x in lower)
     # The lambda-independent products in the off-diagonal cofactors.  x12 is an explicit
     # np.multiply: as ``h20 * np.conj(h10)``, numpy would compute it into the temporary
     # conj(h10) as conj(h10) * h20 once that holds 256 KiB, and rounds differently.
-    x01, x02, x12 = np.conj(h21) * h20, h10 * h21, np.multiply(h20, np.conj(h10))
-    off = n10 + n20 + n21
-    fro2 = a0 * a0 + a1 * a1 + a2 * a2 + 2.0 * off
-    m = (a0 + a1 + a2) / 3.0
-    b0, b1, b2 = a0 - m, a1 - m, a2 - m
-    p2 = (b0 * b0 + b1 * b1 + b2 * b2 + 2.0 * off) / 6.0
-    p = np.sqrt(p2)
-    det = b0 * b1 * b2 - b0 * n21 - b1 * n20 - b2 * n10 + 2.0 * (h10.real * x01.real + h10.imag * x01.imag)
-    denom = 2.0 * p2 * p
-    r = np.divide(det, denom, out=np.zeros(n), where=denom > 0.0)
-    angle = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
-    lams = [m + 2.0 * p * np.cos(angle + offset) for offset in _ROOT_OFFSETS]
+    x01, x02, x12 = cross = np.conj(h21) * h20, h10 * h21, np.multiply(h20, np.conj(h10))
+    # The roots and each eigenvector come from helpers whose temporaries are freed on return:
+    # that lowers the solver's peak memory, and with it the pages each call faults in afresh.
+    lams, fro2 = _smith_roots(diag, abs2, h10.real * x01.real + h10.imag * x01.imag)
     accept = ~tiny & (np.minimum(lams[1] - lams[0], lams[2] - lams[1]) > CLOSED_FORM_GAP_RTOL * np.sqrt(fro2))
     for i, lam in enumerate(lams):
         values[:, i] = lam * scale
-        e0, e1, e2 = a0 - lam, a1 - lam, a2 - lam
-        # Row k of the cofactor matrix of H - lambda I is the cross product of its other two rows.
-        c00, c11, c22 = e1 * e2 - n21, e0 * e2 - n20, e0 * e1 - n10
-        c01, c02, c12 = x01 - e2 * h10, x02 - e1 * h20, x12 - e0 * h21
-        q01, q02, q12 = _abs2(c01), _abs2(c02), _abs2(c12)
-        r0, r1, r2 = c00 * c00 + q01 + q02, q01 + c11 * c11 + q12, q02 + q12 + c22 * c22
-        use0 = (r0 >= r1) & (r0 >= r2)
-        use1 = ~use0 & (r1 >= r2)
-        norm = np.sqrt(np.maximum(np.maximum(r0, r1), r2))
-        accept &= norm > CLOSED_FORM_CROSS_RTOL * fro2
-        norm[norm == 0.0] = 1.0
-        column = vectors[:, :, i]
-        column[:, 0] = np.where(use0, c00, np.where(use1, np.conj(c01), np.conj(c02))) / norm
-        column[:, 1] = np.where(use0, c01, np.where(use1, c11, np.conj(c12))) / norm
-        column[:, 2] = np.where(use0, c02, np.where(use1, c12, c22)) / norm
+        accept &= _cofactor_vector(lam, diag, abs2, lower, cross, vectors[:, :, i]) > CLOSED_FORM_CROSS_RTOL * fro2
     if not accept.all():
         rejected = ~accept
         values[rejected], vectors[rejected] = np.linalg.eigh(h[rejected])

@@ -192,8 +192,14 @@ def _check_drive_d(d: float) -> None:
         raise InvalidParam(f"d = {d} is below the golden ratio; the driven unitary is undefined there")
 
 
-def _hamiltonian_row(thetas, omegas, phis, d: float, hbar: float = 1.0) -> np.ndarray:
-    """H at every (theta, omega, phi) of three sequences of finite floats, at one d.
+def _drive_factors(phis) -> np.ndarray:
+    """The drive factors e^{i phi} of a sequence of finite drive phases, which ``_hamiltonian_row`` takes."""
+    return np.exp(1j * np.asarray(phis, dtype=float))
+
+
+def _hamiltonian_row(thetas, omegas, up: np.ndarray, d: float, hbar: float = 1.0) -> np.ndarray:
+    """H at every (theta, omega, phi) at one d, for sequences of finite thetas and omegas and
+    the drive factors ``up`` = ``_drive_factors(phis)`` of finite phases.
 
     Returns a (len(thetas), len(omegas), len(phis), 3, 3) stack, built
     entrywise from B(phi) = e^{i theta} I - f E_B(phi), f = 2i sin(theta) / d,
@@ -207,12 +213,11 @@ def _hamiltonian_row(thetas, omegas, phis, d: float, hbar: float = 1.0) -> np.nd
         H_2j = -w B_21 conj(B_j1),
 
     twelve complex products per matrix.  B(0) is built once per theta, the
-    phases e^{+-i phi} once per phi, and every product and sum is one
+    phases e^{+-i phi} are taken once per phi, and every product and sum is one
     elementwise ufunc over the whole row, so a matrix has the same bits in
     any row it is built in.  d must pass the rule of ``DriveParams``.
     """
     _check_drive_d(d)
-    ph = np.asarray(phis, dtype=float)
     eb0 = make_eb(AlgebraParams.tla(d, 0.0, 0.0))  # E_B at projector phases (0, 0)
     f = np.array([2j * math.sin(th) / d for th in thetas], dtype=complex).reshape(-1, 1, 1)
     rot = np.array([np.exp(1j * th) for th in thetas], dtype=complex).reshape(-1, 1, 1)
@@ -220,8 +225,8 @@ def _hamiltonian_row(thetas, omegas, phis, d: float, hbar: float = 1.0) -> np.nd
     # Complex, so that no product mixes a float array with a complex one: numpy runs such
     # a product through a cast, whose loop signs underflowed zeros differently by layout.
     w = np.array([hbar * om for om in omegas], dtype=complex).reshape(1, -1, 1)
-    up = np.exp(1j * ph)  # e^{i phi}, the phase of B_jk where n_j - n_k = -1
-    down = np.conjugate(up)  # e^{-i phi}, where n_j - n_k = 1
+    # up = e^{i phi} is the phase of B_jk where n_j - n_k = -1, down = e^{-i phi} where it is 1.
+    down = np.conjugate(up)
     # Each factor as a (theta, omega, phi) array: w (n_j - n_k) B_jk on the left, conj(B_jk) on the right.
     right = [[np.conjugate(b0[:, j, k, None, None]) for k in range(3)] for j in range(3)]
     left = {}
@@ -229,7 +234,7 @@ def _hamiltonian_row(thetas, omegas, phis, d: float, hbar: float = 1.0) -> np.nd
         phase, conj_phase = (up, down) if n_jk < 0 else (down, up)
         left[j, k] = ((w if n_jk > 0 else -w) * b0[:, j, k, None, None]) * phase
         right[j][k] = right[j][k] * conj_phase
-    h = np.empty((len(b0), w.shape[1], len(ph), 3, 3), dtype=complex)
+    h = np.empty((len(b0), w.shape[1], len(up), 3, 3), dtype=complex)
     for j in range(3):
         np.multiply(left[0, 1], right[j][1], out=h[..., 0, j])
         np.add(left[1, 0] * right[j][0], left[1, 2] * right[j][2], out=h[..., 1, j])
@@ -243,16 +248,17 @@ def hamiltonian_stack(phis, dp: DriveParams) -> np.ndarray:
     Only the phased entries of the off-diagonal projector depend on phi,
     so dB/dphi is available entrywise in closed form, and each entry of H
     is one or two products of entries of B, evaluated elementwise over the
-    whole stack (this is the hot path of the loop-holonomy computation).
-    A matrix has the same bits in any stack.  This is the one-(theta, omega)
-    case of ``_hamiltonian_row``.
+    whole stack.  A matrix has the same bits in any stack.  This is the
+    one-(theta, omega) case of ``_hamiltonian_row``; the Berry loop calls
+    that builder directly, with drive factors it computes once per step
+    count (``berry._loop_grid``).
     """
     ph = np.atleast_1d(np.asarray(phis, dtype=float))
     if ph.ndim != 1:
         raise InvalidParam("phis must be a scalar or a 1-D array of drive phases")
     if not np.all(np.isfinite(ph)):
         raise InvalidParam("drive phases must be finite")
-    return _hamiltonian_row((dp.theta,), (dp.omega_drive,), ph, dp.d, dp.hbar)[0, 0]
+    return _hamiltonian_row((dp.theta,), (dp.omega_drive,), _drive_factors(ph), dp.d, dp.hbar)[0, 0]
 
 
 def hamiltonian(phi, dp: DriveParams) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Tests for the loop phases: closed forms and the Wilson-loop evaluation."""
 
+import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -22,7 +24,9 @@ from bwmberry import (
     solid_angle,
 )
 from bwmberry.algebra import GOLDEN_RATIO
-from bwmberry.berry import DEGENERACY_GUARD, LOOP_BIAS_K, MIN_STEPS, _wrap_phase, berry_discrete
+from bwmberry.berry import DEGENERACY_GUARD, LOOP_BIAS_K, MIN_STEPS, _loop_grid, _wrap_phase, berry_discrete
+from bwmberry.matrices import _closed_form_eigh
+from bwmberry.spin import DriveParams, hamiltonian_stack
 from bwmberry.cli import MAX_STEPS, main
 
 TAU = 2.0 * math.pi
@@ -164,6 +168,81 @@ def test_loop_product_is_gauge_invariant():
         reference = pancharatnam_phase(states)
         rephased = states * np.exp(1j * rng.uniform(0.0, TAU, size=(states.shape[0], 1)))
         assert abs(pancharatnam_phase(rephased) - reference) < 1e-12
+
+
+def _roll_overlaps(states):
+    """<v_k | v_{k+1}> around the loop as ``pancharatnam_phase`` formed them with np.roll and one sum."""
+    return np.sum(np.conjugate(states) * np.roll(states, -1, axis=0), axis=1)
+
+
+def _walk_states(seed, n, step, layout):
+    """n unit states, each a small random step from the last, as an (n, 3) array or a column of (n, 3, 3)."""
+    rng = np.random.default_rng(seed)
+    walk = rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))
+    walk[1:] *= step
+    walk = np.cumsum(walk, axis=0)
+    walk /= np.linalg.norm(walk, axis=1, keepdims=True)
+    return np.ascontiguousarray(walk[:, :, 0]) if layout == 3 else walk[:, :, layout]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 600),
+    step=st.sampled_from([1e-3, 0.05, 0.3]),
+    layout=st.sampled_from([0, 1, 2, 3]),
+)
+def test_property_loop_product_keeps_the_bits_of_the_roll_formula(seed, n, step, layout):
+    # Layouts 0-2 are the strided columns vectors[:, :, b] that berry_wilson_loop passes, 3 a
+    # contiguous (n, 3) array.  Where the product is normal, the phase is the same float.
+    states = _walk_states(seed, n, step, layout)
+    product = np.prod(_roll_overlaps(states))
+    if sys.float_info.min <= abs(product) < math.inf:
+        reference = _wrap_phase(-float(np.angle(product)))
+        assert np.float64(pancharatnam_phase(states)).tobytes() == np.float64(reference).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e10])
+def test_loop_product_phase_survives_an_underflowing_or_overflowing_product(scale):
+    # 2000 random unit states: each overlap is below 1 in size, so their product underflows to 0
+    # and its argument says nothing.  Scaled by 1e10, every overlap is near 1e20 and the
+    # product overflows.  The phase is still -(sum of the overlap arguments), wrapped.
+    rng = np.random.default_rng(7)
+    states = rng.standard_normal((2000, 3)) + 1j * rng.standard_normal((2000, 3))
+    states *= scale / np.linalg.norm(states, axis=1, keepdims=True)
+    overlaps = _roll_overlaps(states)
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = np.prod(overlaps)
+    assert product == 0.0 if scale == 1.0 else not np.isfinite(product)
+    expected = _wrap_phase(-float(np.sum(np.angle(overlaps))))
+    assert abs(_wrap_phase(pancharatnam_phase(states) - expected)) <= 1e-10
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations([16, 4096, 4099])))
+def test_wilson_loop_keeps_the_bits_of_an_uncached_grid(order):
+    # The phases and drive factors of a step count are built once and shared; each loop still
+    # gives what building them afresh gives, whichever counts ran before it.
+    theta, d = 1.2944812858963195, 2.9074918293191
+    for steps in order + order[:1]:
+        phis = TAU * np.arange(steps) / steps
+        values, vectors = _closed_form_eigh(hamiltonian_stack(phis, DriveParams(theta, d)))
+        got_phis, got_values, got_vectors = loop_eigenframes(theta, d, steps=steps)
+        assert got_phis.tobytes() == phis.tobytes()
+        assert got_values.tobytes() == values.tobytes() and got_vectors.tobytes() == vectors.tobytes()
+        low, zero, high = (pancharatnam_phase(vectors[:, :, b]) for b in range(3))
+        loop = berry_wilson_loop(theta, d, steps=steps)
+        got = np.array([loop.gamma_plus, loop.gamma_zero, loop.gamma_minus]).tobytes()
+        assert got in (np.array([low, zero, high]).tobytes(), np.array([high, zero, low]).tobytes())
+        assert _loop_grid.cache_info().currsize == 1
+
+
+def test_eigenframes_phases_are_the_callers_to_write():
+    phis, _, _ = loop_eigenframes(0.7, 2.0, steps=64)
+    phis[:] = -1.0
+    again, _, _ = loop_eigenframes(0.7, 2.0, steps=64)
+    assert again[0] == 0.0 and again[1] == TAU / 64
+    grid_phis, grid_up = _loop_grid(64)
+    assert not grid_phis.flags.writeable and not grid_up.flags.writeable
 
 
 # ---------------------------------------------------------------------------

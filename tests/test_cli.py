@@ -481,7 +481,7 @@ def test_an_overflowing_norm_skips_only_its_own_points_after_the_batched_solve(d
     args = ["spectrum", *grids, "--grid-spec", "phi=0,1.3", "--jobs", jobs]
     detail = "the Frobenius norm overflows double precision"
     with pytest.raises(InvalidParam, match=detail):
-        hermitian_eigs(cli._hamiltonian_row((1.5, 0.3), (1.7e308, 1.0), (0.0, 1.3), 2.0).reshape(-1, 3, 3))
+        hermitian_eigs(cli._hamiltonian_row((1.5, 0.3), (1.7e308, 1.0), cli._drive_factors((0.0, 1.3)), 2.0).reshape(-1, 3, 3))
     code, _, err = run([*args, "--out", str(tmp_path)], capsys)
     assert code == 0 and "Traceback" not in err
     checks = load_report(tmp_path, "spectrum")["checks"]

@@ -31,6 +31,8 @@ from bwmberry import (
 )
 from bwmberry.berry import figure_table
 from bwmberry.matrices import (
+    _ROOT_OFFSETS,
+    CLOSED_FORM_CROSS_RTOL,
     CLOSED_FORM_GAP_RTOL,
     PHASE_FIX_CUTOFF,
     _adjugate_det,
@@ -559,7 +561,7 @@ hermitian_matrices = st.one_of(
 # Eigenvalues -5, 0 and 5 to double precision; LAPACK's values-only driver
 # (np.linalg.eigvalsh) returns +-4.99999984 here, so the reference is eigh's.
 @example([np.array([[9.04569224e-169, 0.0, 5j], [0.0, 0.0, 1.73293318e-138], [-5j, 1.73293318e-138, 1.97915637e-118]])])
-# Largest |entry| below 2^-1024: numpy's complex divide by it overflows, so eigh solves it.
+# Largest |entry| below 2^-1024: its reciprocal overflows, so eigh solves it.
 @example([np.diag([5e-324, 0.0, 0.0]).astype(complex)])
 def test_property_closed_form_eigh_is_an_eigensystem(matrices):
     stack = np.array(matrices, dtype=complex)
@@ -631,3 +633,80 @@ def test_closed_form_eigh_is_exact_under_power_of_two_scaling(exponent):
     scaled_values, scaled_vectors = _closed_form_eigh(np.ldexp(h.real, exponent) + 1j * np.ldexp(h.imag, exponent))
     assert np.array_equal(scaled_vectors, vectors)
     assert np.array_equal(scaled_values, np.ldexp(values, exponent))
+
+
+def _division_closed_form_eigh(h):
+    """``_closed_form_eigh`` as it was written with complex divisions by ``scale`` and ``norm``.
+
+    Kept here as the reference for the reciprocal form: the same steps in the same order,
+    with |z|^2 as z.real * z.real + z.imag * z.imag.
+    """
+
+    def abs2(z):
+        return z.real * z.real + z.imag * z.imag
+
+    n = h.shape[0]
+    values = np.empty((n, 3))
+    vectors = np.empty((n, 3, 3), dtype=complex)
+    diag = [h[:, k, k].real for k in range(3)]
+    lower = [h[:, 1, 0], h[:, 2, 0], h[:, 2, 1]]
+    scale = np.abs(diag[0])
+    for entry in diag[1:] + lower:
+        np.maximum(scale, np.abs(entry), out=scale)
+    tiny = scale <= 2.0**-1024
+    scale[tiny] = 1.0
+    a0, a1, a2 = (x / scale for x in diag)
+    h10, h20, h21 = (x / scale for x in lower)
+    n10, n20, n21 = abs2(h10), abs2(h20), abs2(h21)
+    x01, x02, x12 = np.conj(h21) * h20, h10 * h21, np.multiply(h20, np.conj(h10))
+    off = n10 + n20 + n21
+    fro2 = a0 * a0 + a1 * a1 + a2 * a2 + 2.0 * off
+    m = (a0 + a1 + a2) / 3.0
+    b0, b1, b2 = a0 - m, a1 - m, a2 - m
+    p2 = (b0 * b0 + b1 * b1 + b2 * b2 + 2.0 * off) / 6.0
+    p = np.sqrt(p2)
+    det = b0 * b1 * b2 - b0 * n21 - b1 * n20 - b2 * n10 + 2.0 * (h10.real * x01.real + h10.imag * x01.imag)
+    denom = 2.0 * p2 * p
+    r = np.divide(det, denom, out=np.zeros(n), where=denom > 0.0)
+    angle = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+    lams = [m + 2.0 * p * np.cos(angle + offset) for offset in _ROOT_OFFSETS]
+    accept = ~tiny & (np.minimum(lams[1] - lams[0], lams[2] - lams[1]) > CLOSED_FORM_GAP_RTOL * np.sqrt(fro2))
+    for i, lam in enumerate(lams):
+        values[:, i] = lam * scale
+        e0, e1, e2 = a0 - lam, a1 - lam, a2 - lam
+        c00, c11, c22 = e1 * e2 - n21, e0 * e2 - n20, e0 * e1 - n10
+        c01, c02, c12 = x01 - e2 * h10, x02 - e1 * h20, x12 - e0 * h21
+        q01, q02, q12 = abs2(c01), abs2(c02), abs2(c12)
+        r0, r1, r2 = c00 * c00 + q01 + q02, q01 + c11 * c11 + q12, q02 + q12 + c22 * c22
+        use0 = (r0 >= r1) & (r0 >= r2)
+        use1 = ~use0 & (r1 >= r2)
+        norm = np.sqrt(np.maximum(np.maximum(r0, r1), r2))
+        accept &= norm > CLOSED_FORM_CROSS_RTOL * fro2
+        norm[norm == 0.0] = 1.0
+        column = vectors[:, :, i]
+        column[:, 0] = np.where(use0, c00, np.where(use1, np.conj(c01), np.conj(c02))) / norm
+        column[:, 1] = np.where(use0, c01, np.where(use1, c11, np.conj(c12))) / norm
+        column[:, 2] = np.where(use0, c02, np.where(use1, c12, c22)) / norm
+    if not accept.all():
+        rejected = ~accept
+        values[rejected], vectors[rejected] = np.linalg.eigh(h[rejected])
+    return values, vectors
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(hermitian_matrices, min_size=1, max_size=6))
+@example([np.diag([5e-324, 0.0, 0.0]).astype(complex)])
+def test_property_closed_form_eigh_equals_the_division_form(matrices):
+    # Multiplying by 1 / x gives the values of dividing by x: only where a part of a product
+    # underflows to zero can the sign of that zero differ, which == does not see.
+    stack = np.array(matrices, dtype=complex)
+    for got, want in zip(_closed_form_eigh(stack), _division_closed_form_eigh(stack)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("theta, d, steps", [(0.7, 2.0, 4096), (1.2944812858963195, 4.1858481250672614, 4096), (0.3, 1e100, 4099), (1e300, 2.0, 16)])
+def test_closed_form_eigh_keeps_the_bits_of_the_division_form_on_berry_loops(theta, d, steps):
+    # A loop's matrix at phi = 0 has entries with exact zero parts, whose signs are kept too.
+    h = hamiltonian_stack(2.0 * math.pi * np.arange(steps) / steps, DriveParams(theta, d))
+    for got, want in zip(_closed_form_eigh(h), _division_closed_form_eigh(h)):
+        assert got.tobytes() == want.tobytes()

@@ -27,7 +27,7 @@ from bwmberry import (
     make_r_theta,
     rel_residual,
 )
-from bwmberry.spin import _hamiltonian_row, _ladder_stack
+from bwmberry.spin import _drive_factors, _hamiltonian_row, _ladder_stack
 
 LEVEL_AT_PI_SIXTH_D2 = math.sqrt(3.0) / 4.0  # 2 sin(pi/6) sqrt(3) / 4
 
@@ -335,7 +335,7 @@ def _generator_reference(theta: float, d: float, omega: float, hbar: float, phi:
     hbar=st.sampled_from([1.0, 0.5]),
 )
 def test_generator_row_keeps_the_bits_of_each_point(thetas, omegas, phis, d, hbar):
-    row = _hamiltonian_row(thetas, omegas, phis, d, hbar)
+    row = _hamiltonian_row(thetas, omegas, _drive_factors(phis), d, hbar)
     assert row.shape == (len(thetas), len(omegas), len(phis), 3, 3)
     for i, theta in enumerate(thetas):
         for j, omega in enumerate(omegas):

@@ -218,8 +218,8 @@ def _b_stack(weights, q: float) -> np.ndarray:
 
 
 def make_ea(p: AlgebraParams) -> np.ndarray:
-    """Diagonal Temperley-Lieb projector, diag(0, d, 0)."""
-    return np.diag([0.0, p.d, 0.0]).astype(complex)
+    """Diagonal Temperley-Lieb projector, diag(0, d, 0): ``_ea_stack`` at the one loop value d."""
+    return _ea_stack((p.d,))
 
 
 def make_eb(p: AlgebraParams) -> np.ndarray:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import re
 import time
-from itertools import chain
 
 
 #: The ``data`` of every record without data: one dict that nothing mutates, not one per record.
@@ -74,8 +73,8 @@ class _Tally:
     their graded values in record order: a record with a residual is graded,
     and a later value replaces the kept one only if it is larger, so a NaN on
     the first graded record is kept and a later NaN never is.  Without graded
-    records they are None and (0, None).  ``pull`` adds the rows of a stream
-    as they are read, and times their production in ``seconds``.
+    records they are None and (0, None).  ``seconds`` is the time spent
+    producing the records, which ``_record_lines`` adds up as it takes them.
     """
 
     def __init__(self):
@@ -109,22 +108,6 @@ class _Tally:
         self.skipped += skipped
         self.worst, self.ratio, self.closest = worst, ratio, closest
 
-    def pull(self, rows):
-        """The rows of ``rows``, lists of records, each added as it is pulled.
-
-        A row is pulled once the one before it is used up; ``seconds`` gets
-        the time spent pulling, which is the time spent producing the rows.
-        """
-        rows, clock = iter(rows), time.perf_counter
-        while True:
-            start = clock()
-            row = next(rows, None)
-            self.seconds += clock() - start
-            if row is None:
-                return
-            self.add(row)
-            yield row
-
     def summary(self) -> tuple[dict, float, str | None]:
         """The report's ``summary``, and the closing line's largest residual/tolerance with its record's name."""
         summary = {
@@ -136,13 +119,6 @@ class _Tally:
             "overall_pass": self.failed == 0,
         }
         return summary, self.ratio, self.closest
-
-
-def _summary(records: list) -> tuple[dict, float, str | None]:
-    """``_Tally.summary`` of the records, counted in one pass."""
-    tally = _Tally()
-    tally.add(records)
-    return tally.summary()
 
 
 #: The encoder with sorted keys and no indent: the text of one check record.
@@ -172,11 +148,14 @@ def _part_encoder():
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _record_lines(checks):
-    """The text of each record of ``checks``, ``_RECORD_LINE.encode(record)``, one at a time.
+def _record_lines(rows, tally: _Tally):
+    """The text of each record of ``rows``, lists of records, ``_RECORD_LINE.encode(record)``, one at a time.
 
-    Each record is one that ``_record``, ``_skip`` or ``_csv_record`` built,
-    and its line is joined from the texts of its members in sorted-key order:
+    A row is taken from ``rows`` once the one before it is used up, and
+    added to ``tally``; ``tally.seconds`` gets the time spent taking rows,
+    which is the time spent producing them.  Each record is one that ``_record``,
+    ``_skip`` or ``_csv_record`` built, and its line is joined from the texts
+    of its members in sorted-key order:
 
     * ``params`` is encoded once while consecutive records hold the same
       object: the records of one point share one dict;
@@ -191,34 +170,42 @@ def _record_lines(checks):
     encode, frepr, float_words = _part_encoder(), float.__repr__, _FLOAT_WORDS
     words, tolerances = {None: "null"}, {None: "null"}
     last_params, params_text = object(), ""
-    for rec in checks:
-        name, reason, status = rec["name"], rec["reason"], rec["status"]
-        try:
-            name, reason, status = words[name], words[reason], words[status]
-        except KeyError:  # a value not in the table yet
-            for word in (name, reason, status):
-                if word not in words:
-                    words[word] = encode(word)
-            name, reason, status = words[name], words[reason], words[status]
-        residual = rec["residual"]
-        residual = "null" if residual is None else frepr(residual)
-        residual = float_words.get(residual, residual)
-        tolerance = rec["tolerance"]
-        text = tolerances.get(tolerance)
-        if text is None:
-            text = frepr(tolerance)
-            text = float_words.get(text, text)
-            if tolerance:  # 0.0 and -0.0 are one key with two texts
-                tolerances[tolerance] = text
-        params = rec["params"]
-        if params is not last_params:
-            last_params, params_text = params, encode(params)
-        data = rec["data"]
-        data = "{}" if not data else encode(data)
-        yield (
-            f'{{"data": {data}, "name": {name}, "params": {params_text}, "reason": {reason}, '
-            f'"residual": {residual}, "status": {status}, "tolerance": {text}}}'
-        )
+    rows, clock = iter(rows), time.perf_counter
+    while True:
+        start = clock()
+        row = next(rows, None)
+        tally.seconds += clock() - start
+        if row is None:
+            return
+        tally.add(row)
+        for rec in row:
+            name, reason, status = rec["name"], rec["reason"], rec["status"]
+            try:
+                name, reason, status = words[name], words[reason], words[status]
+            except KeyError:  # a value not in the table yet
+                for word in (name, reason, status):
+                    if word not in words:
+                        words[word] = encode(word)
+                name, reason, status = words[name], words[reason], words[status]
+            residual = rec["residual"]
+            residual = "null" if residual is None else frepr(residual)
+            residual = float_words.get(residual, residual)
+            tolerance = rec["tolerance"]
+            text = tolerances.get(tolerance)
+            if text is None:
+                text = frepr(tolerance)
+                text = float_words.get(text, text)
+                if tolerance:  # 0.0 and -0.0 are one key with two texts
+                    tolerances[tolerance] = text
+            params = rec["params"]
+            if params is not last_params:
+                last_params, params_text = params, encode(params)
+            data = rec["data"]
+            data = "{}" if not data else encode(data)
+            yield (
+                f'{{"data": {data}, "name": {name}, "params": {params_text}, "reason": {reason}, '
+                f'"residual": {residual}, "status": {status}, "tolerance": {text}}}'
+            )
 
 
 def _dumps(value) -> str:
@@ -236,7 +223,7 @@ def _write_report(fh, report: dict, timings: dict) -> tuple[dict, float, str | N
     ``_RECORD_LINE.encode(record)`` as ``_record_lines`` builds it; return the count of
     the records (``_Tally.summary``).
 
-    The rows are pulled one at a time and written as they arrive (``_Tally.pull``), so no
+    The rows are taken one at a time and written as they arrive (``_record_lines``), so no
     more than one row need be held at once.  ``checks`` sorts before the other members,
     so those that depend on the records are written after the last one: a ``summary``
     member becomes the count, and a ``warnings`` list gains ``NO_CHECKS`` where there
@@ -259,7 +246,7 @@ def _write_report(fh, report: dict, timings: dict) -> tuple[dict, float, str | N
         size += fh.write(("{\n  " if i == 0 else ",\n  ") + json.dumps(key) + ": ")
         if key == "checks":
             separator = "[\n    "
-            for line in _record_lines(chain.from_iterable(tally.pull(value))):
+            for line in _record_lines(value, tally):
                 size += fh.write(separator + line)
                 separator = ",\n    "
             size += fh.write("[]" if tally.checks == 0 else "\n  ]")

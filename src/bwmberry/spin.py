@@ -29,7 +29,7 @@ import numpy as np
 from .algebra import GOLDEN_RATIO, DOMAIN_SLACK, AlgebraParams, _offdiag_root, make_eb
 from .errors import InvalidParam
 from .matrices import as_real, refuse_overflow, rel_residual
-from .yangbaxter import make_r_theta
+from .yangbaxter import _angle_form, make_r_theta
 
 #: The entries (j, k) of B that carry the drive phase, with n_j - n_k for the
 #: occupation numbers n = (0, 1, 0): only level 2 picks up the phase.
@@ -212,16 +212,14 @@ def _hamiltonian_row(thetas, omegas, up: np.ndarray, d: float, hbar: float = 1.0
         H_1j =  w B_10 conj(B_j0) + w B_12 conj(B_j2),
         H_2j = -w B_21 conj(B_j1),
 
-    twelve complex products per matrix.  B(0) is built once per theta, the
-    phases e^{+-i phi} are taken once per phi, and every product and sum is one
-    elementwise ufunc over the whole row, so a matrix has the same bits in
-    any row it is built in.  d must pass the rule of ``DriveParams``.
+    twelve complex products per matrix.  B(0) is built once per theta
+    (``yangbaxter._angle_form``), the phases e^{+-i phi} are taken once per
+    phi, and every product and sum is one elementwise ufunc over the whole
+    row, so a matrix has the same bits in any row it is built in.  d must
+    pass the rule of ``DriveParams``.
     """
     _check_drive_d(d)
-    eb0 = make_eb(AlgebraParams.tla(d, 0.0, 0.0))  # E_B at projector phases (0, 0)
-    f = np.array([2j * math.sin(th) / d for th in thetas], dtype=complex).reshape(-1, 1, 1)
-    rot = np.array([np.exp(1j * th) for th in thetas], dtype=complex).reshape(-1, 1, 1)
-    b0 = rot * np.eye(3, dtype=complex) - f * eb0
+    b0 = _angle_form(thetas, make_eb(AlgebraParams.tla(d, 0.0, 0.0)), d)  # B at drive phase 0
     # Complex, so that no product mixes a float array with a complex one: numpy runs such
     # a product through a cast, whose loop signs underflowed zeros differently by layout.
     w = np.array([hbar * om for om in omegas], dtype=complex).reshape(1, -1, 1)

@@ -36,7 +36,7 @@ from bwmberry import (
 )
 from bwmberry.cli import _YBE_CORNERS, RELATION_TOL, RunConfig, _record, _skip, _ybe_samples, cmd_verify
 from bwmberry.algebra import DOMAIN_SLACK
-from bwmberry.yangbaxter import _compose, _exchange_columns, _exchange_setup, _z_stack
+from bwmberry.yangbaxter import _angle_form, _compose, _exchange_columns, _exchange_setup, _z_stack
 
 # Frozen from an independent evaluation: with x = beta^2 u^2 + 1 and
 # y = 2 epsilon beta u g, the angle is -atan2(y, x); computed at 40-digit
@@ -170,6 +170,8 @@ LOOP_VALUES = st.one_of(
 @example(u=1e10, beta=1e150, epsilon=1, d=1.7)  # beta^2 u^2 overflows in the product, not in a power
 @example(u=1e200, beta=1.0, epsilon=1, d=1.7)  # u ** 2 overflows
 @example(u=-0.0, beta=-0.0, epsilon=-1, d=1.7)
+@example(u=0.9, beta=1.4, epsilon=1, d=1.99)  # |t| ~ 25 > |a| ~ 2.6: the quotient's second branch
+@example(u=0.27504408870479913, beta=1.0, epsilon=-1, d=1.7806600813411375)  # t = -a exactly: the first branch, Re z = +0
 def test_z_of_u_has_the_bits_of_the_scalar_formula(u, beta, epsilon, d):
     s = SpectralParams(u=u, v=0.0, beta=beta, epsilon=epsilon, d=d)
     try:
@@ -241,6 +243,48 @@ def test_angle_form_is_unitary():
         pair = make_r_theta(theta, p)
         assert rel_residual(dagger(pair.a) @ pair.a, np.eye(3, dtype=complex)) < 1e-13
         assert rel_residual(dagger(pair.b) @ pair.b, np.eye(3, dtype=complex)) < 1e-13
+
+
+def reference_r_theta(theta, E, d):
+    """One matrix of the angle form as make_r_theta built it, with a phase from math.cos and math.sin."""
+    ident = np.eye(3, dtype=complex)
+    f = 2j * math.sin(theta) / d
+    phase = complex(math.cos(theta), math.sin(theta))
+    return phase * ident - f * E
+
+
+def reference_b0(thetas, E, d):
+    """The angle form at a stack of thetas as the drive generator built its B(0), with a phase from np.exp."""
+    f = np.array([2j * math.sin(th) / d for th in thetas], dtype=complex).reshape(-1, 1, 1)
+    rot = np.array([np.exp(1j * th) for th in thetas], dtype=complex).reshape(-1, 1, 1)
+    return rot * np.eye(3, dtype=complex) - f * E
+
+
+ANGLES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.pi / 2.0, -math.pi / 2.0]), st.floats(-4.0, 4.0), st.floats(-1e6, 1e6)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    thetas=st.lists(ANGLES, min_size=1, max_size=40),
+    d=st.one_of(st.just(GOLDEN_RATIO), st.floats(GOLDEN_RATIO, 3.0), st.floats(GOLDEN_RATIO, 1e6)),
+    phi1=st.floats(-1e3, 1e3),
+    phi2=st.floats(-1e3, 1e3),
+)
+def test_angle_form_has_the_bits_of_both_phase_forms(thetas, d, phi1, phi2):
+    # make_r_theta took e^{i theta} as complex(cos, sin) and the drive generator's
+    # B(0) as np.exp(1j * theta); the one builder must agree with both, bit for bit.
+    p = AlgebraParams.tla(d, phi1, phi2)
+    for E in (make_ea(p), make_eb(p)):
+        got = _angle_form(thetas, E, d)
+        assert got.shape == (len(thetas), 3, 3)
+        assert got.tobytes() == reference_b0(thetas, E, d).tobytes()
+        for k, theta in enumerate(thetas):
+            assert got[k].tobytes() == reference_r_theta(theta, E, d).tobytes()
+    pair = make_r_theta(thetas[0], p)
+    assert pair.a.tobytes() == reference_r_theta(thetas[0], make_ea(p), d).tobytes()
+    assert pair.b.tobytes() == reference_r_theta(thetas[0], make_eb(p), d).tobytes()
 
 
 def test_pair_members_related_by_basis_change():

@@ -193,27 +193,41 @@ def pancharatnam_phase(vectors: np.ndarray) -> float:
     smallest normal double or is not finite (as it can for thousands of
     states that are not close to each other), the phase is that of the
     product of the unit factors o / |o| instead.  Returns the phase in (-pi, pi].
+    States that hold NaN or inf, or whose overlaps overflow, leave no phase:
+    that raises ``InvalidParam``, naming the states that are not finite.
     """
     v = np.asarray(vectors, dtype=complex)
     if v.ndim != 2 or v.shape[0] < 3 or v.shape[1] != 3:
         raise InvalidParam(f"expected loop states of shape (n>=3, 3), got {v.shape}")
-    # conj(v_k) v_{k+1} entrywise from two slices plus the wrap-around row, then the
-    # three components added left to right: each overlap is a sum over one state.
-    products = np.conjugate(v)
-    products[:-1] *= v[1:]
-    products[-1] *= v[0]
-    overlaps = products[:, 0] + products[:, 1]
-    overlaps += products[:, 2]
-    magnitudes = np.abs(overlaps)
-    if np.min(magnitudes) < _OVERLAP_FLOOR:
-        raise DegenerateSpectrum(
-            "consecutive loop states became orthogonal; the discretisation lost a branch"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        # conj(v_k) v_{k+1} entrywise from two slices plus the wrap-around row, then the
+        # three components added left to right: each overlap is a sum over one state.
+        products = np.conjugate(v)
+        products[:-1] *= v[1:]
+        products[-1] *= v[0]
+        overlaps = products[:, 0] + products[:, 1]
+        overlaps += products[:, 2]
+        magnitudes = np.abs(overlaps)
+        if np.min(magnitudes) < _OVERLAP_FLOOR and np.isfinite(v).all():
+            raise DegenerateSpectrum(
+                "consecutive loop states became orthogonal; the discretisation lost a branch"
+            )
         product = np.prod(overlaps)
-    if not sys.float_info.min <= abs(product) < math.inf:
-        product = np.prod(overlaps / magnitudes)
-    return _wrap_phase(-float(np.angle(product)))
+        if not sys.float_info.min <= abs(product) < math.inf:
+            product = np.prod(overlaps / magnitudes)
+    phase = -float(np.angle(product))
+    if math.isnan(phase):
+        raise _nan_phase_error(v)
+    return _wrap_phase(phase)
+
+
+def _nan_phase_error(v: np.ndarray) -> InvalidParam:
+    """Why the loop phase of the states ``v`` is NaN: the states that hold NaN or inf, or else overlaps that overflow."""
+    bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
+    if not bad.size:
+        return InvalidParam("the overlaps of the loop states overflow; the states are far from unit length")
+    shown = ", ".join(map(str, bad[:5].tolist())) + (", ..." if bad.size > 5 else "")
+    return InvalidParam(f"{bad.size} of {len(v)} loop states hold NaN or inf: states {shown}")
 
 
 def berry_wilson_loop(theta, d, omega_drive=1.0, steps: int = 4096) -> BerryResult:

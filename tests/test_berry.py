@@ -160,6 +160,35 @@ def test_loop_product_flags_orthogonal_neighbours():
         pancharatnam_phase(frames)
 
 
+@pytest.mark.parametrize("value", [np.nan, complex(np.nan, 1.0), np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("rows", [[5], [0, 63], list(range(10))])
+def test_loop_product_refuses_states_that_are_not_finite(value, rows):
+    # A NaN or inf entry leaves no phase: it raises, naming the states, and no warning escapes.
+    _, _, vectors = loop_eigenframes(0.7, 2.0, steps=64)
+    states = vectors[:, :, 0].copy()
+    states[rows, 1] = value
+    shown = ", ".join(map(str, rows[:5])) + (", ..." if len(rows) > 5 else "")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParam, match=rf"^{len(rows)} of 64 loop states hold NaN or inf: states {shown}$"):
+            pancharatnam_phase(states)
+
+
+def test_loop_product_names_an_inf_state_before_orthogonal_neighbours():
+    frames = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, np.inf]], dtype=complex)
+    with pytest.raises(InvalidParam, match=r"^1 of 4 loop states hold NaN or inf: states 3$"):
+        pancharatnam_phase(frames)
+
+
+def test_loop_product_refuses_overlaps_that_overflow():
+    # Finite states of size 1e200 have overlaps of 1e400: no phase, and no warning.
+    states = np.full((8, 3), 1e200, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParam, match="overlaps of the loop states overflow"):
+            pancharatnam_phase(states)
+
+
 def test_loop_product_is_gauge_invariant():
     _, _, vectors = loop_eigenframes(0.7, 2.0, steps=256)
     rng = np.random.default_rng(2024)

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import pickle
+import platform
 import signal
 import subprocess
 import sys
@@ -1050,6 +1051,69 @@ def test_berry_degenerate_loop_is_skipped(tmp_path, capsys):
     skip = next(c for c in report["checks"] if c["name"] == "berry.match_plus")
     assert skip["status"] == "skip"
     assert skip["reason"] == "degenerate_spectrum"
+
+
+def _recorded_mallopt(monkeypatch) -> list:
+    """The (param, value) calls of glibc's ``mallopt`` as ``cli._keep_heap`` would make them, recorded instead."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: type("libc", (), {"mallopt": staticmethod(mallopt)})())
+    return calls
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_berry_keeps_freed_heap_once_per_run(jobs, tmp_path, capsys, monkeypatch):
+    calls = _recorded_mallopt(monkeypatch)
+    code, _, _ = run(["berry", *SMALL_BERRY, "--jobs", jobs, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert calls == [(-3, 32 * 2**20), (-1, 128 * 2**20)]
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", *SMALL_VERIFY], ["spectrum", "--grid-spec", "d=2", "--grid-spec", "theta=0.4"], ["figure", "--theta-points", "5"]]
+)
+def test_only_berry_changes_the_allocator(argv, tmp_path, capsys, monkeypatch):
+    calls = _recorded_mallopt(monkeypatch)
+    code, _, _ = run([*argv, "--out", str(tmp_path)], capsys)
+    assert code == 0 and calls == []
+
+
+@pytest.mark.parametrize("error", [AttributeError, OSError, TypeError])
+def test_keep_heap_does_nothing_without_mallopt(error, tmp_path, capsys, monkeypatch):
+    # macOS's C library has no mallopt (AttributeError), and Windows takes no CDLL(None) (TypeError).
+    def missing(name):
+        raise error("no mallopt here")
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", missing)
+    assert cli._keep_heap() is None
+    code, _, _ = run(["berry", *SMALL_BERRY, "--out", str(tmp_path)], capsys)
+    assert code == 0
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator setting is glibc's")
+def test_berry_loops_fault_in_no_fresh_pages_once_the_heap_is_kept():
+    # Under glibc's dynamic trim threshold (about 1.2 MB) the freed top of each 4096-step loop's
+    # ~3 MB peak goes back to the OS, and every loop faults thousands of pages in again.
+    script = "\n".join(
+        [
+            "import resource",
+            "from bwmberry import berry_wilson_loop",
+            "from bwmberry.cli import _keep_heap",
+            "_keep_heap()",
+            "berry_wilson_loop(0.7, 2.0, steps=4096)",
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+            "for theta in (0.3, 0.7, 1.2, 2.0, 0.5, 0.9, 1.4, 2.5):",
+            "    berry_wilson_loop(theta, 3.0, steps=4096)",
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)",
+        ]
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert int(proc.stdout) < 100
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from .algebra import DOMAIN_SLACK, EXACT_TOL, GOLDEN_RATIO, RELATION_TOL, TRANSP
 from .berry import LOOP_BIAS_K, MIN_STEPS, SECTION_D_VALUES, _wrap_phase, berry_closed, berry_discrete, berry_wilson_loop, figure_table
 from .errors import BwmBerryError, ConfigError, InvalidParam
 from .matrices import hermitian_eigs
-from .report import _NO_DATA, _csv_record, _record, _skip, _write_report
+from .report import _csv_record, _grid_params, _levels_records, _record, _skip, _text, _write_report
 from .spin import _drive_factors, _hamiltonian_row, _ladder_stack, cos_alpha
 from .yangbaxter import UNIT_CIRCLE_TOL, SpectralParams, _exchange_columns
 
@@ -225,14 +225,14 @@ def _chunks(rows: np.ndarray) -> list[np.ndarray]:
 _LINE_TOLERANCES = {**{f"bwm.{name}": EXACT_TOL for name in TRANSPORT_LINES}, "ybe.unimodularity": UNIT_CIRCLE_TOL}
 
 
-def _relation_records(family: str, params: list, tolerance: float, evaluate, skip: str = "suite") -> list[dict]:
+def _relation_records(family: str, params: list, tolerance: float, evaluate, skip: str = "suite") -> list[tuple]:
     """The records of one chunk of a relation family, from one stacked evaluation.
 
     ``evaluate()`` returns the line names and, per point of ``params``, the
     residuals of the lines or the error of that point alone, which makes the
     point one ``<family>.<skip>`` skip; if it raises, every point skips with
     that error.  A line is graded at its ``_LINE_TOLERANCES`` entry, if it
-    has one, else at ``tolerance``.
+    has one, else at ``tolerance``.  Each point's params are encoded once, for all its records.
     """
     try:
         names, results = evaluate()
@@ -241,7 +241,7 @@ def _relation_records(family: str, params: list, tolerance: float, evaluate, ski
     names = [f"{family}.{name}" for name in names]  # one name string per line, not one per record
     tolerances = [_LINE_TOLERANCES.get(name, tolerance) for name in names]
     out = []
-    for p, result in zip(params, results):
+    for p, result in zip(map(_text, params), results):
         if isinstance(result, BwmBerryError):
             out.append(_skip(f"{family}.{skip}", p, tolerance, result))
         else:
@@ -249,7 +249,7 @@ def _relation_records(family: str, params: list, tolerance: float, evaluate, ski
     return out
 
 
-def _bwm_point(cfg: RunConfig, q: float, pairs: np.ndarray) -> list[dict]:
+def _bwm_point(cfg: RunConfig, q: float, pairs: np.ndarray) -> list[tuple]:
     """The records of a chunk of phase pairs, the rows of ``pairs``, at one q: the suite, then the
     transport lines, pair by pair.
 
@@ -262,7 +262,7 @@ def _bwm_point(cfg: RunConfig, q: float, pairs: np.ndarray) -> list[dict]:
     return _relation_records("bwm", params, RELATION_TOL, lambda: _bwm_row(AlgebraParams.coupled(q), *pairs.T))
 
 
-def _tla_point(cfg: RunConfig, d: float, pairs: np.ndarray) -> list[dict]:
+def _tla_point(cfg: RunConfig, d: float, pairs: np.ndarray) -> list[tuple]:
     """The records of a chunk of phase pairs, the rows of ``pairs``, at one loop value d."""
     params = [{"d": float(d), "phi1": p1, "phi2": p2} for p1, p2 in pairs.tolist()]
     return _relation_records("tla", params, EXACT_TOL, lambda: _tla_row(AlgebraParams.tla(d), *pairs.T))
@@ -300,7 +300,7 @@ def _ybe_samples(cfg: RunConfig) -> np.ndarray:
     return np.concatenate([_YBE_CORNERS, np.stack([u, v, beta, eps, d, phi1, phi2], axis=1)])
 
 
-def _ybe_point(cfg: RunConfig, samples: np.ndarray) -> list[dict]:
+def _ybe_point(cfg: RunConfig, samples: np.ndarray) -> list[tuple]:
     """The records of a chunk of exchange samples, the rows of ``samples``, from one stacked evaluation."""
     params = [dict(zip(_YBE_KEYS, row), epsilon=int(row[3])) for row in samples.tolist()]
     return _relation_records("ybe", params, RELATION_TOL, lambda: _exchange_columns(samples), "exchange")
@@ -331,7 +331,7 @@ def _family(cfg: RunConfig, stage: str, fn, rows: list, points: int):
         with timed(cfg.timings, stage):
             results = interleaved(lambda row: fn(cfg, *row), rows, cfg.jobs)
     for records in results:
-        entry["skipped"] += sum(r["status"] == "skip" for r in records)
+        entry["skipped"] += sum(status == "skip" for _, status, _, _, _ in records)
         yield records
 
 
@@ -362,16 +362,19 @@ def cmd_verify(cfg: RunConfig):
 CASIMIR_LEVELS = (0.0, 0.75, 0.75)
 
 
-def _levels_row(name: str, params: list, build) -> list[dict]:
-    """The records of one row of points, from one stacked build and one batched eigensolve.
+def _levels_row(name: str, axes: dict, build) -> list[tuple]:
+    """The records of one row of points, the grid ``axes`` spans (``_grid_params``), from one stacked
+    build and one batched eigensolve.
 
-    ``build()`` returns the row's matrices as an (n, 3, 3) stack and their
-    predicted levels as an (n, 3) array, in the order of ``params``; if it
-    raises, every point of the row skips with its error.  If the batched
-    solve raises, each matrix is solved on its own, so a failing matrix
-    skips only its own point.  The residual is the largest deviation over
-    max(1, largest |level|), like ``rel_residual``.
+    ``build()`` returns the row's matrices as an (n, 3, 3) stack, in the order
+    of the points, and their distinct predicted levels as an (m, 3) array, each
+    row of which serves n / m consecutive points; if it raises, every point of
+    the row skips with its error.  If the batched solve raises, each matrix is
+    solved on its own, so a failing matrix skips only its own point.  The
+    residual is the largest deviation over max(1, largest |level|), like
+    ``rel_residual``.
     """
+    params = _grid_params(axes)
     try:
         matrices, predicted = build()
     except BwmBerryError as exc:
@@ -386,44 +389,34 @@ def _levels_row(name: str, params: list, build) -> list[dict]:
                 observed[i] = hermitian_eigs(m).values
             except BwmBerryError as exc:
                 errors[i] = exc
+    levels = np.repeat(predicted, len(matrices) // max(1, len(predicted)), axis=0)
     with np.errstate(over="ignore"):  # as the float arithmetic of one point at a time: inf, no warning
-        dev = np.max(np.abs(observed - predicted), axis=-1) / np.maximum(1.0, np.max(np.abs(predicted), axis=-1))
-    rows = zip(params, dev.tolist(), observed.tolist(), predicted.tolist())
-    return [
-        _skip(name, p, RELATION_TOL, errors[i])
-        if i in errors
-        else _record(name, p, res, RELATION_TOL, observed=obs, predicted=pred)
-        for i, (p, res, obs, pred) in enumerate(rows)
-    ]
+        dev = np.max(np.abs(observed - levels), axis=-1) / np.maximum(1.0, np.max(np.abs(levels), axis=-1))
+    return _levels_records(name, params, RELATION_TOL, dev.tolist(), observed.tolist(), predicted.tolist(), errors)
 
 
-def _casimir_point(cfg: RunConfig, d: float) -> list[dict]:
+def _casimir_point(cfg: RunConfig, d: float) -> list[tuple]:
     """All Casimir points of one d row, from one ``_ladder_stack`` over theta."""
     thetas = cfg.grid("theta")
 
     def build():
-        casimir = _ladder_stack(thetas, d).casimir()
-        return casimir, np.broadcast_to(CASIMIR_LEVELS, (len(thetas), 3))
+        return _ladder_stack(thetas, d).casimir(), np.array([CASIMIR_LEVELS])
 
-    return _levels_row("spectrum.casimir", [{"theta": t, "d": d} for t in thetas], build)
+    return _levels_row("spectrum.casimir", {"theta": thetas, "d": (d,)}, build)
 
 
-def _spectrum_point(cfg: RunConfig, d: float) -> list[dict]:
+def _spectrum_point(cfg: RunConfig, d: float) -> list[tuple]:
     """All H points of one d row, ordered by (theta, omega, phi), from one ``_hamiltonian_row``."""
     thetas, omegas, phis = cfg.grid("theta"), cfg.grid("omega"), cfg.grid("phi")
-    params = [
-        {"theta": t, "d": d, "omega_drive": w, "phi": f} for t in thetas for w in omegas for f in phis
-    ]
 
     def build():
         hs = _hamiltonian_row(thetas, omegas, _drive_factors(phis), d)
         # Per (theta, omega): the level hbar omega cos(alpha) with hbar = 1, and {0, +-level} ascending.
         level = np.multiply.outer([cos_alpha(t, d) for t in thetas], omegas)
         levels = np.sort(np.stack([np.zeros_like(level), level, -level], axis=-1), axis=-1)
-        predicted = np.broadcast_to(levels[:, :, None, :], hs.shape[:3] + (3,))
-        return hs.reshape(-1, 3, 3), predicted.reshape(-1, 3)
+        return hs.reshape(-1, 3, 3), levels.reshape(-1, 3)
 
-    return _levels_row("spectrum.h_eigenvalues", params, build)
+    return _levels_row("spectrum.h_eigenvalues", {"theta": thetas, "d": (d,), "omega_drive": omegas, "phi": phis}, build)
 
 
 def cmd_spectrum(cfg: RunConfig):
@@ -443,8 +436,8 @@ def cmd_spectrum(cfg: RunConfig):
 # berry
 # --------------------------------------------------------------------------
 
-def _berry_point(cfg: RunConfig, theta: float, d: float) -> list[dict]:
-    base = {"theta": float(theta), "d": float(d)}
+def _berry_point(cfg: RunConfig, theta: float, d: float) -> list[tuple]:
+    base = _text({"theta": float(theta), "d": float(d)})
     match_tol = 2.0 * LOOP_BIAS_K / cfg.steps**2
     try:
         closed_sin = berry_closed(theta, d, "sin_form")
@@ -458,8 +451,7 @@ def _berry_point(cfg: RunConfig, theta: float, d: float) -> list[dict]:
             base,
             abs(closed_cos.gamma_plus - swapped.gamma_plus),
             max(EXACT_TOL, FORM_ARGUMENT_C * 2.0**-53 * abs(math.pi / 2.0 - theta)),
-            gamma_plus_sin=closed_sin.gamma_plus,
-            gamma_plus_cos=closed_cos.gamma_plus,
+            _text({"gamma_plus_sin": closed_sin.gamma_plus, "gamma_plus_cos": closed_cos.gamma_plus}),
         )
     ]
     if d < GOLDEN_RATIO - DOMAIN_SLACK:
@@ -475,23 +467,12 @@ def _berry_point(cfg: RunConfig, theta: float, d: float) -> list[dict]:
     for branch in ("plus", "minus"):
         wilson = getattr(loop, f"gamma_{branch}")
         closed = getattr(closed_sin, f"gamma_{branch}")
-        out.append(
-            _record(
-                f"berry.match_{branch}",
-                base,
-                abs(_wrap_phase(wilson - closed)),
-                match_tol,
-                wilson=wilson,
-                wilson_lifted=getattr(loop, f"gamma_{branch}_lifted"),
-                closed=closed,
-                pairing=loop.pairing,
-            )
-        )
-    out.append(_record("berry.zero_branch", base, abs(loop.gamma_zero), EXACT_TOL, wilson=loop.gamma_zero))
+        data = {"wilson": wilson, "wilson_lifted": getattr(loop, f"gamma_{branch}_lifted"), "closed": closed, "pairing": loop.pairing}
+        out.append(_record(f"berry.match_{branch}", base, abs(_wrap_phase(wilson - closed)), match_tol, _text(data)))
+    out.append(_record("berry.zero_branch", base, abs(loop.gamma_zero), EXACT_TOL, _text({"wilson": loop.gamma_zero})))
     gap = max(abs(_wrap_phase(loop.gamma_plus - gamma_discrete)), abs(_wrap_phase(loop.gamma_minus + gamma_discrete)))
-    out.append(
-        _record("berry.exact_discrete", base, gap, EXACT_TOL, steps=cfg.steps, gamma_discrete=gamma_discrete)
-    )
+    data = _text({"steps": cfg.steps, "gamma_discrete": gamma_discrete})
+    out.append(_record("berry.exact_discrete", base, gap, EXACT_TOL, data))
     return out
 
 
@@ -584,7 +565,7 @@ def cmd_figure(cfg: RunConfig):
         records = [_csv_record(f"figure.{kind}_csv", fname, n)]
         for d in sorted(d for d in d_values if not math.isfinite(d * d)):
             exc = InvalidParam(f"d = {d} overflows double precision: d*d is not finite")
-            records.append(_skip(f"figure.{kind}_row", {"d": d}, None, exc))
+            records.append(_skip(f"figure.{kind}_row", _text({"d": d}), None, exc))
         yield records
 
 

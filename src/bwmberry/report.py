@@ -1,69 +1,135 @@
 """Check records and the report's text: ``json.dumps(report, indent=2, sort_keys=True)`` with one record per line.
 
-This module alone knows a check record's shape.  ``_record`` (an executed
-check), ``_skip`` (a point that could not be evaluated) and ``_csv_record``
-(a CSV that figure wrote) build every record as a dict with the seven keys
-name, params, residual, tolerance, status, reason and data.  ``_Tally``
-counts them for the ``summary``.  Each record's line is the text
-``json.dumps(record, sort_keys=True)`` gives it: ``_record_lines`` joins it
-from the texts of the record's members, and encodes a member that
-consecutive records share, such as one point's params, once.  The records
-live apart from ``cli`` because a run without bytecode compiles each module
-from source, and the memory peak of that compile grows with the module.
+This module alone knows a check record's shape and builds its text.  A
+record is the tuple ``(name, status, residual, tolerance, line)``: ``line``
+is the record's line in the report, ``json.dumps(record, sort_keys=True)`` of
+the dict with the seven keys name, params, residual, tolerance, status,
+reason and data, and the other four are what ``_Tally`` counts.  ``_record``
+(an executed check), ``_skip`` (a point that could not be evaluated) and
+``_csv_record`` (a CSV that figure wrote) build every record, each line once,
+where the record is made, from the texts of its members (``_line``).  What a
+point's records share is encoded once: the caller passes the point's
+``params`` as text (``_text``, or ``_grid_params`` for a grid row), and a
+levels row (``_levels_records``) makes each predicted triple's text once.
+The records live apart from ``cli`` because a run without bytecode compiles
+each module from source, and the memory peak of that compile grows with the
+module.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 import re
 import time
 
 
-#: The ``data`` of every record without data: one dict that nothing mutates, not one per record.
-_NO_DATA: dict = {}
+def _encoder():
+    """``json.dumps(value, sort_keys=True)`` as one function that keeps one C encoder.
+
+    ``json.dumps`` builds a new C encoder on every call, and that build costs
+    about as much as encoding a point's params.  The kept encoder marks no
+    containers as open, so a failed encode leaves nothing behind, and data
+    that contains itself, which no record holds, ends in ``RecursionError``
+    instead of ``ValueError``.  Without json's C accelerator
+    (``c_make_encoder`` is None) this is the pure-Python ``encode``.
+    """
+    enc = json.JSONEncoder(sort_keys=True)
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return enc.encode
+    c_encode = make(
+        None, enc.default, json.encoder.encode_basestring_ascii, enc.indent,
+        enc.key_separator, enc.item_separator, enc.sort_keys, enc.skipkeys, enc.allow_nan,
+    )
+    return lambda value: "".join(c_encode(value, 0))
+
+
+#: The text of a record member, ``json.dumps(value, sort_keys=True)``: a point's params, or a record's data.
+_text = _encoder()
+
+#: The text of a string, as ``_text`` gives it.
+_string = json.encoder.encode_basestring_ascii
+
+#: json's spelling of each float whose ``repr`` is not JSON.
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _number(x: float) -> str:
+    """The text of a float, as ``_text`` gives it: its ``repr``, or ``NaN``, ``Infinity`` or ``-Infinity``."""
+    text = repr(x)
+    return _FLOAT_WORDS[text] if "n" in text else text  # only those three reprs hold an "n"
+
+
+def _line(data: str, name: str, params: str, reason: str, residual: str, status: str, tolerance: str) -> str:
+    """A record's line from the texts of its members, in sorted-key order."""
+    return (
+        f'{{"data": {data}, "name": {name}, "params": {params}, "reason": {reason}, '
+        f'"residual": {residual}, "status": "{status}", "tolerance": {tolerance}}}'
+    )
 
 
 def _reason_token(exc: BaseException) -> str:
     return re.sub(r"(?<!^)(?=[A-Z])", "_", type(exc).__name__).lower()
 
 
-def _record(name: str, params: dict, residual: float, tolerance: float, **data) -> dict:
-    """One executed check: it passes if ``residual < tolerance``."""
-    return {
-        "name": name,
-        "params": params,
-        "residual": float(residual),
-        "tolerance": float(tolerance),
-        "status": "pass" if residual < tolerance else "fail",
-        "reason": None,
-        "data": data or _NO_DATA,
-    }
+def _record(name: str, params: str, residual: float, tolerance: float, data: str = "{}") -> tuple:
+    """One executed check, given the texts of its ``params`` and ``data``: it passes if ``residual < tolerance``."""
+    residual, tolerance = float(residual), float(tolerance)
+    status = "pass" if residual < tolerance else "fail"
+    line = _line(data, _string(name), params, "null", _number(residual), status, _number(tolerance))
+    return name, status, residual, tolerance, line
 
 
-def _skip(name: str, params: dict, tolerance: float | None, exc: BaseException, reason: str | None = None) -> dict:
+def _skip(name: str, params: str, tolerance: float | None, exc: BaseException, reason: str | None = None) -> tuple:
     """A check not executed because of ``exc``: its reason token (``reason``, else ``exc``'s class) and detail."""
-    return {
-        "name": name,
-        "params": params,
-        "residual": None,
-        "tolerance": None if tolerance is None else float(tolerance),
-        "status": "skip",
-        "reason": reason or _reason_token(exc),
-        "data": {"detail": str(exc)},
-    }
+    tolerance = None if tolerance is None else float(tolerance)
+    data, reason = _text({"detail": str(exc)}), _string(reason or _reason_token(exc))
+    return name, "skip", None, tolerance, _line(data, _string(name), params, reason, "null", "skip", _text(tolerance))
 
 
-def _csv_record(name: str, file: str, rows: int) -> dict:
+def _csv_record(name: str, file: str, rows: int) -> tuple:
     """A CSV written: a pass with no residual, and the file's name and data rows."""
-    return {
-        "name": name,
-        "params": {},
-        "residual": None,
-        "tolerance": None,
-        "status": "pass",
-        "reason": None,
-        "data": {"file": file, "rows": rows},
-    }
+    data = _text({"file": file, "rows": rows})
+    return name, "pass", None, None, _line(data, _string(name), "{}", "null", "null", "pass", "null")
+
+
+def _grid_params(axes: dict) -> list[str]:
+    """The params text of every point of the grid the ``axes`` span, as ``_text`` of the point's dict gives it.
+
+    ``axes`` maps each params key to its values; the points run over their
+    product in the order of ``axes``, the first axis slowest, and each
+    value's text is made once.
+    """
+    keys = sorted(axes)
+    template = "{" + ", ".join(_string(key).replace("%", "%%") + ": %s" for key in keys) + "}"
+    pick = operator.itemgetter(*(list(axes).index(key) for key in keys))
+    values = [[_text(v) for v in axis] for axis in axes.values()]
+    return [template % pick(point) for point in itertools.product(*values)]
+
+
+def _levels_records(name: str, params: list, tolerance: float, residuals: list, observed: list, predicted: list, errors: dict):
+    """The records of one row of levels checks, point i with the params text ``params[i]``: a skip
+    with ``errors[i]`` if there is one, else ``residuals[i]`` with the three ``observed[i]`` levels.
+
+    ``predicted`` holds the distinct predicted triples in order, each serving
+    ``len(params) // len(predicted)`` consecutive points, and each triple's
+    text is made once; a record's data is ``{"observed": ..., "predicted": ...}``.
+    """
+    if not params:
+        return []
+    shared, per = [_text(levels) for levels in predicted], len(params) // len(predicted)
+    out = []
+    for i, (p, residual, (a, b, c)) in enumerate(zip(params, residuals, observed)):
+        if i in errors:
+            out.append(_skip(name, p, tolerance, errors[i]))
+            continue
+        text = "[%r, %r, %r]" % (a, b, c)
+        if "n" in text:  # NaN, Infinity or -Infinity
+            text = _text([a, b, c])
+        out.append(_record(name, p, residual, tolerance, f'{{"observed": {text}, "predicted": {shared[i // per]}}}'))
+    return out
 
 
 class _Tally:
@@ -74,7 +140,7 @@ class _Tally:
     and a later value replaces the kept one only if it is larger, so a NaN on
     the first graded record is kept and a later NaN never is.  Without graded
     records they are None and (0, None).  ``seconds`` is the time spent
-    producing the records, which ``_record_lines`` adds up as it takes them.
+    producing the records, which ``_write_report`` adds up as it takes them.
     """
 
     def __init__(self):
@@ -85,8 +151,7 @@ class _Tally:
     def add(self, records: list) -> None:
         passed = failed = skipped = 0
         worst, ratio, closest = self.worst, self.ratio, self.closest
-        for r in records:
-            status, residual = r["status"], r["residual"]
+        for name, status, residual, tolerance, _ in records:
             if status == "pass":
                 passed += 1
             elif status == "fail":
@@ -94,14 +159,14 @@ class _Tally:
             elif status == "skip":
                 skipped += 1
             if residual is not None:
-                quotient = residual / r["tolerance"]
+                quotient = residual / tolerance
                 if worst is None:
-                    worst, ratio, closest = residual, quotient, r["name"]
+                    worst, ratio, closest = residual, quotient, name
                 else:
                     if residual > worst:
                         worst = residual
                     if quotient > ratio:
-                        ratio, closest = quotient, r["name"]
+                        ratio, closest = quotient, name
         self.checks += len(records)
         self.passed += passed
         self.failed += failed
@@ -121,93 +186,6 @@ class _Tally:
         return summary, self.ratio, self.closest
 
 
-#: The encoder with sorted keys and no indent: the text of one check record.
-_RECORD_LINE = json.JSONEncoder(sort_keys=True)
-
-
-def _part_encoder():
-    """A function that gives ``_RECORD_LINE.encode(value)`` from one C encoder, built here.
-
-    ``JSONEncoder.encode`` builds a new C encoder on every call, and that
-    build costs about as much as encoding a record's ``params``; a report
-    write builds one.  Without json's C accelerator (``c_make_encoder`` is
-    None) this is ``_RECORD_LINE.encode`` itself.
-    """
-    make = json.encoder.c_make_encoder
-    if make is None:
-        return _RECORD_LINE.encode
-    enc = _RECORD_LINE
-    c_encode = make(
-        {}, enc.default, json.encoder.encode_basestring_ascii, enc.indent,
-        enc.key_separator, enc.item_separator, enc.sort_keys, enc.skipkeys, enc.allow_nan,
-    )
-    return lambda value: "".join(c_encode(value, 0))
-
-
-#: json's spelling of each float whose ``repr`` is not JSON.
-_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _record_lines(rows, tally: _Tally):
-    """The text of each record of ``rows``, lists of records, ``_RECORD_LINE.encode(record)``, one at a time.
-
-    A row is taken from ``rows`` once the one before it is used up, and
-    added to ``tally``; ``tally.seconds`` gets the time spent taking rows,
-    which is the time spent producing them.  Each record is one that ``_record``,
-    ``_skip`` or ``_csv_record`` built, and its line is joined from the texts
-    of its members in sorted-key order:
-
-    * ``params`` is encoded once while consecutive records hold the same
-      object: the records of one point share one dict;
-    * an empty ``data`` (``_NO_DATA``) is ``{}``, other data is encoded;
-    * name, reason, status and tolerance come from tables of texts keyed by value;
-    * a float is its ``repr``, or json's ``NaN``, ``Infinity`` or ``-Infinity``.
-
-    Each call builds its own encoder (``_part_encoder``): a failed encode
-    leaves the containers it was in marked as open, and those marks must not
-    outlive the write.
-    """
-    encode, frepr, float_words = _part_encoder(), float.__repr__, _FLOAT_WORDS
-    words, tolerances = {None: "null"}, {None: "null"}
-    last_params, params_text = object(), ""
-    rows, clock = iter(rows), time.perf_counter
-    while True:
-        start = clock()
-        row = next(rows, None)
-        tally.seconds += clock() - start
-        if row is None:
-            return
-        tally.add(row)
-        for rec in row:
-            name, reason, status = rec["name"], rec["reason"], rec["status"]
-            try:
-                name, reason, status = words[name], words[reason], words[status]
-            except KeyError:  # a value not in the table yet
-                for word in (name, reason, status):
-                    if word not in words:
-                        words[word] = encode(word)
-                name, reason, status = words[name], words[reason], words[status]
-            residual = rec["residual"]
-            residual = "null" if residual is None else frepr(residual)
-            residual = float_words.get(residual, residual)
-            tolerance = rec["tolerance"]
-            text = tolerances.get(tolerance)
-            if text is None:
-                text = frepr(tolerance)
-                text = float_words.get(text, text)
-                if tolerance:  # 0.0 and -0.0 are one key with two texts
-                    tolerances[tolerance] = text
-            params = rec["params"]
-            if params is not last_params:
-                last_params, params_text = params, encode(params)
-            data = rec["data"]
-            data = "{}" if not data else encode(data)
-            yield (
-                f'{{"data": {data}, "name": {name}, "params": {params_text}, "reason": {reason}, '
-                f'"residual": {residual}, "status": {status}, "tolerance": {text}}}'
-            )
-
-
 def _dumps(value) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` as laid out for a top-level member."""
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
@@ -219,23 +197,23 @@ NO_CHECKS = "no checks were executed (empty grids?)"
 
 def _write_report(fh, report: dict, timings: dict) -> tuple[dict, float, str | None]:
     """Write ``report`` in the layout of ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``,
-    except that ``checks`` holds rows, lists of records, and each record is one line,
-    ``_RECORD_LINE.encode(record)`` as ``_record_lines`` builds it; return the count of
-    the records (``_Tally.summary``).
+    except that ``checks`` holds rows, lists of records, and each record is its line; return
+    the count of the records (``_Tally.summary``).
 
-    The rows are taken one at a time and written as they arrive (``_record_lines``), so no
-    more than one row need be held at once.  ``checks`` sorts before the other members,
-    so those that depend on the records are written after the last one: a ``summary``
+    The rows are taken one at a time and their lines written as they arrive, so no more
+    than one row need be held at once.  ``checks`` sorts before the other members, so
+    those that depend on the records are written after the last one: a ``summary``
     member becomes the count, and a ``warnings`` list gains ``NO_CHECKS`` where there
     were no records.  Before ``meta``, ``timings["evaluate"]`` gets the seconds spent
-    producing the rows and the records, and ``timings["report_write"]`` the seconds
-    spent writing, without those, and the characters written; so a ``meta`` that holds
-    ``timings`` reports them.
+    producing the rows, their records' lines included, and ``timings["report_write"]``
+    the seconds spent writing, without those, and the characters written; so a ``meta``
+    that holds ``timings`` reports them.
     """
-    start, size, tally = time.perf_counter(), 0, _Tally()
+    clock = time.perf_counter
+    start, size, tally = clock(), 0, _Tally()
     for i, key in enumerate(sorted(report)):
         if key == "meta":
-            elapsed = time.perf_counter() - start
+            elapsed = clock() - start
             timings["evaluate"] = {"seconds": tally.seconds, "records": tally.checks}
             timings["report_write"] = {"seconds": elapsed - tally.seconds, "bytes": size}
         elif key == "summary":
@@ -245,10 +223,18 @@ def _write_report(fh, report: dict, timings: dict) -> tuple[dict, float, str | N
         value = report[key]
         size += fh.write(("{\n  " if i == 0 else ",\n  ") + json.dumps(key) + ": ")
         if key == "checks":
-            separator = "[\n    "
-            for line in _record_lines(value, tally):
-                size += fh.write(separator + line)
-                separator = ",\n    "
+            separator, rows = "[\n    ", iter(value)
+            while True:
+                taken = clock()
+                row = next(rows, None)
+                tally.seconds += clock() - taken
+                if row is None:
+                    break
+                if row:
+                    tally.add(row)
+                    # Two writes: the separator and a row's lines are not copied into one more string.
+                    size += fh.write(separator) + fh.write(",\n    ".join([record[4] for record in row]))
+                    separator = ",\n    "
             size += fh.write("[]" if tally.checks == 0 else "\n  ]")
         else:
             size += fh.write(_dumps(value))

@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import errno
 import io
+import itertools
 import json
 import math
 import os
@@ -17,6 +18,7 @@ import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from bwmberry import (
     InvalidParam,
     NoConvergence,
     NotHermitian,
+    SingularMatrix,
     berry,
     berry_closed,
     cli,
@@ -41,7 +44,9 @@ from bwmberry import (
     ladder_ops,
 )
 from bwmberry import report as writer
+from bwmberry.algebra import DOMAIN_SLACK
 from bwmberry.cli import KNOBS, build_config, build_parser, main
+from record_dicts import csv_dict, line, lines, record_dict, skip_dict
 
 PI_THIRD = repr(math.pi / 3.0)
 PI_HALF = repr(math.pi / 2.0)
@@ -407,7 +412,7 @@ def test_spectrum_solver_error_skips_only_its_own_casimir_point(tmp_path, capsys
 
 
 def per_point_levels(name: str, points: list) -> list:
-    """Records of (params, matrix or error, predicted) points, each matrix solved on its own."""
+    """Record dicts of (params, matrix or error, predicted) points, each matrix solved on its own."""
     out = []
     for params, m, predicted in points:
         if not isinstance(m, BwmBerryError):
@@ -416,16 +421,16 @@ def per_point_levels(name: str, points: list) -> list:
             except BwmBerryError as exc:
                 m = exc
         if isinstance(m, BwmBerryError):
-            out.append(cli._skip(name, params, cli.RELATION_TOL, m))
+            out.append(skip_dict(name, params, cli.RELATION_TOL, m))
             continue
         observed, predicted = m.tolist(), [float(x) for x in predicted]
         dev = max(abs(o - p) for o, p in zip(observed, predicted)) / max(1.0, max(abs(p) for p in predicted))
-        out.append(cli._record(name, params, dev, cli.RELATION_TOL, observed=observed, predicted=predicted))
+        out.append(record_dict(name, params, dev, cli.RELATION_TOL, observed=observed, predicted=predicted))
     return out
 
 
 def per_point_spectrum(cfg) -> list:
-    """The spectrum records built point by point: one ``ladder_ops`` per (d, theta), one
+    """The spectrum record dicts built point by point: one ``ladder_ops`` per (d, theta), one
     ``DriveParams``, ``hamiltonian_stack`` and ``cos_alpha`` per (d, theta, omega)."""
     casimirs, generators = [], []
     for d in cfg.grid("d"):
@@ -463,14 +468,18 @@ def per_point_spectrum(cfg) -> list:
         ["--grid-spec", "omega=1e300"],
         ["--grid-spec", f"d={GOLDEN_RATIO!r}", "--grid-spec", f"theta=0,{math.pi!r},-0.0"]
         + ["--grid-spec", "omega=-1,0"],
+        ["--grid-spec", "phi=0,-0.0", "--grid-spec", "omega=0,1", "--grid-spec", "theta=0,1", "--grid-spec", "d=2"],
     ],
-    ids=["domain", "default", "no_theta", "no_omega", "no_phi", "no_d", "d_1e100", "d_1e200", "omega_1e300", "edges"],
+    ids=[
+        "domain", "default", "no_theta", "no_omega", "no_phi", "no_d", "d_1e100", "d_1e200", "omega_1e300", "edges",
+        "signed_zero",
+    ],
 )
 def test_spectrum_rows_match_the_per_point_route(grids, jobs):
     # Every byte of every record, the signs of zeros included, skips with their details.
     cfg = build_config(build_parser().parse_args(["spectrum", *grids, "--jobs", jobs]))
     records, expected = [r for row in cli.cmd_spectrum(cfg) for r in row], per_point_spectrum(cfg)
-    assert json.dumps(records) == json.dumps(expected)
+    assert lines(records) == [line(r) for r in expected]
 
 
 @pytest.mark.parametrize("d, jobs", [("2", "1"), ("3,2", "2"), ("2,3", "2")])
@@ -495,6 +504,60 @@ def test_an_overflowing_norm_skips_only_its_own_points_after_the_batched_solve(d
     ]
     expected = per_point_spectrum(build_config(build_parser().parse_args(args)))
     assert json.loads(json.dumps(expected)) == checks
+
+
+#: A grid that holds both 0.0 and -0.0, where omega = 0 (and theta = 0) predicts the levels [0.0, 0.0, -0.0].
+SIGNED_ZERO_GRIDS = ["--grid-spec", "phi=0,-0.0", "--grid-spec", "omega=0,1", "--grid-spec", "theta=0,1", "--grid-spec", "d=2"]
+
+
+def test_signed_zeros_of_a_grid_keep_their_own_texts(tmp_path, capsys):
+    # 0.0 and -0.0 compare equal: a text looked up by value would give both the same one.
+    code, _, _ = run(["spectrum", *SIGNED_ZERO_GRIDS, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    text = (tmp_path / "spectrum_report.json").read_text(encoding="utf-8")
+    records = [c[4:].rstrip(",") for c in text.splitlines() if c.startswith("    {")]
+    cfg = build_config(build_parser().parse_args(["spectrum", *SIGNED_ZERO_GRIDS]))
+    assert records == [line(r) for r in per_point_spectrum(cfg)]
+    h = [json.loads(c) for c in records if '"name": "spectrum.h_eigenvalues"' in c]
+    assert [repr(c["params"]["phi"]) for c in h] == ["0.0", "-0.0"] * 4
+    assert [repr(c["data"]["predicted"]) for c in h[:6]] == ["[0.0, 0.0, -0.0]"] * 6
+
+
+@pytest.mark.parametrize("nan_first", [True, False], ids=["nan_first", "nan_later"])
+def test_non_finite_levels_are_written_as_json_spells_them(nan_first, tmp_path, capsys, monkeypatch):
+    # The d = 2 H row's solve (the third) returns NaN, +inf and -inf levels; with nan_first the
+    # d = 2 Casimir row's (the first) returns a NaN too.  Those records fail, their lines spell the
+    # values as json does, and only a NaN on the first graded record is kept as the worst residual.
+    poisoned = {2: [[math.nan, 0.0, 1.0], [-math.inf, math.inf, 0.0]]}
+    if nan_first:
+        poisoned[0] = [[math.nan, 0.75, 0.75]]
+    solve, calls = cli.hermitian_eigs, []
+
+    def solve_or_poison(matrices):
+        calls.append(matrices)
+        levels = poisoned.get(len(calls) - 1)
+        return solve(matrices) if levels is None else SimpleNamespace(values=np.array(levels))
+
+    monkeypatch.setattr(cli, "hermitian_eigs", solve_or_poison)
+    grids = ["--grid-spec", "d=2,3", "--grid-spec", "theta=0.3", "--grid-spec", "omega=1", "--grid-spec", "phi=0,1.3"]
+    code, out, err = run(["spectrum", *grids, "--out", str(tmp_path)], capsys)
+    assert (code, err, len(calls)) == (1, "", 4)
+    text = (tmp_path / "spectrum_report.json").read_text(encoding="utf-8")
+    checks = text[: text.index('\n  "command": ')]
+    assert "nan" not in checks and "inf" not in checks
+    assert '"observed": [NaN, 0.0, 1.0]' in checks and '"observed": [-Infinity, Infinity, 0.0]' in checks
+    assert '"residual": NaN' in checks and '"residual": Infinity' in checks
+    report = json.loads(text)
+    failed = [(c["name"], c["params"]["d"], repr(c["residual"])) for c in report["checks"] if c["status"] == "fail"]
+    h = [("spectrum.h_eigenvalues", 2.0, "nan"), ("spectrum.h_eigenvalues", 2.0, "inf")]
+    assert failed == ([("spectrum.casimir", 2.0, "nan")] if nan_first else []) + h
+    assert report["summary"]["failed"] == len(failed)
+    if nan_first:
+        assert math.isnan(report["summary"]["worst_residual"])
+        assert "largest residual/tolerance nan (spectrum.casimir)" in out
+    else:
+        assert report["summary"]["worst_residual"] == math.inf
+        assert "largest residual/tolerance inf (spectrum.h_eigenvalues)" in out
 
 
 def test_report_meta_holds_stage_timings(tmp_path, capsys):
@@ -1257,7 +1320,7 @@ def test_csv_writer_converts_one_row_at_a_time(tmp_path):
 # ---------------------------------------------------------------------------
 
 _FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 1.5e308]))
-_TEXT = st.one_of(st.text(max_size=12), st.sampled_from(['"', "\\", "%", "%s", "\x00\x1f\n\t", "é ψ 😀", " "]))
+_TEXT = st.one_of(st.text(max_size=12), st.sampled_from(['"', "\\", "%", "%s", "\x00\x1f\n\t", "é ψ 😀", " "]))
 _SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, _TEXT)
 _NESTED = st.recursive(
     _SCALAR, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3), max_leaves=6
@@ -1266,7 +1329,7 @@ _PARAMS = st.one_of(
     st.dictionaries(_TEXT, st.one_of(st.integers(), _FLOATS, st.booleans()), max_size=4),
     st.dictionaries(st.integers(), _FLOATS, max_size=3),
 )
-# Any text but the names of _record's other arguments can key its data.
+# Any text but the names of record_dict's other arguments can key its data.
 _DATA = st.dictionaries(
     _TEXT.filter(lambda key: key not in ("name", "params", "residual", "tolerance")),
     st.one_of(_SCALAR, st.lists(_SCALAR, max_size=4), _NESTED),
@@ -1277,32 +1340,45 @@ _NONZERO = _FLOATS.filter(lambda t: t != 0.0)
 _CLI_NAMES = st.sampled_from(["bwm.skein_a", "ybe.exchange", "ybe.suite", "spectrum.casimir"])
 
 
+def _executed(name, params, residual, tolerance, **data):
+    """An executed check as ``_record`` builds it from the texts of ``params`` and ``data``, and its reference dict."""
+    record = writer._record(name, writer._text(params), residual, tolerance, writer._text(data))
+    return record, record_dict(name, params, residual, tolerance, **data)
+
+
+def _skipped(name, params, tolerance, exc, reason=None):
+    """A skip as ``_skip`` builds it, and its reference dict."""
+    return writer._skip(name, writer._text(params), tolerance, exc, reason), skip_dict(name, params, tolerance, exc, reason)
+
+
+def _csv(name, file, rows):
+    """A CSV record as ``_csv_record`` builds it, and its reference dict."""
+    return writer._csv_record(name, file, rows), csv_dict(name, file, rows)
+
+
 @st.composite
 def _checks(draw):
-    """Records as ``_record``, ``_skip`` and ``_csv_record`` build them, sharing params as the CLI's do.
+    """(record, reference dict) pairs as ``_record``, ``_skip`` and ``_csv_record`` build them.
 
-    A few params dicts serve many records, in runs and apart, next to equal
-    but distinct copies; ``data`` is often empty; residuals and tolerances
-    include NaN, +-inf and +-0.0, except that the writer counts each record
-    into the summary, which divides a residual by its tolerance: an executed
-    check's tolerance is never 0, as none of the program's is.
+    A few params dicts serve many records; ``data`` is often empty; residuals
+    and tolerances include NaN, +-inf and +-0.0, except that the writer counts
+    each record into the summary, which divides a residual by its tolerance:
+    an executed check's tolerance is never 0, as none of the program's is.
     """
     pool = draw(st.lists(_PARAMS, min_size=1, max_size=3))
     checks = []
     for _ in range(draw(st.integers(0, 16))):
         params = pool[draw(st.integers(0, len(pool) - 1))]
-        if draw(st.integers(0, 4)) == 0:
-            params = dict(params)
         name, kind = draw(st.one_of(_CLI_NAMES, _CLI_NAMES, _TEXT)), draw(st.integers(0, 5))
         if kind < 3:
             data = draw(_DATA) if kind == 0 else {}
-            checks.append(writer._record(name, params, draw(_FLOATS), draw(_NONZERO), **data))
+            checks.append(_executed(name, params, draw(_FLOATS), draw(_NONZERO), **data))
         elif kind < 5:
             tolerance, detail = draw(st.one_of(st.none(), _FLOATS)), InvalidParam(draw(_TEXT))
             reason = draw(st.one_of(st.none(), st.just("closed_form_only"), _TEXT))
-            checks.append(writer._skip(name, params, tolerance, detail, reason))
+            checks.append(_skipped(name, params, tolerance, detail, reason))
         else:
-            checks.append(writer._csv_record(name, draw(_TEXT), draw(st.integers(0, 10**6))))
+            checks.append(_csv(name, draw(_TEXT), draw(st.integers(0, 10**6))))
     return checks
 
 
@@ -1310,8 +1386,8 @@ def write_report(report, timings, cuts=()):
     """The writer's text of ``report``, its ``checks`` handed over as rows split before the indices ``cuts``.
 
     The members the writer fills in after the checks, ``summary`` and
-    ``warnings``, are copied back into ``report``, so that
-    ``one_line_checks(report)`` is the text expected.
+    ``warnings``, are copied back into ``report``, so that ``one_line_checks``
+    of ``report`` with the reference dicts as ``checks`` is the text expected.
     """
     written = dict(report)
     if "checks" in report:
@@ -1339,17 +1415,29 @@ def one_line_checks(report) -> str:
     return '{\n  "checks": [\n    ' + lines + "\n  ]" + text[len(placeholder) :]
 
 
+def assert_written(pairs):
+    """The writer's text of (record, reference dict) pairs is the reference text."""
+    assert write_report({"checks": [r for r, _ in pairs]}, {}) == one_line_checks({"checks": [d for _, d in pairs]})
+
+
 # Keys and strings the encoder must escape, as params, data, reason and detail.
 _AWKWARD = {"%": 1.5, "%s": -0.0, '"q"': math.nan, "a\\b": math.inf, "\x00\n\t": -math.inf, "é ψ 😀": True, "": 7}
 _AWKWARD_REASON = "50% \"quoted\" \\ \u2028"
-_SHAPES = [
-    writer._skip("bwm.%s", _AWKWARD, math.inf, InvalidParam("d = 1.2\n%d \x1f ψ"), _AWKWARD_REASON),
-    writer._skip("bwm.%s", {"d": 1.7, "theta": 0.3}, math.inf, InvalidParam("d = 1.2\n%d"), _AWKWARD_REASON),
-    writer._record("bwm.%s", {}, -0.0, math.inf, nested={"b": [1, [2]], "a": {}}),
-    writer._record("bwm.%s", _AWKWARD, math.nan, -5e-324, **_AWKWARD, list=[None, math.nan, "%", True, 2**70]),
-    writer._record("ybe.exchange", {2: 1.0, 10: 2.0}, -math.inf, 1e-10),  # int keys sort as numbers
-    writer._csv_record("figure.\u2028_csv", "é ψ.csv", 0),
-]
+
+
+def _shapes() -> list:
+    """Records of awkward shapes, with their reference dicts, built by the current encoder."""
+    return [
+        _skipped("bwm.%s", _AWKWARD, math.inf, InvalidParam("d = 1.2\n%d \x1f ψ"), _AWKWARD_REASON),
+        _skipped("bwm.%s", {"d": 1.7, "theta": 0.3}, math.inf, InvalidParam("d = 1.2\n%d"), _AWKWARD_REASON),
+        _executed("bwm.%s", {}, -0.0, math.inf, nested={"b": [1, [2]], "a": {}}),
+        _executed("bwm.%s", _AWKWARD, math.nan, -5e-324, **_AWKWARD, list=[None, math.nan, "%", True, 2**70]),
+        _executed("ybe.exchange", {2: 1.0, 10: 2.0}, -math.inf, 1e-10),  # int keys sort as numbers
+        _csv("figure.\u2028_csv", "é ψ.csv", 0),
+    ]
+
+
+_SHAPES = _shapes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -1370,13 +1458,17 @@ _SHAPES = [
 @example(shapes=_SHAPES * 2 + _SHAPES[:3], checks=[], config={}, rest={"command": "verify"}, meta=True, cuts=[3, 3])
 @example(shapes=[], checks=[], config={}, rest={"summary": None, "warnings": ["w"]}, meta=True, cuts=[0])
 def test_property_report_writer_gives_one_line_per_check(shapes, checks, config, rest, meta, cuts):
-    records = shapes + checks
+    pairs = shapes + checks
+    records = [record for record, _ in pairs]
+    for (name, status, residual, tolerance, _), expected in pairs:
+        fields = (expected["name"], expected["status"], expected["residual"], expected["tolerance"])
+        assert repr((name, status, residual, tolerance)) == repr(fields)
     timings = {"build_config": {"seconds": 0.5}}
     report = {"checks": records, "config": config, **rest}
     if meta:
         report["meta"] = {"timestamp": "now", "timings": timings}
     text = write_report(report, timings, [min(cut, len(records)) for cut in cuts])
-    assert text == one_line_checks(report)
+    assert text == one_line_checks({**report, "checks": [expected for _, expected in pairs]})
     if "summary" in rest:
         tally = writer._Tally()
         tally.add(records)
@@ -1390,7 +1482,7 @@ def test_property_report_writer_gives_one_line_per_check(shapes, checks, config,
 
 
 def test_report_writer_exact_bytes():
-    report = {"checks": _SHAPES[1:3], "command": "verify", "meta": {}, "summary": None, "warnings": []}
+    report = {"checks": [r for r, _ in _SHAPES[1:3]], "command": "verify", "meta": {}, "summary": None, "warnings": []}
     assert write_report(report, {}, [1]) == (
         '{\n  "checks": [\n'
         '    {"data": {"detail": "d = 1.2\\n%d"}, "name": "bwm.%s", "params": {"d": 1.7, "theta": 0.3}, '
@@ -1409,57 +1501,56 @@ def test_report_writer_exact_bytes():
 
 
 def _check(name="bwm.skein_a", params=None, residual=0.0, tolerance=1e-10, **changes):
+    """A record with the line of its dict, whose fields need not follow ``_record``'s rules (any status)."""
     record = {"name": name, "params": params or {"q": 0.5}, "residual": residual, "tolerance": tolerance,
-              "status": "pass", "reason": None, "data": cli._NO_DATA}
-    return {**record, **changes}
+              "status": "pass", "reason": None, "data": {}, **changes}
+    return record["name"], record["status"], record["residual"], record["tolerance"], line(record)
 
 
-def test_report_writer_keeps_signed_zeros_typed_params_and_full_tables():
-    # 0.0 and -0.0 are one dict key with two texts; a NaN is a key only to itself.
+def test_report_writer_keeps_signed_zeros_and_typed_params():
+    # 0.0 and -0.0 compare equal and have two texts; a NaN is not equal to itself.
     params = {"q": 0.5}
-    zeros = [writer._record("bwm.skein_a", params, r, 1e-10) for r in (0.0, -0.0, 0.0)]
-    nans = [writer._record("bwm.skein_a", params, math.nan, math.nan) for _ in range(3)]
-    skips = [writer._skip("bwm.suite", params, t, InvalidParam("x")) for t in (-0.0, 0.0, -0.0, -math.inf, math.inf)]
-    report = {"checks": zeros + nans + skips}
-    assert write_report(report, {}) == one_line_checks(report)
-    # Equal values of other types are other texts: params are reused by identity only.
-    report = {"checks": [writer._record("bwm.skein_a", {"q": value}, 0.0, 1e-10) for value in (1, 1.0, True, 1, 1.0)]}
-    assert write_report(report, {}) == one_line_checks(report)
-    # The tables keep every name and tolerance of a write, here one of each per record.
-    report = {"checks": [writer._record(f"line {i}", params, 0.5, 1.0 + i) for i in range(2000)] * 2}
-    assert write_report(report, {}) == one_line_checks(report)
+    zeros = [_executed("bwm.skein_a", params, r, 1e-10) for r in (0.0, -0.0, 0.0)]
+    nans = [_executed("bwm.skein_a", params, math.nan, math.nan) for _ in range(3)]
+    skips = [_skipped("bwm.suite", params, t, InvalidParam("x")) for t in (-0.0, 0.0, -0.0, -math.inf, math.inf)]
+    assert_written(zeros + nans + skips)
+    # Equal values of other types are other texts.
+    assert_written([_executed("bwm.skein_a", {"q": value}, 0.0, 1e-10) for value in (1, 1.0, True, 1, 1.0, -0.0)])
 
 
 def test_a_failed_record_encode_leaves_the_writer_usable():
-    # A record that cannot be encoded must not leave its containers marked as open in an
-    # encoder that outlives the write: the next write of the same data would read as circular.
+    # The kept encoder marks no container as open, so data that fails to encode once
+    # encodes once it is mended, and data that holds itself fails without a mark left.
     data = {"kept": [1.5], "bad": object()}
-    report = {"checks": [_check(data=data)]}
     with pytest.raises(TypeError, match="not JSON serializable"):
-        write_report(report, {})
+        writer._text(data)
     del data["bad"]
-    assert write_report(report, {}) == one_line_checks(report)
+    assert writer._text(data) == json.dumps(data, sort_keys=True)
     circular = [1.0]
     circular.append(circular)
-    with pytest.raises(ValueError, match="Circular reference"):
-        write_report({"checks": [_check(data={"loop": circular})]}, {})
+    with pytest.raises((RecursionError, ValueError)):
+        writer._text({"loop": circular})
+    assert writer._text(data) == json.dumps(data, sort_keys=True)
 
 
 def test_report_writer_bytes_are_the_same_without_the_c_encoder(tmp_path, capsys, monkeypatch):
-    code, _, _ = run(["verify", "--out", str(tmp_path / "c"), *SMALL_VERIFY], capsys)
-    assert code == 0
+    argvs = {"verify": SMALL_VERIFY, "spectrum": SPECTRUM_DOMAIN_GRIDS, "figure": ["--theta-points", "3", "--d-mesh", "1:2:2"]}
+    for command, args in argvs.items():
+        assert run([command, "--out", str(tmp_path / "c"), *args], capsys)[0] == 0
     monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-    assert writer._part_encoder() == writer._RECORD_LINE.encode
-    code, _, _ = run(["verify", "--out", str(tmp_path / "python"), *SMALL_VERIFY], capsys)
-    assert code == 0
-    c_text, python_text = (
-        text[: text.index(',\n  "meta": ')]
-        for text in ((tmp_path / side / "verify_report.json").read_text(encoding="utf-8") for side in ("c", "python"))
-    )
-    assert c_text == python_text
+    python_text = writer._encoder()
+    assert python_text.__func__ is json.JSONEncoder.encode
+    monkeypatch.setattr(writer, "_text", python_text)
+    monkeypatch.setattr(cli, "_text", python_text)
+    for command, args in argvs.items():
+        assert run([command, "--out", str(tmp_path / "python"), *args], capsys)[0] == 0
+        c_text, python_text = (
+            text[: text.index(',\n  "meta": ')]
+            for text in ((tmp_path / side / f"{command}_report.json").read_text(encoding="utf-8") for side in ("c", "python"))
+        )
+        assert c_text == python_text
     params = {"q": 0.5}
-    report = {"checks": _SHAPES * 2 + [writer._record("bwm.skein_a", params, r, 1e-10) for r in (0.0, math.nan)]}
-    assert write_report(report, {}) == one_line_checks(report)
+    assert_written(_shapes() * 2 + [_executed("bwm.skein_a", params, r, 1e-10) for r in (0.0, math.nan)])
 
 
 def capture_checks(monkeypatch) -> list:
@@ -1490,63 +1581,72 @@ def capture_checks(monkeypatch) -> list:
     ids=["verify", "spectrum", "berry", "figure", "verify_edge", "figure_edge", "spectrum_edge", "berry_edge_jobs3"],
 )
 def test_every_record_of_the_program_keeps_the_record_contract(argv, tmp_path, capsys, monkeypatch):
-    # The writer joins each line from these members without checking them.
+    # The writer counts each record from its four fields and writes its line without reading
+    # it: the line must be canonical JSON of the seven members, and agree with the fields.
     written = capture_checks(monkeypatch)
     code, _, _ = run([*argv, "--out", str(tmp_path)], capsys)
     assert code == 0
     (records,) = written
     assert records
     for r in records:
-        assert r.keys() == {"name", "params", "residual", "tolerance", "status", "reason", "data"}, r
-        assert type(r["name"]) is str and r["status"] in ("pass", "fail", "skip"), r
-        assert (type(r["reason"]) is str if r["status"] == "skip" else r["reason"] is None), r
-        assert type(r["residual"]) in (float, type(None)) and type(r["tolerance"]) in (float, type(None)), r
-        assert type(r["data"]) is dict, r
+        assert type(r) is tuple and len(r) == 5, r
+        name, status, residual, tolerance, text = r
+        parsed = json.loads(text)
+        assert line(parsed) == text, r
+        assert parsed.keys() == {"name", "params", "residual", "tolerance", "status", "reason", "data"}, r
+        assert type(name) is str and status in ("pass", "fail", "skip"), r
+        assert type(residual) in (float, type(None)) and type(tolerance) in (float, type(None)), r
+        assert repr((name, status, residual, tolerance)) == repr(
+            (parsed["name"], parsed["status"], parsed["residual"], parsed["tolerance"])
+        ), r
+        assert (type(parsed["reason"]) is str if status == "skip" else parsed["reason"] is None), r
+        assert type(parsed["params"]) is dict and type(parsed["data"]) is dict, r
 
 
-def test_worker_records_keep_one_params_encode_per_point(tmp_path, capsys, monkeypatch):
-    # Pickling keeps one params object per point, so the records that forked workers
-    # send back share it as this process's records do, and the writer encodes it once.
-    written, encoded, part_encoder = capture_checks(monkeypatch), [], writer._part_encoder
+def test_each_point_encodes_its_params_once(tmp_path, capsys, monkeypatch):
+    # A verify point's params are encoded once for all its records, and a spectrum row encodes each of
+    # its grid values and each distinct predicted triple once.  At --jobs 2 the forked worker encodes
+    # the records of its rows, so this process encodes fewer.
+    encoded = []
 
-    def counting_encoder():
-        encode = part_encoder()
-
+    def counting(encode):
         def counted(value):
             encoded.append(value)
             return encode(value)
 
         return counted
 
-    monkeypatch.setattr(writer, "_part_encoder", counting_encoder)
+    monkeypatch.setattr(cli, "_text", counting(cli._text))
+    monkeypatch.setattr(writer, "_text", counting(writer._text))
     verify_sweep_sizes = ["verify", "--phase-pairs", "60", "--ybe-samples", "2500"]
     counts = {}
     for jobs in ("1", "2"):
         for argv in (verify_sweep_sizes, ["spectrum"]):
             code, _, _ = run([*argv, "--jobs", jobs, "--out", str(tmp_path / jobs)], capsys)
             assert code == 0
-        params = [{id(r["params"]) for r in records} for records in written]
-        counts[jobs] = (sum(map(len, params)), sum(id(v) in ids for ids in params for v in encoded))
-        written.clear()
-        encoded.clear()
-    # 60 phase pairs at 4 q and at 5 tla_d, 3 corner and 2,500 drawn exchange samples, and
-    # spectrum's 4 d by 5 theta Casimir points and 2 omega by 2 phi H points at each of them.
-    points = (4 + 5) * 60 + 3 + 2500 + 4 * 5 * (1 + 2 * 2)
-    assert counts == {"1": (points, points), "2": (points, points)}
+            counts[argv[0], jobs] = len(encoded)
+            encoded.clear()
+    # 60 phase pairs at 4 q and at 5 tla_d, and 3 corner and 2,500 drawn exchange samples.
+    assert counts["verify", "1"] == (4 + 5) * 60 + 3 + 2500
+    # At each of 4 d: 5 theta and one d value and one predicted triple for the Casimir row; 5 theta,
+    # one d, 2 omega and 2 phi values and 5 x 2 predicted triples for the H row.
+    assert counts["spectrum", "1"] == 4 * ((5 + 1 + 1) + (5 + 1 + 2 + 2 + 5 * 2))
+    assert 0 < counts["verify", "2"] < counts["verify", "1"] and 0 < counts["spectrum", "2"] < counts["spectrum", "1"]
 
 
 def reference_summary(records):
     """The summary and closing-line ratio as four sums, a graded list and two ``max`` calls give them."""
-    graded = [r for r in records if r["residual"] is not None]
+    graded = [(name, residual, tolerance) for name, _, residual, tolerance, _ in records if residual is not None]
+    statuses = [status for _, status, _, _, _ in records]
     summary = {
         "checks": len(records),
-        "passed": sum(r["status"] == "pass" for r in records),
-        "failed": sum(r["status"] == "fail" for r in records),
-        "skipped": sum(r["status"] == "skip" for r in records),
-        "worst_residual": max([r["residual"] for r in graded], default=None),
+        "passed": statuses.count("pass"),
+        "failed": statuses.count("fail"),
+        "skipped": statuses.count("skip"),
+        "worst_residual": max([residual for _, residual, _ in graded], default=None),
     }
     summary["overall_pass"] = summary["failed"] == 0
-    ratio, closest = max(((r["residual"] / r["tolerance"], r["name"]) for r in graded), key=lambda p: p[0], default=(0, None))
+    ratio, closest = max(((r / t, name) for name, r, t in graded), key=lambda p: p[0], default=(0, None))
     return summary, ratio, closest
 
 
@@ -1594,6 +1694,121 @@ def test_a_nan_residual_is_kept_only_as_the_first_graded_record(nan_first, tmp_p
     assert f"2/4 checks passed, 1 failed, 1 skipped; largest residual/tolerance {ratio:.3g} ({closest}); wrote " in out
 
 
+# ---------------------------------------------------------------------------
+# record lines of the row builders against json.dumps of reference dicts
+# ---------------------------------------------------------------------------
+
+# Values a params member, a level or a residual can hold: signed zeros, subnormals and the largest doubles;
+# params also hold ints and bools (verify's epsilon is an int).
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_PARAM_VALUES = st.one_of(_EDGE_FLOATS, st.integers(-(2**70), 2**70), st.booleans())
+_LEVEL = st.one_of(_EDGE_FLOATS, _FLOATS)
+_LEVELS = st.lists(_LEVEL, min_size=3, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    axes=st.dictionaries(
+        st.sampled_from(["theta", "d", "omega_drive", "phi", "epsilon"]),
+        st.lists(_PARAM_VALUES, min_size=1, max_size=3),
+        min_size=1,
+        max_size=4,
+    ),
+    data=st.data(),
+)
+def test_property_levels_row_lines_are_json_dumps_of_the_reference(axes, data):
+    params = [dict(zip(axes, point)) for point in itertools.product(*axes.values())]
+    n = len(params)
+    groups = data.draw(st.sampled_from([g for g in range(1, n + 1) if n % g == 0]))
+    predicted = data.draw(st.lists(_LEVELS, min_size=groups, max_size=groups))
+    observed = data.draw(st.lists(_LEVELS, min_size=n, max_size=n))
+    residuals = data.draw(st.lists(_LEVEL, min_size=n, max_size=n))
+    errors = {i: InvalidParam(f"point {i}") for i in data.draw(st.sets(st.integers(0, n - 1)))}
+    name, tolerance, per = "spectrum.h_eigenvalues", 1e-10, n // groups
+    records = writer._levels_records(name, writer._grid_params(axes), tolerance, residuals, observed, predicted, errors)
+    expected = [
+        skip_dict(name, p, tolerance, errors[i])
+        if i in errors
+        else record_dict(name, p, residuals[i], tolerance, observed=observed[i], predicted=predicted[i // per])
+        for i, p in enumerate(params)
+    ]
+    assert lines(records) == [line(r) for r in expected]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    points=st.lists(
+        st.dictionaries(st.sampled_from(["q", "d", "phi1", "phi2", "epsilon"]), _PARAM_VALUES, max_size=5), max_size=4
+    ),
+    whole_row=st.booleans(),
+    data=st.data(),
+)
+def test_property_relation_row_lines_are_json_dumps_of_the_reference(points, whole_row, data):
+    # A transport line is graded at EXACT_TOL, the others at the family's tolerance.
+    tolerances = {"skein_a": cli.RELATION_TOL, "transport_b": cli.EXACT_TOL}
+    results = [
+        InvalidParam(f"point {i}") if data.draw(st.integers(0, 3)) == 0 else data.draw(st.lists(_LEVEL, min_size=2, max_size=2))
+        for i in range(len(points))
+    ]
+    row_error = SingularMatrix("the whole row")
+
+    def evaluate():
+        if whole_row:
+            raise row_error
+        return tuple(tolerances), results
+
+    records = cli._relation_records("bwm", points, cli.RELATION_TOL, evaluate)
+    expected = []
+    for p, result in zip(points, results):
+        if whole_row or isinstance(result, BwmBerryError):
+            expected.append(skip_dict("bwm.suite", p, cli.RELATION_TOL, row_error if whole_row else result))
+        else:
+            expected += [record_dict(f"bwm.{n}", p, r, t) for (n, t), r in zip(tolerances.items(), result)]
+    assert lines(records) == [line(r) for r in expected]
+
+
+def berry_point_dicts(theta, d, steps):
+    """The record dicts of one Berry point, from the library's closed forms and loops."""
+    params, match_tol = {"theta": float(theta), "d": float(d)}, 2.0 * berry.LOOP_BIAS_K / steps**2
+    try:
+        closed_sin, closed_cos = berry_closed(theta, d, "sin_form"), berry_closed(theta, d, "cos_form")
+    except BwmBerryError as exc:
+        return [skip_dict("berry.closed", params, None, exc)]
+    swapped = berry_closed(math.pi / 2.0 - theta, d, "sin_form")
+    tolerance = max(cli.EXACT_TOL, cli.FORM_ARGUMENT_C * 2.0**-53 * abs(math.pi / 2.0 - theta))
+    residual = abs(closed_cos.gamma_plus - swapped.gamma_plus)
+    gammas = {"gamma_plus_sin": closed_sin.gamma_plus, "gamma_plus_cos": closed_cos.gamma_plus}
+    out = [record_dict("berry.form_consistency", params, residual, tolerance, **gammas)]
+    if d < GOLDEN_RATIO - DOMAIN_SLACK:
+        exc = InvalidParam("the Hamiltonian route needs d at or above the golden ratio")
+        return out + [skip_dict("berry.match_plus", params, match_tol, exc, "closed_form_only")]
+    try:
+        loop, discrete = berry.berry_wilson_loop(theta, d, steps=steps), berry.berry_discrete(theta, d, steps=steps)
+    except BwmBerryError as exc:
+        return out + [skip_dict("berry.match_plus", params, match_tol, exc)]
+    for branch, closed in (("plus", closed_sin.gamma_plus), ("minus", closed_sin.gamma_minus)):
+        wilson, lifted = getattr(loop, f"gamma_{branch}"), getattr(loop, f"gamma_{branch}_lifted")
+        residual = abs(berry._wrap_phase(wilson - closed))
+        data = {"wilson": wilson, "wilson_lifted": lifted, "closed": closed, "pairing": loop.pairing}
+        out.append(record_dict(f"berry.match_{branch}", params, residual, match_tol, **data))
+    out.append(record_dict("berry.zero_branch", params, abs(loop.gamma_zero), cli.EXACT_TOL, wilson=loop.gamma_zero))
+    gap = max(abs(berry._wrap_phase(loop.gamma_plus - discrete)), abs(berry._wrap_phase(loop.gamma_minus + discrete)))
+    return out + [record_dict("berry.exact_discrete", params, gap, cli.EXACT_TOL, steps=steps, gamma_discrete=discrete)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    theta=st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 0.3, 2.2, 3e4, 1e308]), st.floats(-10.0, 10.0)),
+    d=st.sampled_from([5e-324, 1.0, 1.5, GOLDEN_RATIO, 2.0, 3.0, 1e154, 1e308]),
+)
+def test_property_berry_point_lines_are_json_dumps_of_the_reference(theta, d):
+    cfg = cli.RunConfig(command="berry", out_dir=Path("."), steps=16)
+    assert lines(cli._berry_point(cfg, theta, d)) == [line(r) for r in berry_point_dicts(theta, d, 16)]
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize(
     "command, args, all_skip",
@@ -1626,7 +1841,7 @@ def rows_then(error):
     def command(cfg):
         for q in (0.5, 0.9):
             params = {"q": q}
-            yield [writer._record(f"bwm.line_{i}", params, 1e-16, 1e-10) for i in range(1500)]
+            yield [writer._record(f"bwm.line_{i}", writer._text(params), 1e-16, 1e-10) for i in range(1500)]
         raise error
 
     return command

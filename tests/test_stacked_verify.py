@@ -20,7 +20,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bwmberry import GOLDEN_RATIO, AlgebraParams, BwmBerryError, cli, make_a, make_ea, rel_residual
-from bwmberry import report as writer
 from bwmberry.algebra import (
     DEGENERATE_OMEGA,
     TRANSPORT_LINES,
@@ -38,6 +37,7 @@ from bwmberry.algebra import (
 )
 from bwmberry.errors import InvalidParam, SingularMatrix
 from bwmberry.matrices import SINGULARITY_RTOL, _adjugate_det, _cmul, _inverse_stack, dagger, frobenius, inverse, refuse_overflow
+from record_dicts import line, record_dict, skip_dict
 
 # ---------------------------------------------------------------------------
 # the scalar route: one point, numpy scalar arithmetic
@@ -146,7 +146,7 @@ def scalar_bwm_lines(p, a, b, ea, eb):
 def _residual_records(prefix, base, lines, tolerance):
     names, lhs, rhs = zip(*lines)
     residuals = rel_residual(np.stack(lhs), np.stack(rhs)).tolist()
-    return [cli._record(f"{prefix}.{n}", base, r, tolerance) for n, r in zip(names, residuals)]
+    return [record_dict(f"{prefix}.{n}", base, r, tolerance) for n, r in zip(names, residuals)]
 
 
 def scalar_bwm_point(cfg, q, p1, p2):
@@ -156,7 +156,7 @@ def scalar_bwm_point(cfg, q, p1, p2):
         a, b, ea, eb = make_a(p), scalar_b(p.q, p.d, p1, p2), make_ea(p), scalar_eb(p.d, p1, p2)
         suite = _residual_records("bwm", base, scalar_bwm_lines(p, a, b, ea, eb), cli.RELATION_TOL)
     except BwmBerryError as exc:
-        return [cli._skip("bwm.suite", base, cli.RELATION_TOL, exc)]
+        return [skip_dict("bwm.suite", base, cli.RELATION_TOL, exc)]
     u = scalar_u(p.d, p1, p2)
     ui = scalar_inverse(u)
     transports = [("transport_b", b, u @ a @ ui), ("transport_eb", eb, u @ ea @ ui)]
@@ -177,7 +177,7 @@ def scalar_tla_point(cfg, d, p1, p2):
         ]
         return _residual_records("tla", base, lines, cli.EXACT_TOL)
     except BwmBerryError as exc:
-        return [cli._skip("tla.suite", base, cli.EXACT_TOL, exc)]
+        return [skip_dict("tla.suite", base, cli.EXACT_TOL, exc)]
 
 
 def same_bits(x, y) -> bool:
@@ -377,7 +377,7 @@ def test_verify_records_match_the_per_point_route(pairs, jobs, tmp_path):
     phase_pairs = cli._phase_pairs(cfg).tolist()
     expected = [rec for q in cfg.grid("q") for p1, p2 in phase_pairs for rec in scalar_bwm_point(cfg, q, p1, p2)]
     expected += [rec for d in cfg.grid("tla_d") for p1, p2 in phase_pairs for rec in scalar_tla_point(cfg, d, p1, p2)]
-    assert report_lines(tmp_path / "verify_report.json") == [writer._RECORD_LINE.encode(r) for r in expected]
+    assert report_lines(tmp_path / "verify_report.json") == [line(r) for r in expected]
     report = json.loads((tmp_path / "verify_report.json").read_text(encoding="utf-8"))
     timings = report["meta"]["timings"]
     chunks = -(-pairs // cli.CHUNK)

@@ -39,11 +39,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import DOMAIN_SLACK, EXACT_TOL, GOLDEN_RATIO, RELATION_TOL, TRANSPORT_LINES, AlgebraParams, _bwm_row, _tla_row
+from .algebra import DOMAIN_SLACK, EXACT_TOL, GOLDEN_RATIO, RELATION_TOL, TRANSPORT_LINES, AlgebraParams, _bwm_row, _square_tolerance, _tla_row
 from .berry import LOOP_BIAS_K, MIN_STEPS, SECTION_D_VALUES, _wrap_phase, berry_closed, berry_discrete, berry_wilson_loop, figure_table
 from .errors import BwmBerryError, ConfigError, InvalidParam
-from .matrices import hermitian_eigs
-from .report import _csv_record, _grid_params, _levels_records, _record, _skip, _text, _write_report
+from .matrices import _eigh
+from .report import _checks, _csv_record, _graded, _grid_params, _levels_records, _record, _row_params, _skip, _text, _write_report
 from .spin import _drive_factors, _hamiltonian_row, _ladder_stack, cos_alpha
 from .yangbaxter import UNIT_CIRCLE_TOL, SpectralParams, _exchange_columns
 
@@ -221,51 +221,61 @@ def _chunks(rows: np.ndarray) -> list[np.ndarray]:
     return [rows[i : i + CHUNK] for i in range(0, len(rows), CHUNK)]
 
 
-#: The tolerances of the relation lines not graded at their family's tolerance, by record name.
-_LINE_TOLERANCES = {**{f"bwm.{name}": EXACT_TOL for name in TRANSPORT_LINES}, "ybe.unimodularity": UNIT_CIRCLE_TOL}
+#: The tolerances of the BWM transport lines, which are not graded at the family's tolerance.
+_TRANSPORT_TOLERANCES = dict.fromkeys(TRANSPORT_LINES, EXACT_TOL)
 
 
-def _relation_records(family: str, params: list, tolerance: float, evaluate, skip: str = "suite") -> list[tuple]:
-    """The records of one chunk of a relation family, from one stacked evaluation.
+def _relation_records(family: str, params: list[str], tolerance: float, evaluate, skip: str = "suite") -> list[tuple]:
+    """The records of one chunk of a relation family, from one stacked evaluation, point i with the
+    params text ``params[i]``.
 
-    ``evaluate()`` returns the line names and, per point of ``params``, the
-    residuals of the lines or the error of that point alone, which makes the
-    point one ``<family>.<skip>`` skip; if it raises, every point skips with
-    that error.  A line is graded at its ``_LINE_TOLERANCES`` entry, if it
-    has one, else at ``tolerance``.  Each point's params are encoded once, for all its records.
+    ``evaluate()`` returns the line names, per point the residuals of the
+    lines or the error of that point alone, which makes the point one
+    ``<family>.<skip>`` skip, and the tolerances of the lines not graded at
+    ``tolerance``, by line name; if it raises, every point skips with that
+    error.  Each line's templates are made once for the chunk (``_graded``).
     """
     try:
-        names, results = evaluate()
+        names, results, tolerances = evaluate()
     except BwmBerryError as exc:
-        names, results = (), [exc] * len(params)
-    names = [f"{family}.{name}" for name in names]  # one name string per line, not one per record
-    tolerances = [_LINE_TOLERANCES.get(name, tolerance) for name in names]
+        names, results, tolerances = (), [exc] * len(params), {}
+    lines = [_graded(f"{family}.{name}", tolerances.get(name, tolerance), data="{}") for name in names]
     out = []
-    for p, result in zip(map(_text, params), results):
+    for p, result in zip(params, results):
         if isinstance(result, BwmBerryError):
             out.append(_skip(f"{family}.{skip}", p, tolerance, result))
         else:
-            out += [_record(n, p, r, t) for n, r, t in zip(names, result, tolerances)]
+            out += _checks(lines, p, result)
     return out
+
+
+def _pair_params(key: str, value: float, pairs: np.ndarray) -> list[str]:
+    """The params texts of the phase pairs, the rows of ``pairs``, at ``key`` = ``value``."""
+    return _row_params((key, "phi1", "phi2"), [(value, p1, p2) for p1, p2 in pairs.tolist()])
 
 
 def _bwm_point(cfg: RunConfig, q: float, pairs: np.ndarray) -> list[tuple]:
     """The records of a chunk of phase pairs, the rows of ``pairs``, at one q: the suite, then the
-    transport lines, pair by pair.
+    transport lines, pair by pair.  The projector squares are graded at ``_square_tolerance``.
 
     ``bench/spans.py`` traces the ``_<family>_point`` functions by name, so
     this one, ``_tla_point``, ``_ybe_point``, ``_casimir_point``,
     ``_spectrum_point`` and ``_berry_point`` keep their names, although all
     but the last take a chunk or a row.
     """
-    params = [{"q": float(q), "phi1": p1, "phi2": p2} for p1, p2 in pairs.tolist()]
-    return _relation_records("bwm", params, RELATION_TOL, lambda: _bwm_row(AlgebraParams.coupled(q), *pairs.T))
+
+    def evaluate():
+        p = AlgebraParams.coupled(q)
+        square = _square_tolerance(p, RELATION_TOL)
+        return *_bwm_row(p, *pairs.T), {**_TRANSPORT_TOLERANCES, "square_a": square, "square_b": square}
+
+    return _relation_records("bwm", _pair_params("q", float(q), pairs), RELATION_TOL, evaluate)
 
 
 def _tla_point(cfg: RunConfig, d: float, pairs: np.ndarray) -> list[tuple]:
     """The records of a chunk of phase pairs, the rows of ``pairs``, at one loop value d."""
-    params = [{"d": float(d), "phi1": p1, "phi2": p2} for p1, p2 in pairs.tolist()]
-    return _relation_records("tla", params, EXACT_TOL, lambda: _tla_row(AlgebraParams.tla(d), *pairs.T))
+    params = _pair_params("d", float(d), pairs)
+    return _relation_records("tla", params, EXACT_TOL, lambda: (*_tla_row(AlgebraParams.tla(d), *pairs.T), {}))
 
 
 #: The three corner samples that lead the exchange samples, as rows (u, v, beta, epsilon, d, phi1, phi2).
@@ -302,8 +312,9 @@ def _ybe_samples(cfg: RunConfig) -> np.ndarray:
 
 def _ybe_point(cfg: RunConfig, samples: np.ndarray) -> list[tuple]:
     """The records of a chunk of exchange samples, the rows of ``samples``, from one stacked evaluation."""
-    params = [dict(zip(_YBE_KEYS, row), epsilon=int(row[3])) for row in samples.tolist()]
-    return _relation_records("ybe", params, RELATION_TOL, lambda: _exchange_columns(samples), "exchange")
+    params = _row_params(_YBE_KEYS, samples.tolist(), ints=("epsilon",))
+    tolerances = {"unimodularity": UNIT_CIRCLE_TOL}
+    return _relation_records("ybe", params, RELATION_TOL, lambda: (*_exchange_columns(samples), tolerances), "exchange")
 
 
 def _family(cfg: RunConfig, stage: str, fn, rows: list, points: int):
@@ -381,12 +392,12 @@ def _levels_row(name: str, axes: dict, build) -> list[tuple]:
         return [_skip(name, p, RELATION_TOL, exc) for p in params]
     errors = {}
     try:
-        observed = hermitian_eigs(matrices).values
+        observed = _eigh(matrices)[0]
     except BwmBerryError:
         observed = np.zeros((len(matrices), 3))
         for i, m in enumerate(matrices):
             try:
-                observed[i] = hermitian_eigs(m).values
+                observed[i] = _eigh(m)[0]
             except BwmBerryError as exc:
                 errors[i] = exc
     levels = np.repeat(predicted, len(matrices) // max(1, len(predicted)), axis=0)

@@ -304,6 +304,24 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return np.where(found, vectors * (np.conjugate(anchor) / scale), vectors)
 
 
+def _eigh(m) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues and eigenvectors of ``np.linalg.eigh`` of a Hermitian 3x3 matrix or a
+    (..., 3, 3) stack of them, validated and symmetrised as ``hermitian_eigs`` describes,
+    with the eigenvectors' phases as LAPACK leaves them."""
+    a = as_matrix3(m, stack=True)
+    half, half_h = a / 2.0, dagger(a) / 2.0
+    skew = half - half_h
+    bad = np.asarray(frobenius(skew) > HERMITICITY_RTOL / 2.0 * np.maximum(1.0, frobenius(a)))
+    if np.any(bad):
+        index = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+        where = f" at stack index {index}" if index else ""
+        raise NotHermitian(f"matrix{where} is not Hermitian (defect {2.0 * frobenius(skew[index]):.3e})")
+    try:
+        return np.linalg.eigh(half + half_h)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails on 3x3
+        raise NoConvergence(f"eigensolver failed: {exc}") from exc
+
+
 def hermitian_eigs(m) -> EigenSystem:
     """Eigendecomposition of a Hermitian 3x3 matrix or a (..., 3, 3) stack of them.
 
@@ -315,21 +333,10 @@ def hermitian_eigs(m) -> EigenSystem:
     range.  Eigenvalues come back ascending; eigenvectors are the matching
     columns with a deterministic phase (first significant component real
     positive).  A stack is solved in one batched call and gives, matrix by
-    matrix, the same bits as solving each matrix alone.
+    matrix, the same bits as solving each matrix alone.  ``_eigh`` is this
+    without the phase fixing, for callers that need the eigenvalues only.
     """
-    a = as_matrix3(m, stack=True)
-    half, half_h = a / 2.0, dagger(a) / 2.0
-    skew = half - half_h
-    bad = np.asarray(frobenius(skew) > HERMITICITY_RTOL / 2.0 * np.maximum(1.0, frobenius(a)))
-    if np.any(bad):
-        index = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
-        where = f" at stack index {index}" if index else ""
-        raise NotHermitian(f"matrix{where} is not Hermitian (defect {2.0 * frobenius(skew[index]):.3e})")
-    h = half + half_h
-    try:
-        values, vectors = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails on 3x3
-        raise NoConvergence(f"eigensolver failed: {exc}") from exc
+    values, vectors = _eigh(m)
     return EigenSystem(values=values.astype(float), vectors=_fix_phases(vectors))
 
 

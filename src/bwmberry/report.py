@@ -4,13 +4,22 @@ This module alone knows a check record's shape and builds its text.  A
 record is the tuple ``(name, status, residual, tolerance, line)``: ``line``
 is the record's line in the report, ``json.dumps(record, sort_keys=True)`` of
 the dict with the seven keys name, params, residual, tolerance, status,
-reason and data, and the other four are what ``_Tally`` counts.  ``_record``
-(an executed check), ``_skip`` (a point that could not be evaluated) and
-``_csv_record`` (a CSV that figure wrote) build every record, each line once,
-where the record is made, from the texts of its members (``_line``).  What a
-point's records share is encoded once: the caller passes the point's
-``params`` as text (``_text``, or ``_grid_params`` for a grid row), and a
-levels row (``_levels_records``) makes each predicted triple's text once.
+reason and data, and the other four are what ``_Tally`` counts.
+
+``_line`` is the one line builder.  It makes a template: the texts of the
+members known in advance, split at a hole for each member that varies per
+record.  A check's name, tolerance and ``"reason": null`` are encoded once
+per line and chunk or row (``_graded``), into a general template and a pass
+template, which has the status filled in; each record then fills in its
+params and residual and, where it varies, its data (``_checks``, ``_fill``).
+``_record`` (a one-off executed check), ``_levels_records`` (a row of levels
+checks), ``_skip`` (a point that could not be evaluated) and ``_csv_record``
+(a CSV that figure wrote) build theirs the same way.  What a point's records
+share is encoded once: the caller passes the point's params as text, made by
+one ``%`` per point from a template per chunk or row (``_row_params``, or
+``_grid_params`` for a grid row, which encodes each grid value once), and a
+levels row makes each predicted triple's text once.
+
 The records live apart from ``cli`` because a run without bytecode compiles
 each module from source, and the memory peak of that compile grows with the
 module.
@@ -62,37 +71,88 @@ def _number(x: float) -> str:
     return _FLOAT_WORDS[text] if "n" in text else text  # only those three reprs hold an "n"
 
 
-def _line(data: str, name: str, params: str, reason: str, residual: str, status: str, tolerance: str) -> str:
-    """A record's line from the texts of its members, in sorted-key order."""
-    return (
+#: The pass test of ``_checks`` also asks for a finite residual: ``repr`` spells -inf as ``-inf``.
+_INF = float("inf")
+
+#: A hole of a line template, where ``_line`` splits it.  No JSON text holds a NUL character.
+_HOLE = "\0"
+
+
+def _line(*, data=_HOLE, name=_HOLE, params=_HOLE, reason=_HOLE, residual=_HOLE, status=_HOLE, tolerance=_HOLE) -> tuple:
+    """The template of a record's line, as the texts between its holes: each member given is that
+    text, and each other member is a hole, filled per record in sorted-key order (``_joined``)."""
+    return tuple(
         f'{{"data": {data}, "name": {name}, "params": {params}, "reason": {reason}, '
-        f'"residual": {residual}, "status": "{status}", "tolerance": {tolerance}}}'
+        f'"residual": {residual}, "status": {status}, "tolerance": {tolerance}}}'.split(_HOLE)
     )
+
+
+def _joined(pieces: tuple, holes: tuple) -> str:
+    """The line of a ``_line`` template with the texts ``holes`` in its holes."""
+    return "".join([text for pair in zip(pieces, (*holes, "")) for text in pair])
 
 
 def _reason_token(exc: BaseException) -> str:
     return re.sub(r"(?<!^)(?=[A-Z])", "_", type(exc).__name__).lower()
 
 
+def _graded(name: str, tolerance: float, **texts: str) -> tuple:
+    """The line templates of check ``name`` graded at ``tolerance``: ``(name, tolerance, passing, general)``.
+
+    ``general`` (``_line``) has holes for params, the residual and the status,
+    after data where ``texts`` does not give it; ``passing`` is ``general``
+    with the status ``pass`` filled in.
+    """
+    fixed = dict(texts, name=_string(name), reason="null", tolerance=_number(tolerance))
+    return name, tolerance, _line(status='"pass"', **fixed), _line(**fixed)
+
+
+def _fill(name: str, tolerance: float, general: tuple, residual: float, *texts: str) -> tuple:
+    """The record of a check with its ``general`` template (``_graded``) and ``residual``, a float: it
+    passes if ``residual < tolerance``, and its line fills the holes with ``texts``, the residual's
+    text and the status."""
+    status = "pass" if residual < tolerance else "fail"
+    return name, status, residual, tolerance, _joined(general, (*texts, _number(residual), f'"{status}"'))
+
+
+def _checks(lines: list, params: str, residuals) -> list[tuple]:
+    """The records of one point's checks, with the params text ``params``: ``lines`` holds each check's
+    ``_graded`` templates, with data given, and ``residuals`` its residual, a float.
+
+    A finite residual below its tolerance goes straight into the pass template:
+    its ``repr`` is its JSON text.
+    """
+    return [
+        (name, "pass", r, t, f"{head}{params}{middle}{r!r}{tail}") if -_INF < r < t else _fill(name, t, general, r, params)
+        for (name, t, (head, middle, tail), general), r in zip(lines, residuals)
+    ]
+
+
 def _record(name: str, params: str, residual: float, tolerance: float, data: str = "{}") -> tuple:
     """One executed check, given the texts of its ``params`` and ``data``: it passes if ``residual < tolerance``."""
-    residual, tolerance = float(residual), float(tolerance)
-    status = "pass" if residual < tolerance else "fail"
-    line = _line(data, _string(name), params, "null", _number(residual), status, _number(tolerance))
-    return name, status, residual, tolerance, line
+    _, tolerance, _, general = _graded(name, float(tolerance))
+    return _fill(name, tolerance, general, float(residual), data, params)
 
 
 def _skip(name: str, params: str, tolerance: float | None, exc: BaseException, reason: str | None = None) -> tuple:
     """A check not executed because of ``exc``: its reason token (``reason``, else ``exc``'s class) and detail."""
     tolerance = None if tolerance is None else float(tolerance)
-    data, reason = _text({"detail": str(exc)}), _string(reason or _reason_token(exc))
-    return name, "skip", None, tolerance, _line(data, _string(name), params, reason, "null", "skip", _text(tolerance))
+    template = _line(
+        name=_string(name), reason=_string(reason or _reason_token(exc)), residual="null", status='"skip"', tolerance=_text(tolerance)
+    )
+    return name, "skip", None, tolerance, _joined(template, (_text({"detail": str(exc)}), params))
 
 
 def _csv_record(name: str, file: str, rows: int) -> tuple:
     """A CSV written: a pass with no residual, and the file's name and data rows."""
-    data = _text({"file": file, "rows": rows})
-    return name, "pass", None, None, _line(data, _string(name), "{}", "null", "null", "pass", "null")
+    template = _line(name=_string(name), params="{}", reason="null", residual="null", status='"pass"', tolerance="null")
+    return name, "pass", None, None, _joined(template, (_text({"file": file, "rows": rows}),))
+
+
+def _template(members: dict) -> str:
+    """A ``%`` template of a JSON object's text: ``members`` maps each key to the template of its
+    value's text, and the members follow in sorted-key order, each key's text with ``%`` doubled."""
+    return "{" + ", ".join(_string(key).replace("%", "%%") + ": " + members[key] for key in sorted(members)) + "}"
 
 
 def _grid_params(axes: dict) -> list[str]:
@@ -102,11 +162,18 @@ def _grid_params(axes: dict) -> list[str]:
     product in the order of ``axes``, the first axis slowest, and each
     value's text is made once.
     """
-    keys = sorted(axes)
-    template = "{" + ", ".join(_string(key).replace("%", "%%") + ": %s" for key in keys) + "}"
-    pick = operator.itemgetter(*(list(axes).index(key) for key in keys))
+    template = _template(dict.fromkeys(axes, "%s"))
+    pick = operator.itemgetter(*sorted(range(len(axes)), key=list(axes).__getitem__))
     values = [[_text(v) for v in axis] for axis in axes.values()]
     return [template % pick(point) for point in itertools.product(*values)]
+
+
+def _row_params(keys: tuple, rows, ints: tuple = ()) -> list[str]:
+    """The params text of each of ``rows``, one finite number per key of ``keys``, as ``_text`` of
+    ``dict(zip(keys, row))`` gives it with the numbers of the ``ints`` keys made int: one ``%`` per row."""
+    template = _template({key: "%d" if key in ints else "%r" for key in keys})
+    pick = operator.itemgetter(*sorted(range(len(keys)), key=keys.__getitem__))
+    return [template % pick(row) for row in rows]
 
 
 def _levels_records(name: str, params: list, tolerance: float, residuals: list, observed: list, predicted: list, errors: dict):
@@ -120,15 +187,20 @@ def _levels_records(name: str, params: list, tolerance: float, residuals: list, 
     if not params:
         return []
     shared, per = [_text(levels) for levels in predicted], len(params) // len(predicted)
+    _, _, (head, before_params, before_residual, tail), general = _graded(name, tolerance)
     out = []
-    for i, (p, residual, (a, b, c)) in enumerate(zip(params, residuals, observed)):
+    for i, (p, r, (a, b, c)) in enumerate(zip(params, residuals, observed)):
         if i in errors:
             out.append(_skip(name, p, tolerance, errors[i]))
             continue
         text = "[%r, %r, %r]" % (a, b, c)
         if "n" in text:  # NaN, Infinity or -Infinity
             text = _text([a, b, c])
-        out.append(_record(name, p, residual, tolerance, f'{{"observed": {text}, "predicted": {shared[i // per]}}}'))
+        data = f'{{"observed": {text}, "predicted": {shared[i // per]}}}'
+        if -_INF < r < tolerance:
+            out.append((name, "pass", r, tolerance, f"{head}{data}{before_params}{p}{before_residual}{r!r}{tail}"))
+        else:
+            out.append(_fill(name, tolerance, general, r, data, p))
     return out
 
 

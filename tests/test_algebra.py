@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bwmberry import (
@@ -340,9 +340,57 @@ def test_report_accessors():
 
 
 def test_suite_tolerance_controls_failures():
-    report = check_bwm_suite(AlgebraParams.coupled(0.9, 0.2, -0.5), tolerance=1e-18)
-    assert set(report.failures()) == {c.name for c in report.checks if c.residual >= 1e-18}
+    # Every line is graded at the tolerance asked for, except that the projector squares are never
+    # graded below their rounding bound (``_square_tolerance``), which the report notes.
+    p = AlgebraParams.coupled(0.9, 0.2, -0.5)
+    report = check_bwm_suite(p, tolerance=1e-18)
+    square = algebra._square_tolerance(p, 1e-18)
+    assert 1e-18 < square < 1e-14
+    graded = {c.name: square if c.name in ("square_a", "square_b") else 1e-18 for c in report.checks}
+    assert set(report.failures()) == {c.name for c in report.checks if c.residual >= graded[c.name]}
+    assert [note.startswith(f"square_a and square_b graded at {square:.3g}") for note in report.notes] == [True]
 
+
+
+#: q on both sides of 1, from where d_topological keeps most digits to just short of the degenerate form.
+NEAR_ONE = [1.0 + sign * gap for gap in (1e-5, 1e-7, 1e-9, 1e-11) for sign in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("q", NEAR_ONE)
+def test_full_suite_passes_near_q_one(q):
+    # d_topological = 1 - (sigma - 1/sigma)/omega cancels near q = 1 (3.7e-10 at q = 1 - 1e-7); the
+    # projector squares are graded at their rounding bound there, so 20 phase pairs all pass.
+    for phi1, phi2 in np.random.default_rng(20).uniform(-math.pi, math.pi, size=(20, 2)):
+        report = check_bwm_suite(AlgebraParams.coupled(q, phi1, phi2))
+        assert report.all_pass, (q, phi1, phi2, report.failures(), report.worst)
+    assert check_bwm_suite(AlgebraParams.coupled(0.9999999, 0.3, -1.1)).all_pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.floats(min_value=1e-2, max_value=1e2))
+@example(q=1.0 - 1e-7)
+@example(q=1.0 + 6e-13)  # omega = 1.2e-12, just short of the degenerate form
+@example(q=1.0 + 2.5e-6)
+@example(q=1.0 - 3e-6)
+def test_property_square_tolerance_is_the_suite_tolerance_away_from_q_one(q):
+    # Beyond 3e-6 of q = 1 the bound stays below RELATION_TOL, so the lines keep their tolerance; near
+    # q = 1, short of the degenerate form, SQUARE_C times the bound is about 2.3 u / |q - 1|.
+    p, tolerance = AlgebraParams.coupled(q), algebra.RELATION_TOL
+    square = algebra._square_tolerance(p, tolerance)
+    if abs(q - 1.0) > 3e-6 or abs(p.omega_skein) < algebra.DEGENERATE_OMEGA:
+        assert square == tolerance
+    else:
+        assert square == tolerance or 2.0 < square * abs(q - 1.0) / 2.0**-53 < 2.6
+
+
+@pytest.mark.parametrize("q, scale", [(0.5, 1e-9), (2.0, 1e-9), (1.0 - 1e-7, 1e-7), (1.0 + 1e-9, 1e-5)])
+def test_square_tolerance_still_catches_scaled_projectors(q, scale, monkeypatch):
+    # Projectors scaled by 1 + scale break E^2 = d E by about scale, above the lines' tolerance.
+    make_ea, eb_stack = algebra.make_ea, algebra._eb_stack
+    monkeypatch.setattr(algebra, "make_ea", lambda p: make_ea(p) * (1.0 + scale))
+    monkeypatch.setattr(algebra, "_eb_stack", lambda weights: eb_stack(weights) * (1.0 + scale))
+    report = check_bwm_suite(AlgebraParams.coupled(q, 0.3, -1.1))
+    assert {"square_a", "square_b"} <= set(report.failures())
 
 # ---------------------------------------------------------------------------
 # property-based coverage

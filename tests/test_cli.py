@@ -18,7 +18,6 @@ import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -338,7 +337,7 @@ def test_spectrum_solver_errors_become_skips(error, reason, tmp_path, capsys, mo
     def fail(matrix):
         raise error("injected solver failure")
 
-    monkeypatch.setattr(cli, "hermitian_eigs", fail)
+    monkeypatch.setattr(cli, "_eigh", fail)
     grids = ["--grid-spec", "theta=0.4", "--grid-spec", "d=2", "--grid-spec", "omega=1", "--grid-spec", "phi=0"]
     code, _, err = run(["spectrum", "--out", str(tmp_path), *grids], capsys)
     assert code == 0
@@ -375,7 +374,7 @@ def casimir_matrix(theta: float, d: float) -> np.ndarray:
 def assert_only_the_refused_point_skips(chosen, name, params, tmp_path, capsys, monkeypatch):
     # The row's batched solve fails because one matrix of it is refused; the
     # row is then solved matrix by matrix, so only that point becomes a skip.
-    solve = cli.hermitian_eigs
+    solve = cli._eigh
 
     def refuse_chosen(m):
         if any(np.array_equal(h, chosen) for h in np.reshape(m, (-1, 3, 3))):
@@ -384,7 +383,7 @@ def assert_only_the_refused_point_skips(chosen, name, params, tmp_path, capsys, 
 
     code, _, _ = run(["spectrum", "--out", str(tmp_path / "plain"), *SPECTRUM_DOMAIN_GRIDS], capsys)
     assert code == 0
-    monkeypatch.setattr(cli, "hermitian_eigs", refuse_chosen)
+    monkeypatch.setattr(cli, "_eigh", refuse_chosen)
     code, _, err = run(["spectrum", "--out", str(tmp_path / "patched"), *SPECTRUM_DOMAIN_GRIDS], capsys)
     assert code == 0
     assert "Traceback" not in err
@@ -531,14 +530,14 @@ def test_non_finite_levels_are_written_as_json_spells_them(nan_first, tmp_path, 
     poisoned = {2: [[math.nan, 0.0, 1.0], [-math.inf, math.inf, 0.0]]}
     if nan_first:
         poisoned[0] = [[math.nan, 0.75, 0.75]]
-    solve, calls = cli.hermitian_eigs, []
+    solve, calls = cli._eigh, []
 
     def solve_or_poison(matrices):
         calls.append(matrices)
         levels = poisoned.get(len(calls) - 1)
-        return solve(matrices) if levels is None else SimpleNamespace(values=np.array(levels))
+        return solve(matrices) if levels is None else (np.array(levels), None)
 
-    monkeypatch.setattr(cli, "hermitian_eigs", solve_or_poison)
+    monkeypatch.setattr(cli, "_eigh", solve_or_poison)
     grids = ["--grid-spec", "d=2,3", "--grid-spec", "theta=0.3", "--grid-spec", "omega=1", "--grid-spec", "phi=0,1.3"]
     code, out, err = run(["spectrum", *grids, "--out", str(tmp_path)], capsys)
     assert (code, err, len(calls)) == (1, "", 4)
@@ -1604,9 +1603,10 @@ def test_every_record_of_the_program_keeps_the_record_contract(argv, tmp_path, c
 
 
 def test_each_point_encodes_its_params_once(tmp_path, capsys, monkeypatch):
-    # A verify point's params are encoded once for all its records, and a spectrum row encodes each of
-    # its grid values and each distinct predicted triple once.  At --jobs 2 the forked worker encodes
-    # the records of its rows, so this process encodes fewer.
+    # A verify point's params are encoded once for all its records, by one template per chunk
+    # (``_row_params``), and a spectrum row encodes each of its grid values and each distinct
+    # predicted triple once.  At --jobs 2 the forked worker encodes the records of its rows, so
+    # this process encodes fewer.
     encoded = []
 
     def counting(encode):
@@ -1616,6 +1616,13 @@ def test_each_point_encodes_its_params_once(tmp_path, capsys, monkeypatch):
 
         return counted
 
+    def counting_rows(*args, **kwargs):
+        texts = row_params(*args, **kwargs)
+        encoded.extend(texts)
+        return texts
+
+    row_params = cli._row_params
+    monkeypatch.setattr(cli, "_row_params", counting_rows)
     monkeypatch.setattr(cli, "_text", counting(cli._text))
     monkeypatch.setattr(writer, "_text", counting(writer._text))
     verify_sweep_sizes = ["verify", "--phase-pairs", "60", "--ybe-samples", "2500"]
@@ -1747,7 +1754,7 @@ def test_property_levels_row_lines_are_json_dumps_of_the_reference(axes, data):
     data=st.data(),
 )
 def test_property_relation_row_lines_are_json_dumps_of_the_reference(points, whole_row, data):
-    # A transport line is graded at EXACT_TOL, the others at the family's tolerance.
+    # A line that evaluate gives a tolerance, here transport_b, is graded at it, the others at the family's.
     tolerances = {"skein_a": cli.RELATION_TOL, "transport_b": cli.EXACT_TOL}
     results = [
         InvalidParam(f"point {i}") if data.draw(st.integers(0, 3)) == 0 else data.draw(st.lists(_LEVEL, min_size=2, max_size=2))
@@ -1758,9 +1765,9 @@ def test_property_relation_row_lines_are_json_dumps_of_the_reference(points, who
     def evaluate():
         if whole_row:
             raise row_error
-        return tuple(tolerances), results
+        return tuple(tolerances), results, {"transport_b": cli.EXACT_TOL}
 
-    records = cli._relation_records("bwm", points, cli.RELATION_TOL, evaluate)
+    records = cli._relation_records("bwm", [writer._text(p) for p in points], cli.RELATION_TOL, evaluate)
     expected = []
     for p, result in zip(points, results):
         if whole_row or isinstance(result, BwmBerryError):
@@ -1768,6 +1775,63 @@ def test_property_relation_row_lines_are_json_dumps_of_the_reference(points, who
         else:
             expected += [record_dict(f"bwm.{n}", p, r, t) for (n, t), r in zip(tolerances.items(), result)]
     assert lines(records) == [line(r) for r in expected]
+
+
+# Line names that a template must carry as they are: % signs, quotes and non-ASCII.
+_LINE_NAMES = st.one_of(_CLI_NAMES, _TEXT, st.sampled_from(["bwm.100%", "ybe.%s%%d%r", 'tla."quoted"', "spectrum.é ψ 😀"]))
+# Residuals at the edges of the pass test and of the float texts.
+_RESIDUALS = st.one_of(_LEVEL, st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, math.nan, math.inf, -math.inf, 1e-10, 2e-10]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    checks=st.lists(st.tuples(_LINE_NAMES, st.one_of(st.just(1e-10), st.just(1e-12), _NONZERO)), min_size=1, max_size=5),
+    points=st.lists(_PARAMS, min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_property_templated_records_are_json_dumps_of_the_reference(checks, points, data):
+    # Each line's templates are made once (``_graded``) and filled per point (``_checks``); a finite
+    # residual below its tolerance fills the pass template directly, any other goes through ``_fill``.
+    graded = [writer._graded(name, tolerance, data="{}") for name, tolerance in checks]
+    for params in points:
+        residuals = data.draw(st.lists(_RESIDUALS, min_size=len(checks), max_size=len(checks)))
+        records = writer._checks(graded, writer._text(params), residuals)
+        expected = [record_dict(name, params, r, t) for (name, t), r in zip(checks, residuals)]
+        assert lines(records) == [line(r) for r in expected]
+        assert [record[:4] for record in records] == [(r["name"], r["status"], r["residual"], r["tolerance"]) for r in expected]
+
+
+def _former_exchange_params(samples):
+    """The params texts of exchange samples as each sample's dict encoded whole gave them."""
+    return [writer._text(dict(zip(cli._YBE_KEYS, row), epsilon=int(row[3]))) for row in samples.tolist()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    rows=st.lists(st.lists(_EDGE_FLOATS, min_size=7, max_size=7), max_size=5),
+    signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=5, max_size=5),
+)
+def test_property_exchange_params_texts_are_the_text_of_the_former_dicts(seed, n, rows, signs):
+    # The corners and the seeded draws, as their records' lines hold them, and rows of edge values
+    # with the sign epsilon.
+    cfg = cli.RunConfig(command="verify", out_dir=Path(), seed=seed, ybe_samples=n)
+    samples = cli._ybe_samples(cfg)
+    assert samples.shape == (3 + n, 7)
+    texts = [r[4][r[4].index('"params": ') + 10 : r[4].index(', "reason": ')] for r in cli._ybe_point(cfg, samples)]
+    assert list(dict.fromkeys(texts)) == _former_exchange_params(samples)
+    edges = np.array([[*row[:3], sign, *row[4:]] for row, sign in zip(rows, signs)]).reshape(-1, 7)
+    assert cli._row_params(cli._YBE_KEYS, edges.tolist(), ints=("epsilon",)) == _former_exchange_params(edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=_EDGE_FLOATS, pairs=st.lists(st.tuples(_EDGE_FLOATS, _EDGE_FLOATS), max_size=4))
+def test_property_phase_pair_params_texts_are_the_text_of_the_former_dicts(value, pairs):
+    array = np.array(pairs, dtype=float).reshape(-1, 2)
+    for key in ("q", "d"):
+        former = [writer._text({key: value, "phi1": p1, "phi2": p2}) for p1, p2 in array.tolist()]
+        assert cli._pair_params(key, value, array) == former
 
 
 def berry_point_dicts(theta, d, steps):

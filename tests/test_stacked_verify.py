@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bwmberry import GOLDEN_RATIO, AlgebraParams, BwmBerryError, cli, make_a, make_ea, rel_residual
+from bwmberry import GOLDEN_RATIO, AlgebraParams, BwmBerryError, algebra, cli, make_a, make_ea, rel_residual
 from bwmberry.algebra import (
     DEGENERATE_OMEGA,
     TRANSPORT_LINES,
@@ -28,6 +28,7 @@ from bwmberry.algebra import (
     _ea_stack,
     _eb_stack,
     _phase_weights,
+    _square_tolerance,
     _u_stack,
     check_bwm_suite,
     d_topological,
@@ -347,6 +348,7 @@ def bwm_outcome(evaluate):
 @given(q=st.floats(1e-2, 1e2), phi1=st.floats(-math.pi, math.pi), phi2=st.floats(-math.pi, math.pi))
 @example(q=1.0, phi1=0.8, phi2=-0.3)  # omega = 0: the involution lines and the suite's notes
 @example(q=1e-3, phi1=0.4, phi2=-1.1)  # A is refused by inverse: both raise
+@example(q=1.0 - 1e-7, phi1=0.3, phi2=-1.1)  # the projector squares graded at their bound, and noted
 def test_property_the_suite_is_the_first_lines_of_the_stacked_row(q, phi1, phi2):
     # check_bwm_suite and the stacked row share ``_bwm_lines``: the suite's 23
     # residuals are the row's first 23, bit for bit, or both raise alike.
@@ -361,7 +363,9 @@ def test_property_the_suite_is_the_first_lines_of_the_stacked_row(q, phi1, phi2)
     assert np.array([c.residual for c in suite.checks]).tobytes() == np.array(residuals[:n]).tobytes()
     assert suite.tolerance == cli.RELATION_TOL
     degenerate = abs(AlgebraParams.coupled(q).omega_skein) < DEGENERATE_OMEGA
-    assert [note.startswith("omega_skein ~ 0: skein lines reduce") for note in suite.notes] == [True] * degenerate
+    widened = _square_tolerance(AlgebraParams.coupled(q), cli.RELATION_TOL) > cli.RELATION_TOL
+    assert [note.startswith("omega_skein ~ 0: skein lines reduce") for note in suite.notes] == [True] * degenerate + [False] * widened
+    assert all(note.startswith("square_a and square_b graded at ") for note in suite.notes[degenerate:])
 
 
 # Rows with a singular A (1e-3), q <= 0, q = 1 (degenerate skein weight),
@@ -384,3 +388,40 @@ def test_verify_records_match_the_per_point_route(pairs, jobs, tmp_path):
     assert timings["verify.bwm"]["rows"] == 6 * chunks and timings["verify.tla"]["rows"] == 4 * chunks
     # q = 1e-3, -1, 0 and 1e150 skip whole rows, and so does d = 1.5.
     assert timings["verify.bwm"]["skipped"] == 4 * pairs and timings["verify.tla"]["skipped"] == pairs
+
+
+#: q on both sides of 1, from where d_topological keeps most digits to just short of the degenerate form.
+NEAR_ONE = [1.0 + sign * gap for gap in (1e-5, 1e-7, 1e-9, 1e-11) for sign in (1.0, -1.0)]
+
+
+def _squares(path):
+    checks = json.loads(path.read_text(encoding="utf-8"))["checks"]
+    return [c for c in checks if c["name"] in ("bwm.square_a", "bwm.square_b")], checks
+
+
+def test_verify_grades_the_projector_squares_at_their_bound_near_q_one(tmp_path):
+    # d_topological cancels near q = 1: at q = 1 - 1e-7 the squares read 3.7e-10 against 1e-10, and
+    # at 1 - 1e-9, 3.7e-8.  Each row grades them at _square_tolerance; every other line keeps its own.
+    grids = ["--grid-spec", "q=" + ",".join(map(repr, NEAR_ONE)), "--grid-spec", "tla_d=2"]
+    assert cli.main(["verify", "--phase-pairs", "20", "--ybe-samples", "0", *grids, "--out", str(tmp_path)]) == 0
+    squares, checks = _squares(tmp_path / "verify_report.json")
+    assert len(squares) == len(NEAR_ONE) * 20 * 2 and all(c["status"] == "pass" for c in checks)
+    for c in squares:
+        q = c["params"]["q"]
+        assert c["tolerance"] == _square_tolerance(AlgebraParams.coupled(q), cli.RELATION_TOL)
+        assert (c["tolerance"] > cli.RELATION_TOL) == (abs(q - 1.0) < 1e-6)
+    others = {(c["name"], c["tolerance"]) for c in checks if c not in squares and c["name"].startswith("bwm.")}
+    assert {t for _, t in others} == {cli.RELATION_TOL, cli.EXACT_TOL}
+    # The run that read exit 1 before.
+    argv = ["verify", "--phase-pairs", "5", "--ybe-samples", "0", "--grid-spec", "q=0.9999999", "--grid-spec", "tla_d=2"]
+    assert cli.main([*argv, "--out", str(tmp_path / "one")]) == 0
+
+
+def test_verify_still_fails_projectors_scaled_by_1e_9_at_q_one_half(tmp_path, monkeypatch):
+    # Away from q = 1 the squares keep RELATION_TOL, so E_A and E_B off by 1e-9 fail them.
+    monkeypatch.setattr(algebra, "make_ea", lambda p, make_ea=algebra.make_ea: make_ea(p) * (1.0 + 1e-9))
+    monkeypatch.setattr(algebra, "_eb_stack", lambda weights, stack=algebra._eb_stack: stack(weights) * (1.0 + 1e-9))
+    grids = ["--grid-spec", "q=0.5", "--grid-spec", "tla_d=2"]
+    assert cli.main(["verify", "--phase-pairs", "3", "--ybe-samples", "0", *grids, "--out", str(tmp_path)]) == 1
+    squares, _ = _squares(tmp_path / "verify_report.json")
+    assert len(squares) == 6 and all((c["status"], c["tolerance"]) == ("fail", cli.RELATION_TOL) for c in squares)

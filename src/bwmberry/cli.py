@@ -82,9 +82,8 @@ _GRID_RULES = {
 
 #: Largest accepted counts; ``MAX_AXIS_POINTS`` bounds ``--theta-points``, the
 #: ``--d-mesh`` count and a grid range's count.  Each keeps one run's memory
-#: bounded: a Berry loop holds about 1 kB per step, a figure table holds every
-#: value at once, and ``--jobs`` above 1 holds a family's records until its
-#: workers return.
+#: bounded: a Berry loop holds about 1 kB per step, and a figure table holds
+#: every value at once.
 MAX_STEPS = 2**17
 MAX_PHASE_PAIRS = 10_000
 MAX_YBE_SAMPLES = 100_000
@@ -320,28 +319,30 @@ def _ybe_point(cfg: RunConfig, samples: np.ndarray) -> list[tuple]:
 def _family(cfg: RunConfig, stage: str, fn, rows: list, points: int):
     """Yield the records of ``fn(cfg, *row)`` over the rows, in order, one list per row, on ``cfg.jobs`` processes.
 
-    With one job, or without ``os.fork``, each row is evaluated when its
-    records are asked for.  With more, worker k evaluates ``rows[k::jobs]``
-    (see ``_workers``): this process is worker 0 and the others are forked
-    children, so ``fn`` must not mutate ``cfg``, as a child's writes are
-    lost, and the rows are evaluated before the first is yielded.
-    ``meta.timings[stage]`` gets this process's wall seconds of evaluation
-    (not the caller's time between rows), the ``points`` the rows hold, the
-    ``rows`` (one call of ``fn`` each) and the ``skipped`` points.
+    Each row is taken when its records are asked for.  With one job, or
+    without ``os.fork``, it is evaluated then; with more, worker k evaluates
+    ``rows[k::jobs]`` (see ``_workers``): this process is worker 0 and the
+    others are forked children that stream their rows back, so ``fn`` must
+    not mutate ``cfg``, as a child's writes are lost.  ``meta.timings[stage]``
+    gets this process's wall seconds of taking the rows (not the caller's
+    time between rows), the ``points`` the rows hold, the ``rows`` (one call
+    of ``fn`` each) and the ``skipped`` points.
     """
     entry = cfg.timings[stage] = {"seconds": 0.0, "points": points, "rows": len(rows), "skipped": 0}
 
-    def evaluate(row):
-        with timed(cfg.timings, stage):
-            return fn(cfg, *row)
+    def call(row):
+        return fn(cfg, *row)
 
-    results = map(evaluate, rows)
+    results = map(call, rows)
     if min(cfg.jobs, len(rows)) > 1 and hasattr(os, "fork"):
         from ._workers import interleaved
 
+        results = interleaved(call, rows, cfg.jobs)
+    while True:
         with timed(cfg.timings, stage):
-            results = interleaved(lambda row: fn(cfg, *row), rows, cfg.jobs)
-    for records in results:
+            records = next(results, None)
+        if records is None:
+            return
         entry["skipped"] += sum(status == "skip" for _, status, _, _, _ in records)
         yield records
 
@@ -754,13 +755,14 @@ def main(argv=None) -> int:
             cfg.out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise _OutputError(exc) from exc
+        checks = _outputs(_COMMANDS[cfg.command](cfg))
         report = {
             "schema": 1,
             "command": cfg.command,
             "config": cfg.echo(),
             "summary": None,  # counted from the checks as they are written
             "warnings": cfg.warnings,
-            "checks": _outputs(_COMMANDS[cfg.command](cfg)),
+            "checks": checks,
             "meta": {
                 "timestamp": datetime.now(timezone.utc).isoformat(),
                 "out_dir": str(cfg.out_dir),
@@ -770,7 +772,8 @@ def main(argv=None) -> int:
             },
         }
         report_path = cfg.out_dir / f"{cfg.command}_report.json"
-        with _replaced(report_path) as fh:
+        # Closing the rows as the block ends reaps the workers of a family cut short.
+        with _replaced(report_path) as fh, contextlib.closing(checks):
             summary, ratio, closest = _write_report(fh, report, timings)
     except BwmBerryError as exc:
         return _error(exc)

@@ -943,21 +943,57 @@ def test_worker_k_evaluates_every_jobs_th_row():
     # Interleaved, not contiguous: the cheap rows at the start of a grid spread over the workers.
     from bwmberry._workers import interleaved
 
-    pids = interleaved(lambda row: (row, os.getpid()), list(range(8)), 3)
+    pids = list(interleaved(lambda row: (row, os.getpid()), list(range(8)), 3))
     assert [row for row, _ in pids] == list(range(8))
     assert [{pid for _, pid in pids[k::3]} for k in range(3)] == [{os.getpid()}, {pids[1][1]}, {pids[2][1]}]
     assert len({pid for _, pid in pids}) == 3
     assert_no_child_process_left()
 
 
-@pytest.mark.parametrize("failing", [(1, 2, 3, 4), (3,), (0, 4)], ids=["from_row_1", "row_3", "rows_0_4"])
+def test_rows_stream_back_before_a_later_row_fails():
+    # Row 4 is child 1's second row: rows 0 to 3 come out before its error is raised.
+    from bwmberry._workers import interleaved
+
+    def call(row):
+        if row == 4:
+            raise DegenerateSpectrum("injected at row 4")
+        return row, os.getpid()
+
+    rows = interleaved(call, list(range(8)), 3)
+    taken = [next(rows) for _ in range(4)]
+    assert [row for row, _ in taken] == [0, 1, 2, 3]
+    assert len({pid for _, pid in taken}) == 3
+    with pytest.raises(DegenerateSpectrum, match="^injected at row 4$"):
+        next(rows)
+    assert_no_child_process_left()
+
+
+def test_closing_the_stream_reaps_every_child():
+    # After the first row both children are blocked on a full pipe or still
+    # computing; closing the stream ends and reaps them.
+    from bwmberry._workers import interleaved
+
+    rows = interleaved(lambda row: bytes(100_000), list(range(30)), 3)
+    assert next(rows) == bytes(100_000)
+    rows.close()
+    assert_no_child_process_left()
+
+
+@pytest.mark.parametrize(
+    "failing, exiting",
+    [((1, 2, 3, 4), ()), ((3,), ()), ((0, 4), ()), ((0,), (1,))],
+    ids=["from_row_1", "row_3", "rows_0_4", "row_0_then_a_child_exit"],
+)
 @pytest.mark.parametrize("error", [DegenerateSpectrum, MemoryError, ValueError])
-def test_an_error_in_a_worker_gives_the_verdict_of_one_job(error, failing, tmp_path, capsys, monkeypatch):
+def test_an_error_in_a_worker_gives_the_verdict_of_one_job(error, failing, exiting, tmp_path, capsys, monkeypatch):
     # The first failing row in row order decides, wherever it ran: exit code
-    # and stderr, or the exception main() lets escape, are those of --jobs 1.
-    real_point = cli._berry_point
+    # and stderr, or the exception main() lets escape, are those of --jobs 1,
+    # also where a later row's child ends without a result.
+    parent, real_point = os.getpid(), cli._berry_point
 
     def point(cfg, theta, d):
+        if FIVE_THETAS.index(theta) in exiting and os.getpid() != parent:
+            os._exit(3)
         if FIVE_THETAS.index(theta) in failing:
             raise error(f"injected at theta={theta}")
         return real_point(cfg, theta, d)
@@ -1008,16 +1044,39 @@ def test_a_worker_that_ends_without_a_result_exits_two(end, how, tmp_path, capsy
     assert_no_child_process_left()
 
 
-def test_every_prefix_of_an_outcome_is_no_result():
-    # A child killed while writing leaves a prefix of its pickle in the pipe.
-    from bwmberry._workers import _received
+def test_every_prefix_of_an_outcome_is_no_result(monkeypatch):
+    # A child killed while writing leaves a prefix of its row's pickle in the pipe.
+    from bwmberry._workers import interleaved
 
-    outcome = ([[{"name": "berry.closed", "residual": 0.5, "data": [1.0, None]}]], DegenerateSpectrum("near"))
-    payload = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
-    assert repr(_received(1, 2, payload, 0)) == repr(outcome)
-    for cut in range(len(payload)):
-        with pytest.raises(BwmBerryError, match=r"^worker 1 of 2 \(--jobs\) ended without a result \(killed by signal 9\)$"):
-            _received(1, 2, payload[:cut], signal.SIGKILL)
+    records = [("berry.closed", "pass", 0.5, 1e-10, '{"name": "berry.closed", "data": [1.0, null]}')]
+    for result, error in [(records, None), (None, DegenerateSpectrum("near"))]:
+
+        def call(row):
+            if row and error:
+                raise error
+            return result
+
+        def taken():
+            try:
+                return list(interleaved(call, [0, 1], 2))
+            except Exception as exc:
+                return repr(exc)
+
+        assert taken() == (repr(error) if error else [result, result])
+        size = len(pickle.dumps((result, error), pickle.HIGHEST_PROTOCOL))
+        for cut in range(size):
+
+            def dump(obj, file, protocol, cut=cut):
+                data = pickle.dumps(obj, protocol)
+                assert len(data) == size
+                file.write(data[:cut])
+                file.flush()
+                os.kill(os.getpid(), signal.SIGKILL)
+
+            monkeypatch.setattr(pickle, "dump", dump)
+            assert taken() == repr(BwmBerryError("worker 1 of 2 (--jobs) ended without a result (killed by signal 9)"))
+            monkeypatch.undo()
+    assert_no_child_process_left()
 
 
 @pytest.mark.parametrize("jobs", ["1", "3"])
@@ -1994,6 +2053,45 @@ def test_a_csv_write_that_fails_after_a_few_rows_leaves_no_partial_csv(existing,
     monkeypatch.undo()
     assert run([*argv, "--out", str(tmp_path / "whole")], capsys)[0] == 0
     assert (tmp_path / "figure_sections.csv").read_bytes() == (tmp_path / "whole" / "figure_sections.csv").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["2", "3"])
+def test_a_report_write_that_fails_partway_reaps_the_workers_there(jobs, tmp_path, capsys, monkeypatch):
+    # The disk fills after the first two Berry rows are taken, with children still
+    # holding later rows: they are reaped as the write fails, before main() reports it.
+    real_open, real_error = open, cli._error
+
+    def failing_open(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        return FailingFile(fh, 4) if "berry_report.json" in str(path) else fh
+
+    def error(message):
+        assert_no_child_process_left()
+        return real_error(message)
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    monkeypatch.setattr(cli, "_error", error)
+    code, out, err = run(["berry", *FIVE_BERRY_ROWS, "--jobs", jobs, "--out", str(tmp_path)], capsys)
+    assert (code, out, err) == (2, "", "error: cannot write report: [Errno 28] No space left on device\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_forked_workers_hold_no_more_than_one_job(tmp_path, capsys):
+    # Rows stream back one at a time, so the running process's traced peak at
+    # --jobs 2 stays near that of --jobs 1; holding a child's whole share would
+    # nearly treble it.
+    def peak(jobs: str) -> int:
+        argv = ["verify", "--phase-pairs", "600", "--ybe-samples", "0", "--jobs", jobs, "--out", str(tmp_path / jobs)]
+        tracemalloc.start()
+        try:
+            assert run(argv, capsys)[0] == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak("1")  # one-time allocations of a first run out of the way
+    one, two = peak("1"), peak("2")
+    assert two <= 1.25 * one, (one, two)
 
 
 def test_peak_memory_does_not_grow_with_the_phase_pairs(tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Grid rows evaluated on forked worker processes, for ``--jobs`` above 1.
 
-Worker k of ``jobs`` evaluates the interleaved share ``rows[k::jobs]``, so
-cheap rows at the start of a grid (points that skip) spread over every
-worker. Worker 0 is the calling process; each other worker is a forked child
-that pickles each row's outcome into a pipe as soon as it has it, and leaves
-by ``os._exit``, so it runs no atexit handler, flushes no copy of the
-parent's stdio buffers and never returns into the parent's code. The rows
+The rows are a run's rows: every row of each of a command's check families,
+in the order the report lists them, so one worker set, forked once, serves
+the whole run. Worker k of ``jobs`` evaluates the interleaved share
+``rows[k::jobs]``, so cheap rows at the start of a grid (points that skip)
+spread over every worker. Worker 0 is the calling process; each other
+worker is a forked child that pickles each row's outcome into a pipe as
+soon as it has it, and leaves by ``os._exit``, so it runs no atexit
+handler, flushes no copy of the parent's stdio buffers and never returns
+into the parent's code. The rows
 stream back in row order: the running process holds one row's outcome at a
 time, and a child that runs ahead waits on its full pipe. A child only
 finishes its finite share and exits, or ends on its first write to a closed

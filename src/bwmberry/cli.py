@@ -32,7 +32,6 @@ import json
 import math
 import os
 import sys
-import time
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -43,7 +42,7 @@ from .algebra import DOMAIN_SLACK, EXACT_TOL, GOLDEN_RATIO, RELATION_TOL, TRANSP
 from .berry import LOOP_BIAS_K, MIN_STEPS, SECTION_D_VALUES, _wrap_phase, berry_closed, berry_discrete, berry_wilson_loop, figure_table
 from .errors import BwmBerryError, ConfigError, InvalidParam
 from .matrices import _eigh
-from .report import _checks, _csv_record, _graded, _grid_params, _levels_records, _record, _row_params, _skip, _text, _write_report
+from .report import _checks, _csv_record, _graded, _grid_params, _levels_records, _record, _row_params, _skip, _text, _write_report, timed
 from .spin import _drive_factors, _hamiltonian_row, _ladder_stack, cos_alpha
 from .yangbaxter import UNIT_CIRCLE_TOL, SpectralParams, _exchange_columns
 
@@ -167,7 +166,7 @@ class RunConfig:
         (1.0, 6.0, 51), _d_mesh, "--d-mesh", "surface d mesh", parse=_parse_range, metavar="MIN:MAX:COUNT", figure=True
     )
     grids: dict[str, tuple[float, ...]] = field(default_factory=dict)
-    #: Stage timings of the run (see ``timed``), written to the report's ``meta``.
+    #: Stage timings of the run (see ``report.timed``), written to the report's ``meta``.
     timings: dict[str, dict] = field(default_factory=dict)
     #: What the run left out of its input, for the report's ``warnings``.
     warnings: list[str] = field(default_factory=list)
@@ -186,24 +185,6 @@ class RunConfig:
 KNOBS = tuple(f for f in fields(RunConfig) if "check" in f.metadata)
 
 _CONFIG_KEYS = {f.name for f in KNOBS} | {"out", "grids"}
-
-
-class timed:
-    """Context manager that adds the seconds spent in its block to ``timings[stage]``.
-
-    ``with timed(timings, stage) as entry`` gives the block the stage's
-    entry, so that it can add its counts to it.
-    """
-
-    def __init__(self, timings: dict, stage: str):
-        self.entry = timings.setdefault(stage, {"seconds": 0.0})
-
-    def __enter__(self) -> dict:
-        self.start = time.perf_counter()
-        return self.entry
-
-    def __exit__(self, *exc_info) -> None:
-        self.entry["seconds"] += time.perf_counter() - self.start
 
 
 # --------------------------------------------------------------------------
@@ -316,54 +297,62 @@ def _ybe_point(cfg: RunConfig, samples: np.ndarray) -> list[tuple]:
     return _relation_records("ybe", params, RELATION_TOL, lambda: (*_exchange_columns(samples), tolerances), "exchange")
 
 
-def _family(cfg: RunConfig, stage: str, fn, rows: list, points: int):
-    """Yield the records of ``fn(cfg, *row)`` over the rows, in order, one list per row, on ``cfg.jobs`` processes.
+def _family(cfg: RunConfig, *families):
+    """Yield the records of a command's families, family by family and each in row order, one list per
+    row, on ``cfg.jobs`` processes.
 
-    Each row is taken when its records are asked for.  With one job, or
-    without ``os.fork``, it is evaluated then; with more, worker k evaluates
-    ``rows[k::jobs]`` (see ``_workers``): this process is worker 0 and the
-    others are forked children that stream their rows back, so ``fn`` must
-    not mutate ``cfg``, as a child's writes are lost.  ``meta.timings[stage]``
-    gets this process's wall seconds of taking the rows (not the caller's
-    time between rows), the ``points`` the rows hold, the ``rows`` (one call
-    of ``fn`` each) and the ``skipped`` points.
+    A family is ``(stage, fn, rows, points)``, and its row ``row`` has the
+    records of ``fn(cfg, *row)``.  The families' rows make one stream, and each
+    row is taken when its records are asked for.  With one job, or without
+    ``os.fork``, it is evaluated then; with more, one worker set serves the
+    whole stream: worker k evaluates ``stream[k::jobs]`` (see ``_workers``),
+    this process is worker 0 and the others are children forked once, that
+    stream their rows back, so ``fn`` must not mutate ``cfg``, as a child's
+    writes are lost.  ``meta.timings[stage]`` gets this process's wall seconds
+    of taking the family's rows (not the caller's time between rows), the
+    ``points`` the rows hold and the ``rows`` (one call of ``fn`` each).  The
+    records themselves are read by ``report`` alone.
     """
-    entry = cfg.timings[stage] = {"seconds": 0.0, "points": points, "rows": len(rows), "skipped": 0}
+    stream = []
+    for stage, fn, rows, points in families:
+        cfg.timings[stage] = {"seconds": 0.0, "points": points, "rows": len(rows)}
+        clock = timed(cfg.timings, stage)
+        stream += [(clock, fn, row) for row in rows]
 
-    def call(row):
+    def call(tagged):
+        _, fn, row = tagged
         return fn(cfg, *row)
 
-    results = map(call, rows)
-    if min(cfg.jobs, len(rows)) > 1 and hasattr(os, "fork"):
+    results = map(call, stream)
+    if min(cfg.jobs, len(stream)) > 1 and hasattr(os, "fork"):
         from ._workers import interleaved
 
-        results = interleaved(call, rows, cfg.jobs)
-    while True:
-        with timed(cfg.timings, stage):
-            records = next(results, None)
-        if records is None:
-            return
-        entry["skipped"] += sum(status == "skip" for _, status, _, _, _ in records)
+        results = interleaved(call, stream, cfg.jobs)
+    for clock, _, _ in stream:
+        with clock:
+            records = next(results)
         yield records
+    next(results, None)  # runs the workers' generator to its end, which reaps every child
 
 
 def cmd_verify(cfg: RunConfig):
-    """Yield BWM records, then TLA records, then exchange records, one list per row; ``meta.timings``
-    gets each family's time and, as ``verify.ybe_draw``, the time of drawing the exchange samples
-    and their ``points``.
+    """Yield BWM records, then TLA records, then exchange records, one list per row, from one row
+    stream (``_family``); ``meta.timings`` gets each family's time and, as ``verify.ybe_draw``, the
+    time of drawing the exchange samples and their ``points``.
 
+    The exchange samples are drawn before any row is evaluated, so forked workers inherit them.
     Each row (one q or one tla_d) is evaluated CHUNK phase pairs at a time, and the exchange
     samples CHUNK rows at a time.
     """
     pairs = _phase_pairs(cfg)
     chunks = _chunks(pairs)
     qs, ds = cfg.grid("q"), cfg.grid("tla_d")
-    yield from _family(cfg, "verify.bwm", _bwm_point, [(q, c) for q in qs for c in chunks], len(qs) * len(pairs))
-    yield from _family(cfg, "verify.tla", _tla_point, [(d, c) for d in ds for c in chunks], len(ds) * len(pairs))
     with timed(cfg.timings, "verify.ybe_draw") as entry:
         samples = _ybe_samples(cfg)
         entry["points"] = len(samples)
-    yield from _family(cfg, "verify.ybe", _ybe_point, [(c,) for c in _chunks(samples)], len(samples))
+    bwm = ("verify.bwm", _bwm_point, [(q, c) for q in qs for c in chunks], len(qs) * len(pairs))
+    tla = ("verify.tla", _tla_point, [(d, c) for d in ds for c in chunks], len(ds) * len(pairs))
+    yield from _family(cfg, bwm, tla, ("verify.ybe", _ybe_point, [(c,) for c in _chunks(samples)], len(samples)))
 
 
 # --------------------------------------------------------------------------
@@ -435,13 +424,12 @@ def cmd_spectrum(cfg: RunConfig):
     """Yield Casimir records, then H records, both ordered by (d, theta, ...), built and solved one d
     row at a time, one list per row.
 
-    ``meta.timings`` gets each family's seconds, points, rows and skipped points (see ``_family``).
+    ``meta.timings`` gets each family's seconds, points and rows (see ``_family``).
     """
     rows = [(d,) for d in cfg.grid("d")]
     casimir_points = len(rows) * len(cfg.grid("theta"))
     h_points = casimir_points * len(cfg.grid("omega")) * len(cfg.grid("phi"))
-    yield from _family(cfg, "spectrum.casimir", _casimir_point, rows, casimir_points)
-    yield from _family(cfg, "spectrum.h", _spectrum_point, rows, h_points)
+    yield from _family(cfg, ("spectrum.casimir", _casimir_point, rows, casimir_points), ("spectrum.h", _spectrum_point, rows, h_points))
 
 
 # --------------------------------------------------------------------------
@@ -515,7 +503,7 @@ def cmd_berry(cfg: RunConfig):
     ``meta.timings`` gets the family's time.  Keeps freed heap first (``_keep_heap``)."""
     _keep_heap()
     points = [(t, d) for d in cfg.grid("berry_d") for t in cfg.grid("berry_theta")]
-    yield from _family(cfg, "berry", _berry_point, points, len(points))
+    yield from _family(cfg, ("berry", _berry_point, points, len(points)))
 
 
 # --------------------------------------------------------------------------
@@ -772,7 +760,7 @@ def main(argv=None) -> int:
             },
         }
         report_path = cfg.out_dir / f"{cfg.command}_report.json"
-        # Closing the rows as the block ends reaps the workers of a family cut short.
+        # Closing the rows as the block ends reaps the workers of a run cut short.
         with _replaced(report_path) as fh, contextlib.closing(checks):
             summary, ratio, closest = _write_report(fh, report, timings)
     except BwmBerryError as exc:

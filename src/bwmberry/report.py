@@ -20,6 +20,10 @@ one ``%`` per point from a template per chunk or row (``_row_params``, or
 ``_grid_params`` for a grid row, which encodes each grid value once), and a
 levels row makes each predicted triple's text once.
 
+``timed`` is the one clock of a report's ``meta.timings``: the commands time
+their stages with it, and ``_write_report`` times ``evaluate``, the taking of
+the rows, within which every command's stages run, and ``report_write``.
+
 The records live apart from ``cli`` because a run without bytecode compiles
 each module from source, and the memory peak of that compile grows with the
 module.
@@ -32,6 +36,26 @@ import json
 import operator
 import re
 import time
+
+
+class timed:
+    """Context manager that adds the seconds spent in its block to ``timings[stage]``: the one clock
+    of a report's ``meta.timings``.
+
+    ``with timed(timings, stage) as entry`` gives the block the stage's
+    entry, so that it can add its counts to it.  One ``timed`` may time any
+    number of blocks, one after another.
+    """
+
+    def __init__(self, timings: dict, stage: str):
+        self.entry = timings.setdefault(stage, {"seconds": 0.0})
+
+    def __enter__(self) -> dict:
+        self.start = time.perf_counter()
+        return self.entry
+
+    def __exit__(self, *exc_info) -> None:
+        self.entry["seconds"] += time.perf_counter() - self.start
 
 
 def _encoder():
@@ -211,14 +235,12 @@ class _Tally:
     their graded values in record order: a record with a residual is graded,
     and a later value replaces the kept one only if it is larger, so a NaN on
     the first graded record is kept and a later NaN never is.  Without graded
-    records they are None and (0, None).  ``seconds`` is the time spent
-    producing the records, which ``_write_report`` adds up as it takes them.
+    records they are None and (0, None).
     """
 
     def __init__(self):
         self.checks = self.passed = self.failed = self.skipped = 0
         self.worst, self.ratio, self.closest = None, 0, None
-        self.seconds = 0.0
 
     def add(self, records: list) -> None:
         passed = failed = skipped = 0
@@ -277,38 +299,40 @@ def _write_report(fh, report: dict, timings: dict) -> tuple[dict, float, str | N
     those that depend on the records are written after the last one: a ``summary``
     member becomes the count, and a ``warnings`` list gains ``NO_CHECKS`` where there
     were no records.  Before ``meta``, ``timings["evaluate"]`` gets the seconds spent
-    producing the rows, their records' lines included, and ``timings["report_write"]``
-    the seconds spent writing, without those, and the characters written; so a ``meta``
-    that holds ``timings`` reports them.
+    producing the rows, their records' lines included, and the number of ``records``,
+    and ``timings["report_write"]`` the seconds spent writing the members before
+    ``meta``, without those, and the characters written; so a ``meta`` that holds
+    ``timings`` reports them.
     """
-    clock = time.perf_counter
-    start, size, tally = clock(), 0, _Tally()
-    for i, key in enumerate(sorted(report)):
-        if key == "meta":
-            elapsed = clock() - start
-            timings["evaluate"] = {"seconds": tally.seconds, "records": tally.checks}
-            timings["report_write"] = {"seconds": elapsed - tally.seconds, "bytes": size}
-        elif key == "summary":
+    tally, evaluating, keys = _Tally(), timed(timings, "evaluate"), sorted(report)
+
+    def write(i: int, key: str) -> int:
+        """Write member ``key``, the i-th, and return the characters written."""
+        if key == "summary":
             report[key] = tally.summary()[0]
         elif key == "warnings" and not tally.checks:
             report[key] = [*report[key], NO_CHECKS]
-        value = report[key]
-        size += fh.write(("{\n  " if i == 0 else ",\n  ") + json.dumps(key) + ": ")
-        if key == "checks":
-            separator, rows = "[\n    ", iter(value)
-            while True:
-                taken = clock()
+        size = fh.write(("{\n  " if i == 0 else ",\n  ") + json.dumps(key) + ": ")
+        if key != "checks":
+            return size + fh.write(_dumps(report[key]))
+        separator, rows = "[\n    ", iter(report[key])
+        while True:
+            with evaluating:
                 row = next(rows, None)
-                tally.seconds += clock() - taken
-                if row is None:
-                    break
-                if row:
-                    tally.add(row)
-                    # Two writes: the separator and a row's lines are not copied into one more string.
-                    size += fh.write(separator) + fh.write(",\n    ".join([record[4] for record in row]))
-                    separator = ",\n    "
-            size += fh.write("[]" if tally.checks == 0 else "\n  ]")
-        else:
-            size += fh.write(_dumps(value))
+            if row is None:
+                return size + fh.write("[]" if tally.checks == 0 else "\n  ]")
+            if row:
+                tally.add(row)
+                # Two writes: the separator and a row's lines are not copied into one more string.
+                size += fh.write(separator) + fh.write(",\n    ".join([record[4] for record in row]))
+                separator = ",\n    "
+
+    before = sum(key < "meta" for key in keys)
+    with timed(timings, "report_write") as writing:
+        writing["bytes"] = sum(write(i, key) for i, key in enumerate(keys[:before]))
+    writing["seconds"] -= evaluating.entry["seconds"]
+    evaluating.entry["records"] = tally.checks
+    for i, key in enumerate(keys[before:], before):
+        write(i, key)
     fh.write("\n}\n" if report else "{}\n")
     return tally.summary()

@@ -629,23 +629,45 @@ STAGE_OF = {
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("command", sorted(SKIPPING_RUNS))
-def test_stage_timings_count_the_points_and_skips_of_each_family(command, jobs, tmp_path, capsys):
+def test_stage_timings_count_the_points_of_each_family(command, jobs, tmp_path, capsys):
+    # The skips are counted once, in the summary; the records say which family each belongs to.
     code, _, _ = run([command, *SKIPPING_RUNS[command], "--jobs", jobs, "--out", str(tmp_path)], capsys)
     assert code == 0
     report = load_report(tmp_path, command)
     timings = report["meta"]["timings"]
-    points, skipped = {}, {}
+    points = {}
     for c in report["checks"]:
         stage = STAGE_OF.get(c["name"]) or STAGE_OF[c["name"].split(".")[0]]
         points.setdefault(stage, set()).add(json.dumps(c["params"]))  # as text, so -0.0 is not 0.0
-        skipped[stage] = skipped.get(stage, 0) + (c["status"] == "skip")
     stages = {s for s in timings if s.split(".")[0] == command} - {"verify.ybe_draw"}
     assert {s: timings[s]["points"] for s in stages} == {s: len(p) for s, p in points.items()}
-    assert {s: timings[s]["skipped"] for s in stages} == skipped
-    assert sum(timings[s]["skipped"] for s in stages) == report["summary"]["skipped"] > 0
+    assert sum(c["status"] == "skip" for c in report["checks"]) == report["summary"]["skipped"] > 0
     if command == "berry":
         assert timings["berry"]["rows"] == timings["berry"]["points"] == 2 * 3
-        assert set(timings["berry"]) == {"seconds", "points", "rows", "skipped"}
+
+
+#: Small runs of each command, for the stage timings.
+TIMED_RUNS = {
+    "verify": ["--phase-pairs", "3", "--ybe-samples", "300", "--grid-spec", "q=0.5,2", "--grid-spec", "tla_d=2,3"],
+    "spectrum": ["--grid-spec", "theta=0.3,1", "--grid-spec", "d=2,3"],
+    "berry": ["--grid-spec", "berry_theta=0.3,0.7", "--grid-spec", "berry_d=1.7,2", "--steps", "64"],
+    "figure": ["--theta-points", "11", "--d-mesh", "1:3:4"],
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", sorted(TIMED_RUNS))
+def test_evaluate_holds_every_stage_of_the_row_stream_on_one_clock(command, jobs, tmp_path, capsys):
+    # Each family's stage, verify's sample draw and figure's CSV writes run inside the report
+    # writer's taking of the rows, and every stage is timed by report.timed.
+    code, _, _ = run([command, *TIMED_RUNS[command], "--jobs", jobs, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    timings = load_report(tmp_path, command)["meta"]["timings"]
+    nested = set(timings) - {"build_config", "evaluate", "report_write"}
+    families = nested - {"verify.ybe_draw", "write_csv"}
+    assert families == {s for s in STAGE_OF.values() if s.split(".")[0] == command}
+    assert all(set(timings[s]) == {"seconds", "points", "rows"} for s in families)
+    assert timings["evaluate"]["seconds"] >= sum(timings[s]["seconds"] for s in nested) > 0.0
 
 
 def test_error_escaping_the_point_guards_exits_two(tmp_path, capsys, monkeypatch):
@@ -918,22 +940,33 @@ def assert_no_child_process_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("jobs", [2, 3, 4])
-@pytest.mark.parametrize("command, args, rows", [("berry", SMALL_BERRY, [4]), ("verify", VERIFY_ROWS, [3, 2, 2])])
-def test_each_family_forks_one_child_per_extra_worker_and_reaps_them(command, args, rows, jobs, tmp_path, capsys, monkeypatch):
-    # A family of n rows forks min(jobs, n) - 1 children; --jobs 4 exceeds every verify family.
-    forks, real_fork = [], os.fork
+@pytest.mark.parametrize("jobs", [2, 3, 4, 8])
+@pytest.mark.parametrize(
+    "command, args, rows",
+    [("berry", SMALL_BERRY, 4), ("verify", VERIFY_ROWS, 3 + 2 + 2), ("spectrum", SPECTRUM_DOMAIN_GRIDS, 5 + 5)],
+    ids=["berry", "verify", "spectrum"],
+)
+def test_a_run_forks_one_worker_set_and_reaps_it(command, args, rows, jobs, tmp_path, capsys, monkeypatch):
+    # A run of n rows, over all its families, forks min(jobs, n) - 1 children, all before the
+    # report takes its first row; --jobs 4 and 8 exceed every verify family, and 8 the two of spectrum.
+    events, real_fork, real_add = [], os.fork, writer._Tally.add
 
     def fork():
         pid = real_fork()
         if pid:
-            forks.append(pid)
+            events.append("fork")
         return pid
 
+    def add(tally, records):
+        events.append("row")
+        real_add(tally, records)
+
     monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(writer._Tally, "add", add)
     code, _, _ = run([command, *args, "--jobs", str(jobs), "--out", str(tmp_path / "n")], capsys)
     assert code == 0
-    assert len(forks) == sum(min(jobs, n) - 1 for n in rows)
+    forks = min(jobs, rows) - 1
+    assert events[: forks + 1] == ["fork"] * forks + ["row"] and events.count("fork") == forks
     assert_no_child_process_left()
     run([command, *args, "--out", str(tmp_path / "1")], capsys)
     assert strip_meta(load_report(tmp_path / "n", command)) == strip_meta(load_report(tmp_path / "1", command))
@@ -979,6 +1012,19 @@ def test_closing_the_stream_reaps_every_child():
     assert_no_child_process_left()
 
 
+def verdicts_over_jobs(argv, out, capsys):
+    """The exit code, stdout and stderr of ``argv`` at ``--jobs`` 1, 2 and 3, or the repr of the
+    ``ValueError`` that ``main()`` lets escape; no run leaves a child behind."""
+    verdicts = []
+    for jobs in ("1", "2", "3"):
+        try:
+            verdicts.append(run([*argv, "--jobs", jobs, "--out", str(out)], capsys))
+        except ValueError as exc:
+            verdicts.append(repr(exc))
+        assert_no_child_process_left()
+    return verdicts
+
+
 @pytest.mark.parametrize(
     "failing, exiting",
     [((1, 2, 3, 4), ()), ((3,), ()), ((0, 4), ()), ((0,), (1,))],
@@ -999,16 +1045,34 @@ def test_an_error_in_a_worker_gives_the_verdict_of_one_job(error, failing, exiti
         return real_point(cfg, theta, d)
 
     monkeypatch.setattr(cli, "_berry_point", point)
-    verdicts = []
-    for jobs in ("1", "2", "3"):
-        try:
-            verdicts.append(run(["berry", *FIVE_BERRY_ROWS, "--jobs", jobs, "--out", str(tmp_path)], capsys))
-        except ValueError as exc:
-            verdicts.append(repr(exc))
-        assert_no_child_process_left()
+    verdicts = verdicts_over_jobs(["berry", *FIVE_BERRY_ROWS], tmp_path, capsys)
     assert verdicts[0] == verdicts[1] == verdicts[2]
     assert f"injected at theta={FIVE_THETAS[failing[0]]}" in str(verdicts[0])
     assert os.listdir(tmp_path) == []  # no report and no temporary file
+
+
+@pytest.mark.parametrize("failing, jobs", [(2.0, "2"), (3.0, "3")], ids=["tla_row_3", "tla_row_4"])
+@pytest.mark.parametrize("error", [DegenerateSpectrum, MemoryError, ValueError])
+def test_an_error_in_a_verify_worker_gives_the_verdict_of_one_job(error, failing, jobs, tmp_path, capsys, monkeypatch):
+    # VERIFY_ROWS is one stream of 3 BWM, 2 TLA and 2 exchange rows: the TLA row at d = 2 (row 3)
+    # is a child's at --jobs 2, the one at d = 3 (row 4) a child's at --jobs 3, and exchange rows
+    # follow both.  The failing row decides, as it does in one process.
+    parent, real_point, marks = os.getpid(), cli._tla_point, tmp_path / "children"
+    marks.mkdir()
+
+    def point(cfg, d, pairs):
+        if d == failing:
+            if os.getpid() != parent:
+                (marks / str(cfg.jobs)).touch()
+            raise error(f"injected at tla_d={d}")
+        return real_point(cfg, d, pairs)
+
+    monkeypatch.setattr(cli, "_tla_point", point)
+    verdicts = verdicts_over_jobs(["verify", *VERIFY_ROWS], tmp_path / "out", capsys)
+    assert verdicts[0] == verdicts[1] == verdicts[2]
+    assert f"injected at tla_d={failing}" in str(verdicts[0])
+    assert os.listdir(marks) == [jobs]
+    assert os.listdir(tmp_path / "out") == []  # no report and no temporary file
 
 
 class TwoPartError(BwmBerryError):

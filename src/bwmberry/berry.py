@@ -38,6 +38,7 @@ import cmath
 import functools
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,24 +294,26 @@ def berry_discrete(theta, d, steps: int = 4096) -> float:
 
 
 @refuse_overflow
-def figure_table(theta_grid, d_values=SECTION_D_VALUES) -> tuple[list[float], list[float], np.ndarray]:
-    """The cos-form gamma_plus over a (theta, d) grid as one array.
+def figure_table(theta_grid, d_values=SECTION_D_VALUES) -> tuple[list[float], list[float], Iterator[np.ndarray]]:
+    """The cos-form gamma_plus over a (theta, d) grid, one d row at a time.
 
-    Returns (thetas, ds, gamma): both axes as sorted lists of floats, each
-    value validated once, and gamma[j, i] = gamma_plus(thetas[i], ds[j]).
-    The cosines are computed with ``math``, and each d row is
-    ``spin._polar_cosine`` of their array, so every entry is bit-identical
-    to the scalar closed form.
+    Returns (thetas, ds, rows): both axes as sorted lists of floats, each
+    value validated once, and an iterator whose j-th array is row j of the
+    table, rows[j][i] = gamma_plus(thetas[i], ds[j]).  Each row is computed
+    when it is taken, so the table is never held whole.  Every input is
+    checked at the call: a non-finite value, a d below 1 or a d whose d^2
+    overflows raises InvalidParam before any row is made.  The cosines are
+    computed with ``math``, and each d row is ``spin._polar_cosine`` of their
+    array, so every entry is bit-identical to the scalar closed form.
     """
     thetas = sorted(as_real("theta", t) for t in np.asarray(theta_grid, dtype=float).ravel())
     ds = sorted(as_real("d", dv) for dv in np.asarray(d_values, dtype=float).ravel())
     if ds and ds[0] < 1.0:
         raise InvalidParam(f"closed forms need d >= 1, got d = {ds[0]}")
+    if ds and not math.isfinite(ds[-1] * ds[-1]):
+        raise OverflowError(f"d = {ds[-1]}: d^2 is not finite")
     cosines = np.array([math.cos(th) for th in thetas])
-    gamma = np.empty((len(ds), len(thetas)))
-    for j, dv in enumerate(ds):
-        gamma[j] = math.pi * (1.0 - _polar_cosine(cosines, dv))
-    return thetas, ds, gamma
+    return thetas, ds, (math.pi * (1.0 - _polar_cosine(cosines, dv)) for dv in ds)
 
 
 def figure_data(theta_grid, d_values=SECTION_D_VALUES) -> list[tuple[float, float, float]]:
@@ -321,5 +324,5 @@ def figure_data(theta_grid, d_values=SECTION_D_VALUES) -> list[tuple[float, floa
     d >= 1 is admissible (including values below the golden ratio, where
     the Hamiltonian route does not exist).
     """
-    thetas, ds, gamma = figure_table(theta_grid, d_values)
-    return [(th, dv, g) for dv, row in zip(ds, gamma.tolist()) for th, g in zip(thetas, row)]
+    thetas, ds, rows = figure_table(theta_grid, d_values)
+    return [(th, dv, g) for dv, row in zip(ds, rows) for th, g in zip(thetas, row.tolist())]

@@ -24,10 +24,11 @@ from bwmberry import (
     solid_angle,
 )
 from bwmberry.algebra import GOLDEN_RATIO
-from bwmberry.berry import DEGENERACY_GUARD, LOOP_BIAS_K, MIN_STEPS, _loop_grid, _wrap_phase, berry_discrete
+from bwmberry.berry import DEGENERACY_GUARD, LOOP_BIAS_K, MIN_STEPS, _loop_grid, _wrap_phase, berry_discrete, figure_table
 from bwmberry.matrices import _closed_form_eigh
 from bwmberry.spin import DriveParams, hamiltonian_stack
-from bwmberry.cli import MAX_STEPS, main
+from bwmberry.cli import main
+from bwmberry.config import MAX_STEPS
 
 TAU = 2.0 * math.pi
 
@@ -525,6 +526,17 @@ def test_figure_rejects_sub_unit_d():
     for thetas, ds in (([0.0], (0.5,)), ([0.0, math.nan], (2.0,)), ([0.0], (2.0, math.inf))):
         with pytest.raises(InvalidParam):
             figure_data(thetas, ds)
+
+
+@pytest.mark.parametrize(
+    "thetas, ds",
+    [([0.0], (0.5,)), ([0.0, math.nan], (2.0,)), ([0.0], (2.0, math.inf)), ([0.3], (2.0, 1e200))],
+    ids=["sub_unit_d", "nan_theta", "infinite_d", "overflowing_d_squared"],
+)
+def test_figure_table_rejects_at_the_call(thetas, ds):
+    # The table's rows are made as they are taken, but its inputs are checked when it is called.
+    with pytest.raises(InvalidParam):
+        figure_table(thetas, ds)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from bwmberry import (
     berry,
     berry_closed,
     cli,
+    config,
     cos_alpha,
     hamiltonian_stack,
     hermitian_eigs,
@@ -44,7 +45,8 @@ from bwmberry import (
 )
 from bwmberry import report as writer
 from bwmberry.algebra import DOMAIN_SLACK
-from bwmberry.cli import KNOBS, build_config, build_parser, main
+from bwmberry.cli import main
+from bwmberry.config import KNOBS, build_config, build_parser
 from record_dicts import csv_dict, line, lines, record_dict, skip_dict
 
 PI_THIRD = repr(math.pi / 3.0)
@@ -1437,6 +1439,23 @@ def test_csv_writer_converts_one_row_at_a_time(tmp_path):
     assert peak < 512 * 1024
 
 
+def test_figure_holds_one_d_row_at_a_time(tmp_path, capsys):
+    # The 601 x 401 surface is 1.9 MB as one float array; made and written one d row at a time,
+    # the whole run peaks below 512 KiB.
+    argv = ["figure", "--theta-points", "601", "--d-mesh", "1:6:401", "--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 512 * 1024
+    rows = berry.figure_data(np.linspace(0.0, 2.0 * math.pi, 601), np.linspace(1.0, 6.0, 401))
+    thetas, ds = [t for t, _, _ in rows[:601]], [d for _, d, _ in rows[::601]]
+    gamma = np.array([g for _, _, g in rows]).reshape(len(ds), len(thetas))
+    assert (tmp_path / "figure_surface.csv").read_bytes() == per_value_csv(thetas, ds, gamma).encode("utf-8")
+
+
 # ---------------------------------------------------------------------------
 # report writing: indent=2 with sorted keys, each check record on one line
 # ---------------------------------------------------------------------------
@@ -1939,7 +1958,7 @@ def _former_exchange_params(samples):
 def test_property_exchange_params_texts_are_the_text_of_the_former_dicts(seed, n, rows, signs):
     # The corners and the seeded draws, as their records' lines hold them, and rows of edge values
     # with the sign epsilon.
-    cfg = cli.RunConfig(command="verify", out_dir=Path(), seed=seed, ybe_samples=n)
+    cfg = config.RunConfig(command="verify", out_dir=Path(), seed=seed, ybe_samples=n)
     samples = cli._ybe_samples(cfg)
     assert samples.shape == (3 + n, 7)
     texts = [r[4][r[4].index('"params": ') + 10 : r[4].index(', "reason": ')] for r in cli._ybe_point(cfg, samples)]
@@ -1992,7 +2011,7 @@ def berry_point_dicts(theta, d, steps):
     d=st.sampled_from([5e-324, 1.0, 1.5, GOLDEN_RATIO, 2.0, 3.0, 1e154, 1e308]),
 )
 def test_property_berry_point_lines_are_json_dumps_of_the_reference(theta, d):
-    cfg = cli.RunConfig(command="berry", out_dir=Path("."), steps=16)
+    cfg = config.RunConfig(command="berry", out_dir=Path("."), steps=16)
     assert lines(cli._berry_point(cfg, theta, d)) == [line(r) for r in berry_point_dicts(theta, d, 16)]
 
 
@@ -2253,13 +2272,13 @@ def test_config_file_grid_range_syntax(tmp_path, capsys):
         ["berry", "--steps", "1000000000000", "--grid-spec", "berry_theta=0.5", "--grid-spec", "berry_d=2"],
         ["spectrum", "--grid-spec", "theta=0:1:1000000000000"],
         ["verify", "--phase-pairs", "99999999999999999999"],
-        ["berry", "--steps", str(cli.MAX_STEPS + 1)],
-        ["verify", "--phase-pairs", str(cli.MAX_PHASE_PAIRS + 1)],
-        ["verify", "--ybe-samples", str(cli.MAX_YBE_SAMPLES + 1)],
-        ["figure", "--theta-points", str(cli.MAX_AXIS_POINTS + 1)],
-        ["figure", "--d-mesh", f"1:6:{cli.MAX_AXIS_POINTS + 1}"],
-        ["figure", "--grid-spec", f"figure_d=1:6:{cli.MAX_AXIS_POINTS + 1}"],
-        ["verify", "--jobs", str(cli.MAX_JOBS + 1)],
+        ["berry", "--steps", str(config.MAX_STEPS + 1)],
+        ["verify", "--phase-pairs", str(config.MAX_PHASE_PAIRS + 1)],
+        ["verify", "--ybe-samples", str(config.MAX_YBE_SAMPLES + 1)],
+        ["figure", "--theta-points", str(config.MAX_AXIS_POINTS + 1)],
+        ["figure", "--d-mesh", f"1:6:{config.MAX_AXIS_POINTS + 1}"],
+        ["figure", "--grid-spec", f"figure_d=1:6:{config.MAX_AXIS_POINTS + 1}"],
+        ["verify", "--jobs", str(config.MAX_JOBS + 1)],
     ],
 )
 def test_config_errors_exit_two(argv, tmp_path, capsys):
@@ -2270,18 +2289,18 @@ def test_config_errors_exit_two(argv, tmp_path, capsys):
 
 
 def test_count_maxima_are_accepted():
-    argv = ["figure", "--steps", str(cli.MAX_STEPS), "--phase-pairs", str(cli.MAX_PHASE_PAIRS)]
-    argv += ["--ybe-samples", str(cli.MAX_YBE_SAMPLES), "--jobs", str(cli.MAX_JOBS)]
-    argv += ["--theta-points", str(cli.MAX_AXIS_POINTS), "--d-mesh", f"1:6:{cli.MAX_AXIS_POINTS}"]
-    cfg = build_config(build_parser().parse_args([*argv, "--grid-spec", f"figure_d=1:6:{cli.MAX_AXIS_POINTS}"]))
+    argv = ["figure", "--steps", str(config.MAX_STEPS), "--phase-pairs", str(config.MAX_PHASE_PAIRS)]
+    argv += ["--ybe-samples", str(config.MAX_YBE_SAMPLES), "--jobs", str(config.MAX_JOBS)]
+    argv += ["--theta-points", str(config.MAX_AXIS_POINTS), "--d-mesh", f"1:6:{config.MAX_AXIS_POINTS}"]
+    cfg = build_config(build_parser().parse_args([*argv, "--grid-spec", f"figure_d=1:6:{config.MAX_AXIS_POINTS}"]))
     assert (cfg.steps, cfg.phase_pairs, cfg.ybe_samples, cfg.jobs, cfg.figure_theta_points) == (
-        cli.MAX_STEPS,
-        cli.MAX_PHASE_PAIRS,
-        cli.MAX_YBE_SAMPLES,
-        cli.MAX_JOBS,
-        cli.MAX_AXIS_POINTS,
+        config.MAX_STEPS,
+        config.MAX_PHASE_PAIRS,
+        config.MAX_YBE_SAMPLES,
+        config.MAX_JOBS,
+        config.MAX_AXIS_POINTS,
     )
-    assert cfg.figure_d_mesh[2] == len(cfg.grid("figure_d")) == cli.MAX_AXIS_POINTS
+    assert cfg.figure_d_mesh[2] == len(cfg.grid("figure_d")) == config.MAX_AXIS_POINTS
 
 
 def test_run_that_does_not_fit_in_memory_exits_two(tmp_path, capsys, monkeypatch):
@@ -2435,7 +2454,7 @@ _NUMBER_TEXT = st.sampled_from(["0", "1.5", "2", "-1", "nan", "inf", "-inf", "1e
 _GRID_SPEC = st.one_of(
     st.builds(
         "{}={}".format,
-        st.sampled_from([*cli.GRID_NAMES, "nope", ""]),
+        st.sampled_from([*config.GRID_NAMES, "nope", ""]),
         st.one_of(
             st.lists(_NUMBER_TEXT, max_size=3).map(",".join),
             st.builds("{}:{}:{}".format, _NUMBER_TEXT, _NUMBER_TEXT, st.integers(-1, 3)),
@@ -2446,7 +2465,7 @@ _GRID_SPEC = st.one_of(
 _SMALL_RUN = ["--phase-pairs", "2", "--ybe-samples", "3", "--steps", "32"]
 _SMALL_FIGURE = ["--theta-points", "5", "--d-mesh", "1:2:3"]
 _FLAG_VALUES = {
-    "--steps": st.integers(cli.MIN_STEPS - 1, 32),
+    "--steps": st.integers(config.MIN_STEPS - 1, 32),
     "--seed": st.integers(-1, 3),
     "--jobs": st.integers(0, 2),
     "--phase-pairs": st.integers(-1, 2),
@@ -2465,7 +2484,7 @@ _CONFIG_VALUE = st.one_of(
 )
 _CONFIG = st.one_of(
     st.none(),
-    st.dictionaries(st.sampled_from([*sorted(cli._CONFIG_KEYS), "tolerance", "phase_tolerance"]), _CONFIG_VALUE, max_size=3),
+    st.dictionaries(st.sampled_from([*sorted(config._CONFIG_KEYS), "tolerance", "phase_tolerance"]), _CONFIG_VALUE, max_size=3),
     st.lists(st.integers(), max_size=2),
     st.integers(),
     st.text(max_size=5),

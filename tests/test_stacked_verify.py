@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bwmberry import GOLDEN_RATIO, AlgebraParams, BwmBerryError, algebra, cli, make_a, make_ea, rel_residual
+from bwmberry import GOLDEN_RATIO, AlgebraParams, BwmBerryError, algebra, cli, config, make_a, make_ea, rel_residual
 from bwmberry.algebra import (
     DEGENERATE_OMEGA,
     TRANSPORT_LINES,
@@ -377,7 +377,7 @@ EDGE_GRIDS = ["--grid-spec", "q=1e-3,-1,0,1,0.7,1e150", "--grid-spec", f"tla_d=1
 def test_verify_records_match_the_per_point_route(pairs, jobs, tmp_path):
     argv = ["verify", *EDGE_GRIDS, "--phase-pairs", str(pairs), "--ybe-samples", "0", "--jobs", str(jobs)]
     assert cli.main([*argv, "--out", str(tmp_path)]) == 0
-    cfg = cli.build_config(cli.build_parser().parse_args(argv))
+    cfg = config.build_config(config.build_parser().parse_args(argv))
     phase_pairs = cli._phase_pairs(cfg).tolist()
     expected = [rec for q in cfg.grid("q") for p1, p2 in phase_pairs for rec in scalar_bwm_point(cfg, q, p1, p2)]
     expected += [rec for d in cfg.grid("tla_d") for p1, p2 in phase_pairs for rec in scalar_tla_point(cfg, d, p1, p2)]

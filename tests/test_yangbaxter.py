@@ -34,7 +34,8 @@ from bwmberry import (
     ybe_residual,
     z_of_u,
 )
-from bwmberry.cli import _YBE_CORNERS, RELATION_TOL, RunConfig, _ybe_samples, cmd_verify
+from bwmberry.cli import _YBE_CORNERS, RELATION_TOL, _ybe_samples, cmd_verify
+from bwmberry.config import RunConfig
 from bwmberry.algebra import DOMAIN_SLACK
 from bwmberry.yangbaxter import _angle_form, _compose, _exchange_columns, _exchange_setup, _z_stack
 from record_dicts import line, lines, record_dict, skip_dict
